@@ -24,13 +24,11 @@ from .gibbs_weights import (
     GibbsModel,
     McConfig,
     McDegeneracyError,
-    NggWeightSampler,
     NormalizationError,
+    _calibrate,
     build_primitive_cache,
     build_weight_table,
-    calibrate,
     default_cache_dir,
-    expected_blocks,
     load_weight_table,
     save_weight_table,
     table_cache_path,
@@ -352,16 +350,7 @@ def run_calibrate(config):
     family = config.family.upper()
     n = config.n or 50
     mc = McConfig(samples=config.samples, seed=config.seed)
-    fitted = calibrate(family, config.target, n, alpha=config.alpha, mc_config=mc)
-    if family in ("DP", "PY"):
-        model = GibbsModel.dp(fitted) if family == "DP" else GibbsModel.py(config.alpha, fitted)
-        achieved = expected_blocks(model, n)
-    else:
-        alpha = 0.5 if family == "NIG" else config.alpha
-        sampler = NggWeightSampler(alpha, n, mc.samples, mc.seed)
-        gfc = build_gfc_table(n, alpha)
-        probs = sampler.block_distribution(fitted, gfc)
-        achieved = float(np.dot(np.arange(1, n + 1), probs))
+    fitted, achieved = _calibrate(family, config.target, n, config.alpha, mc)
     report = {
         "family": family,
         "alpha": config.alpha,

@@ -307,10 +307,17 @@ def ngg_last_row_mc(alpha, beta, n, samples, rng):
     return log_row, rel_se
 
 
-def _backward_sweep(n_max, alpha, last_log_row, last_rel_se):
-    # V_{n,k} = (n - alpha k) V_{n+1,k} + V_{n+1,k+1}: positive summands, so
-    # the relative error of each filled entry is a convex combination of the
-    # two source errors and never grows going backward
+def _mc_weight_table(alpha, last_log_row, last_rel_se, provenance):
+    """Weight triangle from a Monte Carlo estimate of its last row.
+
+    V_{n,k} = (n - alpha k) V_{n+1,k} + V_{n+1,k+1} fills the rows above;
+    the summands are positive, so the relative error of each filled entry
+    is a convex combination of the two source errors and never grows going
+    backward.  The triangle is then rescaled by the estimate of V_{1,1} so
+    that V_{1,1} = 1 holds exactly; the rescaling preserves the recursion
+    and its uncertainty is folded into the declared relative errors.
+    """
+    n_max = len(last_log_row)
     table = np.full((n_max + 1, n_max + 1), -np.inf)
     rel = np.zeros((n_max + 1, n_max + 1))
     table[n_max, 1:n_max + 1] = last_log_row
@@ -323,18 +330,20 @@ def _backward_sweep(n_max, alpha, last_log_row, last_rel_se):
         table[n, 1:n + 1] = combined
         share1 = np.exp(w1 - combined)
         rel[n, 1:n + 1] = share1 * rel[n + 1, 1:n + 1] + (1.0 - share1) * rel[n + 1, 2:n + 2]
-    return table, rel
+    # -inf entries outside the triangle stay -inf; rel is read only inside it
+    table -= table[1, 1]
+    rel += rel[1, 1]
+    rel[1, 1] = 0.0
+    return WeightTable(n_max, alpha, table, provenance, rel_se=rel)
 
 
 def build_weight_table(model, n_max):
     """Construct the weight triangle for a model up to depth n_max.
 
     DP and PY rows come from the closed-form ratio of rising factorials. The
-    Monte Carlo variants estimate the final row with ngg_last_row_mc, fill
-    the rest by the (exact) backward recursion, and then rescale the whole
-    triangle by the estimate of V_{1,1} so the required normalization
-    V_{1,1} = 1 holds exactly; the rescaling preserves the recursion and its
-    uncertainty is folded into the declared relative errors.
+    Monte Carlo variants estimate the final row with ngg_last_row_mc and
+    fill the rest by the (exact) backward recursion, normalized so that
+    V_{1,1} = 1 (see _mc_weight_table).
 
     Args:
         model: GibbsModel.
@@ -357,14 +366,8 @@ def build_weight_table(model, n_max):
     mc = model.mc_config
     rng = np.random.default_rng(mc.seed)
     last_log, last_rel = ngg_last_row_mc(alpha, beta, n_max, mc.samples, rng)
-    table, rel = _backward_sweep(n_max, alpha, last_log, last_rel)
-    norm, norm_rel = table[1, 1], rel[1, 1]
-    tri = np.tril(np.ones_like(table, dtype=bool))
-    table[tri] -= norm
-    rel[tri] += norm_rel
-    rel[1, 1] = 0.0
-    return WeightTable(
-        n_max, alpha, table, Provenance("monte-carlo", mc.samples, mc.seed), rel_se=rel
+    return _mc_weight_table(
+        alpha, last_log, last_rel, Provenance("monte-carlo", mc.samples, mc.seed)
     )
 
 
@@ -411,6 +414,19 @@ def ngg_weights_smalln(alpha, beta, n_max):
     return WeightTable(n_max, alpha, table, Provenance("small-n-series"))
 
 
+def _check_primitive_tables(table, gfc, depth, gfc_depth):
+    # the primitives read weight rows up to `depth` and GFC rows up to
+    # `gfc_depth`
+    if table.alpha <= 0.0:
+        raise ValueError("primitives divide by alpha^k; use the dedicated closed forms for alpha = 0")
+    if depth > table.n_max:
+        raise ValueError(f"weight table depth {table.n_max} cannot serve row {depth}")
+    if gfc_depth > gfc.n_max:
+        raise ValueError(f"GFC table depth {gfc.n_max} cannot serve row {gfc_depth}")
+    if abs(gfc.alpha - table.alpha) > 1e-12:
+        raise ValueError("weight and GFC tables disagree on alpha")
+
+
 def log_primitive(table, gfc, n, z1, z2):
     """log g_n(z1, z2) from tabulated weights and GFCs.
 
@@ -428,14 +444,7 @@ def log_primitive(table, gfc, n, z1, z2):
         raise ValueError(f"n must be >= 1, got {n}")
     if z1 < 0 or z2 < 0:
         raise ValueError("shifts must be nonnegative")
-    if table.alpha <= 0.0:
-        raise ValueError("primitives divide by alpha^k; use the dedicated closed forms for alpha = 0")
-    if n + z1 > table.n_max:
-        raise ValueError(f"weight table depth {table.n_max} cannot serve n+z1 = {n + z1}")
-    if n > gfc.n_max:
-        raise ValueError(f"GFC table depth {gfc.n_max} cannot serve n = {n}")
-    if abs(gfc.alpha - table.alpha) > 1e-12:
-        raise ValueError("weight and GFC tables disagree on alpha")
+    _check_primitive_tables(table, gfc, n + z1, n)
     k_count = min(n, n + z1 - z2)  # entries with k + z2 > n + z1 vanish
     if k_count < 1:
         return -math.inf
@@ -485,21 +494,6 @@ def py_primitive_closed(alpha, theta, n, which):
             )
         )
     raise ValueError(f"which must be (1,0) or (1,1), got {which}")
-
-
-def _py_log_gs1_closed(alpha, theta, r, s):
-    # g_r(s, 1) = Gamma(theta+1) Gamma(theta+alpha+r) /
-    #             [Gamma(theta+alpha) Gamma(theta+r+s)], valid for r >= 0
-    return float(
-        special.gammaln(theta + 1.0)
-        + special.gammaln(theta + alpha + r)
-        - special.gammaln(theta + alpha)
-        - special.gammaln(theta + r + s)
-    )
-
-
-def _py_gs1_closed(alpha, theta, r, s):
-    return math.exp(_py_log_gs1_closed(alpha, theta, r, s))
 
 
 class PrimitiveCache:
@@ -559,7 +553,9 @@ def build_primitive_cache(model, n, table=None, gfc=None):
     DP and PY use their closed forms (which keeps large n cheap); NGG/NIG
     evaluate the generic log-sum-exp primitive from their weight and GFC
     tables (built on demand when not supplied; the weight table must reach
-    depth n, the GFC table depth n-1).
+    depth n, the GFC table depth n-1).  Both branches fill every entry in
+    one array pass; py_primitive_closed and log_primitive are the scalar
+    forms of the same expressions.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -567,28 +563,44 @@ def build_primitive_cache(model, n, table=None, gfc=None):
     if model.variant in ("DP", "PY"):
         theta = model.theta
         g10 = np.concatenate([[math.nan], 1.0 / (theta + np.arange(1, n))])
-        g11 = np.array(
-            [py_primitive_closed(alpha, theta, j - 1, (1, 1)) for j in range(1, n + 1)]
+        m = np.arange(n)  # g11[j-1] = g_m(1,1) with m = j - 1
+        g11 = np.exp(
+            special.gammaln(theta + 1.0)
+            + special.gammaln(theta + alpha + m)
+            - special.gammaln(theta + m + 1.0)
+            - special.gammaln(theta + alpha)
         )
-        log_gs1 = np.array(
-            [_py_log_gs1_closed(alpha, theta, n - s, s) for s in range(1, n + 1)]
+        # g_r(s, 1) = Gamma(theta+1) Gamma(theta+alpha+r) /
+        #             [Gamma(theta+alpha) Gamma(theta+r+s)] with r = n - s
+        s = np.arange(1, n + 1)
+        r = n - s
+        log_gs1 = (
+            special.gammaln(theta + 1.0)
+            + special.gammaln(theta + alpha + r)
+            - special.gammaln(theta + alpha)
+            - special.gammaln(theta + r + s)
         )
         return PrimitiveCache(model, n, g10, g11, log_gs1)
     if table is None:
         table = build_weight_table(model, n)
-    if table.n_max < n:
-        raise ValueError(f"weight table depth {table.n_max} cannot serve n = {n}")
     if gfc is None:
         gfc = build_gfc_table(max(n - 1, 1), alpha)
-    g10 = np.array(
-        [math.nan] + [primitive(table, gfc, j - 1, 1, 0) for j in range(2, n + 1)]
+    _check_primitive_tables(table, gfc, n, n - 1)
+    v = table._log
+    # terms[m-1, k-1] = log[alpha^{-k} C(m, k; alpha)] for base counts
+    # m = 1..n-1; the GFC triangle is -inf for k > m, which masks every sum
+    # to the k <= m that log_primitive sums over
+    k = np.arange(1, n)
+    log_c = gfc.log_block(n - 1) - k * math.log(table.alpha)
+    g10 = np.concatenate(
+        [[math.nan], np.exp(special.logsumexp(v[2:n + 1, 1:n] + log_c, axis=1))]
     )
-    g11 = np.array(
-        [1.0] + [primitive(table, gfc, j - 1, 1, 1) for j in range(2, n + 1)]
+    g11 = np.concatenate(
+        [[1.0], np.exp(special.logsumexp(v[2:n + 1, 2:n + 1] + log_c, axis=1))]
     )
-    log_gs1 = np.array(
-        [log_primitive(table, gfc, n - s, s, 1) for s in range(1, n)]
-        + [table.log_weight(n, 1)]
+    # g_{n-s}(s, 1) reads row n at every s, so base count m = n - s
+    log_gs1 = np.concatenate(
+        [special.logsumexp(v[n, 2:n + 1] + log_c, axis=1)[::-1], [v[n, 1]]]
     )
     return PrimitiveCache(model, n, g10, g11, log_gs1)
 
@@ -674,6 +686,14 @@ class NggWeightSampler:
     not involve beta, so freezing the ratios R = X/Y once per block count
     makes every subsequent beta evaluation a cheap deterministic reduction
     (used by calibration and by hyperparameter moves during inference).
+
+    Each row k of ratios is stored shifted, R - min_k R, beside its minimum.
+    The largest log term beta^alpha - beta R of a row is then known in
+    closed form, beta^alpha - beta min_k R, so log_last_row reads both Monte
+    Carlo moments from one pass over a work buffer: the row sums of
+    exp(-beta (R - min_k R)) give the first, and the row sums of their
+    squares the second.  Every summand lies in [0, 1] and the row minimum
+    contributes exactly 1, so neither sum can underflow to zero.
     """
 
     def __init__(self, alpha, n, samples, seed):
@@ -686,13 +706,17 @@ class NggWeightSampler:
         self.samples = int(samples)
         self.seed = int(seed)
         rng = np.random.default_rng(seed)
-        self._ratios = np.empty((n, self.samples))
+        self._shifted = np.empty((n, self.samples))
+        self._ratio_min = np.empty(n)
         for k in range(1, n + 1):
             spec = TiltedStableSpec(alpha=alpha, tilt=k * alpha)
             x = sample_tilted_stable(spec, rng, size=self.samples)
             y = np.maximum(rng.beta(k * alpha, n - k * alpha, size=self.samples), 1e-300)
-            self._ratios[k - 1] = x / y
-        self._ratios.flags.writeable = False
+            ratios = x / y
+            self._ratio_min[k - 1] = ratios.min()
+            np.subtract(ratios, self._ratio_min[k - 1], out=self._shifted[k - 1])
+        self._shifted.flags.writeable = False
+        self._ratio_min.flags.writeable = False
         self._log_prefactor = (
             (np.arange(1, n + 1) - 1) * math.log(alpha)
             + special.gammaln(np.arange(1, n + 1))
@@ -703,9 +727,13 @@ class NggWeightSampler:
         """(log_row, rel_se) for row n at this beta, from the frozen draws."""
         if beta <= 0:
             raise ValueError(f"beta must be positive, got {beta}")
-        log_terms = beta ** self.alpha - beta * self._ratios
-        log_m1 = special.logsumexp(log_terms, axis=1) - math.log(self.samples)
-        log_m2 = special.logsumexp(2.0 * log_terms, axis=1) - math.log(self.samples)
+        work = np.multiply(self._shifted, -beta)
+        np.exp(work, out=work)
+        sum1 = work.sum(axis=1)
+        sum2 = np.einsum("ij,ij->i", work, work)
+        top = beta ** self.alpha - beta * self._ratio_min  # row max of the log terms
+        log_m1 = top + np.log(sum1) - math.log(self.samples)
+        log_m2 = 2.0 * top + np.log(sum2) - math.log(self.samples)
         if not np.all(np.isfinite(log_m1)):
             raise McDegeneracyError(f"frozen-draw weight estimate underflowed at beta={beta}")
         gap = log_m2 - 2.0 * log_m1
@@ -735,18 +763,11 @@ def weight_table_from_sampler(sampler, beta):
     varies.
     """
     last_log, last_rel = sampler.log_last_row(beta)
-    table, rel = _backward_sweep(sampler.n, sampler.alpha, last_log, last_rel)
-    norm, norm_rel = table[1, 1], rel[1, 1]
-    tri = np.tril(np.ones_like(table, dtype=bool))
-    table[tri] -= norm
-    rel[tri] += norm_rel
-    rel[1, 1] = 0.0
-    return WeightTable(
-        sampler.n,
+    return _mc_weight_table(
         sampler.alpha,
-        table,
+        last_log,
+        last_rel,
         Provenance("monte-carlo", sampler.samples, sampler.seed),
-        rel_se=rel,
     )
 
 
@@ -770,6 +791,11 @@ def calibrate(family, target, n, alpha=None, mc_config=None):
     Returns:
         The calibrated parameter (theta or beta).
     """
+    return _calibrate(family, target, n, alpha, mc_config)[0]
+
+
+def _calibrate(family, target, n, alpha, mc_config):
+    # calibrate's search; also returns the E[B_n] reached at the root
     if family not in VARIANTS:
         raise ValueError(f"family must be one of {VARIANTS}, got {family!r}")
     if not 1.0 < target < n:
@@ -790,8 +816,8 @@ def calibrate(family, target, n, alpha=None, mc_config=None):
                 return GibbsModel.dp(theta)
             return GibbsModel.py(alpha, theta)
 
-        def objective(t):
-            return expected_blocks(make(t), n) - target
+        def expected(t):
+            return expected_blocks(make(t), n)
 
     else:
         mc = mc_config or McConfig()
@@ -799,9 +825,12 @@ def calibrate(family, target, n, alpha=None, mc_config=None):
         gfc = build_gfc_table(n, alpha)
         k = np.arange(1, n + 1)
 
-        def objective(t):
+        def expected(t):
             probs = sampler.block_distribution(math.exp(t), gfc)
-            return float(np.dot(k, probs)) - target
+            return float(np.dot(k, probs))
+
+    def objective(t):
+        return expected(t) - target
 
     lo, hi = 0.0, 1.0
     f_lo, f_hi = objective(lo), objective(hi)
@@ -822,13 +851,14 @@ def calibrate(family, target, n, alpha=None, mc_config=None):
     else:
         raise ValueError(f"could not bracket target {target} from above")
     t_star = optimize.brentq(objective, lo, hi, xtol=1e-12)
-    residual = objective(t_star)
+    achieved = expected(t_star)
+    residual = achieved - target
     if abs(residual) > 0.05:
         raise ValueError(
             f"calibration stalled: |E[B_{n}] - {target}| = {abs(residual):.4f} > 0.05"
         )
     param = math.exp(t_star) - alpha if family in ("DP", "PY") else math.exp(t_star)
-    return float(param)
+    return float(param), achieved
 
 
 def default_cache_dir():

@@ -30,6 +30,7 @@ from .ibp import log_joint as allocation_log_joint
 from .special_functions import build_gfc_table, log_rising_factorial
 
 _LOG_2PI = math.log(2.0 * math.pi)
+SHRINK_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -73,9 +74,31 @@ class LatentFactorState:
     exposed as an order-of-appearance FeatureAllocation on demand.
 
     Invariants: W is n x K, A is K x p, all scales strictly positive.
+    mc_samples sizes the frozen-draw sampler of the Monte Carlo variants.
     """
 
-    def __init__(self, model, z, w, a, sigma_y, sigma_w, sigma_a, gamma, rng):
+    def __init__(self, model, z, w, a, sigma_y, sigma_w, sigma_a, gamma, rng,
+                 mc_samples=ChainConfig.mc_samples):
+        sigma_a = np.asarray(sigma_a, dtype=float)
+        if sigma_y <= 0 or sigma_w <= 0 or np.any(sigma_a <= 0):
+            raise ValueError("scales must be strictly positive")
+        if gamma < 0:
+            raise ValueError(f"gamma must be >= 0, got {gamma}")
+        self.model = model
+        self.sigma_y = float(sigma_y)
+        self.sigma_w = float(sigma_w)
+        self.sigma_a = sigma_a.copy()
+        self.gamma = float(gamma)
+        self.rng = rng
+        self.mc_samples = int(mc_samples)
+        self.cache = None
+        self.sampler = None
+        self.table = None
+        self.gfc = None
+        self._set_factors(z, w, a)
+
+    def _set_factors(self, z, w, a):
+        """Replace Z, W and A together after checking their shapes."""
         z = np.array(z, dtype=np.uint8, order="C")  # owned, writable copy
         w = np.asarray(w, dtype=float)
         a = np.asarray(a, dtype=float)
@@ -86,27 +109,11 @@ class LatentFactorState:
             raise ValueError(f"W must be {n} x {k}, got {w.shape}")
         if a.ndim != 2 or a.shape[0] != k:
             raise ValueError(f"A must have {k} rows, got {a.shape}")
-        sigma_a = np.asarray(sigma_a, dtype=float)
-        if sigma_a.shape != (a.shape[1],):
+        if self.sigma_a.shape != (a.shape[1],):
             raise ValueError("sigma_A must hold one scale per data column")
-        if sigma_y <= 0 or sigma_w <= 0 or np.any(sigma_a <= 0):
-            raise ValueError("scales must be strictly positive")
-        if gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {gamma}")
-        self.model = model
         self.z = z
         self.w = w
         self.a = a
-        self.sigma_y = float(sigma_y)
-        self.sigma_w = float(sigma_w)
-        self.sigma_a = sigma_a.copy()
-        self.gamma = float(gamma)
-        self.rng = rng
-        self.mc_samples = 20_000
-        self.cache = None
-        self.sampler = None
-        self.table = None
-        self.gfc = None
 
     @property
     def n(self):
@@ -213,7 +220,14 @@ def _z_log_prior(counts, n, gamma, model, cache):
 
 
 def slice_sample(log_density, x0, rng, width=1.0, max_steps=100):
-    """One univariate slice-sampling update (stepping out, then shrinkage)."""
+    """One univariate slice-sampling update (stepping out, then shrinkage).
+
+    Stepping out takes at most max_steps widths on each side.  Shrinkage
+    stops after SHRINK_STEPS rejected points with a RuntimeError naming the
+    log density: by then the interval has shrunk around x0 by a factor of
+    about e^-SHRINK_STEPS, so the density is not the one it was started on
+    (or not deterministic) and looping on would never end.
+    """
     f0 = log_density(x0)
     if not np.isfinite(f0):
         raise ValueError(f"slice sampler started outside the support (f({x0}) = {f0})")
@@ -228,7 +242,7 @@ def slice_sample(log_density, x0, rng, width=1.0, max_steps=100):
     while steps > 0 and log_density(right) > log_level:
         right += width
         steps -= 1
-    while True:
+    for _ in range(SHRINK_STEPS):
         x1 = left + (right - left) * rng.random()
         if log_density(x1) > log_level:
             return x1
@@ -236,6 +250,11 @@ def slice_sample(log_density, x0, rng, width=1.0, max_steps=100):
             left = x1
         else:
             right = x1
+    name = getattr(log_density, "__name__", repr(log_density))
+    raise RuntimeError(
+        f"slice move {name} found no point above its slice level after "
+        f"{SHRINK_STEPS} shrinkage steps from x0 = {x0}"
+    )
 
 
 def _resample_z(state, y):
@@ -516,19 +535,23 @@ def initial_state(model, y, config, z_init=None):
     gamma = config.gamma_init
     if gamma is None:
         gamma = config.priors.lambda1 / config.priors.lambda2
+    sigma_a = np.broadcast_to(np.asarray(config.sigma_a, dtype=float), (p,)).copy()
+    # the chain's own primitive cache serves the prior draw of the initial Z
+    state = LatentFactorState(
+        model, np.zeros((n, 0)), np.zeros((n, 0)), np.zeros((0, p)),
+        config.sigma_y, config.sigma_w, sigma_a, gamma, rng, config.mc_samples,
+    )
+    state.refresh_cache(sampler_seed=config.seed)
     if z_init is None:
-        z = simulate_ibp(model, gamma, n, seed=int(rng.integers(2 ** 63))).matrix
+        z = simulate_ibp(
+            model, gamma, n, seed=int(rng.integers(2 ** 63)), cache=state.cache
+        ).matrix
     else:
         z = np.asarray(getattr(z_init, "matrix", z_init), dtype=np.uint8)
     k = z.shape[1]
-    sigma_a = np.broadcast_to(np.asarray(config.sigma_a, dtype=float), (p,)).copy()
     w = rng.normal(0.0, config.sigma_w, size=(n, k))
     a = rng.standard_normal((k, p)) * sigma_a
-    state = LatentFactorState(
-        model, z, w, a, config.sigma_y, config.sigma_w, sigma_a, gamma, rng
-    )
-    state.mc_samples = config.mc_samples
-    state.refresh_cache(sampler_seed=config.seed)
+    state._set_factors(z, w, a)
     return state
 
 

@@ -60,6 +60,13 @@ class GfcTable:
             raise ValueError(f"n must lie in [1, {self.n_max}], got {n}")
         return self._log[n, 1:n + 1]
 
+    def log_block(self, n):
+        """log C(m, k; alpha) for 1 <= m, k <= n as an n x n array (row m-1,
+        column k-1); the entries with k > m are -inf."""
+        if not 0 <= n <= self.n_max:
+            raise ValueError(f"n must lie in [0, {self.n_max}], got {n}")
+        return self._log[1:n + 1, 1:n + 1]
+
 
 def build_gfc_table(n_max, alpha):
     """Build the triangular log-GFC table by the forward recursion.

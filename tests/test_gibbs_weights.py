@@ -3,18 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from gibbsibp.gibbs_weights import (
     GibbsModel,
     McConfig,
     NggWeightSampler,
     NormalizationError,
+    _calibrate,
     block_count_distribution,
     build_primitive_cache,
     build_weight_table,
     calibrate,
     expected_blocks,
     load_weight_table,
+    log_primitive,
     ngg_last_row_mc,
     ngg_weights_smalln,
     persistence_probability,
@@ -23,8 +26,10 @@ from gibbsibp.gibbs_weights import (
     save_weight_table,
     table_cache_path,
     weight_table_content_hash,
+    weight_table_from_sampler,
 )
 from gibbsibp.special_functions import build_gfc_table
+from gibbsibp.stable_sampling import TiltedStableSpec, sample_tilted_stable
 
 # Frozen oracle values for NGG weights: mpmath quadrature (30 dps) of
 # V_{n,k} = (alpha^k/Gamma(n)) e^{beta^alpha} int_beta^inf (u-beta)^{n-1}
@@ -321,6 +326,57 @@ class TestPrimitiveCache:
             lhs = primitive(table, gfc, n - s, s + 1, 1)
             assert lhs == pytest.approx(cache.gs1_for(s) * g10_n, rel=1e-8)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.35, 0.9])
+    @pytest.mark.parametrize("theta", [0.05, 1.2, 40.0])
+    def test_closed_form_cache_equals_scalar_closed_forms(self, alpha, theta):
+        model = GibbsModel.dp(theta) if alpha == 0.0 else GibbsModel.py(alpha, theta)
+        for n in (1, 2, 13, 200):
+            cache = build_primitive_cache(model, n)
+            g11 = [py_primitive_closed(alpha, theta, j - 1, (1, 1)) for j in range(1, n + 1)]
+            # log g_r(s, 1) = log[Gamma(theta+1) Gamma(theta+alpha+r) /
+            #                     (Gamma(theta+alpha) Gamma(theta+r+s))], r = n - s
+            log_gs1 = [
+                float(
+                    special.gammaln(theta + 1.0)
+                    + special.gammaln(theta + alpha + (n - s))
+                    - special.gammaln(theta + alpha)
+                    - special.gammaln(theta + (n - s) + s)
+                )
+                for s in range(1, n + 1)
+            ]
+            assert np.array_equal(cache.g11, g11)
+            assert np.array_equal(cache.log_gs1, log_gs1)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 0.9])
+    def test_mc_cache_matches_scalar_primitives(self, alpha):
+        for n in (1, 2, 3, 37, 100):
+            table = weight_table_from_sampler(NggWeightSampler(alpha, n, 500, seed=n), 1.0)
+            gfc = build_gfc_table(max(n - 1, 1), alpha)
+            cache = build_primitive_cache(GibbsModel.ngg(alpha, 1.0), n, table=table, gfc=gfc)
+            assert math.isnan(cache.g10[0]) and cache.g11[0] == 1.0
+            for j in range(2, n + 1):
+                assert cache.g10[j - 1] == pytest.approx(
+                    primitive(table, gfc, j - 1, 1, 0), rel=1e-12, abs=0.0
+                )
+                assert cache.g11[j - 1] == pytest.approx(
+                    primitive(table, gfc, j - 1, 1, 1), rel=1e-12, abs=0.0
+                )
+            for s in range(1, n):
+                assert cache.log_gs1[s - 1] == pytest.approx(
+                    log_primitive(table, gfc, n - s, s, 1), rel=1e-12, abs=0.0
+                )
+            assert cache.log_gs1[n - 1] == table.log_weight(n, 1)
+
+    def test_mc_cache_rejects_mismatched_tables(self):
+        model = GibbsModel.ngg(0.5, 1.0)
+        table = weight_table_from_sampler(NggWeightSampler(0.5, 8, 500, seed=1), 1.0)
+        with pytest.raises(ValueError):  # weight table too shallow
+            build_primitive_cache(model, 9, table=table, gfc=build_gfc_table(8, 0.5))
+        with pytest.raises(ValueError):  # GFC table too shallow
+            build_primitive_cache(model, 8, table=table, gfc=build_gfc_table(6, 0.5))
+        with pytest.raises(ValueError):  # alpha disagrees
+            build_primitive_cache(model, 8, table=table, gfc=build_gfc_table(7, 0.4))
+
     def test_dp_matches_py_limit(self):
         # alpha -> 0 continuity: DP closed forms against PY at tiny alpha
         theta, n = 1.3, 8
@@ -416,6 +472,22 @@ class TestExpectedBlocksAndCalibrate:
         )
         assert beta_star > 0
 
+    @pytest.mark.parametrize("family, alpha", [("PY", 0.5), ("NGG", 0.5)])
+    def test_calibrate_reports_achieved_expectation(self, family, alpha):
+        # the achieved E[B_n] is the search's own value at the root, equal to
+        # a fresh evaluation on the same draws
+        mc = McConfig(samples=10_000, seed=3)
+        param, achieved = _calibrate(family, 8.0, 20, alpha, mc)
+        assert param == calibrate(family, 8.0, 20, alpha=alpha, mc_config=mc)
+        if family == "PY":
+            fresh = expected_blocks(GibbsModel.py(alpha, param), 20)
+        else:
+            sampler = NggWeightSampler(alpha, 20, mc.samples, mc.seed)
+            probs = sampler.block_distribution(param, build_gfc_table(20, alpha))
+            fresh = float(np.dot(np.arange(1, 21), probs))
+        assert achieved == fresh
+        assert abs(achieved - 8.0) <= 0.05
+
     def test_calibrate_rejects_unreachable_target(self):
         with pytest.raises(ValueError):
             calibrate("DP", 55.0, 50)
@@ -436,6 +508,34 @@ class TestNggWeightSampler:
             estimate = math.exp(log_row[k - 1])
             truth = series.weight(5, k)
             assert abs(estimate - truth) <= 3.0 * rel_se[k - 1] * estimate
+
+    @pytest.mark.parametrize("beta", [0.01, 1.0, 30.0, 100.0])
+    def test_one_pass_moments_match_logsumexp(self, beta):
+        # reference: both moments by log-sum-exp over the unshifted log terms
+        alpha, n, samples, seed = 0.5, 40, 20_000, 7
+        sampler = NggWeightSampler(alpha, n, samples, seed)
+        ratios = np.empty((n, samples))
+        rng = np.random.default_rng(seed)
+        for k in range(1, n + 1):
+            spec = TiltedStableSpec(alpha=alpha, tilt=k * alpha)
+            x = sample_tilted_stable(spec, rng, size=samples)
+            y = np.maximum(rng.beta(k * alpha, n - k * alpha, size=samples), 1e-300)
+            ratios[k - 1] = x / y
+        log_terms = beta ** alpha - beta * ratios
+        log_m1 = special.logsumexp(log_terms, axis=1) - math.log(samples)
+        log_m2 = special.logsumexp(2.0 * log_terms, axis=1) - math.log(samples)
+        gap = log_m2 - 2.0 * log_m1
+        rel = np.zeros_like(gap)
+        mask = gap > 1e-15
+        log_var = log_m2[mask] + np.log1p(-np.exp(-gap[mask]))
+        rel[mask] = np.exp(0.5 * log_var - log_m1[mask] - 0.5 * math.log(samples))
+        k = np.arange(1, n + 1)
+        log_row = (k - 1) * math.log(alpha) + special.gammaln(k) - special.gammaln(n) + log_m1
+
+        got_row, got_rel = sampler.log_last_row(beta)
+        np.testing.assert_allclose(got_row, log_row, rtol=1e-12, atol=0.0)
+        # both forms take m2 - m1^2 by cancellation, so compare absolutely
+        np.testing.assert_allclose(got_rel, rel, rtol=0.0, atol=1e-9)
 
     def test_beta_sweep_is_deterministic(self):
         sampler = NggWeightSampler(0.4, 6, 20_000, seed=8)

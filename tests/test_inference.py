@@ -226,6 +226,16 @@ class TestSliceSampler:
         with pytest.raises(ValueError):
             slice_sample(lambda x: -math.inf if x < 10 else 0.0, 0.0, rng)
 
+    def test_shrinkage_is_capped(self):
+        # finite only at x0 = 0: shrinkage closes in on 0 without landing on
+        # it, so the sampler must give up with an error naming the density
+        def point_mass(x):
+            return 0.0 if x == 0.0 else -math.inf
+
+        rng = np.random.default_rng(0)
+        with pytest.raises(RuntimeError, match="point_mass"):
+            slice_sample(point_mass, 0.0, rng)
+
 
 class TestConjugateBlocks:
     def test_weight_update_single_entry_law(self):
@@ -368,6 +378,37 @@ class TestSweepAndChain:
         y = np.full((4, 2), np.nan)
         with pytest.raises(RuntimeError, match="diverged"):
             run_chain(y, GibbsModel.dp(1.0), ChainConfig(iterations=0, seed=0))
+
+    def test_initial_state_draws_z_from_chain_cache(self, monkeypatch):
+        # the initial Z of a Monte Carlo model comes from the chain's own
+        # frozen-draw tables, never from a separately built weight table
+        import gibbsibp.gibbs_weights as gw
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("initial_state built a second weight table")
+
+        monkeypatch.setattr(gw, "build_weight_table", refuse)
+        y = np.random.default_rng(6).standard_normal((12, 2))
+        config = ChainConfig(seed=5, mc_samples=2000)
+        state = initial_state(GibbsModel.ngg(0.5, 1.0), y, config)
+        assert state.sampler.samples == 2000
+        assert state.table.provenance.samples == 2000
+        assert state.z.shape[0] == 12 and state.w.shape == state.z.shape
+
+    def test_py_initial_state_follows_seed_order(self):
+        # Z seed, then W, then A from the chain seed; the closed-form cache
+        # is the one simulate_ibp would build itself
+        model = GibbsModel.py(0.5, 1.0)
+        y = np.random.default_rng(2).standard_normal((30, 3))
+        config = ChainConfig(seed=11, sigma_w=0.7)
+        state = initial_state(model, y, config)
+        rng = np.random.default_rng(11)
+        z = simulate_ibp(model, 1.0, 30, seed=int(rng.integers(2 ** 63))).matrix
+        w = rng.normal(0.0, 0.7, size=z.shape)
+        a = rng.standard_normal((z.shape[1], 3))
+        assert np.array_equal(state.z, z)
+        assert np.array_equal(state.w, w)
+        assert np.array_equal(state.a, a)
 
     def test_initial_state_accepts_starting_allocation(self):
         rng = np.random.default_rng(3)

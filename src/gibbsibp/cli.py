@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .gibbs_weights import (
+    MIN_MC_SAMPLES,
     GibbsModel,
     McConfig,
     McDegeneracyError,
@@ -233,8 +234,9 @@ def _finish(outdir, config, outputs, extra=None):
 
 
 def _validate(config):
+    models = []
     if config.subcommand in ("simulate", "primitives", "fit", "geweke"):
-        config.build_model()
+        models.append(config.build_model())
     if config.subcommand in ("simulate", "primitives") and (
         config.n is None or config.n < 1
     ):
@@ -247,12 +249,19 @@ def _validate(config):
         if config.n_max is None or config.n_max < 1:
             raise ValueError("--n-max must be a positive integer")
         for spec in config.models:
-            _model_from_spec(spec, config.samples, config.seed)
+            models.append(_model_from_spec(spec, config.samples, config.seed))
+    monte_carlo = any(model.uses_monte_carlo for model in models)
     if config.subcommand == "calibrate":
         if config.family is None or config.family.lower() not in MODEL_CHOICES:
             raise ValueError(f"--family must be one of {MODEL_CHOICES}")
         if config.target is None:
             raise ValueError("calibrate needs --target")
+        monte_carlo = config.family.lower() in ("ngg", "nig")
+    if monte_carlo and config.samples < MIN_MC_SAMPLES:
+        raise ValueError(
+            f"--samples must be at least {MIN_MC_SAMPLES} for Monte Carlo weights, "
+            f"got {config.samples}"
+        )
     if config.subcommand == "fit":
         if config.data is None:
             raise ValueError("fit needs --data")

@@ -23,7 +23,6 @@ from .stable_sampling import TiltedStableSpec, sample_tilted_stable
 VARIANTS = ("DP", "PY", "NGG", "NIG")
 SMALLN_MAX = 12
 MIN_MC_SAMPLES = 10_000
-_MC_CHUNK = 250_000
 CACHE_DIR_ENV = "GIBBSIBP_CACHE_DIR"
 TABLE_FORMAT_VERSION = 1
 
@@ -241,13 +240,68 @@ def _closed_form_log_weights(variant, alpha, theta, n_max):
     return table
 
 
+def _shifted_ratio_rows(alpha, n, samples, rng):
+    """Yield, for k = 1..n, the draws of R = X/Y behind V_{n,k} as the pair
+    (R - min R, min R): X is tilted stable (tilt k alpha) and Y ~ Beta(k
+    alpha, n - k alpha), so no draw involves beta."""
+    for k in range(1, n + 1):
+        spec = TiltedStableSpec(alpha=alpha, tilt=k * alpha)
+        # X is drawn before Y
+        ratios = sample_tilted_stable(spec, rng, size=samples) / np.maximum(
+            rng.beta(k * alpha, n - k * alpha, size=samples), 1e-300
+        )
+        ratio_min = ratios.min()
+        ratios -= ratio_min
+        yield ratios, ratio_min
+
+
+def _log_prefactor(alpha, n):
+    # log[alpha^{k-1} Gamma(k) / Gamma(n)] for k = 1..n
+    k = np.arange(1, n + 1)
+    return (k - 1) * math.log(alpha) + special.gammaln(k) - special.gammaln(n)
+
+
+def _shifted_moments(shifted, ratio_min, alpha, beta):
+    """log of the mean of exp(beta^alpha - beta R) and its relative standard
+    error, per row of draws held as R - min R (rows of `shifted`) beside
+    their minima.
+
+    The largest log term of a row is beta^alpha - beta min R, known in
+    closed form, so one pass over a work buffer gives both moments: the
+    row sums of exp(-beta (R - min R)) and of their squares.  Every summand
+    lies in [0, 1] and the row minimum contributes exactly 1, so neither
+    sum can underflow to zero.
+    """
+    samples = shifted.shape[1]
+    work = np.multiply(shifted, -beta)
+    np.exp(work, out=work)
+    sum1 = work.sum(axis=1)
+    sum2 = np.vecdot(work, work)  # per-row dot products, the same for any row count
+    top = beta ** alpha - beta * ratio_min
+    log_m1 = top + np.log(sum1) - math.log(samples)
+    log_m2 = 2.0 * top + np.log(sum2) - math.log(samples)
+    if not np.all(np.isfinite(log_m1)):
+        raise McDegeneracyError(
+            f"Monte Carlo weight estimate underflowed at alpha={alpha}, beta={beta}"
+        )
+    # var = m2 - m1^2 in log space; Jensen guarantees log_m2 >= 2 log_m1
+    gap = log_m2 - 2.0 * log_m1
+    rel = np.zeros_like(gap)
+    mask = gap > 1e-15
+    log_var = log_m2[mask] + np.log1p(-np.exp(-gap[mask]))
+    rel[mask] = np.exp(0.5 * log_var - log_m1[mask] - 0.5 * math.log(samples))
+    return log_m1, rel
+
+
 def ngg_last_row_mc(alpha, beta, n, samples, rng):
     """Monte Carlo estimates of the log weights in row n for the NGG subclass.
 
     Uses V_{n,k} = [alpha^{k-1} Gamma(k) / Gamma(n)] E[exp(beta^alpha - beta X/Y)]
     with X polynomially tilted stable (tilt k alpha) and Y ~ Beta(k alpha,
-    n - k alpha), for every 1 <= k <= n. Accumulation is streamed in chunks
-    with log-sum-exp so sample counts in the millions stay in bounded memory.
+    n - k alpha), for every 1 <= k <= n.  The draws are made and reduced
+    one row k at a time, so memory holds a few rows of `samples` doubles
+    whatever n is; the reduction is the one NggWeightSampler applies to
+    its frozen draws, and for the same seed both give the same row.
 
     Args:
         alpha: stability index in (0, 1).
@@ -271,40 +325,12 @@ def ngg_last_row_mc(alpha, beta, n, samples, rng):
         raise ValueError(f"need at least {MIN_MC_SAMPLES} samples, got {samples}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    samples = int(samples)
-    tilt_const = beta ** alpha
-    log_row = np.empty(n)
-    rel_se = np.empty(n)
-    log_samples = math.log(samples)
-    for k in range(1, n + 1):
-        spec = TiltedStableSpec(alpha=alpha, tilt=k * alpha)
-        lse1_parts, lse2_parts = [], []
-        remaining = samples
-        while remaining > 0:
-            m = min(remaining, _MC_CHUNK)
-            x = sample_tilted_stable(spec, rng, size=m)
-            y = rng.beta(k * alpha, n - k * alpha, size=m)
-            log_terms = tilt_const - beta * x / np.maximum(y, 1e-300)
-            lse1_parts.append(special.logsumexp(log_terms))
-            lse2_parts.append(special.logsumexp(2.0 * log_terms))
-            remaining -= m
-        log_m1 = special.logsumexp(lse1_parts) - log_samples
-        log_m2 = special.logsumexp(lse2_parts) - log_samples
-        if not np.isfinite(log_m1):
-            raise McDegeneracyError(
-                f"all {samples} weight terms underflowed at (n={n}, k={k}, "
-                f"alpha={alpha}, beta={beta})"
-            )
-        # var = m2 - m1^2 in log space; Jensen guarantees log_m2 >= 2 log_m1
-        gap = log_m2 - 2.0 * log_m1
-        if gap <= 1e-15:
-            rel = 0.0
-        else:
-            log_var = log_m2 + math.log1p(-math.exp(-gap))
-            rel = math.exp(0.5 * log_var - log_m1 - 0.5 * log_samples)
-        log_row[k - 1] = (k - 1) * math.log(alpha) + special.gammaln(k) - special.gammaln(n) + log_m1
-        rel_se[k - 1] = rel
-    return log_row, rel_se
+    moments = [
+        _shifted_moments(shifted[None, :], ratio_min, alpha, beta)
+        for shifted, ratio_min in _shifted_ratio_rows(alpha, n, int(samples), rng)
+    ]
+    log_m1, rel_se = (np.concatenate(parts) for parts in zip(*moments))
+    return _log_prefactor(alpha, n) + log_m1, rel_se
 
 
 def _mc_weight_table(alpha, last_log_row, last_rel_se, provenance):
@@ -686,14 +712,9 @@ class NggWeightSampler:
     not involve beta, so freezing the ratios R = X/Y once per block count
     makes every subsequent beta evaluation a cheap deterministic reduction
     (used by calibration and by hyperparameter moves during inference).
-
-    Each row k of ratios is stored shifted, R - min_k R, beside its minimum.
-    The largest log term beta^alpha - beta R of a row is then known in
-    closed form, beta^alpha - beta min_k R, so log_last_row reads both Monte
-    Carlo moments from one pass over a work buffer: the row sums of
-    exp(-beta (R - min_k R)) give the first, and the row sums of their
-    squares the second.  Every summand lies in [0, 1] and the row minimum
-    contributes exactly 1, so neither sum can underflow to zero.
+    The draws are those of ngg_last_row_mc for the same seed, and each row k
+    is stored shifted, R - min_k R, beside its minimum, which is the form
+    the shared reduction reads.
     """
 
     def __init__(self, alpha, n, samples, seed):
@@ -708,39 +729,18 @@ class NggWeightSampler:
         rng = np.random.default_rng(seed)
         self._shifted = np.empty((n, self.samples))
         self._ratio_min = np.empty(n)
-        for k in range(1, n + 1):
-            spec = TiltedStableSpec(alpha=alpha, tilt=k * alpha)
-            x = sample_tilted_stable(spec, rng, size=self.samples)
-            y = np.maximum(rng.beta(k * alpha, n - k * alpha, size=self.samples), 1e-300)
-            ratios = x / y
-            self._ratio_min[k - 1] = ratios.min()
-            np.subtract(ratios, self._ratio_min[k - 1], out=self._shifted[k - 1])
+        rows = _shifted_ratio_rows(alpha, n, self.samples, rng)
+        for k, (shifted, ratio_min) in enumerate(rows):
+            self._shifted[k], self._ratio_min[k] = shifted, ratio_min
         self._shifted.flags.writeable = False
         self._ratio_min.flags.writeable = False
-        self._log_prefactor = (
-            (np.arange(1, n + 1) - 1) * math.log(alpha)
-            + special.gammaln(np.arange(1, n + 1))
-            - special.gammaln(n)
-        )
+        self._log_prefactor = _log_prefactor(alpha, n)
 
     def log_last_row(self, beta):
         """(log_row, rel_se) for row n at this beta, from the frozen draws."""
         if beta <= 0:
             raise ValueError(f"beta must be positive, got {beta}")
-        work = np.multiply(self._shifted, -beta)
-        np.exp(work, out=work)
-        sum1 = work.sum(axis=1)
-        sum2 = np.einsum("ij,ij->i", work, work)
-        top = beta ** self.alpha - beta * self._ratio_min  # row max of the log terms
-        log_m1 = top + np.log(sum1) - math.log(self.samples)
-        log_m2 = 2.0 * top + np.log(sum2) - math.log(self.samples)
-        if not np.all(np.isfinite(log_m1)):
-            raise McDegeneracyError(f"frozen-draw weight estimate underflowed at beta={beta}")
-        gap = log_m2 - 2.0 * log_m1
-        rel = np.zeros_like(gap)
-        mask = gap > 1e-15
-        log_var = log_m2[mask] + np.log1p(-np.exp(-gap[mask]))
-        rel[mask] = np.exp(0.5 * log_var - log_m1[mask] - 0.5 * math.log(self.samples))
+        log_m1, rel = _shifted_moments(self._shifted, self._ratio_min, self.alpha, beta)
         return self._log_prefactor + log_m1, rel
 
     def block_distribution(self, beta, gfc):

@@ -66,15 +66,9 @@ class FeatureAllocation:
     def from_matrix(cls, matrix, gamma):
         """Build an allocation from a matrix in arbitrary column order."""
         matrix = np.asarray(matrix, dtype=np.uint8)
-        if matrix.ndim != 2:
-            raise ValueError(f"matrix must be 2-D, got shape {matrix.shape}")
-        if matrix.shape[1]:
-            if matrix.size and matrix.max() > 1:
-                raise ValueError("matrix entries must be 0 or 1")
-            if matrix.sum(axis=0).min() < 1:
-                raise ValueError("every dish needs at least one taker")
-            order = np.argsort(matrix.argmax(axis=0), kind="stable")
-            matrix = matrix[:, order]
+        if matrix.ndim == 2 and matrix.size:
+            # an empty dish has argmax 0 and sorts first; __init__ rejects it
+            matrix = matrix[:, np.argsort(matrix.argmax(axis=0), kind="stable")]
         return cls(matrix, gamma)
 
 
@@ -176,7 +170,12 @@ def log_joint(allocation, model, gamma, cache=None):
         cache = build_primitive_cache(model, n)
     if cache.n != n:
         raise ValueError(f"cache was built for n = {cache.n}, need n = {n}")
-    k_n = allocation.dishes
+    return _log_joint_counts(allocation.counts, n, gamma, model.stable_index, cache)
+
+
+def _log_joint_counts(counts, n, gamma, alpha, cache):
+    # log_joint from the dish counts S_{n,k} alone, without argument checks
+    k_n = len(counts)
     if k_n == 0:
         base = 0.0
     elif gamma == 0.0:
@@ -184,9 +183,8 @@ def log_joint(allocation, model, gamma, cache=None):
     else:
         base = k_n * math.log(gamma)
     total = base - gamma * float(cache.g11[:n].sum())
-    alpha = model.stable_index
     # summing in sorted order makes row-permutation invariance exact
-    for s in sorted(allocation.counts.tolist()):
+    for s in sorted(int(s) for s in counts):
         total += log_rising_factorial(1.0 - alpha, s - 1) + cache.log_gs1_for(s)
     return total
 

@@ -25,9 +25,9 @@ from .gibbs_weights import (
     weight_table_content_hash,
     weight_table_from_sampler,
 )
-from .ibp import FeatureAllocation, simulate_ibp
+from .ibp import FeatureAllocation, _log_joint_counts, simulate_ibp
 from .ibp import log_joint as allocation_log_joint
-from .special_functions import build_gfc_table, log_rising_factorial
+from .special_functions import build_gfc_table
 
 _LOG_2PI = math.log(2.0 * math.pi)
 SHRINK_STEPS = 200
@@ -147,6 +147,7 @@ class LatentFactorState:
         if self.sampler is None or sampler_seed is not None or self.sampler.alpha != alpha:
             if sampler_seed is None:
                 sampler_seed = int(self.rng.integers(2 ** 63))
+            self.sampler = None  # frees the old draws before the new ones are made
             self.sampler = NggWeightSampler(alpha, n, self.mc_samples, sampler_seed)
         self.table = weight_table_from_sampler(self.sampler, self.model.beta)
         self.cache = build_primitive_cache(self.model, n, table=self.table, gfc=self.gfc)
@@ -201,22 +202,6 @@ def gamma_posterior(k_n, priors, cache):
     """(shape, rate) of the conjugate gamma update given K_n dishes."""
     rate = priors.lambda2 + float(cache.g11[: cache.n].sum())
     return priors.lambda1 + k_n, rate
-
-
-def _z_log_prior(counts, n, gamma, model, cache):
-    # same quantity as ibp.log_joint, taken from raw dish counts
-    k_n = len(counts)
-    if k_n == 0:
-        base = 0.0
-    elif gamma == 0.0:
-        return -math.inf
-    else:
-        base = k_n * math.log(gamma)
-    total = base - gamma * float(cache.g11[:n].sum())
-    alpha = model.stable_index
-    for s in sorted(int(s) for s in counts):
-        total += log_rising_factorial(1.0 - alpha, s - 1) + cache.log_gs1_for(s)
-    return total
 
 
 def slice_sample(log_density, x0, rng, width=1.0, max_steps=100):
@@ -394,7 +379,7 @@ def _update_model_params(state, config):
         else:
             table = weight_table_from_sampler(state.sampler, model.beta)
             cache = build_primitive_cache(model, n, table=table, gfc=state.gfc)
-        return _z_log_prior(counts, n, state.gamma, model, cache)
+        return _log_joint_counts(counts, n, state.gamma, model.stable_index, cache)
 
     if not state.model.is_closed_form:
         # redraw the auxiliary weight draws, then move beta on them
@@ -422,7 +407,7 @@ def _update_model_params(state, config):
                 table = weight_table_from_sampler(sampler, trial.beta)
                 gfc = build_gfc_table(max(n - 1, 1), alpha)
                 cache = build_primitive_cache(trial, n, table=table, gfc=gfc)
-                prior = _z_log_prior(counts, n, state.gamma, trial, cache)
+                prior = _log_joint_counts(counts, n, state.gamma, alpha, cache)
                 return prior + math.log(alpha) + math.log1p(-alpha)
 
             new_logit = slice_sample(

@@ -112,10 +112,15 @@ def sample_partition(model, n, seed, table=None):
 
 
 def sample_block_counts(model, n, replicates, seed, table=None):
-    """Vectorized urn simulation returning the block count B_n per replicate.
+    """Block counts B_n of `replicates` independent urn runs.
 
-    Runs all replicates in lockstep, which keeps large Monte Carlo studies
-    (10^5 partitions at n in the hundreds) tractable.
+    B_n is a Markov chain on its own: after m customers in b blocks the next
+    customer opens a new block with probability V_{m+1,b+1}/V_{m,b},
+    whatever the block sizes, so the replicates advance in lockstep as one
+    vector of block counts.  The urn's step-sum check is then the recursion
+    (m - alpha b) V_{m+1,b}/V_{m,b} + V_{m+1,b+1}/V_{m,b} = 1, checked once
+    over the triangle with urn_step's tolerances; Monte Carlo steps are
+    renormalized as urn_step renormalizes them.
     """
     if n < 1 or replicates < 1:
         raise ValueError("n and replicates must be positive")
@@ -124,41 +129,28 @@ def sample_block_counts(model, n, replicates, seed, table=None):
     if table.n_max < n:
         raise ValueError(f"weight table depth {table.n_max} cannot serve n = {n}")
     alpha = model.stable_index
-    monte_carlo = table.provenance.kind == "monte-carlo"
-    tol = MC_STEP_TOL if monte_carlo else CLOSED_FORM_STEP_TOL
+    # zeros outside the triangle keep the unreachable steps (b > m) finite
+    log_v = np.zeros((n + 1, n + 1))
+    for row in range(1, n + 1):
+        log_v[row, 1:row + 1] = table.log_row(row)
+    # entry [m-1, b-1] holds the step from m customers in b blocks
+    m, b = np.ogrid[1:n, 1:n]
+    same = np.exp(log_v[2:, 1:n] - log_v[1:n, 1:n])
+    new = np.exp(log_v[2:, 2:] - log_v[1:n, 1:n])
+    total = np.where(b <= m, (m - alpha * b) * same + new, 1.0)
+    defect = np.abs(total - 1.0)
+    tol = MC_STEP_TOL if table.provenance.kind == "monte-carlo" else CLOSED_FORM_STEP_TOL
+    if defect.size and defect.max() > tol:
+        worst = int(np.argmax(defect.max(axis=1))) + 1
+        raise ValueError(
+            f"urn step probabilities off by {defect.max():.3e} at n={worst}, beyond tolerance"
+        )
+    p_new = new / total
     rng = np.random.default_rng(seed)
-    # ratio_same[m, b] = V_{m+1,b}/V_{m,b}; ratio_new[m, b] = V_{m+1,b+1}/V_{m,b}
-    ratio_same = np.zeros((n, n + 1))
-    ratio_new = np.zeros((n, n + 1))
-    for m in range(1, n):
-        log_vm = table.log_row(m)
-        log_next = table.log_row(m + 1)
-        ratio_same[m, 1:m + 1] = np.exp(log_next[:m] - log_vm)
-        ratio_new[m, 1:m + 1] = np.exp(log_next[1:m + 1] - log_vm)
-    r = int(replicates)
-    width = 8
-    counts = np.zeros((r, width))
-    counts[:, 0] = 1.0
-    k_cur = np.ones(r, dtype=np.int64)
-    rows = np.arange(r)
-    for m in range(1, n):
-        if k_cur.max() + 1 >= width:
-            counts = np.hstack([counts, np.zeros((r, width))])
-            width *= 2
-        probs = np.where(counts > 0, counts - alpha, 0.0) * ratio_same[m, k_cur][:, None]
-        probs[rows, k_cur] = ratio_new[m, k_cur]
-        totals = probs.sum(axis=1)
-        defect = float(np.max(np.abs(totals - 1.0)))
-        if defect > tol:
-            raise ValueError(
-                f"urn step probabilities off by {defect:.3e} at n={m}, beyond tolerance"
-            )
-        u = rng.random(r) * totals
-        idx = (np.cumsum(probs, axis=1) < u[:, None]).sum(axis=1)
-        idx = np.minimum(idx, k_cur)
-        counts[rows, idx] += 1.0
-        k_cur += idx == k_cur
-    return k_cur
+    blocks = np.ones(int(replicates), dtype=np.int64)
+    for step in p_new:
+        blocks += rng.random(blocks.size) < step[blocks - 1]
+    return blocks
 
 
 def log_eppf(model, block_sizes, table=None):

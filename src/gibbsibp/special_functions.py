@@ -124,11 +124,20 @@ def gfc_bruteforce(n, k, alpha):
         return float(total / mpmath.factorial(k))
 
 
-def _zolotarev_a(u, alpha):
-    # A(u) = [sin(alpha u)/sin u]^{alpha/(1-alpha)} sin((1-alpha)u)/sin u on (0, pi)
-    sin_u = np.sin(u)
-    ratio = np.sin(alpha * u) / sin_u
-    return ratio ** (alpha / (1.0 - alpha)) * np.sin((1.0 - alpha) * u) / sin_u
+def log_kanter_a(u, alpha):
+    """log A(u) for the Zolotarev/Kanter kernel on (0, pi):
+    A(u) = [sin(alpha u)/sin u]^{alpha/(1-alpha)} sin((1-alpha)u)/sin u.
+
+    A is increasing from A(0+) = alpha^{alpha/(1-alpha)} (1-alpha) to
+    infinity at u = pi; it drives both Kanter's sampler and the integral
+    form of the positive stable density.
+    """
+    log_sin_u = np.log(np.sin(u))
+    return (
+        alpha / (1.0 - alpha) * (np.log(np.sin(alpha * u)) - log_sin_u)
+        + np.log(np.sin((1.0 - alpha) * u))
+        - log_sin_u
+    )
 
 
 def positive_stable_density(alpha, t):
@@ -159,9 +168,9 @@ def positive_stable_density(alpha, t):
     lo = -math.log(math.pi)
 
     def integrand(y):
-        a_u = _zolotarev_a(math.pi - np.exp(-y), alpha)
+        log_a = log_kanter_a(math.pi - np.exp(-y), alpha)
         # combine prefactor and exponent so tiny t cannot produce inf * 0
-        return np.exp(-scale * a_u + np.log(a_u) + log_t_term - y)
+        return np.exp(-scale * np.exp(log_a) + log_a + log_t_term - y)
 
     # the exponent -scale*A + log A peaks where A = alpha/scale, provided
     # that exceeds A(0+) = alpha^{alpha/(1-alpha)} (1-alpha)
@@ -174,7 +183,7 @@ def positive_stable_density(alpha, t):
         )
         hi = max((1.0 - alpha) * (math.log(target) - log_k) + 10.0, lo + 1.0)
         y_peak = optimize.brentq(
-            lambda y: math.log(_zolotarev_a(math.pi - math.exp(-y), alpha)) - math.log(target),
+            lambda y: log_kanter_a(math.pi - math.exp(-y), alpha) - math.log(target),
             lo + 1e-12,
             hi,
         )

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .special_functions import log_kanter_a
+
 
 @dataclass(frozen=True)
 class TiltedStableSpec:
@@ -24,17 +26,6 @@ class TiltedStableSpec:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.tilt < 0:
             raise ValueError(f"tilt must be nonnegative, got {self.tilt}")
-
-
-def _log_kanter_a(u, alpha):
-    # log A(u) for the Kanter integral kernel on (0, pi);
-    # A(u) = [sin(alpha u)/sin u]^{alpha/(1-alpha)} sin((1-alpha)u)/sin u
-    log_sin_u = np.log(np.sin(u))
-    return (
-        alpha / (1.0 - alpha) * (np.log(np.sin(alpha * u)) - log_sin_u)
-        + np.log(np.sin((1.0 - alpha) * u))
-        - log_sin_u
-    )
 
 
 def sample_positive_stable(alpha, rng, size=None):
@@ -56,7 +47,7 @@ def sample_positive_stable(alpha, rng, size=None):
     m = 1 if size is None else int(size)
     u = rng.uniform(1e-12, math.pi - 1e-12, size=m)
     e = np.maximum(rng.standard_exponential(size=m), 1e-300)
-    log_x = (1.0 - alpha) / alpha * (_log_kanter_a(u, alpha) - np.log(e))
+    log_x = (1.0 - alpha) / alpha * (log_kanter_a(u, alpha) - np.log(e))
     x = np.exp(log_x)
     return float(x[0]) if size is None else x
 
@@ -73,7 +64,7 @@ def _sample_tilt_angle(alpha, b, rng, m):
     while filled < m:
         chunk = int((m - filled) / rate_guess * 1.2) + 64
         u = rng.uniform(1e-12, math.pi - 1e-12, size=chunk)
-        log_ratio = b * (log_a0 - _log_kanter_a(u, alpha))
+        log_ratio = b * (log_a0 - log_kanter_a(u, alpha))
         keep = np.log(rng.uniform(size=chunk)) < log_ratio
         got = u[keep]
         take = min(got.size, m - filled)
@@ -114,5 +105,5 @@ def sample_tilted_stable(spec, rng, size=None, method="auto"):
         else:
             u = _sample_tilt_angle(alpha, b, rng, m)
         g = np.maximum(rng.gamma(1.0 + b, size=m), 1e-300)
-        x = np.exp((1.0 - alpha) / alpha * (_log_kanter_a(u, alpha) - np.log(g)))
+        x = np.exp((1.0 - alpha) / alpha * (log_kanter_a(u, alpha) - np.log(g)))
     return float(x[0]) if size is None else x

@@ -258,6 +258,37 @@ class TestUsageErrors:
         assert run_cli("simulate", "--model", "py", "--alpha", 1.5,
                        "--theta", 1, "--n", 3) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--model", "ngg", "--alpha", 0.5, "--beta", 1, "--n", 5),
+            ("primitives", "--model", "nig", "--beta", 1, "--n", 5),
+            ("stats", "--model", "py:alpha=0.5,theta=1", "--model",
+             "ngg:alpha=0.5,beta=1", "--n-max", 5),
+            ("stats", "--model", "nig:beta=1", "--n-max", 5),
+            ("calibrate", "--family", "ngg", "--alpha", 0.5, "--target", 5, "--n", 20),
+            ("calibrate", "--family", "nig", "--target", 5, "--n", 20),
+            ("fit", "--model", "ngg", "--alpha", 0.5, "--beta", 1, "--iterations", 1),
+            ("geweke", "--model", "nig", "--beta", 1, "--n", 4, "--p", 2),
+        ],
+        ids=["simulate", "primitives", "stats-ngg", "stats-nig", "calibrate-ngg",
+             "calibrate-nig", "fit", "geweke"],
+    )
+    def test_too_few_monte_carlo_samples(self, argv, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        np.savetxt(data, np.zeros((3, 2)), delimiter=",")
+        extra = ("--data", data) if argv[0] == "fit" else ()
+        assert run_cli(*argv, *extra, "--samples", 50, "--outdir", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and "--samples" in err
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_few_samples_fine_for_closed_forms(self, tmp_path):
+        assert run_cli("stats", "--model", "py:alpha=0.5,theta=1", "--n-max", 5,
+                       "--samples", 50, "--outdir", tmp_path) == 0
+        assert run_cli("calibrate", "--family", "py", "--alpha", 0.5, "--target", 5,
+                       "--n", 20, "--samples", 50, "--outdir", tmp_path) == 0
+
 
 class TestCacheSharing:
     def test_table_cache_reused(self, tmp_path):

@@ -543,6 +543,18 @@ class TestNggWeightSampler:
         r2, _ = sampler.log_last_row(0.7)
         np.testing.assert_array_equal(r1, r2)
 
+    @pytest.mark.parametrize(
+        "alpha, beta, n, samples", [(0.5, 1.0, 30, 20_000), (0.3, 0.7, 12, 250_000)]
+    )
+    def test_same_estimate_as_build_weight_table(self, alpha, beta, n, samples):
+        # one estimator: streamed and frozen draws give the same table
+        model = GibbsModel.ngg(alpha, beta, McConfig(samples, seed=4))
+        streamed = build_weight_table(model, n)
+        frozen = weight_table_from_sampler(NggWeightSampler(alpha, n, samples, 4), beta)
+        for m in range(1, n + 1):
+            assert np.array_equal(streamed.log_row(m), frozen.log_row(m))
+            assert np.array_equal(streamed.rel_se_row(m), frozen.rel_se_row(m))
+
     def test_block_distribution_normalized(self):
         sampler = NggWeightSampler(0.5, 8, 20_000, seed=8)
         gfc = build_gfc_table(8, 0.5)

@@ -68,6 +68,19 @@ class TestFeatureAllocation:
         assert np.all(np.diff(first) >= 0)
         np.testing.assert_array_equal(sorted(alloc.counts), sorted([2, 2, 2]))
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[1, 2], [0, 1]],  # non-binary entry
+            [[1, 0, 1], [1, 0, 0]],  # all-zero dish
+            [1, 0, 1],  # 1-D
+        ],
+        ids=["non-binary", "empty-dish", "one-dimensional"],
+    )
+    def test_from_matrix_rejects(self, matrix):
+        with pytest.raises(ValueError):
+            FeatureAllocation.from_matrix(np.array(matrix), 1.0)
+
 
 class TestSimulateIbp:
     def test_zero_mass_empty(self):

@@ -11,6 +11,8 @@ from scipy import stats
 from gibbsibp.gibbs_weights import (
     GibbsModel,
     McConfig,
+    Provenance,
+    WeightTable,
     block_count_distribution,
     build_weight_table,
 )
@@ -89,6 +91,29 @@ class TestUrnStep:
         table = build_weight_table(GibbsModel.py(0.5, 1.0), 2)
         with pytest.raises(ValueError):
             urn_step(PartitionState(2, (2,)), table, 0.5, np.random.default_rng(0))
+
+
+def perturbed_py_table(n_max):
+    # closed-form PY(0.5, 1) weights with V_{2,1} scaled by 1 + 1e-6, so
+    # the step from one customer in one block sums to 1 + 2.5e-7
+    log_entries = build_weight_table(GibbsModel.py(0.5, 1.0), n_max)._log.copy()
+    log_entries[2, 1] += 1e-6
+    return WeightTable(n_max, 0.5, log_entries, Provenance("closed-form"))
+
+
+class TestStepSumCheck:
+    def test_urn_step_refuses_defect(self):
+        table = perturbed_py_table(6)
+        with pytest.raises(ValueError, match="beyond tolerance"):
+            urn_step(PartitionState(1, (1,)), table, 0.5, np.random.default_rng(0))
+
+    def test_block_counts_refuse_defect(self):
+        table = perturbed_py_table(6)
+        model = GibbsModel.py(0.5, 1.0)
+        with pytest.raises(ValueError, match="beyond tolerance"):
+            sample_block_counts(model, 6, 10, seed=0, table=table)
+        # the unperturbed table passes the same check
+        sample_block_counts(model, 6, 10, seed=0, table=build_weight_table(model, 6))
 
 
 class TestSamplePartition:

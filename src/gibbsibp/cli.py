@@ -42,7 +42,6 @@ from .ibp import (
     simulate_ibp,
 )
 from .inference import ChainConfig, Priors, geweke_check, run_chain
-from .special_functions import build_gfc_table
 
 MODEL_CHOICES = ("dp", "py", "ngg", "nig")
 
@@ -112,20 +111,11 @@ class RunConfig:
         )
 
 
-_BOOL_KEYS = {"fix_gamma", "update_scales", "update_theta", "update_alpha"}
-_INT_KEYS = {
-    "n", "n_max", "p", "seed", "samples", "iterations", "burn_in", "thin", "rounds",
-}
-_FLOAT_KEYS = {
-    "alpha", "theta", "beta", "gamma", "target", "lambda1", "lambda2",
-    "sigma_y", "sigma_w", "sigma_a", "gamma_init",
-}
-
-
 def read_config_file(path):
-    """Parse a key = value config file (one key per line, # comments)."""
+    """Parse a key = value config file (one key per line, # comments); each
+    value takes the type its RunConfig field declares."""
     values = {}
-    known = {f.name for f in fields(RunConfig)}
+    types = {f.name: f.type for f in fields(RunConfig)}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -135,20 +125,17 @@ def read_config_file(path):
         key, _, text = line.partition("=")
         key = key.strip().replace("-", "_")
         text = text.strip()
-        if key not in known:
+        kind = types.get(key)
+        if kind is None:
             raise ValueError(f"unknown config key {key!r}")
-        if key in _BOOL_KEYS:
+        if kind is bool:
             if text not in ("true", "false"):
                 raise ValueError(f"{key} must be true or false, got {text!r}")
             values[key] = text == "true"
-        elif key in _INT_KEYS:
-            values[key] = int(text)
-        elif key in _FLOAT_KEYS:
-            values[key] = float(text)
-        elif key == "models":
+        elif kind is list:
             values[key] = text.split()
         else:
-            values[key] = text
+            values[key] = kind(text)
     return values
 
 
@@ -208,9 +195,7 @@ def _cached_table(model, n_max, cache_dir):
 def _cache_for(model, n, cache_dir):
     if model.is_closed_form:
         return build_primitive_cache(model, n)
-    table = _cached_table(model, n, cache_dir)
-    gfc = build_gfc_table(max(n - 1, 1), model.stable_index)
-    return build_primitive_cache(model, n, table=table, gfc=gfc)
+    return build_primitive_cache(model, n, table=_cached_table(model, n, cache_dir))
 
 
 def _prepare_outdir(config):
@@ -301,9 +286,8 @@ def run_primitives(config):
         deep = build_primitive_cache(model, n)
     else:
         table = _cached_table(model, n + 1, config.cache_dir)
-        gfc = build_gfc_table(n, model.stable_index)
-        wide = build_primitive_cache(model, n + 1, table=table, gfc=gfc)
-        deep = build_primitive_cache(model, n, table=table, gfc=gfc)
+        wide = build_primitive_cache(model, n + 1, table=table)
+        deep = build_primitive_cache(model, n, table=table)
     path = outdir / "primitives.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

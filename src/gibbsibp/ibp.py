@@ -31,7 +31,7 @@ class FeatureAllocation:
     """
 
     def __init__(self, matrix, gamma):
-        matrix = np.ascontiguousarray(matrix, dtype=np.uint8)
+        matrix = np.array(matrix, dtype=np.uint8, order="C")  # a copy: the caller's stays writable
         if matrix.ndim != 2:
             raise ValueError(f"matrix must be 2-D, got shape {matrix.shape}")
         if matrix.size and matrix.max() > 1:

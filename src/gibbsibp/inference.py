@@ -18,7 +18,6 @@ import numpy as np
 from scipy import special
 
 from .gibbs_weights import (
-    GibbsModel,
     NggWeightSampler,
     build_primitive_cache,
     primitive_cache_content_hash,
@@ -131,26 +130,47 @@ class LatentFactorState:
     def allocation(self):
         return FeatureAllocation.from_matrix(self.z, self.gamma)
 
-    def refresh_cache(self, sampler_seed=None):
-        """Rebuild tables/caches for the current (alpha, theta-or-beta).
+    def primitives_at(self, model):
+        """(table, cache) of `model`'s primitives at this state's n.
 
-        For the Monte Carlo variants a sampler_seed redraws the frozen
-        auxiliary draws; otherwise the existing ones are reused.
+        A closed-form model has no table.  A Monte Carlo model reads the
+        state's frozen draws and GFC table; at a different alpha both are
+        redrawn from the same seed at that alpha.
         """
         n = self.n
-        if self.model.is_closed_form:
-            self.cache = build_primitive_cache(self.model, n)
-            return
-        alpha = self.model.stable_index
-        if self.gfc is None or abs(self.gfc.alpha - alpha) > 1e-15:
-            self.gfc = build_gfc_table(max(n - 1, 1), alpha)
-        if self.sampler is None or sampler_seed is not None or self.sampler.alpha != alpha:
+        if model.is_closed_form:
+            return None, build_primitive_cache(model, n)
+        sampler, gfc = self._draws_at(model.stable_index, self.sampler.seed)
+        table = weight_table_from_sampler(sampler, model.beta)
+        return table, build_primitive_cache(model, n, table=table, gfc=gfc)
+
+    def _draws_at(self, alpha, seed):
+        # the state's frozen draws and GFC table where they match
+        sampler, gfc = self.sampler, self.gfc
+        if sampler is None or (sampler.alpha, sampler.seed) != (alpha, seed):
+            sampler = NggWeightSampler(alpha, self.n, self.mc_samples, seed)
+        if gfc is None or gfc.alpha != alpha:
+            gfc = build_gfc_table(max(self.n - 1, 1), alpha)
+        return sampler, gfc
+
+    def refresh_cache(self, sampler_seed=None):
+        """Rebuild the table and cache for the current model.
+
+        For the Monte Carlo variants a sampler_seed redraws the frozen
+        auxiliary draws; without one the existing draws are kept (redrawn
+        from their own seed if alpha moved, from a fresh seed if there are
+        none).
+        """
+        if self.model.uses_monte_carlo:
             if sampler_seed is None:
-                sampler_seed = int(self.rng.integers(2 ** 63))
-            self.sampler = None  # frees the old draws before the new ones are made
-            self.sampler = NggWeightSampler(alpha, n, self.mc_samples, sampler_seed)
-        self.table = weight_table_from_sampler(self.sampler, self.model.beta)
-        self.cache = build_primitive_cache(self.model, n, table=self.table, gfc=self.gfc)
+                sampler_seed = (
+                    self.sampler.seed if self.sampler is not None
+                    else int(self.rng.integers(2 ** 63))
+                )
+            elif self.sampler is not None and self.sampler.seed != sampler_seed:
+                self.sampler = None  # frees the old draws before the new ones are made
+            self.sampler, self.gfc = self._draws_at(self.model.stable_index, sampler_seed)
+        self.table, self.cache = self.primitives_at(self.model)
 
 
 def log_likelihood(y, z, w, a, sigma_y):
@@ -361,99 +381,74 @@ def _resample_gamma(state, priors):
     state.gamma = float(state.rng.gamma(shape, 1.0 / rate))
 
 
-def _set_model(state, model, sampler_seed=None):
-    state.model = model
-    state.refresh_cache(sampler_seed=sampler_seed)
+def _slice_model_move(state, counts, move, start):
+    """One slice update of a model coordinate, started at x = start.
+
+    move "discount" runs on x = logit alpha, alpha ~ U(0, 1), with PY's
+    theta > -alpha as part of the support.  move "second" runs on
+    x = log(theta + alpha) for DP/PY and x = log beta for NGG/NIG, either
+    ~ Exp(1).  The target is the log joint of the dish counts under the
+    trial model's primitives (LatentFactorState.primitives_at) plus the
+    coordinate's log prior and Jacobian.  Sets the state's model, table and
+    cache to the accepted point and returns its coordinate.
+    """
+    model = state.model
+
+    def trial(x):
+        # (model at x, its log prior + Jacobian terms); None off the support
+        if move == "discount":
+            alpha = float(special.expit(x))
+            if not 0.0 < alpha < 1.0 or (model.variant == "PY" and model.theta <= -alpha):
+                return None, None
+            return replace(model, alpha=alpha), (math.log(alpha), math.log1p(-alpha))
+        value = math.exp(x)
+        if model.is_closed_form:
+            return replace(model, theta=value - model.stable_index), (-value, x)
+        return replace(model, beta=value), (-value, x)
+
+    def target(x):
+        trial_model, terms = trial(x)
+        if trial_model is None:
+            return -math.inf
+        _, cache = state.primitives_at(trial_model)
+        log_p = _log_joint_counts(
+            counts, state.n, state.gamma, trial_model.stable_index, cache
+        )
+        return log_p + terms[0] + terms[1]
+
+    if move == "discount":
+        target.__name__ = "logit_alpha"
+    else:
+        target.__name__ = "log_theta_plus_alpha" if model.is_closed_form else "log_beta"
+    x = slice_sample(target, start, state.rng)
+    state.model = trial(x)[0]
+    state.refresh_cache()
+    return x
 
 
 def _update_model_params(state, config):
-    # slice moves on transformed coordinates; each evaluation rebuilds the
-    # primitive cache for the trial parameters
+    """Slice moves on the model parameters, one target for every subclass.
+
+    Three steps: the Monte Carlo variants (NGG/NIG) redraw their frozen
+    auxiliary draws; the discount moves (update_alpha, PY and NGG); then the
+    second parameter moves (update_theta: theta for DP/PY, beta for
+    NGG/NIG).  The redraw takes a fresh seed every sweep and has no accept
+    step, so with Monte Carlo weights the chain is an approximate one, not a
+    pseudo-marginal chain on the exact posterior.
+    """
     counts = state.z.sum(axis=0).astype(np.int64)
-    n = state.n
-    variant = state.model.variant
-
-    def z_prior_for(model):
-        if model.is_closed_form:
-            cache = build_primitive_cache(model, n)
-        else:
-            table = weight_table_from_sampler(state.sampler, model.beta)
-            cache = build_primitive_cache(model, n, table=table, gfc=state.gfc)
-        return _log_joint_counts(counts, n, state.gamma, model.stable_index, cache)
-
-    if not state.model.is_closed_form:
-        # redraw the auxiliary weight draws, then move beta on them
+    if state.model.uses_monte_carlo:
         state.refresh_cache(sampler_seed=int(state.rng.integers(2 ** 63)))
-        if config.update_theta:
-            def beta_target(log_beta):
-                beta = math.exp(log_beta)
-                trial = replace(state.model, beta=beta)
-                return z_prior_for(trial) - beta + log_beta
-
-            new_log_beta = slice_sample(
-                beta_target, math.log(state.model.beta), state.rng
-            )
-            _set_model(state, replace(state.model, beta=math.exp(new_log_beta)))
-        if config.update_alpha and variant == "NGG":
-            seed = int(state.rng.integers(2 ** 63))
-            samples = state.sampler.samples
-
-            def alpha_target(logit_alpha):
-                alpha = float(special.expit(logit_alpha))
-                if not 0.0 < alpha < 1.0:
-                    return -math.inf
-                trial = replace(state.model, alpha=alpha)
-                sampler = NggWeightSampler(alpha, n, samples, seed)
-                table = weight_table_from_sampler(sampler, trial.beta)
-                gfc = build_gfc_table(max(n - 1, 1), alpha)
-                cache = build_primitive_cache(trial, n, table=table, gfc=gfc)
-                prior = _log_joint_counts(counts, n, state.gamma, alpha, cache)
-                return prior + math.log(alpha) + math.log1p(-alpha)
-
-            new_logit = slice_sample(
-                alpha_target, float(special.logit(state.model.alpha)), state.rng
-            )
-            new_alpha = float(special.expit(new_logit))
-            state.model = replace(state.model, alpha=new_alpha)
-            state.gfc = None
-            state.sampler = None
-            state.refresh_cache(sampler_seed=seed)
-        return
-
-    if config.update_alpha and variant == "PY":
-        theta = state.model.theta
-
-        def alpha_target(logit_alpha):
-            alpha = float(special.expit(logit_alpha))
-            if not 0.0 < alpha < 1.0 or theta <= -alpha:
-                return -math.inf
-            return (
-                z_prior_for(GibbsModel.py(alpha, theta))
-                + math.log(alpha)
-                + math.log1p(-alpha)
-            )
-
-        new_logit = slice_sample(
-            alpha_target, float(special.logit(state.model.alpha)), state.rng
+    if config.update_alpha and state.model.variant in ("PY", "NGG"):
+        _slice_model_move(
+            state, counts, "discount", float(special.logit(state.model.alpha))
         )
-        _set_model(state, GibbsModel.py(float(special.expit(new_logit)), theta))
-
     if config.update_theta:
-        alpha = state.model.stable_index
-
-        def theta_target(log_shifted):
-            shifted = math.exp(log_shifted)  # theta + alpha ~ Exp(1)
-            theta = shifted - alpha
-            model = (
-                GibbsModel.dp(theta) if variant == "DP" else GibbsModel.py(alpha, theta)
-            )
-            return z_prior_for(model) - shifted + log_shifted
-
-        start = math.log(state.model.theta + alpha)
-        new_log = slice_sample(theta_target, start, state.rng)
-        theta = math.exp(new_log) - alpha
-        model = GibbsModel.dp(theta) if variant == "DP" else GibbsModel.py(alpha, theta)
-        _set_model(state, model)
+        model = state.model
+        start = math.log(
+            model.beta if model.uses_monte_carlo else model.theta + model.stable_index
+        )
+        _slice_model_move(state, counts, "second", start)
 
 
 def _update_scales(state, y):

@@ -128,9 +128,9 @@ def log_kanter_a(u, alpha):
     """log A(u) for the Zolotarev/Kanter kernel on (0, pi):
     A(u) = [sin(alpha u)/sin u]^{alpha/(1-alpha)} sin((1-alpha)u)/sin u.
 
-    A is increasing from A(0+) = alpha^{alpha/(1-alpha)} (1-alpha) to
-    infinity at u = pi; it drives both Kanter's sampler and the integral
-    form of the positive stable density.
+    A is increasing from A(0+) (log_kanter_a0) to infinity at u = pi; it
+    drives both Kanter's sampler and the integral form of the positive
+    stable density.
     """
     log_sin_u = np.log(np.sin(u))
     return (
@@ -138,6 +138,12 @@ def log_kanter_a(u, alpha):
         + np.log(np.sin((1.0 - alpha) * u))
         - log_sin_u
     )
+
+
+def log_kanter_a0(alpha):
+    """log A(0+) = log[alpha^{alpha/(1-alpha)} (1-alpha)], the infimum of
+    the Kanter kernel A on (0, pi)."""
+    return alpha / (1.0 - alpha) * math.log(alpha) + math.log1p(-alpha)
 
 
 def positive_stable_density(alpha, t):
@@ -173,10 +179,9 @@ def positive_stable_density(alpha, t):
         return np.exp(-scale * np.exp(log_a) + log_a + log_t_term - y)
 
     # the exponent -scale*A + log A peaks where A = alpha/scale, provided
-    # that exceeds A(0+) = alpha^{alpha/(1-alpha)} (1-alpha)
-    a_origin = alpha ** (alpha / (1.0 - alpha)) * (1.0 - alpha)
+    # that exceeds A(0+)
     target = alpha / scale
-    if target > a_origin * (1.0 + 1e-9):
+    if target > math.exp(log_kanter_a0(alpha)) * (1.0 + 1e-9):
         # A(pi - e^{-y}) grows like K e^{y/(1-alpha)} near u = pi
         log_k = (alpha / (1.0 - alpha)) * math.log(math.sin(alpha * math.pi)) + math.log(
             math.sin((1.0 - alpha) * math.pi)

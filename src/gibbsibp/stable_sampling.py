@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_functions import log_kanter_a
+from .special_functions import log_kanter_a, log_kanter_a0
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def sample_positive_stable(alpha, rng, size=None):
 def _sample_tilt_angle(alpha, b, rng, m):
     # density on (0, pi) proportional to A(u)^{-b}; A is increasing, so a
     # uniform proposal with envelope A(0+)^{-b} is exact
-    log_a0 = alpha / (1.0 - alpha) * math.log(alpha) + math.log1p(-alpha)
+    log_a0 = log_kanter_a0(alpha)
     out = np.empty(m)
     filled = 0
     # uniform-proposal acceptance is ~ 1/sqrt(2 pi b alpha (1-alpha)) for

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from gibbsibp.cli import main
+from gibbsibp.cli import RunConfig, main, read_config_file
 from gibbsibp.inference import synthesize_data
 
 
@@ -234,6 +234,33 @@ class TestFitAndGeweke:
         assert {"dishes", "gamma", "data_sq_mean"} <= names
         for row in rows[1:]:
             assert math.isfinite(float(row[1]))
+
+
+class TestConfigFile:
+    def test_round_trip_every_field(self, tmp_path):
+        # every field set to a value of its declared type, none the default
+        config = RunConfig(
+            subcommand="fit", model="ngg", alpha=0.25, theta=0.5, beta=1.5,
+            gamma=2.5, n=7, n_max=9, p=3, seed=11, samples=20_000,
+            outdir=str(tmp_path / "out"), cache_dir=str(tmp_path / "cache"),
+            models=["py:alpha=0.5,theta=1", "dp:theta=2"], family="nig",
+            target=4.5, data="y.csv", iterations=12, burn_in=2, thin=3,
+            rounds=50, lambda1=1.5, lambda2=0.5, sigma_y=0.25, sigma_w=0.75,
+            sigma_a=1.25, gamma_init=0.5, fix_gamma=True, update_scales=True,
+            update_theta=True, update_alpha=True,
+        )
+        path = tmp_path / "config.txt"
+        path.write_text(config.to_text())
+        values = read_config_file(path)
+        assert RunConfig(**values) == config
+        for name, value in values.items():
+            assert type(value) is type(getattr(config, name)), name
+
+    def test_bool_key_must_be_true_or_false(self, tmp_path):
+        path = tmp_path / "config.txt"
+        path.write_text("update_alpha = yes\n")
+        with pytest.raises(ValueError, match="update_alpha must be true or false"):
+            read_config_file(path)
 
 
 class TestUsageErrors:

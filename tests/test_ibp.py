@@ -61,6 +61,22 @@ class TestFeatureAllocation:
         alloc = FeatureAllocation(np.zeros((4, 0)), 1.0)
         assert alloc.n == 4 and alloc.dishes == 0
 
+    @pytest.mark.parametrize(
+        "build",
+        [FeatureAllocation, FeatureAllocation.from_matrix],
+        ids=["init", "from_matrix"],
+    )
+    @pytest.mark.parametrize("k", [2, 0])
+    def test_caller_matrix_stays_writable(self, build, k):
+        # a C-contiguous uint8 input (and a 0-column one through
+        # from_matrix) needs no conversion; it must still be copied
+        z = np.ascontiguousarray(np.array([[1, 0], [1, 1]], dtype=np.uint8)[:, :k])
+        alloc = build(z, 1.0)
+        assert z.flags.writeable
+        assert not alloc.matrix.flags.writeable
+        assert not np.shares_memory(z, alloc.matrix)
+        np.testing.assert_array_equal(alloc.matrix, z)
+
     def test_from_matrix_reorders(self):
         shuffled = np.array([[0, 1, 1], [1, 1, 0], [1, 0, 1]])
         alloc = FeatureAllocation.from_matrix(shuffled, 1.0)

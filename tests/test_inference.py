@@ -3,9 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, special, stats
 
-from gibbsibp.gibbs_weights import GibbsModel, build_primitive_cache
+from gibbsibp import inference
+from gibbsibp.gibbs_weights import (
+    GibbsModel,
+    build_primitive_cache,
+    weight_table_from_sampler,
+)
 from gibbsibp.ibp import FeatureAllocation, _log_joint_counts, log_joint, simulate_ibp
 from gibbsibp.inference import (
     ChainConfig,
@@ -21,11 +26,13 @@ from gibbsibp.inference import (
     slice_sample,
     synthesize_data,
 )
+from gibbsibp.special_functions import build_gfc_table
 
 LOG_2PI = math.log(2.0 * math.pi)
 
 
-def make_state(model, z, seed=0, gamma=1.0, p=None, sigma_y=1.0, sigma_w=1.0):
+def make_state(model, z, seed=0, gamma=1.0, p=None, sigma_y=1.0, sigma_w=1.0,
+               mc_samples=ChainConfig.mc_samples):
     z = np.asarray(z, dtype=np.uint8)
     n, k = z.shape
     p = p or 2
@@ -33,7 +40,7 @@ def make_state(model, z, seed=0, gamma=1.0, p=None, sigma_y=1.0, sigma_w=1.0):
     w = rng.normal(0.0, sigma_w, size=(n, k))
     a = rng.standard_normal((k, p))
     state = LatentFactorState(
-        model, z, w, a, sigma_y, sigma_w, np.ones(p), gamma, rng
+        model, z, w, a, sigma_y, sigma_w, np.ones(p), gamma, rng, mc_samples
     )
     state.refresh_cache(sampler_seed=seed)
     return state
@@ -179,6 +186,157 @@ class TestZLogPrior:
         counts = alloc.counts[::-1]
         got = _log_joint_counts(counts, n, gamma, model.stable_index, cache)
         assert got == log_joint(alloc, model, gamma, cache=cache)
+
+
+def _thinned(draws):
+    # thin until successive kept draws are nearly uncorrelated
+    for thin in range(1, 21):
+        kept = draws[::thin]
+        if np.corrcoef(kept[:-1], kept[1:])[0, 1] < 0.1:
+            return kept
+    raise AssertionError("lag-1 autocorrelation stayed above 0.1 up to thinning 20")
+
+
+def _grid_cdf(log_density, lo, hi, points=4001):
+    # CDF of exp(log_density) on [lo, hi], normalised by trapezoid quadrature;
+    # the grid must hold essentially all of the mass
+    x = np.linspace(lo, hi, points)
+    log_f = np.array([log_density(v) for v in x])
+    f = np.exp(log_f - log_f.max())
+    assert f[0] < 1e-9 and f[-1] < 1e-9, "grid misses part of the mass"
+    cdf = integrate.cumulative_trapezoid(f, x, initial=0.0)
+    return lambda v: np.interp(v, x, cdf / cdf[-1])
+
+
+class TestModelMoves:
+    """Each coordinate move against its exact 1-D target at a fixed Z.
+
+    The targets are written out here from ibp.log_joint and the priors
+    (alpha ~ U(0, 1); theta + alpha ~ Exp(1); beta ~ Exp(1)), not taken
+    from the move.
+    """
+
+    N, GAMMA = 10, 1.3
+
+    def chain(self, state, move, start, draws=3000, burn_in=50):
+        counts = state.z.sum(axis=0).astype(np.int64)
+        x = start
+        out = np.empty(draws)
+        for i in range(burn_in + draws):
+            x = inference._slice_model_move(state, counts, move, x)
+            if i >= burn_in:
+                out[i - burn_in] = x
+        return _thinned(out)
+
+    def allocation(self, model, seed):
+        alloc = simulate_ibp(model, self.GAMMA, self.N, seed=seed)
+        assert alloc.dishes >= 2
+        return alloc
+
+    def ks(self, draws, log_density, lo, hi):
+        assert draws.size >= 500
+        assert np.all(np.isfinite(draws))
+        return stats.kstest(draws, _grid_cdf(log_density, lo, hi)).pvalue
+
+    def test_py_discount(self):
+        theta = -0.1  # the support is alpha in (0.1, 1)
+        alloc = self.allocation(GibbsModel.py(0.4, theta), seed=3)
+
+        def log_density(x):
+            alpha = special.expit(x)
+            if theta <= -alpha or alpha >= 1.0:
+                return -math.inf
+            model = GibbsModel.py(alpha, theta)
+            return (
+                log_joint(alloc, model, self.GAMMA)
+                + math.log(alpha) + math.log1p(-alpha)
+            )
+
+        state = make_state(GibbsModel.py(0.4, theta), alloc.matrix, seed=21, gamma=self.GAMMA)
+        draws = self.chain(state, "discount", float(special.logit(0.4)))
+        assert np.all(special.expit(draws) > -theta)
+        assert self.ks(draws, log_density, special.logit(0.1), 14.0) > 0.001
+
+    @pytest.mark.parametrize(
+        "model", [GibbsModel.dp(1.0), GibbsModel.py(0.3, 0.5)], ids=["DP", "PY"]
+    )
+    def test_closed_form_second_parameter(self, model):
+        alpha = model.stable_index
+        alloc = self.allocation(model, seed=4)
+
+        def log_density(x):
+            shifted = math.exp(x)
+            trial = (
+                GibbsModel.dp(shifted) if model.variant == "DP"
+                else GibbsModel.py(alpha, shifted - alpha)
+            )
+            return log_joint(alloc, trial, self.GAMMA) - shifted + x
+
+        state = make_state(model, alloc.matrix, seed=22, gamma=self.GAMMA)
+        draws = self.chain(state, "second", math.log(model.theta + alpha))
+        assert self.ks(draws, log_density, -14.0, 4.0) > 0.001
+
+    def test_ngg_beta_on_frozen_draws(self):
+        model = GibbsModel.ngg(0.5, 1.0)
+        alloc = self.allocation(GibbsModel.py(0.5, 1.0), seed=5)
+        state = make_state(model, alloc.matrix, seed=23, gamma=self.GAMMA, mc_samples=2000)
+        sampler = state.sampler
+        gfc = build_gfc_table(self.N - 1, 0.5)
+
+        def log_density(x):
+            beta = math.exp(x)
+            table = weight_table_from_sampler(sampler, beta)
+            trial = GibbsModel.ngg(0.5, beta)
+            cache = build_primitive_cache(trial, self.N, table=table, gfc=gfc)
+            return log_joint(alloc, trial, self.GAMMA, cache=cache) - beta + x
+
+        draws = self.chain(state, "second", 0.0, draws=1200)
+        assert state.sampler is sampler  # the move never redraws
+        assert self.ks(draws, log_density, -26.0, 4.0) > 0.001
+
+    def test_ngg_discount_keeps_cache_coherent(self):
+        model = GibbsModel.ngg(0.5, 1.0)
+        alloc = self.allocation(GibbsModel.py(0.5, 1.0), seed=5)
+        state = make_state(model, alloc.matrix, seed=24, gamma=self.GAMMA, mc_samples=2000)
+        seed = state.sampler.seed
+        counts = alloc.counts
+        x = 0.0
+        for _ in range(5):
+            x = inference._slice_model_move(state, counts, "discount", x)
+            alpha = state.model.alpha
+            assert 0.0 < alpha < 1.0 and alpha == special.expit(x)
+            # the draws follow alpha from the same seed
+            assert state.sampler.seed == seed
+            assert state.sampler.alpha == alpha and state.gfc.alpha == alpha
+            table, cache = state.primitives_at(state.model)
+            assert np.array_equal(state.table._log, table._log, equal_nan=True)
+            for name in ("g10", "g11", "log_gs1"):
+                assert np.array_equal(
+                    getattr(state.cache, name), getattr(cache, name), equal_nan=True
+                ), name
+
+    @pytest.mark.parametrize(
+        "model, move, name",
+        [
+            (GibbsModel.py(0.4, 1.0), "discount", "logit_alpha"),
+            (GibbsModel.dp(1.0), "second", "log_theta_plus_alpha"),
+            (GibbsModel.ngg(0.5, 1.0), "second", "log_beta"),
+        ],
+        ids=["discount", "theta", "beta"],
+    )
+    def test_stuck_move_names_its_coordinate(self, model, move, name, monkeypatch):
+        # finite only at the start point: shrinkage must give up by name
+        alloc = self.allocation(GibbsModel.py(0.4, 1.0), seed=3)
+        state = make_state(model, alloc.matrix, gamma=self.GAMMA, mc_samples=2000)
+        calls = []
+
+        def point_mass(*args):
+            calls.append(args)
+            return 0.0 if len(calls) == 1 else -math.inf
+
+        monkeypatch.setattr(inference, "_log_joint_counts", point_mass)
+        with pytest.raises(RuntimeError, match=name):
+            inference._slice_model_move(state, alloc.counts, move, 0.0)
 
 
 class TestGammaUpdate:

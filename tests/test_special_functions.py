@@ -10,6 +10,8 @@ from gibbsibp.special_functions import (
     GfcTable,
     build_gfc_table,
     gfc_bruteforce,
+    log_kanter_a,
+    log_kanter_a0,
     log_rising_factorial,
     log_upper_incomplete_gamma,
     positive_stable_density,
@@ -137,6 +139,20 @@ class TestGfcBruteforce:
     def test_refuses_large_n(self):
         with pytest.raises(ValueError):
             gfc_bruteforce(16, 3, 0.5)
+
+
+class TestKanterOrigin:
+    @pytest.mark.parametrize("alpha", [0.1, 0.37, 0.5, 0.9])
+    def test_is_the_infimum_of_the_kernel(self, alpha):
+        log_a0 = log_kanter_a0(alpha)
+        assert math.exp(log_a0) == pytest.approx(
+            alpha ** (alpha / (1.0 - alpha)) * (1.0 - alpha), rel=1e-14
+        )
+        u = np.linspace(1e-6, math.pi - 1e-6, 2001)
+        log_a = log_kanter_a(u, alpha)
+        assert np.all(log_a > log_a0)
+        # A(u) = A(0+) (1 + O(u^2)) near the origin
+        assert log_a[0] - log_a0 < 1e-10
 
 
 class TestPositiveStableDensity:

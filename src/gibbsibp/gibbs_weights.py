@@ -619,16 +619,25 @@ def build_primitive_cache(model, n, table=None, gfc=None):
     k = np.arange(1, n)
     log_c = gfc.log_block(n - 1) - k * math.log(table.alpha)
     g10 = np.concatenate(
-        [[math.nan], np.exp(special.logsumexp(v[2:n + 1, 1:n] + log_c, axis=1))]
+        [[math.nan], np.exp(_log_sum_exp_rows(v[2:n + 1, 1:n] + log_c))]
     )
     g11 = np.concatenate(
-        [[1.0], np.exp(special.logsumexp(v[2:n + 1, 2:n + 1] + log_c, axis=1))]
+        [[1.0], np.exp(_log_sum_exp_rows(v[2:n + 1, 2:n + 1] + log_c))]
     )
     # g_{n-s}(s, 1) reads row n at every s, so base count m = n - s
     log_gs1 = np.concatenate(
-        [special.logsumexp(v[n, 2:n + 1] + log_c, axis=1)[::-1], [v[n, 1]]]
+        [_log_sum_exp_rows(v[n, 2:n + 1] + log_c)[::-1], [v[n, 1]]]
     )
     return PrimitiveCache(model, n, g10, g11, log_gs1)
+
+
+def _log_sum_exp_rows(terms):
+    # log sum exp along each row, shifted by the row max; -inf terms add
+    # nothing and a row of -inf stays -inf
+    top = terms.max(axis=1, initial=-math.inf)
+    shift = np.where(np.isneginf(top), 0.0, top)
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(terms - shift[:, None]).sum(axis=1)) + shift
 
 
 def persistence_probability(cache, n, s):

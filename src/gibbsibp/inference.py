@@ -137,12 +137,16 @@ class LatentFactorState:
         state's frozen draws and GFC table; at a different alpha both are
         redrawn from the same seed at that alpha.
         """
+        return self._primitives_with_draws(model)[2:]
+
+    def _primitives_with_draws(self, model):
+        # (frozen draws, GFC table, table, cache) behind primitives_at
         n = self.n
         if model.is_closed_form:
-            return None, build_primitive_cache(model, n)
+            return self.sampler, self.gfc, None, build_primitive_cache(model, n)
         sampler, gfc = self._draws_at(model.stable_index, self.sampler.seed)
         table = weight_table_from_sampler(sampler, model.beta)
-        return table, build_primitive_cache(model, n, table=table, gfc=gfc)
+        return sampler, gfc, table, build_primitive_cache(model, n, table=table, gfc=gfc)
 
     def _draws_at(self, alpha, seed):
         # the state's frozen draws and GFC table where they match
@@ -231,7 +235,8 @@ def slice_sample(log_density, x0, rng, width=1.0, max_steps=100):
     stops after SHRINK_STEPS rejected points with a RuntimeError naming the
     log density: by then the interval has shrunk around x0 by a factor of
     about e^-SHRINK_STEPS, so the density is not the one it was started on
-    (or not deterministic) and looping on would never end.
+    (or not deterministic) and looping on would never end.  The point
+    returned is the last one log_density was evaluated at.
     """
     f0 = log_density(x0)
     if not np.isfinite(f0):
@@ -263,45 +268,81 @@ def slice_sample(log_density, x0, rng, width=1.0, max_steps=100):
 
 
 def _resample_z(state, y):
-    # per-element conditional for dishes some other row also takes;
-    # row singletons belong to the singleton move
-    n = state.n
-    if n < 2 or state.dishes == 0:
+    # Per-element conditional for dishes some other row also takes; row
+    # singletons belong to the singleton move.
+    #
+    # With r the row's residual, a_k row k of A, w = W[i, k],
+    # G = A A^T and c = A r, switching (i, k) on moves r to r - w a_k, so
+    #   ||r_off||^2 - ||r_on||^2 = 2 w c_k + w^2 G_kk   (z_ik = 1, r = r_on)
+    #                            = 2 w c_k - w^2 G_kk   (z_ik = 0, r = r_off)
+    # and a flip on moves c by -w G_k (off: +w G_k).  Rows do not share
+    # residuals, so every row's c comes from one product R A^T.
+    #
+    # The uniforms of a row are drawn in one call: the entries that draw
+    # one are those with s_minus > 0, and a flip of (i, k) changes no
+    # other row's take of any dish, so that set is fixed at row start.
+    # One rng.random(m) gives the stream of m single rng.random() calls.
+    n, k_dishes = state.z.shape
+    if n < 2 or k_dishes == 0:
         return
     alpha = state.model.stable_index
     g10 = state.cache.g10_for(n)
-    counts = state.z.sum(axis=0).astype(np.int64)
-    resid = y - (state.w * state.z) @ state.a
+    a = state.a
+    gram = (a @ a.T).tolist()
+    gram_diag = [gram[k][k] for k in range(k_dishes)]
+    c_rows = ((y - (state.w * state.z) @ a) @ a.T).tolist()
+    w_rows = state.w.tolist()
+    z = state.z
+    counts = z.sum(axis=0).tolist()
     inv_two_var = 1.0 / (2.0 * state.sigma_y ** 2)
+    random = state.rng.random
+    exp, inf = math.exp, math.inf
+    prior_log_odds = [None] * n  # by s_minus: log odds of the dish-take prior
+    dishes = range(k_dishes)
     for i in range(n):
-        row_resid = resid[i]
-        for k in range(state.dishes):
-            s_minus = counts[k] - state.z[i, k]
-            if s_minus == 0:
-                continue
-            prior_take = (s_minus - alpha) * g10
-            if not 0.0 <= prior_take <= 1.0:
-                raise ValueError(
-                    "dish-take prior left [0, 1]; the primitives are corrupt"
+        z_row = z[i].tolist()
+        shared = [k for k in dishes if counts[k] - z_row[k] > 0]
+        if not shared:
+            continue
+        c = c_rows[i]
+        w_row = w_rows[i]
+        flipped = False
+        for u, k in zip(random(len(shared)).tolist(), shared):
+            on = z_row[k]
+            s_minus = counts[k] - on
+            log_prior = prior_log_odds[s_minus]
+            if log_prior is None:
+                prior_take = (s_minus - alpha) * g10
+                if not 0.0 <= prior_take <= 1.0:
+                    raise ValueError(
+                        "dish-take prior left [0, 1]; the primitives are corrupt"
+                    )
+                log_prior = (
+                    math.log(prior_take) - math.log1p(-prior_take)
+                    if prior_take < 1.0 else inf
                 )
-            shift = state.w[i, k] * state.a[k]
-            if state.z[i, k]:
-                r_on = row_resid
-                r_off = row_resid + shift
+                prior_log_odds[s_minus] = log_prior
+            w = w_row[k]
+            if log_prior == inf:
+                log_odds = inf
+            elif on:
+                log_odds = log_prior + (2.0 * w * c[k] + w * w * gram_diag[k]) * inv_two_var
             else:
-                r_off = row_resid
-                r_on = row_resid - shift
-            log_odds = (
-                math.log(prior_take)
-                - math.log1p(-prior_take)
-                + (float(r_off @ r_off) - float(r_on @ r_on)) * inv_two_var
-            ) if prior_take < 1.0 else math.inf
-            take = state.rng.random() < special.expit(log_odds)
-            if take != bool(state.z[i, k]):
+                log_odds = log_prior + (2.0 * w * c[k] - w * w * gram_diag[k]) * inv_two_var
+            # scipy.special.expit bit for bit (log_odds = +-inf too); exp
+            # overflows only below -709.78, where expit is 0
+            try:
+                take = u < 1.0 / (1.0 + exp(-log_odds))
+            except OverflowError:
+                take = False
+            if take != on:
                 counts[k] += 1 if take else -1
-                state.z[i, k] = take
-            row_resid = r_on if take else r_off
-        resid[i] = row_resid
+                z_row[k] = int(take)
+                step = -w if take else w
+                c = [c_j + step * g_j for c_j, g_j in zip(c, gram[k])]
+                flipped = True
+        if flipped:
+            z[i] = z_row
 
 
 def _singleton_move(state, y):
@@ -311,8 +352,8 @@ def _singleton_move(state, y):
     rate = state.gamma * state.cache.g11_for(n)
     inv_two_var = 1.0 / (2.0 * state.sigma_y ** 2)
     p = state.p
+    counts = state.z.sum(axis=0)
     for i in range(n):
-        counts = state.z.sum(axis=0)
         own = (counts == 1) & (state.z[i] == 1)
         k_new = int(state.rng.poisson(rate))
         if not own.any() and k_new == 0:
@@ -337,29 +378,44 @@ def _singleton_move(state, y):
         )
         state.w = np.concatenate([state.w[:, keep], fresh_w], axis=1)
         state.a = np.concatenate([state.a[keep], a_new], axis=0)
+        counts = np.concatenate([counts[keep], np.ones(k_new, dtype=counts.dtype)])
 
 
 def _resample_w(state, y):
-    n = state.n
+    # Row i draws K standard normals, as the per-row form did: the first
+    # #inactive (times sigma_W) are its inactive weights from the prior,
+    # the rest the noise of its active weights.  Rows with the same number
+    # of active dishes share one stacked factorisation.
+    n, k = state.z.shape
+    if k == 0:
+        return
     var_y = state.sigma_y ** 2
-    for i in range(n):
-        active = np.nonzero(state.z[i])[0]
-        inactive = state.z[i] == 0
-        if inactive.any():
-            state.w[i, inactive] = state.rng.normal(
-                0.0, state.sigma_w, size=int(inactive.sum())
-            )
-        if active.size == 0:
-            continue
+    draws = state.rng.standard_normal((n, k))
+    # per row: inactive columns first, then active ones, each ascending
+    order = np.argsort(state.z, axis=1, kind="stable")
+    spread = np.empty_like(draws)
+    np.put_along_axis(spread, order, draws, axis=1)
+    inactive = state.z == 0
+    state.w[inactive] = spread[inactive] * state.sigma_w
+    sizes = state.z.sum(axis=1)
+    for m in np.unique(sizes[sizes > 0]).tolist():
+        rows = np.nonzero(sizes == m)[0]
+        active = order[rows, k - m:]
         a_act = state.a[active]
-        precision = a_act @ a_act.T / var_y + np.eye(active.size) / state.sigma_w ** 2
+        precision = (
+            a_act @ a_act.swapaxes(1, 2) / var_y + np.eye(m) / state.sigma_w ** 2
+        )
         chol = np.linalg.cholesky(precision)
-        mean = np.linalg.solve(precision, a_act @ y[i] / var_y)
-        noise = np.linalg.solve(chol.T, state.rng.standard_normal(active.size))
-        state.w[i, active] = mean + noise
+        mean = np.linalg.solve(precision, a_act @ y[rows, :, None] / var_y)
+        noise = np.linalg.solve(
+            chol.swapaxes(1, 2), spread[rows[:, None], active][..., None]
+        )
+        state.w[rows[:, None], active] = (mean + noise)[..., 0]
 
 
 def _resample_a(state, y):
+    # column j draws K standard normals; all p columns share one stacked
+    # factorisation
     k = state.dishes
     if k == 0:
         return
@@ -367,13 +423,17 @@ def _resample_a(state, y):
     x = state.w * state.z
     xtx = x.T @ x / var_y
     xty = x.T @ y / var_y
-    eye = np.eye(k)
-    for j in range(state.p):
-        precision = xtx + eye / state.sigma_a[j] ** 2
-        chol = np.linalg.cholesky(precision)
-        mean = np.linalg.solve(precision, xty[:, j])
-        noise = np.linalg.solve(chol.T, state.rng.standard_normal(k))
-        state.a[:, j] = mean + noise
+    # scalar ** squares by pow(), which can differ from an array's x * x in
+    # the last bit; squaring each scale as a float keeps the draws bit-equal
+    # to the one-column-at-a-time form
+    var_a = np.array([scale ** 2 for scale in state.sigma_a.tolist()])
+    precision = xtx + np.eye(k) / var_a[:, None, None]
+    chol = np.linalg.cholesky(precision)
+    mean = np.linalg.solve(precision, xty.T[..., None])
+    noise = np.linalg.solve(
+        chol.swapaxes(1, 2), state.rng.standard_normal((state.p, k))[..., None]
+    )
+    state.a[...] = (mean + noise)[..., 0].T
 
 
 def _resample_gamma(state, priors):
@@ -389,10 +449,16 @@ def _slice_model_move(state, counts, move, start):
     x = log(theta + alpha) for DP/PY and x = log beta for NGG/NIG, either
     ~ Exp(1).  The target is the log joint of the dish counts under the
     trial model's primitives (LatentFactorState.primitives_at) plus the
-    coordinate's log prior and Jacobian.  Sets the state's model, table and
-    cache to the accepted point and returns its coordinate.
+    coordinate's log prior and Jacobian.  Sets the state's model, frozen
+    draws, table and cache to the accepted point and returns its coordinate.
+
+    A trial at the state's own model reuses the state's table and cache
+    (exp(log beta) and expit(logit alpha) often round-trip exactly), and
+    the accepted point's primitives are the last ones built, since
+    slice_sample returns the last point it evaluated.
     """
     model = state.model
+    last = None  # the last evaluated point's (model, draws, GFC, table, cache)
 
     def trial(x):
         # (model at x, its log prior + Jacobian terms); None off the support
@@ -407,12 +473,17 @@ def _slice_model_move(state, counts, move, start):
         return replace(model, beta=value), (-value, x)
 
     def target(x):
+        nonlocal last
         trial_model, terms = trial(x)
         if trial_model is None:
             return -math.inf
-        _, cache = state.primitives_at(trial_model)
+        last = None  # frees the last trial's draws before new ones are made
+        if trial_model == state.model:
+            last = (trial_model, state.sampler, state.gfc, state.table, state.cache)
+        else:
+            last = (trial_model,) + state._primitives_with_draws(trial_model)
         log_p = _log_joint_counts(
-            counts, state.n, state.gamma, trial_model.stable_index, cache
+            counts, state.n, state.gamma, trial_model.stable_index, last[4]
         )
         return log_p + terms[0] + terms[1]
 
@@ -421,8 +492,7 @@ def _slice_model_move(state, counts, move, start):
     else:
         target.__name__ = "log_theta_plus_alpha" if model.is_closed_form else "log_beta"
     x = slice_sample(target, start, state.rng)
-    state.model = trial(x)[0]
-    state.refresh_cache()
+    state.model, state.sampler, state.gfc, state.table, state.cache = last
     return x
 
 

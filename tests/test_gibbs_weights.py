@@ -367,6 +367,24 @@ class TestPrimitiveCache:
                 )
             assert cache.log_gs1[n - 1] == table.log_weight(n, 1)
 
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+    def test_mc_cache_matches_logsumexp_form(self, alpha):
+        # the max-shifted row sums against scipy's logsumexp over the same
+        # masked triangles (the GFC block is -inf above its diagonal)
+        for n in (2, 10, 100):
+            table = weight_table_from_sampler(NggWeightSampler(alpha, n, 500, seed=n), 1.0)
+            gfc = build_gfc_table(n - 1, alpha)
+            cache = build_primitive_cache(GibbsModel.ngg(alpha, 1.0), n, table=table, gfc=gfc)
+            v = table._log
+            log_c = gfc.log_block(n - 1) - np.arange(1, n) * math.log(alpha)
+            assert np.isneginf(log_c[np.triu_indices(n - 1, 1)]).all()
+            g10 = np.exp(special.logsumexp(v[2:n + 1, 1:n] + log_c, axis=1))
+            g11 = np.exp(special.logsumexp(v[2:n + 1, 2:n + 1] + log_c, axis=1))
+            log_gs1 = special.logsumexp(v[n, 2:n + 1] + log_c, axis=1)[::-1]
+            np.testing.assert_allclose(cache.g10[1:], g10, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(cache.g11[1:], g11, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(cache.log_gs1[:-1], log_gs1, rtol=1e-13, atol=0.0)
+
     def test_mc_cache_rejects_mismatched_tables(self):
         model = GibbsModel.ngg(0.5, 1.0)
         table = weight_table_from_sampler(NggWeightSampler(0.5, 8, 500, seed=1), 1.0)

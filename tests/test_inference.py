@@ -315,6 +315,40 @@ class TestModelMoves:
                     getattr(state.cache, name), getattr(cache, name), equal_nan=True
                 ), name
 
+    def test_ngg_beta_move_builds_each_trial_table_once(self, monkeypatch):
+        # the start point reuses the state's table and the accepted point
+        # keeps the table its evaluation built: one build per other point
+        model = GibbsModel.ngg(0.5, 1.0)
+        alloc = self.allocation(GibbsModel.py(0.5, 1.0), seed=5)
+        state = make_state(model, alloc.matrix, seed=25, gamma=self.GAMMA, mc_samples=2000)
+        start_table = state.table
+        builds, evals = [], []
+        build = inference.weight_table_from_sampler
+        slice_move = inference.slice_sample
+
+        def counted_build(sampler, beta):
+            builds.append(beta)
+            return build(sampler, beta)
+
+        def counted_slice(log_density, x0, rng):
+            def counted(x):
+                evals.append(x)
+                return log_density(x)
+            return slice_move(counted, x0, rng)
+
+        monkeypatch.setattr(inference, "weight_table_from_sampler", counted_build)
+        monkeypatch.setattr(inference, "slice_sample", counted_slice)
+        x = inference._slice_model_move(state, alloc.counts, "second", 0.0)
+        assert evals[0] == 0.0 and len(builds) == len(evals) - 1
+        assert 1.0 not in builds and state.table is not start_table
+        assert state.model.beta == math.exp(x)
+        table, cache = state.primitives_at(state.model)
+        assert np.array_equal(state.table._log, table._log, equal_nan=True)
+        for name in ("g10", "g11", "log_gs1"):
+            assert np.array_equal(
+                getattr(state.cache, name), getattr(cache, name), equal_nan=True
+            ), name
+
     @pytest.mark.parametrize(
         "model, move, name",
         [
@@ -444,6 +478,191 @@ class TestConjugateBlocks:
             draws[i] = state.w[0, 1]
         ks = stats.kstest(draws, stats.norm(0.0, 2.0).cdf)
         assert ks.pvalue > 0.001
+
+
+def reference_resample_z(state, y):
+    # the per-element Z block written on p-vectors, one uniform per entry
+    n = state.n
+    if n < 2 or state.dishes == 0:
+        return
+    alpha = state.model.stable_index
+    g10 = state.cache.g10_for(n)
+    counts = state.z.sum(axis=0).astype(np.int64)
+    resid = y - (state.w * state.z) @ state.a
+    inv_two_var = 1.0 / (2.0 * state.sigma_y ** 2)
+    for i in range(n):
+        row_resid = resid[i]
+        for k in range(state.dishes):
+            s_minus = counts[k] - state.z[i, k]
+            if s_minus == 0:
+                continue
+            prior_take = (s_minus - alpha) * g10
+            if not 0.0 <= prior_take <= 1.0:
+                raise ValueError("dish-take prior left [0, 1]; the primitives are corrupt")
+            shift = state.w[i, k] * state.a[k]
+            if state.z[i, k]:
+                r_on = row_resid
+                r_off = row_resid + shift
+            else:
+                r_off = row_resid
+                r_on = row_resid - shift
+            log_odds = (
+                math.log(prior_take)
+                - math.log1p(-prior_take)
+                + (float(r_off @ r_off) - float(r_on @ r_on)) * inv_two_var
+            ) if prior_take < 1.0 else math.inf
+            take = state.rng.random() < special.expit(log_odds)
+            if take != bool(state.z[i, k]):
+                counts[k] += 1 if take else -1
+                state.z[i, k] = take
+            row_resid = r_on if take else r_off
+        resid[i] = row_resid
+
+
+def reference_resample_w(state, y):
+    # one row at a time: inactive weights from the prior, then the
+    # conjugate draw of the active ones
+    var_y = state.sigma_y ** 2
+    for i in range(state.n):
+        active = np.nonzero(state.z[i])[0]
+        inactive = state.z[i] == 0
+        if inactive.any():
+            state.w[i, inactive] = state.rng.normal(
+                0.0, state.sigma_w, size=int(inactive.sum())
+            )
+        if active.size == 0:
+            continue
+        a_act = state.a[active]
+        precision = a_act @ a_act.T / var_y + np.eye(active.size) / state.sigma_w ** 2
+        chol = np.linalg.cholesky(precision)
+        mean = np.linalg.solve(precision, a_act @ y[i] / var_y)
+        noise = np.linalg.solve(chol.T, state.rng.standard_normal(active.size))
+        state.w[i, active] = mean + noise
+
+
+def reference_resample_a(state, y):
+    # one data column at a time
+    k = state.dishes
+    if k == 0:
+        return
+    var_y = state.sigma_y ** 2
+    x = state.w * state.z
+    xtx = x.T @ x / var_y
+    xty = x.T @ y / var_y
+    eye = np.eye(k)
+    for j in range(state.p):
+        precision = xtx + eye / state.sigma_a[j] ** 2
+        chol = np.linalg.cholesky(precision)
+        mean = np.linalg.solve(precision, xty[:, j])
+        noise = np.linalg.solve(chol.T, state.rng.standard_normal(k))
+        state.a[:, j] = mean + noise
+
+
+class TestBlocksAgainstReference:
+    """The Z, W and A blocks against their one-entry-at-a-time forms.
+
+    Z and the RNG stream must match exactly; W and A to 1e-12, with the
+    same RNG state after.
+    """
+
+    def twin_states(self, z, seed, p=5, sigma_y=0.7, model=None):
+        model = model or GibbsModel.py(0.5, 1.0)
+        fast = make_state(model, z, seed=seed, p=p, sigma_y=sigma_y)
+        reference = make_state(model, z, seed=seed, p=p, sigma_y=sigma_y)
+        fast.sigma_a = reference.sigma_a = np.linspace(0.5, 2.0, p)
+        return fast, reference
+
+    def random_z(self, rng, n, k):
+        z = (rng.random((n, k)) < rng.uniform(0.2, 0.8)).astype(np.uint8)
+        z[rng.integers(n, size=k), np.arange(k)] = 1  # no empty dish
+        return z
+
+    def cases(self):
+        rng = np.random.default_rng(2024)
+        yield np.zeros((6, 0), dtype=np.uint8), rng.standard_normal((6, 5))
+        yield np.ones((1, 3), dtype=np.uint8), rng.standard_normal((1, 5))
+        yield np.array([[1, 0], [1, 1]], dtype=np.uint8), rng.standard_normal((2, 5))
+        # row 0 holds only singletons; row 3 takes nothing
+        z = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 0], [0, 0, 0, 0]], dtype=np.uint8)
+        yield z, rng.standard_normal((4, 5))
+        for n, k in ((2, 1), (7, 3), (20, 8), (40, 15)):
+            yield self.random_z(rng, n, k), rng.standard_normal((n, 5))
+
+    def run_both(self, block, reference, fast, ref, y):
+        block(fast, y)
+        reference(ref, y)
+        assert fast.rng.bit_generator.state == ref.rng.bit_generator.state
+
+    def test_z_block_exact(self):
+        for seed, (z, y) in enumerate(self.cases()):
+            fast, ref = self.twin_states(z, seed)
+            self.run_both(inference._resample_z, reference_resample_z, fast, ref, y)
+            assert np.array_equal(fast.z, ref.z), seed
+
+    def test_z_block_exact_on_many_flips(self):
+        # data unrelated to the state: about half the entries flip
+        rng = np.random.default_rng(11)
+        flips = 0
+        for seed in range(20):
+            z = self.random_z(rng, 30, 10)
+            fast, ref = self.twin_states(z, seed, sigma_y=3.0)
+            y = rng.standard_normal((30, 5)) * 3.0
+            self.run_both(inference._resample_z, reference_resample_z, fast, ref, y)
+            assert np.array_equal(fast.z, ref.z), seed
+            flips += int((fast.z != z).sum())
+        assert flips > 500
+
+    def test_z_block_exact_past_exp_overflow(self):
+        # sigma_Y = 1e-6 on noiseless data: every flip costs a log odds far
+        # below -710, where math.exp(-log_odds) overflows
+        rng = np.random.default_rng(12)
+        z = self.random_z(rng, 12, 4)
+        fast, ref = self.twin_states(z, 3, sigma_y=1e-6)
+        y = (ref.w * ref.z) @ ref.a
+        shift = ref.w[0, 0] * ref.a[0]
+        assert float(shift @ shift) / (2.0 * 1e-12) > 710.0
+        self.run_both(inference._resample_z, reference_resample_z, fast, ref, y)
+        assert np.array_equal(fast.z, ref.z) and np.array_equal(fast.z, z)
+
+    def test_z_block_exact_at_certain_take(self):
+        # a hand-built DP cache with g_2(1, 0) = 1/2: a dish the two other
+        # rows take has prior take probability (2 - 0) / 2 = 1, whatever
+        # the likelihood says
+        from gibbsibp.gibbs_weights import PrimitiveCache
+
+        model = GibbsModel.dp(1.0)
+        z = np.array([[0, 0], [1, 1], [1, 1]], dtype=np.uint8)
+        y = np.random.default_rng(13).standard_normal((3, 5)) * 50.0
+        fast, ref = self.twin_states(z, 4, model=model)
+        for state in (fast, ref):
+            state.cache = PrimitiveCache(
+                model, 3, [math.nan, 0.5, 0.5], [1.0, 0.5, 1.0 / 3.0], [-1.0, -2.0, -3.0]
+            )
+        assert (2 - model.stable_index) * fast.cache.g10_for(3) == 1.0
+        self.run_both(inference._resample_z, reference_resample_z, fast, ref, y)
+        assert np.array_equal(fast.z, ref.z)
+        assert fast.z.all()
+
+    def test_z_block_keeps_corrupt_prior_error(self):
+        from gibbsibp.gibbs_weights import PrimitiveCache
+
+        model = GibbsModel.dp(1.0)
+        fast, _ = self.twin_states(np.ones((3, 2), dtype=np.uint8), 5, model=model)
+        fast.cache = PrimitiveCache(model, 3, [math.nan, 0.5, 0.75], [1.0] * 3, [0.0] * 3)
+        with pytest.raises(ValueError, match="dish-take prior"):
+            inference._resample_z(fast, np.zeros((3, 5)))
+
+    def test_w_block_matches(self):
+        for seed, (z, y) in enumerate(self.cases()):
+            fast, ref = self.twin_states(z, seed)
+            self.run_both(inference._resample_w, reference_resample_w, fast, ref, y)
+            np.testing.assert_allclose(fast.w, ref.w, rtol=1e-12, atol=1e-12)
+
+    def test_a_block_matches(self):
+        for seed, (z, y) in enumerate(self.cases()):
+            fast, ref = self.twin_states(z, seed)
+            self.run_both(inference._resample_a, reference_resample_a, fast, ref, y)
+            np.testing.assert_allclose(fast.a, ref.a, rtol=1e-12, atol=1e-12)
 
 
 class TestSingletonMove:

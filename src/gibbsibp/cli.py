@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -321,10 +320,7 @@ def _stats_rows(spec, config):
 
 def run_stats(config):
     outdir = _prepare_outdir(config)
-    # fan out per model; assembly order follows the flag order regardless
-    # of completion order
-    with ThreadPoolExecutor(max_workers=min(4, len(config.models))) as pool:
-        results = list(pool.map(lambda s: _stats_rows(s, config), config.models))
+    results = [_stats_rows(spec, config) for spec in config.models]
     path = outdir / "stats.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -240,19 +241,48 @@ def _closed_form_log_weights(variant, alpha, theta, n_max):
     return table
 
 
-def _shifted_ratio_rows(alpha, n, samples, rng):
-    """Yield, for k = 1..n, the draws of R = X/Y behind V_{n,k} as the pair
-    (R - min R, min R): X is tilted stable (tilt k alpha) and Y ~ Beta(k
-    alpha, n - k alpha), so no draw involves beta."""
-    for k in range(1, n + 1):
-        spec = TiltedStableSpec(alpha=alpha, tilt=k * alpha)
-        # X is drawn before Y
-        ratios = sample_tilted_stable(spec, rng, size=samples) / np.maximum(
-            rng.beta(k * alpha, n - k * alpha, size=samples), 1e-300
-        )
-        ratio_min = ratios.min()
-        ratios -= ratio_min
-        yield ratios, ratio_min
+def _usable_cores():
+    # cores this process may run on
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _fill_shifted_ratio_rows(alpha, n, samples, rng, fill):
+    """Call fill(k, R - min R, min R) for k = 1..n with the draws of R = X/Y
+    behind V_{n,k}: X is tilted stable (tilt k alpha) and Y ~ Beta(k alpha,
+    n - k alpha), so no draw involves beta.
+
+    Row k draws from its own child stream, rng.spawn(n)[k - 1], so every
+    row depends on the seed alone.  Rows are dealt round-robin to one
+    worker thread per usable core (numpy's variate loops release the GIL;
+    the tilt-angle rejection costs more as k grows), and fill runs on the
+    worker that drew the row.  An exception raised on a worker reaches the
+    caller unchanged.
+    """
+    streams = rng.spawn(n)
+
+    def fill_rows(first, step):
+        for k in range(first, n + 1, step):
+            row_rng = streams[k - 1]
+            spec = TiltedStableSpec(alpha=alpha, tilt=k * alpha)
+            # X is drawn before Y
+            ratios = sample_tilted_stable(spec, row_rng, size=samples) / np.maximum(
+                row_rng.beta(k * alpha, n - k * alpha, size=samples), 1e-300
+            )
+            ratio_min = ratios.min()
+            ratios -= ratio_min
+            fill(k, ratios, ratio_min)
+
+    workers = min(_usable_cores(), n)
+    if workers == 1:
+        fill_rows(1, 1)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fill_rows, first, workers) for first in range(1, workers + 1)]
+        for future in futures:
+            future.result()
 
 
 def _log_prefactor(alpha, n):
@@ -298,17 +328,18 @@ def ngg_last_row_mc(alpha, beta, n, samples, rng):
 
     Uses V_{n,k} = [alpha^{k-1} Gamma(k) / Gamma(n)] E[exp(beta^alpha - beta X/Y)]
     with X polynomially tilted stable (tilt k alpha) and Y ~ Beta(k alpha,
-    n - k alpha), for every 1 <= k <= n.  The draws are made and reduced
-    one row k at a time, so memory holds a few rows of `samples` doubles
-    whatever n is; the reduction is the one NggWeightSampler applies to
-    its frozen draws, and for the same seed both give the same row.
+    n - k alpha), for every 1 <= k <= n.  Each worker thread draws and
+    reduces one row k at a time, so memory holds a few rows of `samples`
+    doubles per usable core whatever n is; the reduction is the one
+    NggWeightSampler applies to its frozen draws, and for the same seed both
+    give the same row, whatever the number of cores.
 
     Args:
         alpha: stability index in (0, 1).
         beta: exponential tilt parameter, positive.
         n: row index (>= 1).
         samples: Monte Carlo draws per entry, at least 10^4.
-        rng: numpy Generator.
+        rng: numpy Generator; row k draws from rng.spawn(n)[k - 1].
 
     Returns:
         (log_row, rel_se): arrays of length n holding log V-hat_{n,k} and the
@@ -325,11 +356,14 @@ def ngg_last_row_mc(alpha, beta, n, samples, rng):
         raise ValueError(f"need at least {MIN_MC_SAMPLES} samples, got {samples}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    moments = [
-        _shifted_moments(shifted[None, :], ratio_min, alpha, beta)
-        for shifted, ratio_min in _shifted_ratio_rows(alpha, n, int(samples), rng)
-    ]
-    log_m1, rel_se = (np.concatenate(parts) for parts in zip(*moments))
+    log_m1, rel_se = np.empty(n), np.empty(n)
+
+    def reduce_row(k, shifted, ratio_min):
+        log_m1[k - 1:k], rel_se[k - 1:k] = _shifted_moments(
+            shifted[None, :], ratio_min, alpha, beta
+        )
+
+    _fill_shifted_ratio_rows(alpha, n, int(samples), rng, reduce_row)
     return _log_prefactor(alpha, n) + log_m1, rel_se
 
 
@@ -735,12 +769,15 @@ class NggWeightSampler:
         self.n = int(n)
         self.samples = int(samples)
         self.seed = int(seed)
-        rng = np.random.default_rng(seed)
         self._shifted = np.empty((n, self.samples))
         self._ratio_min = np.empty(n)
-        rows = _shifted_ratio_rows(alpha, n, self.samples, rng)
-        for k, (shifted, ratio_min) in enumerate(rows):
-            self._shifted[k], self._ratio_min[k] = shifted, ratio_min
+
+        def store_row(k, shifted, ratio_min):
+            self._shifted[k - 1], self._ratio_min[k - 1] = shifted, ratio_min
+
+        _fill_shifted_ratio_rows(
+            alpha, n, self.samples, np.random.default_rng(seed), store_row
+        )
         self._shifted.flags.writeable = False
         self._ratio_min.flags.writeable = False
         self._log_prefactor = _log_prefactor(alpha, n)

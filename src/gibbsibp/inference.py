@@ -5,8 +5,8 @@ W_{ik} ~ N(0, sigma_W^2), loadings A_{kj} ~ N(0, sigma_{A,j}^2), and Z a
 Gibbs-type feature allocation.  The sampler touches the allocation prior
 only through PrimitiveCache values, so every model variant runs through
 the same sweep: per-element Z updates, a Metropolis-Hastings move on each
-row's singleton dishes, conjugate W/A updates, a conjugate gamma update,
-and slice moves for the remaining hyperparameters.
+row's singleton dishes, conjugate W/A updates, conjugate gamma and scale
+updates, and slice moves for the model parameters.
 """
 
 import csv
@@ -522,44 +522,19 @@ def _update_model_params(state, config):
 
 
 def _update_scales(state, y):
-    # log-variance slice moves under inverse-gamma(1,1) priors
-    n, p = state.n, state.p
-
+    # conjugate variance draws under inverse-gamma(1, 1) priors: a variance
+    # scaling m zero-mean normal terms with sum of squares ssq has
+    # v | rest ~ IG(1 + m/2, 1 + ssq/2)
+    rng = state.rng
     resid = y - (state.w * state.z) @ state.a
     ssq_y = float((resid * resid).sum())
-
-    def sigma_y_target(log_var):
-        var = math.exp(log_var)
-        return -0.5 * n * p * log_var - ssq_y / (2.0 * var) - log_var - 1.0 / var
-
-    state.sigma_y = math.sqrt(
-        math.exp(slice_sample(sigma_y_target, 2.0 * math.log(state.sigma_y), state.rng))
-    )
-
-    count_w = state.w.size
+    state.sigma_y = math.sqrt((1.0 + 0.5 * ssq_y) / rng.gamma(1.0 + 0.5 * resid.size))
     ssq_w = float((state.w * state.w).sum())
-
-    def sigma_w_target(log_var):
-        var = math.exp(log_var)
-        return -0.5 * count_w * log_var - ssq_w / (2.0 * var) - log_var - 1.0 / var
-
-    state.sigma_w = math.sqrt(
-        math.exp(slice_sample(sigma_w_target, 2.0 * math.log(state.sigma_w), state.rng))
+    state.sigma_w = math.sqrt((1.0 + 0.5 * ssq_w) / rng.gamma(1.0 + 0.5 * state.w.size))
+    ssq_a = (state.a * state.a).sum(axis=0)
+    state.sigma_a[:] = np.sqrt(
+        (1.0 + 0.5 * ssq_a) / rng.gamma(1.0 + 0.5 * state.dishes, size=state.p)
     )
-
-    k = state.dishes
-    for j in range(p):
-        ssq_a = float((state.a[:, j] * state.a[:, j]).sum())
-
-        def sigma_a_target(log_var, ssq=ssq_a):
-            var = math.exp(log_var)
-            return -0.5 * k * log_var - ssq / (2.0 * var) - log_var - 1.0 / var
-
-        state.sigma_a[j] = math.sqrt(
-            math.exp(
-                slice_sample(sigma_a_target, 2.0 * math.log(state.sigma_a[j]), state.rng)
-            )
-        )
 
 
 def gibbs_sweep(state, y, config):

@@ -151,6 +151,21 @@ class TestStats:
         assert run_cli("stats", "--model", "py:alpha=0.5,theta=1,junk=2",
                        "--n-max", 5, "--outdir", tmp_path) == 2
 
+    def test_degenerate_row_on_worker_exits_3(self, tmp_path, monkeypatch, capsys):
+        # the Monte Carlo rows are filled on worker threads; their numeric
+        # failure must still reach main as a numeric failure
+        from gibbsibp import gibbs_weights
+
+        def underflowed(shifted, ratio_min, alpha, beta):
+            raise gibbs_weights.McDegeneracyError("estimate underflowed")
+
+        monkeypatch.setattr(gibbs_weights, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(gibbs_weights, "_shifted_moments", underflowed)
+        assert run_cli("stats", "--model", "ngg:alpha=0.5,beta=1", "--n-max", 6,
+                       "--samples", 10_000, "--cache-dir", tmp_path / "cache",
+                       "--outdir", tmp_path) == 3
+        assert "numeric failure: estimate underflowed" in capsys.readouterr().err
+
 
 class TestCalibrate:
     def test_hits_target(self, tmp_path):

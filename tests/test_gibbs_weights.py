@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from scipy import special
 
+from gibbsibp import gibbs_weights
 from gibbsibp.gibbs_weights import (
     GibbsModel,
     McConfig,
+    McDegeneracyError,
     NggWeightSampler,
     NormalizationError,
     _calibrate,
@@ -533,8 +535,9 @@ class TestNggWeightSampler:
         alpha, n, samples, seed = 0.5, 40, 20_000, 7
         sampler = NggWeightSampler(alpha, n, samples, seed)
         ratios = np.empty((n, samples))
-        rng = np.random.default_rng(seed)
+        streams = np.random.default_rng(seed).spawn(n)  # one child stream per row
         for k in range(1, n + 1):
+            rng = streams[k - 1]
             spec = TiltedStableSpec(alpha=alpha, tilt=k * alpha)
             x = sample_tilted_stable(spec, rng, size=samples)
             y = np.maximum(rng.beta(k * alpha, n - k * alpha, size=samples), 1e-300)
@@ -572,6 +575,45 @@ class TestNggWeightSampler:
         for m in range(1, n + 1):
             assert np.array_equal(streamed.log_row(m), frozen.log_row(m))
             assert np.array_equal(streamed.rel_se_row(m), frozen.rel_se_row(m))
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75])
+    def test_draws_do_not_depend_on_worker_count(self, alpha, monkeypatch):
+        n, samples, seed, beta = 9, 10_000, 5, 0.8
+        model = GibbsModel.ngg(alpha, beta, McConfig(samples, seed))
+
+        def outputs(workers):
+            monkeypatch.setattr(gibbs_weights, "_usable_cores", lambda: workers)
+            sampler = NggWeightSampler(alpha, n, samples, seed)
+            streamed = build_weight_table(model, n)
+            frozen = weight_table_from_sampler(sampler, beta)
+            return [
+                sampler._shifted, sampler._ratio_min,
+                *ngg_last_row_mc(alpha, beta, n, samples, np.random.default_rng(seed)),
+                streamed._log, streamed._rel_se, frozen._log, frozen._rel_se,
+            ]
+
+        one, two = outputs(1), outputs(2)
+        for got, want in zip(two, one):
+            assert np.array_equal(got, want)
+        # the streamed and frozen estimators still give the same table
+        assert np.array_equal(one[4], one[6]) and np.array_equal(one[5], one[7])
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        # a degenerate row on a worker thread raises McDegeneracyError in
+        # the caller, which the CLI maps to exit code 3
+        monkeypatch.setattr(gibbs_weights, "_usable_cores", lambda: 2)
+        row_minima = NggWeightSampler(0.5, 6, 10_000, seed=2)._ratio_min
+        moments = gibbs_weights._shifted_moments
+
+        def row_four_degenerate(shifted, ratio_min, alpha, beta):
+            if ratio_min == row_minima[3]:
+                raise McDegeneracyError("row 4 underflowed")
+            return moments(shifted, ratio_min, alpha, beta)
+
+        monkeypatch.setattr(gibbs_weights, "_shifted_moments", row_four_degenerate)
+        with pytest.raises(McDegeneracyError, match="row 4") as raised:
+            ngg_last_row_mc(0.5, 1.0, 6, 10_000, np.random.default_rng(2))
+        assert raised.type is McDegeneracyError
 
     def test_block_distribution_normalized(self):
         sampler = NggWeightSampler(0.5, 8, 20_000, seed=8)

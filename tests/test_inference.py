@@ -290,7 +290,7 @@ class TestModelMoves:
             cache = build_primitive_cache(trial, self.N, table=table, gfc=gfc)
             return log_joint(alloc, trial, self.GAMMA, cache=cache) - beta + x
 
-        draws = self.chain(state, "second", 0.0, draws=1200)
+        draws = self.chain(state, "second", 0.0, draws=2400)
         assert state.sampler is sampler  # the move never redraws
         assert self.ks(draws, log_density, -26.0, 4.0) > 0.001
 
@@ -399,6 +399,35 @@ class TestGammaUpdate:
             draws[i] = state.gamma
         ks = stats.kstest(draws, stats.gamma(a=shape, scale=1.0 / rate).cdf)
         assert ks.pvalue > 0.001
+
+
+class TestScaleUpdate:
+    def test_draws_match_inverse_gamma_laws(self):
+        # with Z, W and A fixed each variance's conditional is
+        # IG(1 + m/2, 1 + ssq/2) over the m terms it scales, whatever the
+        # current scales, so successive draws are independent
+        from gibbsibp.inference import _update_scales
+
+        z = np.array([[1, 0], [1, 1], [0, 1], [1, 1]], dtype=np.uint8)
+        state = make_state(GibbsModel.dp(1.0), z, p=3, seed=6)
+        y = np.random.default_rng(11).standard_normal((4, 3))
+        resid = y - (state.w * state.z) @ state.a
+        laws = {
+            "sigma_y": (resid.size, float((resid ** 2).sum())),
+            "sigma_w": (state.w.size, float((state.w ** 2).sum())),
+        }
+        for j in range(3):
+            laws[f"sigma_a_{j}"] = (state.dishes, float((state.a[:, j] ** 2).sum()))
+        draws = {name: np.empty(4000) for name in laws}
+        for i in range(4000):
+            _update_scales(state, y)
+            draws["sigma_y"][i] = state.sigma_y ** 2
+            draws["sigma_w"][i] = state.sigma_w ** 2
+            for j in range(3):
+                draws[f"sigma_a_{j}"][i] = state.sigma_a[j] ** 2
+        for name, (m, ssq) in laws.items():
+            law = stats.invgamma(a=1.0 + 0.5 * m, scale=1.0 + 0.5 * ssq)
+            assert stats.kstest(draws[name], law.cdf).pvalue > 0.001, name
 
 
 class TestSliceSampler:

@@ -40,7 +40,7 @@ from .ibp import (
     powerlaw_constant,
     simulate_ibp,
 )
-from .inference import ChainConfig, Priors, geweke_check, run_chain
+from .inference import GEWEKE_BATCHES, ChainConfig, Priors, geweke_check, run_chain
 
 MODEL_CHOICES = ("dp", "py", "ngg", "nig")
 
@@ -192,9 +192,8 @@ def _cached_table(model, n_max, cache_dir):
 
 
 def _cache_for(model, n, cache_dir):
-    if model.is_closed_form:
-        return build_primitive_cache(model, n)
-    return build_primitive_cache(model, n, table=_cached_table(model, n, cache_dir))
+    table = None if model.is_closed_form else _cached_table(model, n, cache_dir)
+    return build_primitive_cache(model, n, table=table)
 
 
 def _prepare_outdir(config):
@@ -219,14 +218,20 @@ def _finish(outdir, config, outputs, extra=None):
 
 def _validate(config):
     models = []
+    if config.seed < 0:
+        raise ValueError("--seed must be >= 0")
+    if config.gamma < 0:
+        raise ValueError("--gamma must be >= 0")
     if config.subcommand in ("simulate", "primitives", "fit", "geweke"):
         models.append(config.build_model())
-    if config.subcommand in ("simulate", "primitives") and (
+    if config.subcommand in ("simulate", "primitives", "geweke") and (
         config.n is None or config.n < 1
     ):
         raise ValueError("--n must be a positive integer")
-    if config.subcommand == "simulate" and config.gamma < 0:
-        raise ValueError("--gamma must be >= 0")
+    if config.subcommand in ("fit", "geweke"):
+        for name in ("lambda1", "lambda2", "sigma_y", "sigma_w", "sigma_a"):
+            if not getattr(config, name) > 0:
+                raise ValueError(f"--{name.replace('_', '-')} must be positive")
     if config.subcommand == "stats":
         if not config.models:
             raise ValueError("stats needs at least one --model spec")
@@ -240,6 +245,12 @@ def _validate(config):
             raise ValueError(f"--family must be one of {MODEL_CHOICES}")
         if config.target is None:
             raise ValueError("calibrate needs --target")
+        if config.n is not None and config.n < 1:
+            raise ValueError("--n must be a positive integer")
+        if config.family.lower() in ("py", "ngg") and not (
+            config.alpha is not None and 0 < config.alpha < 1
+        ):
+            raise ValueError(f"--family {config.family.lower()} needs --alpha in (0, 1)")
         monte_carlo = config.family.lower() in ("ngg", "nig")
     if monte_carlo and config.samples < MIN_MC_SAMPLES:
         raise ValueError(
@@ -251,17 +262,21 @@ def _validate(config):
             raise ValueError("fit needs --data")
         if not Path(config.data).exists():
             raise ValueError(f"data file not found: {config.data}")
+        if config.iterations < 0 or config.burn_in < 0:
+            raise ValueError("--iterations and --burn-in must be >= 0")
+        if config.thin < 1:
+            raise ValueError("--thin must be a positive integer")
     if config.subcommand == "geweke":
-        if config.n is None or config.p is None:
-            raise ValueError("geweke needs --n and --p")
+        if config.p is None or config.p < 1:
+            raise ValueError("--p must be a positive integer")
+        if config.rounds < GEWEKE_BATCHES:
+            raise ValueError(f"--rounds must be at least {GEWEKE_BATCHES}")
 
 
 def run_simulate(config):
     outdir = _prepare_outdir(config)
     model = config.build_model()
-    cache = None
-    if not model.is_closed_form:
-        cache = _cache_for(model, config.n, config.cache_dir)
+    cache = _cache_for(model, config.n, config.cache_dir)
     allocation = simulate_ibp(model, config.gamma, config.n, config.seed, cache=cache)
     alloc_path = outdir / "allocation.csv"
     if allocation.dishes == 0:
@@ -280,13 +295,9 @@ def run_primitives(config):
     outdir = _prepare_outdir(config)
     model = config.build_model()
     n = config.n
-    if model.is_closed_form:
-        wide = build_primitive_cache(model, n + 1)
-        deep = build_primitive_cache(model, n)
-    else:
-        table = _cached_table(model, n + 1, config.cache_dir)
-        wide = build_primitive_cache(model, n + 1, table=table)
-        deep = build_primitive_cache(model, n, table=table)
+    table = None if model.is_closed_form else _cached_table(model, n + 1, config.cache_dir)
+    wide = build_primitive_cache(model, n + 1, table=table)
+    deep = build_primitive_cache(model, n, table=table)
     path = outdir / "primitives.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -337,7 +348,7 @@ def run_stats(config):
 def run_calibrate(config):
     outdir = _prepare_outdir(config)
     family = config.family.upper()
-    n = config.n or 50
+    n = 50 if config.n is None else config.n
     mc = McConfig(samples=config.samples, seed=config.seed)
     fitted, achieved = _calibrate(family, config.target, n, config.alpha, mc)
     report = {

@@ -26,6 +26,7 @@ SMALLN_MAX = 12
 MIN_MC_SAMPLES = 10_000
 CACHE_DIR_ENV = "GIBBSIBP_CACHE_DIR"
 TABLE_FORMAT_VERSION = 1
+BLOCK_LAW_TOL = 1e-8
 
 
 class McDegeneracyError(RuntimeError):
@@ -376,11 +377,14 @@ def _mc_weight_table(alpha, last_log_row, last_rel_se, provenance):
     backward.  The triangle is then rescaled by the estimate of V_{1,1} so
     that V_{1,1} = 1 holds exactly; the rescaling preserves the recursion
     and its uncertainty is folded into the declared relative errors.
+    The fill starts from the last row less its largest log (free, given
+    the rescaling): at large beta the raw row sits near beta^alpha - beta
+    min R, and log sums of that size would round every entry by ~1e-6.
     """
     n_max = len(last_log_row)
     table = np.full((n_max + 1, n_max + 1), -np.inf)
     rel = np.zeros((n_max + 1, n_max + 1))
-    table[n_max, 1:n_max + 1] = last_log_row
+    table[n_max, 1:n_max + 1] = last_log_row - np.max(last_log_row)
     rel[n_max, 1:n_max + 1] = last_rel_se
     for n in range(n_max - 1, 0, -1):
         k = np.arange(1, n + 1)
@@ -707,8 +711,9 @@ def block_count_distribution(model, n, table=None, gfc=None):
     Pr{B_n = k} = V_{n,k} alpha^{-k} C(n, k; alpha); for DP the alpha -> 0
     closed form Pr{B_n = k} = |s(n, k)| theta^k / (theta)_n is used instead.
     The returned vector is the raw evaluation; a NormalizationError signals
-    that it missed summing to one beyond tolerance (1e-8 for exact tables,
-    three propagated standard errors for Monte Carlo tables).
+    that it missed summing to one beyond 1e-8.  Every weight table satisfies
+    the recursion (Monte Carlo tables are filled backward by it), so the
+    tolerance is the same for all of them.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -717,8 +722,6 @@ def block_count_distribution(model, n, table=None, gfc=None):
         stirling = _log_unsigned_stirling_first(n)
         k = np.arange(1, n + 1)
         log_p = stirling[n, 1:n + 1] + k * math.log(theta) - log_rising_factorial(theta, n)
-        probs = np.exp(log_p)
-        tol = 1e-8
     else:
         alpha = model.stable_index
         if table is None:
@@ -727,17 +730,12 @@ def block_count_distribution(model, n, table=None, gfc=None):
             gfc = build_gfc_table(n, alpha)
         k = np.arange(1, n + 1)
         log_p = table.log_row(n) + gfc.log_row(n) - k * math.log(alpha)
-        probs = np.exp(log_p)
-        rel = table.rel_se_row(n)
-        if rel is None:
-            tol = 1e-8
-        else:
-            tol = max(3.0 * float(np.dot(probs, rel)), 1e-8)
+    probs = np.exp(log_p)
     defect = abs(float(probs.sum()) - 1.0)
-    if defect > tol:
+    if defect > BLOCK_LAW_TOL:
         raise NormalizationError(
             f"block-count distribution for {model.describe()} at n={n} sums to "
-            f"1{defect:+.3e}, beyond tolerance {tol:.3e}"
+            f"1{defect:+.3e}, beyond tolerance {BLOCK_LAW_TOL:.3e}"
         )
     return probs
 
@@ -788,15 +786,6 @@ class NggWeightSampler:
             raise ValueError(f"beta must be positive, got {beta}")
         log_m1, rel = _shifted_moments(self._shifted, self._ratio_min, self.alpha, beta)
         return self._log_prefactor + log_m1, rel
-
-    def block_distribution(self, beta, gfc):
-        """Block-count probabilities at this beta (not normality-checked)."""
-        log_row, _ = self.log_last_row(beta)
-        k = np.arange(1, self.n + 1)
-        log_p = log_row + gfc.log_row(self.n) - k * math.log(self.alpha)
-        # the frozen estimator does not normalize V_{1,1}; rescale instead
-        probs = np.exp(log_p - special.logsumexp(log_p))
-        return probs
 
 
 def weight_table_from_sampler(sampler, beta):
@@ -853,27 +842,22 @@ def _calibrate(family, target, n, alpha, mc_config):
     if family == "DP":
         alpha = 0.0
 
-    if family in ("DP", "PY"):
-
-        def make(t):
-            # search over log(theta + alpha) keeps theta inside its domain
-            theta = math.exp(t) - alpha
-            if family == "DP":
-                return GibbsModel.dp(theta)
-            return GibbsModel.py(alpha, theta)
-
-        def expected(t):
-            return expected_blocks(make(t), n)
-
-    else:
+    if family in ("NGG", "NIG"):
         mc = mc_config or McConfig()
         sampler = NggWeightSampler(alpha, n, mc.samples, mc.seed)
         gfc = build_gfc_table(n, alpha)
-        k = np.arange(1, n + 1)
 
-        def expected(t):
-            probs = sampler.block_distribution(math.exp(t), gfc)
-            return float(np.dot(k, probs))
+    def expected(t):
+        # DP/PY search over log(theta + alpha), which keeps theta inside its
+        # domain; NGG/NIG search over log beta on one set of frozen draws
+        param = math.exp(t)
+        if family == "DP":
+            return expected_blocks(GibbsModel.dp(param), n)
+        if family == "PY":
+            return expected_blocks(GibbsModel.py(alpha, param - alpha), n)
+        model = GibbsModel(family, alpha=alpha, beta=param, mc_config=mc)
+        table = weight_table_from_sampler(sampler, param)
+        return expected_blocks(model, n, table=table, gfc=gfc)
 
     def objective(t):
         return expected(t) - target

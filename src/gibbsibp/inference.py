@@ -29,7 +29,10 @@ from .ibp import log_joint as allocation_log_joint
 from .special_functions import build_gfc_table
 
 _LOG_2PI = math.log(2.0 * math.pi)
+SLICE_WIDTH = 1.0
+STEP_OUT_STEPS = 100
 SHRINK_STEPS = 200
+GEWEKE_BATCHES = 50
 
 
 @dataclass(frozen=True)
@@ -228,29 +231,30 @@ def gamma_posterior(k_n, priors, cache):
     return priors.lambda1 + k_n, rate
 
 
-def slice_sample(log_density, x0, rng, width=1.0, max_steps=100):
+def slice_sample(log_density, x0, rng):
     """One univariate slice-sampling update (stepping out, then shrinkage).
 
-    Stepping out takes at most max_steps widths on each side.  Shrinkage
-    stops after SHRINK_STEPS rejected points with a RuntimeError naming the
-    log density: by then the interval has shrunk around x0 by a factor of
-    about e^-SHRINK_STEPS, so the density is not the one it was started on
-    (or not deterministic) and looping on would never end.  The point
-    returned is the last one log_density was evaluated at.
+    Stepping out takes at most STEP_OUT_STEPS steps of SLICE_WIDTH on each
+    side.  Shrinkage stops after SHRINK_STEPS rejected points with a
+    RuntimeError naming the log density: by then the interval has shrunk
+    around x0 by a factor of about e^-SHRINK_STEPS, so the density is not
+    the one it was started on (or not deterministic) and looping on would
+    never end.  The point returned is the last one log_density was
+    evaluated at.
     """
     f0 = log_density(x0)
     if not np.isfinite(f0):
         raise ValueError(f"slice sampler started outside the support (f({x0}) = {f0})")
     log_level = f0 - rng.exponential()
-    left = x0 - width * rng.random()
-    right = left + width
-    steps = int(max_steps)
+    left = x0 - SLICE_WIDTH * rng.random()
+    right = left + SLICE_WIDTH
+    steps = STEP_OUT_STEPS
     while steps > 0 and log_density(left) > log_level:
-        left -= width
+        left -= SLICE_WIDTH
         steps -= 1
-    steps = int(max_steps)
+    steps = STEP_OUT_STEPS
     while steps > 0 and log_density(right) > log_level:
-        right += width
+        right += SLICE_WIDTH
         steps -= 1
     for _ in range(SHRINK_STEPS):
         x1 = left + (right - left) * rng.random()
@@ -717,11 +721,11 @@ def _prior_state(model, n, p, config, rng, cache=None):
     return LatentFactorState(model, z, w, a, sigma_y, sigma_w, sigma_a, gamma, rng)
 
 
-def _batch_means_se(draws, batches=50):
+def _batch_means_se(draws):
     draws = np.asarray(draws, dtype=float)
-    usable = (draws.size // batches) * batches
-    means = draws[:usable].reshape(batches, -1).mean(axis=1)
-    return float(means.std(ddof=1) / math.sqrt(batches))
+    usable = (draws.size // GEWEKE_BATCHES) * GEWEKE_BATCHES
+    means = draws[:usable].reshape(GEWEKE_BATCHES, -1).mean(axis=1)
+    return float(means.std(ddof=1) / math.sqrt(GEWEKE_BATCHES))
 
 
 def geweke_check(model, n, p, config, rounds=100_000, seed=0):
@@ -739,6 +743,8 @@ def geweke_check(model, n, p, config, rounds=100_000, seed=0):
         raise ValueError("the joint-distribution test runs with fixed model parameters")
     if not model.is_closed_form:
         raise ValueError("the joint-distribution test needs closed-form primitives")
+    if rounds < GEWEKE_BATCHES:
+        raise ValueError(f"rounds must be at least the {GEWEKE_BATCHES} batch means")
     rng = np.random.default_rng(seed)
     cache = build_primitive_cache(model, n)
 

@@ -9,8 +9,10 @@ import numpy as np
 from .gibbs_weights import build_weight_table
 from .special_functions import log_rising_factorial
 
-CLOSED_FORM_STEP_TOL = 1e-10
-MC_STEP_TOL = 1e-3
+STEP_TOL = 1e-10
+# stored logs round to a few ulps, so a step may also miss 1 by this much per
+# unit of its largest |log V| (NGG corners reach |log V| = 1e10 at beta = 1e10)
+LOG_ROUNDING = 4.0 * np.finfo(float).eps
 
 
 class PartitionState:
@@ -18,11 +20,10 @@ class PartitionState:
 
     block_sizes lists the occupancy N_{n,k} of each block in order of
     appearance; assignments optionally records each customer's block id
-    (1-based, in appearance order). max_step_defect tracks the largest
-    pre-normalization defect seen across Monte Carlo urn steps.
+    (1-based, in appearance order).
     """
 
-    def __init__(self, n=0, block_sizes=(), assignments=None, max_step_defect=0.0):
+    def __init__(self, n=0, block_sizes=(), assignments=None):
         block_sizes = tuple(int(s) for s in block_sizes)
         if any(s < 1 for s in block_sizes):
             raise ValueError("every block must hold at least one customer")
@@ -35,7 +36,6 @@ class PartitionState:
         self.n = int(n)
         self.block_sizes = block_sizes
         self.assignments = assignments
-        self.max_step_defect = float(max_step_defect)
 
     @property
     def block_count(self):
@@ -45,12 +45,9 @@ class PartitionState:
         return f"PartitionState(n={self.n}, block_sizes={self.block_sizes})"
 
 
-def _step_ratios(table, n, b):
-    # V_{n+1,b}/V_{n,b} and V_{n+1,b+1}/V_{n,b}
-    log_vn = table.log_weight(n, b)
-    same = math.exp(table.log_weight(n + 1, b) - log_vn)
-    new = math.exp(table.log_weight(n + 1, b + 1) - log_vn)
-    return same, new
+def _step_tol(log_vn, log_same, log_new):
+    # tolerance on the step sum from V_{n,b} to V_{n+1,b} and V_{n+1,b+1}
+    return STEP_TOL + LOG_ROUNDING * np.max(np.abs([log_vn, log_same, log_new]), axis=0)
 
 
 def urn_step(state, table, alpha, rng):
@@ -58,26 +55,24 @@ def urn_step(state, table, alpha, rng):
 
     Customer n+1 joins existing block k with probability
     (V_{n+1,B_n}/V_{n,B_n}) (N_{n,k} - alpha) and opens a new block with
-    probability V_{n+1,B_n+1}/V_{n,B_n}. Closed-form weights must produce
-    step probabilities summing to 1 within 1e-10; Monte Carlo weights are
-    renormalized, with the defect recorded on the state (and refused past
-    1e-3).
+    probability V_{n+1,B_n+1}/V_{n,B_n}.  Every weight table satisfies
+    the recursion (Monte Carlo tables are filled backward by it), so the
+    step probabilities must sum to 1 within STEP_TOL (plus LOG_ROUNDING
+    per unit of |log V|); they are divided by their sum before the draw.
     """
     n, b = state.n, state.block_count
     if n == 0:
         assignments = (1,) if state.assignments is not None else None
-        return PartitionState(1, (1,), assignments, state.max_step_defect)
+        return PartitionState(1, (1,), assignments)
     if table.n_max < n + 1:
         raise ValueError(f"weight table depth {table.n_max} cannot serve step to n = {n + 1}")
-    same, new = _step_ratios(table, n, b)
+    log_vn = table.log_weight(n, b)
+    log_same, log_new = table.log_weight(n + 1, b), table.log_weight(n + 1, b + 1)
     probs = np.empty(b + 1)
-    probs[:b] = (np.asarray(state.block_sizes, dtype=float) - alpha) * same
-    probs[b] = new
+    probs[:b] = (np.asarray(state.block_sizes, dtype=float) - alpha) * math.exp(log_same - log_vn)
+    probs[b] = math.exp(log_new - log_vn)
     total = probs.sum()
-    defect = abs(total - 1.0)
-    monte_carlo = table.provenance.kind == "monte-carlo"
-    tol = MC_STEP_TOL if monte_carlo else CLOSED_FORM_STEP_TOL
-    if defect > tol:
+    if abs(total - 1.0) > _step_tol(log_vn, log_same, log_new):
         raise ValueError(
             f"urn step probabilities sum to 1{total - 1.0:+.3e} at n={n}, beyond tolerance"
         )
@@ -90,9 +85,7 @@ def urn_step(state, table, alpha, rng):
     assignments = None
     if state.assignments is not None:
         assignments = state.assignments + (choice + 1,)
-    return PartitionState(
-        n + 1, sizes, assignments, max(state.max_step_defect, defect if monte_carlo else 0.0)
-    )
+    return PartitionState(n + 1, sizes, assignments)
 
 
 def sample_partition(model, n, seed, table=None):
@@ -119,8 +112,8 @@ def sample_block_counts(model, n, replicates, seed, table=None):
     whatever the block sizes, so the replicates advance in lockstep as one
     vector of block counts.  The urn's step-sum check is then the recursion
     (m - alpha b) V_{m+1,b}/V_{m,b} + V_{m+1,b+1}/V_{m,b} = 1, checked once
-    over the triangle with urn_step's tolerances; Monte Carlo steps are
-    renormalized as urn_step renormalizes them.
+    over the triangle with urn_step's tolerance; steps are renormalized as
+    urn_step renormalizes them.
     """
     if n < 1 or replicates < 1:
         raise ValueError("n and replicates must be positive")
@@ -138,12 +131,11 @@ def sample_block_counts(model, n, replicates, seed, table=None):
     same = np.exp(log_v[2:, 1:n] - log_v[1:n, 1:n])
     new = np.exp(log_v[2:, 2:] - log_v[1:n, 1:n])
     total = np.where(b <= m, (m - alpha * b) * same + new, 1.0)
-    defect = np.abs(total - 1.0)
-    tol = MC_STEP_TOL if table.provenance.kind == "monte-carlo" else CLOSED_FORM_STEP_TOL
-    if defect.size and defect.max() > tol:
-        worst = int(np.argmax(defect.max(axis=1))) + 1
+    excess = np.abs(total - 1.0) - _step_tol(log_v[1:n, 1:n], log_v[2:, 1:n], log_v[2:, 2:])
+    if excess.size and excess.max() > 0.0:
+        worst = int(np.argmax(excess.max(axis=1))) + 1
         raise ValueError(
-            f"urn step probabilities off by {defect.max():.3e} at n={worst}, beyond tolerance"
+            f"urn step probabilities off by {excess.max():.3e} beyond tolerance at n={worst}"
         )
     p_new = new / total
     rng = np.random.default_rng(seed)

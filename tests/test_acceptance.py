@@ -141,18 +141,18 @@ def test_criterion_04_block_distributions_normalize():
     ngg = GibbsModel.ngg(0.5, 1.0, mc_config=McConfig(samples=100_000, seed=0))
     table = build_weight_table(ngg, 100)
     gfc = build_gfc_table(100, 0.5)
-    worst_ratio = 0.0
+    # a Monte Carlo table is filled backward by the recursion, so it is the
+    # exact triangle of some Gibbs partition and held to the same tolerance
+    worst_mc = 0.0
     for n in range(1, 101):
         probs = block_count_distribution(ngg, n, table=table, gfc=gfc)
-        defect = abs(float(probs.sum()) - 1.0)
-        budget = max(3.0 * float(np.dot(probs, table.rel_se_row(n))), 1e-8)
-        worst_ratio = max(worst_ratio, defect / budget)
+        worst_mc = max(worst_mc, abs(float(probs.sum()) - 1.0))
     _verdict(
         4,
         "block-count distributions sum to one",
-        worst_exact <= 1e-8 and worst_ratio <= 1.0,
+        worst_exact <= 1e-8 and worst_mc <= 1e-8,
         f"exact-table defect {worst_exact:.2e} (tol 1e-08, n<=200); "
-        f"Monte-Carlo defect at {worst_ratio:.2f} of the 3-se budget (n<=100, 1e5 draws)",
+        f"Monte-Carlo-table defect {worst_mc:.2e} (tol 1e-08, n<=100, 1e5 draws)",
     )
 
 

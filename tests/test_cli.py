@@ -325,6 +325,45 @@ class TestUsageErrors:
         assert "usage error" in err and "--samples" in err
         assert not (tmp_path / "manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fit", "--thin", 0),
+            ("fit", "--iterations", -1),
+            ("fit", "--burn-in", -1),
+            ("fit", "--gamma", -1),
+            ("fit", "--sigma-y", -1),
+            ("fit", "--lambda1", 0),
+            ("fit", "--lambda2", -1),
+            ("stats", "--model", "dp:theta=1", "--n-max", 5, "--gamma", -1),
+            ("simulate", "--model", "dp", "--theta", 1, "--n", 3, "--seed", -1),
+            ("geweke", "--model", "dp", "--theta", 1, "--n", 3, "--p", 2, "--rounds", 1),
+            ("geweke", "--model", "dp", "--theta", 1, "--n", 0, "--p", 2, "--rounds", 60),
+            ("geweke", "--model", "dp", "--theta", 1, "--n", 3, "--p", 0, "--rounds", 60),
+            ("geweke", "--model", "dp", "--theta", 1, "--n", 3, "--p", 2, "--rounds", 60,
+             "--sigma-a", 0),
+            ("calibrate", "--family", "dp", "--target", 5, "--n", 0),
+            ("calibrate", "--family", "py", "--alpha", 0.5, "--target", 5, "--n", -3),
+            ("calibrate", "--family", "py", "--target", 5),
+            ("calibrate", "--family", "ngg", "--target", 5),
+            ("calibrate", "--family", "py", "--alpha", 1.5, "--target", 5),
+        ],
+        ids=["fit-thin", "fit-iterations", "fit-burn-in", "fit-gamma", "fit-sigma-y",
+             "fit-lambda1", "fit-lambda2", "stats-gamma", "simulate-seed",
+             "geweke-rounds", "geweke-n", "geweke-p", "geweke-sigma-a",
+             "calibrate-n-zero", "calibrate-n-negative", "calibrate-py-alpha",
+             "calibrate-ngg-alpha", "calibrate-alpha-range"],
+    )
+    def test_out_of_range_flag(self, argv, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        np.savetxt(data, np.zeros((3, 2)), delimiter=",")
+        extra = ()
+        if argv[0] == "fit":
+            extra = ("--model", "dp", "--theta", 1, "--data", data)
+        assert run_cli(*argv, *extra, "--outdir", tmp_path) == 2
+        assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_few_samples_fine_for_closed_forms(self, tmp_path):
         assert run_cli("stats", "--model", "py:alpha=0.5,theta=1", "--n-max", 5,
                        "--samples", 50, "--outdir", tmp_path) == 0

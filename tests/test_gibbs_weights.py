@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from gibbsibp import gibbs_weights
@@ -12,6 +14,7 @@ from gibbsibp.gibbs_weights import (
     McDegeneracyError,
     NggWeightSampler,
     NormalizationError,
+    Provenance,
     _calibrate,
     block_count_distribution,
     build_primitive_cache,
@@ -154,6 +157,35 @@ class TestBuildWeightTable:
         for n in range(1, 11):
             assert np.all(np.isfinite(table.log_row(n)))
             assert np.all(table.rel_se_row(n) >= 0.0)
+
+    @given(
+        alpha=st.floats(min_value=0.05, max_value=0.95),
+        last_row=st.lists(
+            st.floats(min_value=-50.0, max_value=50.0), min_size=1, max_size=60
+        ),
+        offset=st.floats(min_value=-1e10, max_value=1e10),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_backward_fill_is_an_exact_triangle(self, alpha, last_row, offset):
+        # whatever positive last row the estimator returns, the filled table
+        # is the weight triangle of some Gibbs partition: its urn steps and
+        # its block-count laws sum to one at every depth, also when the row
+        # carries a common offset as large as the one beta = 1e10 gives
+        n = len(last_row)
+        table = gibbs_weights._mc_weight_table(
+            alpha, np.array(last_row) + offset, np.zeros(n),
+            Provenance("monte-carlo", 10_000, 0),
+        )
+        gfc = build_gfc_table(n, alpha)
+        for m in range(1, n + 1):
+            k = np.arange(1, m + 1)
+            if m < n:
+                same = np.exp(table.log_row(m + 1)[:m] - table.log_row(m))
+                new = np.exp(table.log_row(m + 1)[1:] - table.log_row(m))
+                steps = (m - alpha * k) * same + new
+                assert np.abs(steps - 1.0).max() <= 1e-10
+            law = np.exp(table.log_row(m) + gfc.log_row(m) - k * math.log(alpha))
+            assert abs(law.sum() - 1.0) <= 1e-8
 
     def test_mc_reproducible(self):
         model = GibbsModel.ngg(0.4, 0.7, mc_config=McConfig(samples=20_000, seed=5))
@@ -503,16 +535,36 @@ class TestExpectedBlocksAndCalibrate:
             fresh = expected_blocks(GibbsModel.py(alpha, param), 20)
         else:
             sampler = NggWeightSampler(alpha, 20, mc.samples, mc.seed)
-            probs = sampler.block_distribution(param, build_gfc_table(20, alpha))
-            fresh = float(np.dot(np.arange(1, 21), probs))
+            fresh = expected_blocks(
+                GibbsModel.ngg(alpha, param, mc_config=mc), 20,
+                table=weight_table_from_sampler(sampler, param),
+                gfc=build_gfc_table(20, alpha),
+            )
         assert achieved == fresh
         assert abs(achieved - 8.0) <= 0.05
+
+    @pytest.mark.parametrize("family, alpha", [("NGG", 0.3), ("NIG", None)])
+    def test_calibrated_model_reaches_achieved_expectation(self, family, alpha):
+        # the fitted model's own E[B_n], from a weight table built afresh,
+        # is the value calibrate reports
+        mc = McConfig(samples=10_000, seed=6)
+        param, achieved = _calibrate(family, 6.0, 25, alpha, mc)
+        if family == "NGG":
+            model = GibbsModel.ngg(alpha, param, mc_config=mc)
+        else:
+            model = GibbsModel.nig(param, mc_config=mc)
+        assert achieved == expected_blocks(model, 25)
 
     def test_calibrate_rejects_unreachable_target(self):
         with pytest.raises(ValueError):
             calibrate("DP", 55.0, 50)
         with pytest.raises(ValueError):
             calibrate("PY", 1.0, 50, alpha=0.5)
+        # bracketing climbs past beta = 1e10, where the Monte Carlo tables
+        # must still pass the block-count check, so the search ends on its
+        # own bracketing error (not a NormalizationError)
+        with pytest.raises(ValueError, match="could not bracket"):
+            calibrate("NGG", 49.9, 50, alpha=0.5, mc_config=McConfig(samples=10_000, seed=1))
 
     def test_calibrate_requires_alpha(self):
         with pytest.raises(ValueError):
@@ -618,7 +670,10 @@ class TestNggWeightSampler:
     def test_block_distribution_normalized(self):
         sampler = NggWeightSampler(0.5, 8, 20_000, seed=8)
         gfc = build_gfc_table(8, 0.5)
-        probs = sampler.block_distribution(2.0, gfc)
+        model = GibbsModel.ngg(0.5, 2.0, mc_config=McConfig(samples=20_000, seed=8))
+        probs = block_count_distribution(
+            model, 8, table=weight_table_from_sampler(sampler, 2.0), gfc=gfc
+        )
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 

@@ -13,6 +13,7 @@ from gibbsibp.gibbs_weights import (
 )
 from gibbsibp.ibp import FeatureAllocation, _log_joint_counts, log_joint, simulate_ibp
 from gibbsibp.inference import (
+    GEWEKE_BATCHES,
     ChainConfig,
     LatentFactorState,
     Priors,
@@ -885,6 +886,9 @@ class TestGeweke:
             geweke_check(GibbsModel.dp(1.0), 4, 2, config, rounds=10)
         with pytest.raises(ValueError):
             geweke_check(GibbsModel.nig(1.0), 4, 2, ChainConfig(), rounds=10)
+        # fewer rounds than batch means would leave every z-score NaN
+        with pytest.raises(ValueError, match="rounds"):
+            geweke_check(GibbsModel.dp(1.0), 4, 2, ChainConfig(), rounds=GEWEKE_BATCHES - 1)
 
     def test_smoke_scores_small(self):
         # short run; the acceptance suite runs the full-length version

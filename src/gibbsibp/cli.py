@@ -41,6 +41,7 @@ from .ibp import (
     simulate_ibp,
 )
 from .inference import GEWEKE_BATCHES, ChainConfig, Priors, geweke_check, run_chain
+from .special_functions import MAX_TABLE_DEPTH
 
 MODEL_CHOICES = ("dp", "py", "ngg", "nig")
 
@@ -257,6 +258,20 @@ def _validate(config):
             f"--samples must be at least {MIN_MC_SAMPLES} for Monte Carlo weights, "
             f"got {config.samples}"
         )
+    # the deepest dense table the run builds: Monte Carlo caches read a
+    # weight table (primitives one row deeper), calibrate tables of any family
+    flag, depth = None, 0
+    if config.subcommand == "calibrate":
+        flag, depth = "--n", 50 if config.n is None else config.n
+    elif monte_carlo and config.subcommand == "stats":
+        flag, depth = "--n-max", config.n_max
+    elif monte_carlo and config.subcommand in ("simulate", "primitives"):
+        flag, depth = "--n", config.n + (config.subcommand == "primitives")
+    if depth > MAX_TABLE_DEPTH:
+        raise ValueError(
+            f"{flag} needs a table of depth {depth}; dense tables are limited to "
+            f"depth {MAX_TABLE_DEPTH}"
+        )
     if config.subcommand == "fit":
         if config.data is None:
             raise ValueError("fit needs --data")
@@ -350,7 +365,7 @@ def run_calibrate(config):
     family = config.family.upper()
     n = 50 if config.n is None else config.n
     mc = McConfig(samples=config.samples, seed=config.seed)
-    fitted, achieved = _calibrate(family, config.target, n, config.alpha, mc)
+    fitted, achieved, mc_error = _calibrate(family, config.target, n, config.alpha, mc)
     report = {
         "family": family,
         "alpha": config.alpha,
@@ -358,6 +373,7 @@ def run_calibrate(config):
         "fitted_parameter": fitted,
         "target": config.target,
         "achieved": achieved,
+        "mc_error": mc_error,
         "n": n,
         "samples": config.samples,
         "seed": config.seed,

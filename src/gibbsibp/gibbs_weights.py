@@ -18,7 +18,7 @@ import mpmath
 import numpy as np
 from scipy import optimize, special
 
-from .special_functions import build_gfc_table, log_rising_factorial
+from .special_functions import build_gfc_table, check_table_depth, log_rising_factorial
 from .stable_sampling import TiltedStableSpec, sample_tilted_stable
 
 VARIANTS = ("DP", "PY", "NGG", "NIG")
@@ -27,6 +27,9 @@ MIN_MC_SAMPLES = 10_000
 CACHE_DIR_ENV = "GIBBSIBP_CACHE_DIR"
 TABLE_FORMAT_VERSION = 1
 BLOCK_LAW_TOL = 1e-8
+# calibrate refuses an NGG/NIG root whose block law has a mean relative
+# standard error sum_k P(B_n = k) rel_se_{n,k} this large
+CALIBRATE_MC_ERROR_MAX = 0.5
 
 
 class McDegeneracyError(RuntimeError):
@@ -411,13 +414,14 @@ def build_weight_table(model, n_max):
 
     Args:
         model: GibbsModel.
-        n_max: table depth, a positive integer.
+        n_max: table depth, a positive integer at most MAX_TABLE_DEPTH.
 
     Returns:
         WeightTable with provenance recorded.
     """
     if n_max < 1 or n_max != int(n_max):
         raise ValueError(f"n_max must be a positive integer, got {n_max}")
+    check_table_depth(n_max)
     n_max = int(n_max)
     if model.is_closed_form:
         log_entries = _closed_form_log_weights(
@@ -610,40 +614,71 @@ class PrimitiveCache:
             raise ValueError(f"s must lie in [1, {self.n}], got {s}")
         return float(self.log_gs1[s - 1])
 
+    def log_joint_reads(self, n, sizes):
+        """The allocation log joint's two reads at depth n = self.n:
+        sum_{j<=n} g_{j-1}(1,1), and log g_{n-s}(s,1) at each s of `sizes`
+        (an int array in [1, n])."""
+        return float(self.g11[:n].sum()), self.log_gs1[sizes - 1]
+
+
+def _closed_form_primitives(alpha, theta, n, sizes):
+    # DP/PY at depth n: g11[m] = g_m(1,1) for m = 0..n-1, and log g_r(s,1)
+    # at each s of `sizes` with r = n - s, from
+    #   g_r(s,1) = Gamma(theta+1) Gamma(theta+alpha+r) /
+    #              [Gamma(theta+alpha) Gamma(theta+r+s)]
+    # (g_m(1,1) is the s = 1 case, evaluated in py_primitive_closed's order
+    # of operations, which rounds differently)
+    log_top = special.gammaln(theta + 1.0)
+    log_bottom = special.gammaln(theta + alpha)
+    m = np.arange(n)
+    g11 = np.exp(
+        log_top
+        + special.gammaln(theta + alpha + m)
+        - special.gammaln(theta + m + 1.0)
+        - log_bottom
+    )
+    r = n - sizes
+    log_gs1 = (
+        log_top
+        + special.gammaln(theta + alpha + r)
+        - log_bottom
+        - special.gammaln(theta + r + sizes)
+    )
+    return g11, log_gs1
+
+
+class ClosedFormPrimitives:
+    """A DP/PY model's answers to PrimitiveCache.log_joint_reads, evaluated
+    at the sizes asked for only: a slice trial scores a model without
+    building its length-n cache."""
+
+    def __init__(self, model):
+        self.alpha = model.stable_index
+        self.theta = model.theta
+
+    def log_joint_reads(self, n, sizes):
+        g11, log_gs1 = _closed_form_primitives(self.alpha, self.theta, n, sizes)
+        return float(g11.sum()), log_gs1
+
 
 def build_primitive_cache(model, n, table=None, gfc=None):
     """Precompute the primitives required for a dataset of size n.
 
-    DP and PY use their closed forms (which keeps large n cheap); NGG/NIG
-    evaluate the generic log-sum-exp primitive from their weight and GFC
-    tables (built on demand when not supplied; the weight table must reach
-    depth n, the GFC table depth n-1).  Both branches fill every entry in
-    one array pass; py_primitive_closed and log_primitive are the scalar
-    forms of the same expressions.
+    DP and PY use their closed forms (which keeps large n cheap; the
+    expressions are the ones ClosedFormPrimitives evaluates for a slice
+    trial); NGG/NIG evaluate the generic log-sum-exp primitive from their
+    weight and GFC tables (built on demand when not supplied; the weight
+    table must reach depth n, the GFC table depth n-1).  Both branches fill
+    every entry in one array pass; py_primitive_closed and log_primitive
+    are the scalar forms of the same expressions.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     alpha = model.stable_index
-    if model.variant in ("DP", "PY"):
+    if model.is_closed_form:
         theta = model.theta
         g10 = np.concatenate([[math.nan], 1.0 / (theta + np.arange(1, n))])
-        m = np.arange(n)  # g11[j-1] = g_m(1,1) with m = j - 1
-        g11 = np.exp(
-            special.gammaln(theta + 1.0)
-            + special.gammaln(theta + alpha + m)
-            - special.gammaln(theta + m + 1.0)
-            - special.gammaln(theta + alpha)
-        )
-        # g_r(s, 1) = Gamma(theta+1) Gamma(theta+alpha+r) /
-        #             [Gamma(theta+alpha) Gamma(theta+r+s)] with r = n - s
-        s = np.arange(1, n + 1)
-        r = n - s
-        log_gs1 = (
-            special.gammaln(theta + 1.0)
-            + special.gammaln(theta + alpha + r)
-            - special.gammaln(theta + alpha)
-            - special.gammaln(theta + r + s)
-        )
+        g11, log_gs1 = _closed_form_primitives(alpha, theta, n, np.arange(1, n + 1))
         return PrimitiveCache(model, n, g10, g11, log_gs1)
     if table is None:
         table = build_weight_table(model, n)
@@ -695,6 +730,7 @@ def persistence_probability(cache, n, s):
 
 def _log_unsigned_stirling_first(n):
     # |s(n+1, k)| = n |s(n, k)| + |s(n, k-1)| in log space
+    check_table_depth(n)
     table = np.full((n + 1, n + 1), -np.inf)
     table[0, 0] = 0.0
     for m in range(n):
@@ -763,6 +799,7 @@ class NggWeightSampler:
             raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
+        check_table_depth(n)  # its weight tables are n deep
         self.alpha = float(alpha)
         self.n = int(n)
         self.samples = int(samples)
@@ -814,7 +851,10 @@ def calibrate(family, target, n, alpha=None, mc_config=None):
     bracketed by doubling and polished with Brent's method. For the Monte
     Carlo variants the objective is evaluated on one frozen set of draws
     (common random numbers), making the search deterministic; the quoted
-    tolerance is then relative to that Monte Carlo surface.
+    tolerance is then relative to that Monte Carlo surface.  Where that
+    surface is too noisy to resolve beta (the mean relative standard error
+    of the block law at the root, sum_k P(B_n = k) rel_se_{n,k}, reaches
+    CALIBRATE_MC_ERROR_MAX) the root is refused with McDegeneracyError.
 
     Args:
         family: one of "DP", "PY", "NGG", "NIG".
@@ -830,7 +870,9 @@ def calibrate(family, target, n, alpha=None, mc_config=None):
 
 
 def _calibrate(family, target, n, alpha, mc_config):
-    # calibrate's search; also returns the E[B_n] reached at the root
+    # calibrate's search; also returns the E[B_n] reached at the root and,
+    # for NGG/NIG, the Monte Carlo error of the block law there (None for
+    # DP/PY)
     if family not in VARIANTS:
         raise ValueError(f"family must be one of {VARIANTS}, got {family!r}")
     if not 1.0 < target < n:
@@ -842,25 +884,27 @@ def _calibrate(family, target, n, alpha, mc_config):
     if family == "DP":
         alpha = 0.0
 
+    gfc = None
     if family in ("NGG", "NIG"):
         mc = mc_config or McConfig()
         sampler = NggWeightSampler(alpha, n, mc.samples, mc.seed)
         gfc = build_gfc_table(n, alpha)
 
-    def expected(t):
-        # DP/PY search over log(theta + alpha), which keeps theta inside its
-        # domain; NGG/NIG search over log beta on one set of frozen draws
+    def fitted(t):
+        # (model, weight table) at t; DP/PY search over log(theta + alpha),
+        # which keeps theta inside its domain, and build no table here;
+        # NGG/NIG search over log beta on one set of frozen draws
         param = math.exp(t)
         if family == "DP":
-            return expected_blocks(GibbsModel.dp(param), n)
+            return GibbsModel.dp(param), None
         if family == "PY":
-            return expected_blocks(GibbsModel.py(alpha, param - alpha), n)
+            return GibbsModel.py(alpha, param - alpha), None
         model = GibbsModel(family, alpha=alpha, beta=param, mc_config=mc)
-        table = weight_table_from_sampler(sampler, param)
-        return expected_blocks(model, n, table=table, gfc=gfc)
+        return model, weight_table_from_sampler(sampler, param)
 
     def objective(t):
-        return expected(t) - target
+        model, table = fitted(t)
+        return expected_blocks(model, n, table=table, gfc=gfc) - target
 
     lo, hi = 0.0, 1.0
     f_lo, f_hi = objective(lo), objective(hi)
@@ -881,14 +925,26 @@ def _calibrate(family, target, n, alpha, mc_config):
     else:
         raise ValueError(f"could not bracket target {target} from above")
     t_star = optimize.brentq(objective, lo, hi, xtol=1e-12)
-    achieved = expected(t_star)
+    model, table = fitted(t_star)
+    achieved = expected_blocks(model, n, table=table, gfc=gfc)
     residual = achieved - target
     if abs(residual) > 0.05:
         raise ValueError(
             f"calibration stalled: |E[B_{n}] - {target}| = {abs(residual):.4f} > 0.05"
         )
+    mc_error = None
+    if table is not None:
+        probs = block_count_distribution(model, n, table=table, gfc=gfc)
+        mc_error = float(probs @ table.rel_se_row(n))
+        if not mc_error < CALIBRATE_MC_ERROR_MAX:
+            raise McDegeneracyError(
+                f"calibration root beta={model.beta:.6g} lies on a degenerate Monte "
+                f"Carlo surface: sum_k P(B_{n}=k) rel_se_{{{n},k}} = {mc_error:.3g} "
+                f"(limit {CALIBRATE_MC_ERROR_MAX}), so E[B_{n}] there does not "
+                f"resolve beta; use more samples or a lower target"
+            )
     param = math.exp(t_star) - alpha if family in ("DP", "PY") else math.exp(t_star)
-    return float(param), achieved
+    return float(param), achieved, mc_error
 
 
 def default_cache_dir():

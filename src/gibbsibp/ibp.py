@@ -14,7 +14,7 @@ import numpy as np
 from scipy import integrate, special
 
 from .gibbs_weights import build_primitive_cache
-from .special_functions import log_rising_factorial, positive_stable_density
+from .special_functions import positive_stable_density
 
 
 class FeatureAllocation:
@@ -173,8 +173,12 @@ def log_joint(allocation, model, gamma, cache=None):
     return _log_joint_counts(allocation.counts, n, gamma, model.stable_index, cache)
 
 
-def _log_joint_counts(counts, n, gamma, alpha, cache):
-    # log_joint from the dish counts S_{n,k} alone, without argument checks
+def _log_joint_counts(counts, n, gamma, alpha, primitives):
+    # log_joint from the dish counts S_{n,k} alone, without argument checks.
+    # Dishes of one size add the same term, so the sum runs over the
+    # histogram of sizes: permutation invariance is exact, and primitives
+    # (a PrimitiveCache, or ClosedFormPrimitives for a slice trial) are
+    # read at the sizes that occur only.
     k_n = len(counts)
     if k_n == 0:
         base = 0.0
@@ -182,11 +186,13 @@ def _log_joint_counts(counts, n, gamma, alpha, cache):
         return -math.inf
     else:
         base = k_n * math.log(gamma)
-    total = base - gamma * float(cache.g11[:n].sum())
-    # summing in sorted order makes row-permutation invariance exact
-    for s in sorted(int(s) for s in counts):
-        total += log_rising_factorial(1.0 - alpha, s - 1) + cache.log_gs1_for(s)
-    return total
+    histogram = np.bincount(np.asarray(counts, dtype=np.int64))
+    sizes = histogram.nonzero()[0]
+    multiplicity = histogram[sizes]
+    g11_sum, log_gs1 = primitives.log_joint_reads(n, sizes)
+    # log (1 - alpha)_{s-1}, exactly 0 at s = 1
+    log_rising = special.gammaln((1.0 - alpha) + (sizes - 1)) - special.gammaln(1.0 - alpha)
+    return base - gamma * g11_sum + float(multiplicity @ (log_rising + log_gs1))
 
 
 def log_transition(counts, takes, fresh, gamma, alpha, g10, g11):

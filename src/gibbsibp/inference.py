@@ -3,9 +3,10 @@
 Data model: Y = (W o Z) A + eps with eps_{ij} ~ N(0, sigma_Y^2), weights
 W_{ik} ~ N(0, sigma_W^2), loadings A_{kj} ~ N(0, sigma_{A,j}^2), and Z a
 Gibbs-type feature allocation.  The sampler touches the allocation prior
-only through PrimitiveCache values, so every model variant runs through
-the same sweep: per-element Z updates, a Metropolis-Hastings move on each
-row's singleton dishes, conjugate W/A updates, conjugate gamma and scale
+only through its primitives (PrimitiveCache values, which DP/PY slice
+trials read in closed form), so every model variant runs through the same
+sweep: per-element Z updates, a Metropolis-Hastings move on each row's
+singleton dishes, conjugate W/A updates, conjugate gamma and scale
 updates, and slice moves for the model parameters.
 """
 
@@ -18,6 +19,7 @@ import numpy as np
 from scipy import special
 
 from .gibbs_weights import (
+    ClosedFormPrimitives,
     NggWeightSampler,
     build_primitive_cache,
     primitive_cache_content_hash,
@@ -350,32 +352,49 @@ def _resample_z(state, y):
 
 
 def _singleton_move(state, y):
-    # replace each row's solely-owned dishes with a Poisson-many fresh set;
-    # the prior and proposal cancel, leaving the likelihood ratio
+    """Replace each row's solely-owned dishes with a Poisson-many fresh set.
+
+    Row i draws k_new ~ Poisson(gamma g_{n-1}(1,1)) and, unless it owns no
+    singleton and k_new = 0, fresh weights and loadings from their priors;
+    the prior and proposal cancel, leaving the likelihood ratio of the
+    row's residual with and without the swap.
+
+    The residual matrix R = Y - (W o Z) A is formed once: a swap in row i
+    touches no other row's residual or singletons (its old and new dishes
+    are row i's alone), so R and the set of rows owning a singleton, found
+    in one pass, stay valid for the rows after i.  The own mask of a row
+    that draws is recomputed from the counts, since accepts shift column
+    indices.  Rows draw in order, so the random stream is the one the
+    per-row form used.
+    """
     n = state.n
     rate = state.gamma * state.cache.g11_for(n)
     inv_two_var = 1.0 / (2.0 * state.sigma_y ** 2)
     p = state.p
+    rng = state.rng
     counts = state.z.sum(axis=0)
+    owners = state.z[:, counts == 1].any(axis=1).tolist()
+    resid = y - (state.w * state.z) @ state.a
+    poisson = rng.poisson
     for i in range(n):
-        own = (counts == 1) & (state.z[i] == 1)
-        k_new = int(state.rng.poisson(rate))
-        if not own.any() and k_new == 0:
+        k_new = int(poisson(rate))
+        if not owners[i] and k_new == 0:
             continue
-        w_new = state.rng.normal(0.0, state.sigma_w, size=k_new)
-        a_new = state.rng.standard_normal((k_new, p)) * state.sigma_a
-        row_resid = y[i] - (state.w[i] * state.z[i]) @ state.a
+        w_new = rng.normal(0.0, state.sigma_w, size=k_new)
+        a_new = rng.standard_normal((k_new, p)) * state.sigma_a
+        own = (counts == 1) & (state.z[i] == 1)
+        row_resid = resid[i]
         without_own = row_resid + (state.w[i][own] @ state.a[own])
         proposed = without_own - (w_new @ a_new if k_new else 0.0)
         log_ratio = (
             float(row_resid @ row_resid) - float(proposed @ proposed)
         ) * inv_two_var
-        if math.log(state.rng.random()) >= log_ratio:
+        if math.log(rng.random()) >= log_ratio:
             continue
         keep = ~own
         fresh_z = np.zeros((n, k_new), dtype=np.uint8)
         fresh_z[i] = 1
-        fresh_w = state.rng.normal(0.0, state.sigma_w, size=(n, k_new))
+        fresh_w = rng.normal(0.0, state.sigma_w, size=(n, k_new))
         fresh_w[i] = w_new
         state.z = np.ascontiguousarray(
             np.concatenate([state.z[:, keep], fresh_z], axis=1)
@@ -451,15 +470,19 @@ def _slice_model_move(state, counts, move, start):
     move "discount" runs on x = logit alpha, alpha ~ U(0, 1), with PY's
     theta > -alpha as part of the support.  move "second" runs on
     x = log(theta + alpha) for DP/PY and x = log beta for NGG/NIG, either
-    ~ Exp(1).  The target is the log joint of the dish counts under the
-    trial model's primitives (LatentFactorState.primitives_at) plus the
+    ~ Exp(1).  The target is the log joint of the dish counts
+    (ibp._log_joint_counts) under the trial model's primitives plus the
     coordinate's log prior and Jacobian.  Sets the state's model, frozen
     draws, table and cache to the accepted point and returns its coordinate.
 
-    A trial at the state's own model reuses the state's table and cache
-    (exp(log beta) and expit(logit alpha) often round-trip exactly), and
-    the accepted point's primitives are the last ones built, since
-    slice_sample returns the last point it evaluated.
+    A DP/PY trial reads its primitives in closed form at the dish sizes
+    that occur (ClosedFormPrimitives), and only the accepted point builds a
+    full cache.  An NGG/NIG trial builds its table and cache
+    (LatentFactorState.primitives_at), and the accepted point keeps the
+    last ones built, since slice_sample returns the last point it
+    evaluated.  A trial at the state's own model reuses the state's table
+    and cache (exp(log beta) and expit(logit alpha) often round-trip
+    exactly).
     """
     model = state.model
     last = None  # the last evaluated point's (model, draws, GFC, table, cache)
@@ -484,10 +507,15 @@ def _slice_model_move(state, counts, move, start):
         last = None  # frees the last trial's draws before new ones are made
         if trial_model == state.model:
             last = (trial_model, state.sampler, state.gfc, state.table, state.cache)
+            primitives = state.cache
+        elif trial_model.is_closed_form:
+            last = (trial_model, None, None, None, None)  # cache built if accepted
+            primitives = ClosedFormPrimitives(trial_model)
         else:
             last = (trial_model,) + state._primitives_with_draws(trial_model)
+            primitives = last[4]
         log_p = _log_joint_counts(
-            counts, state.n, state.gamma, trial_model.stable_index, last[4]
+            counts, state.n, state.gamma, trial_model.stable_index, primitives
         )
         return log_p + terms[0] + terms[1]
 
@@ -497,6 +525,8 @@ def _slice_model_move(state, counts, move, start):
         target.__name__ = "log_theta_plus_alpha" if model.is_closed_form else "log_beta"
     x = slice_sample(target, start, state.rng)
     state.model, state.sampler, state.gfc, state.table, state.cache = last
+    if state.cache is None:
+        state.cache = build_primitive_cache(state.model, state.n)
     return x
 
 

@@ -8,6 +8,18 @@ import numpy as np
 from scipy import integrate, optimize, special
 
 BRUTEFORCE_MAX_N = 15
+# Weight, GFC and Stirling tables are dense (n+1) x (n+1) float64 arrays:
+# 32 MB each at this depth, 0.8 GB at n = 10^4.
+MAX_TABLE_DEPTH = 2000
+
+
+def check_table_depth(n_max):
+    """Refuse a dense table deeper than MAX_TABLE_DEPTH with a ValueError."""
+    if n_max > MAX_TABLE_DEPTH:
+        raise ValueError(
+            f"a table of depth {n_max} would take {8 * (n_max + 1) ** 2 / 1e6:.0f} MB; "
+            f"dense tables are limited to depth MAX_TABLE_DEPTH = {MAX_TABLE_DEPTH}"
+        )
 
 
 def log_rising_factorial(a, n):
@@ -76,7 +88,8 @@ def build_gfc_table(n_max, alpha):
     both summands are positive for alpha in (0, 1).
 
     Args:
-        n_max: largest n to tabulate, a positive integer.
+        n_max: largest n to tabulate, a positive integer at most
+            MAX_TABLE_DEPTH.
         alpha: stability index in the open interval (0, 1).
 
     Returns:
@@ -86,6 +99,7 @@ def build_gfc_table(n_max, alpha):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if n_max < 1 or n_max != int(n_max):
         raise ValueError(f"n_max must be a positive integer, got {n_max}")
+    check_table_depth(n_max)
     n_max = int(n_max)
     log_alpha = math.log(alpha)
     table = np.full((n_max + 1, n_max + 1), -np.inf)

@@ -10,6 +10,7 @@ from scipy.special import gammaln
 
 from gibbsibp.cli import RunConfig, main, read_config_file
 from gibbsibp.inference import synthesize_data
+from gibbsibp.special_functions import MAX_TABLE_DEPTH
 
 
 def run_cli(*argv):
@@ -188,6 +189,24 @@ class TestCalibrate:
                        "--n", 50, "--outdir", tmp_path) == 3
         assert "unreachable" in capsys.readouterr().err
 
+    def test_reports_mc_error(self, tmp_path):
+        assert run_cli("calibrate", "--family", "ngg", "--alpha", 0.75, "--target", 25,
+                       "--n", 50, "--samples", 20_000, "--seed", 1,
+                       "--outdir", tmp_path / "ngg") == 0
+        report = json.load(open(tmp_path / "ngg" / "calibration.json"))
+        assert abs(report["achieved"] - 25.0) < 0.05
+        assert 0.0 < report["mc_error"] < 0.01
+        assert run_cli("calibrate", "--family", "dp", "--target", 10,
+                       "--outdir", tmp_path / "dp") == 0
+        assert json.load(open(tmp_path / "dp" / "calibration.json"))["mc_error"] is None
+
+    def test_degenerate_monte_carlo_root(self, tmp_path, capsys):
+        assert run_cli("calibrate", "--family", "ngg", "--alpha", 0.5, "--target", 49,
+                       "--n", 50, "--samples", 10_000, "--seed", 1,
+                       "--outdir", tmp_path) == 3
+        assert "degenerate Monte Carlo surface" in capsys.readouterr().err
+        assert not (tmp_path / "calibration.json").exists()
+
 
 class TestFitAndGeweke:
     def write_data(self, tmp_path):
@@ -363,6 +382,36 @@ class TestUsageErrors:
         assert run_cli(*argv, *extra, "--outdir", tmp_path) == 2
         assert "usage error" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--model", "ngg", "--alpha", 0.5, "--beta", 1,
+             "--n", MAX_TABLE_DEPTH + 1),
+            ("primitives", "--model", "nig", "--beta", 1, "--n", MAX_TABLE_DEPTH),
+            ("stats", "--model", "py:alpha=0.5,theta=1", "--model", "nig:beta=1",
+             "--n-max", MAX_TABLE_DEPTH + 1),
+            ("calibrate", "--family", "dp", "--target", 5, "--n", MAX_TABLE_DEPTH + 1),
+            ("calibrate", "--family", "py", "--alpha", 0.5, "--target", 5,
+             "--n", MAX_TABLE_DEPTH + 1),
+            ("calibrate", "--family", "nig", "--target", 5, "--n", MAX_TABLE_DEPTH + 1),
+        ],
+        ids=["simulate-ngg", "primitives-nig", "stats-nig", "calibrate-dp",
+             "calibrate-py", "calibrate-nig"],
+    )
+    def test_table_depth_past_limit(self, argv, tmp_path, capsys):
+        assert run_cli(*argv, "--samples", 10_000, "--outdir", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and "depth" in err
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_closed_forms_past_table_limit(self, tmp_path):
+        # DP/PY caches are closed forms: no table, so no depth limit
+        n = MAX_TABLE_DEPTH + 1
+        assert run_cli("simulate", "--model", "py", "--alpha", 0.5, "--theta", 1,
+                       "--n", n, "--outdir", tmp_path / "sim") == 0
+        assert run_cli("stats", "--model", "dp:theta=1", "--n-max", n,
+                       "--outdir", tmp_path / "stats") == 0
 
     def test_few_samples_fine_for_closed_forms(self, tmp_path):
         assert run_cli("stats", "--model", "py:alpha=0.5,theta=1", "--n-max", 5,

@@ -33,7 +33,7 @@ from gibbsibp.gibbs_weights import (
     weight_table_content_hash,
     weight_table_from_sampler,
 )
-from gibbsibp.special_functions import build_gfc_table
+from gibbsibp.special_functions import MAX_TABLE_DEPTH, build_gfc_table
 from gibbsibp.stable_sampling import TiltedStableSpec, sample_tilted_stable
 
 # Frozen oracle values for NGG weights: mpmath quadrature (30 dps) of
@@ -117,6 +117,17 @@ class TestGibbsModel:
 
 
 class TestBuildWeightTable:
+    def test_refuses_depth_past_limit(self):
+        # one row past the limit: a missing guard allocates only that much
+        depth = MAX_TABLE_DEPTH + 1
+        with pytest.raises(ValueError, match="MAX_TABLE_DEPTH"):
+            build_weight_table(GibbsModel.py(0.5, 1.0), depth)
+        with pytest.raises(ValueError, match="MAX_TABLE_DEPTH"):
+            block_count_distribution(GibbsModel.dp(1.0), depth)
+        # the chain's tables come from frozen draws, refused before drawing
+        with pytest.raises(ValueError, match="MAX_TABLE_DEPTH"):
+            NggWeightSampler(0.5, depth, 10, seed=0)
+
     def test_py_anchor_values(self):
         table = build_weight_table(GibbsModel.py(0.5, 1.0), 3)
         assert table.weight(2, 1) == pytest.approx(0.5, abs=1e-14)
@@ -529,17 +540,20 @@ class TestExpectedBlocksAndCalibrate:
         # the achieved E[B_n] is the search's own value at the root, equal to
         # a fresh evaluation on the same draws
         mc = McConfig(samples=10_000, seed=3)
-        param, achieved = _calibrate(family, 8.0, 20, alpha, mc)
+        param, achieved, mc_error = _calibrate(family, 8.0, 20, alpha, mc)
         assert param == calibrate(family, 8.0, 20, alpha=alpha, mc_config=mc)
         if family == "PY":
             fresh = expected_blocks(GibbsModel.py(alpha, param), 20)
+            assert mc_error is None
         else:
             sampler = NggWeightSampler(alpha, 20, mc.samples, mc.seed)
-            fresh = expected_blocks(
-                GibbsModel.ngg(alpha, param, mc_config=mc), 20,
-                table=weight_table_from_sampler(sampler, param),
-                gfc=build_gfc_table(20, alpha),
-            )
+            model = GibbsModel.ngg(alpha, param, mc_config=mc)
+            table = weight_table_from_sampler(sampler, param)
+            gfc = build_gfc_table(20, alpha)
+            fresh = expected_blocks(model, 20, table=table, gfc=gfc)
+            law = block_count_distribution(model, 20, table=table, gfc=gfc)
+            assert mc_error == float(law @ table.rel_se_row(20))
+            assert 0.0 < mc_error < gibbs_weights.CALIBRATE_MC_ERROR_MAX
         assert achieved == fresh
         assert abs(achieved - 8.0) <= 0.05
 
@@ -548,7 +562,7 @@ class TestExpectedBlocksAndCalibrate:
         # the fitted model's own E[B_n], from a weight table built afresh,
         # is the value calibrate reports
         mc = McConfig(samples=10_000, seed=6)
-        param, achieved = _calibrate(family, 6.0, 25, alpha, mc)
+        param, achieved, _ = _calibrate(family, 6.0, 25, alpha, mc)
         if family == "NGG":
             model = GibbsModel.ngg(alpha, param, mc_config=mc)
         else:
@@ -565,6 +579,22 @@ class TestExpectedBlocksAndCalibrate:
         # own bracketing error (not a NormalizationError)
         with pytest.raises(ValueError, match="could not bracket"):
             calibrate("NGG", 49.9, 50, alpha=0.5, mc_config=McConfig(samples=10_000, seed=1))
+
+    def test_calibrate_refuses_degenerate_monte_carlo_root(self):
+        # E[B_50] on these 10 000 draws equals 49 to 10 digits for every beta
+        # in e^13.5..e^16, where the last row's rel_se reaches 1: the root
+        # (beta ~ 6.3e5) is arbitrary, and the block law's mean rel_se there
+        # is 2.0
+        with pytest.raises(McDegeneracyError, match="degenerate Monte Carlo surface"):
+            calibrate("NGG", 49.0, 50, alpha=0.5, mc_config=McConfig(samples=10_000, seed=1))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_calibrate_reports_small_mc_error(self, seed):
+        # the benchmark's NGG case: mean rel_se ~0.002 at the root
+        mc = McConfig(samples=20_000, seed=seed)
+        _, achieved, mc_error = _calibrate("NGG", 25.0, 50, 0.75, mc)
+        assert abs(achieved - 25.0) <= 0.05
+        assert 0.0 < mc_error < 0.01
 
     def test_calibrate_requires_alpha(self):
         with pytest.raises(ValueError):

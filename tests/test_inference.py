@@ -1,12 +1,14 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
 from gibbsibp import inference
 from gibbsibp.gibbs_weights import (
+    ClosedFormPrimitives,
     GibbsModel,
     build_primitive_cache,
     weight_table_from_sampler,
@@ -187,6 +189,70 @@ class TestZLogPrior:
         counts = alloc.counts[::-1]
         got = _log_joint_counts(counts, n, gamma, model.stable_index, cache)
         assert got == log_joint(alloc, model, gamma, cache=cache)
+
+
+def _closed_form_models():
+    # DP, and PY over the corners of its parameter space
+    yield GibbsModel.dp(1.0)
+    yield GibbsModel.dp(1e3)
+    for alpha in (1e-6, 0.5, 0.999):
+        for theta in (-0.999 * alpha, 1.0, 1e3):
+            yield GibbsModel.py(alpha, theta)
+
+
+def _random_allocation(rng, n, gamma):
+    # up to 30 dishes with sizes spread over [1, n], several sharing a size
+    k = int(rng.integers(0, 31))
+    sizes = np.concatenate([rng.integers(1, n + 1, size=k), np.full(k // 3, n)])
+    z = np.zeros((n, sizes.size), dtype=np.uint8)
+    for col, size in enumerate(sizes.tolist()):
+        z[rng.choice(n, size=size, replace=False), col] = 1
+    return FeatureAllocation.from_matrix(z, gamma)
+
+
+class TestClosedFormTrialTerms:
+    """A slice trial's closed-form reads against the full cache and mpmath."""
+
+    @pytest.mark.parametrize(
+        "model", list(_closed_form_models()), ids=lambda model: model.describe()
+    )
+    def test_trial_log_joint_matches_full_cache(self, model):
+        rng = np.random.default_rng(17)
+        trial = ClosedFormPrimitives(model)
+        for n in (1, 2, 100, 1000):
+            cache = build_primitive_cache(model, n)
+            for _ in range(3):
+                gamma = float(rng.uniform(0.1, 5.0))
+                alloc = _random_allocation(rng, n, gamma)
+                counts = rng.permutation(alloc.counts)
+                got = _log_joint_counts(counts, n, gamma, model.stable_index, trial)
+                want = log_joint(alloc, model, gamma, cache=cache)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), (n, alloc.dishes)
+
+    @pytest.mark.parametrize(
+        "alpha, theta", [(1e-6, 1e3), (1e-6, -0.999e-6), (0.5, 1.0), (0.999, 1e3)]
+    )
+    def test_reads_match_extended_precision(self, alpha, theta):
+        # the g_m(1,1) sum is a gammaln sum, not the telescoped closed form,
+        # which loses ~4e-4 relative at alpha = 1e-6, theta = 1e3
+        trial = ClosedFormPrimitives(GibbsModel.py(alpha, theta))
+        with mpmath.workdps(40):
+            a, t = mpmath.mpf(alpha), mpmath.mpf(theta)
+
+            def log_g(r, s):
+                return (
+                    mpmath.loggamma(t + 1) + mpmath.loggamma(t + a + r)
+                    - mpmath.loggamma(t + a) - mpmath.loggamma(t + r + s)
+                )
+
+            for n in (1, 2, 100):
+                sizes = np.unique([1, (n + 1) // 2, n])
+                g11_sum, log_gs1 = trial.log_joint_reads(n, sizes)
+                want_sum = mpmath.fsum(mpmath.exp(log_g(m, 1)) for m in range(n))
+                assert g11_sum == pytest.approx(float(want_sum), rel=1e-12)
+                for s, got in zip(sizes.tolist(), log_gs1.tolist()):
+                    want = float(log_g(n - s, s))
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def _thinned(draws):
@@ -372,6 +438,45 @@ class TestModelMoves:
         monkeypatch.setattr(inference, "_log_joint_counts", point_mass)
         with pytest.raises(RuntimeError, match=name):
             inference._slice_model_move(state, alloc.counts, move, 0.0)
+
+
+class TestClosedFormMoves:
+    """DP/PY slice moves score trials in closed form and cache the accepted
+    point only."""
+
+    @pytest.mark.parametrize(
+        "model, move",
+        [
+            (GibbsModel.dp(1.0), "second"),
+            (GibbsModel.py(0.4, 0.7), "second"),
+            (GibbsModel.py(0.4, 0.7), "discount"),
+        ],
+        ids=["DP-theta", "PY-theta", "PY-discount"],
+    )
+    def test_accepted_cache_is_a_full_rebuild(self, model, move, monkeypatch):
+        alloc = simulate_ibp(model, 1.3, 10, seed=3)
+        state = make_state(model, alloc.matrix, seed=31, gamma=1.3)
+        builds = []
+        build = inference.build_primitive_cache
+
+        def counted_build(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "build_primitive_cache", counted_build)
+        x = math.log(model.theta + model.stable_index)
+        if move == "discount":
+            x = float(special.logit(model.alpha))
+        for step in range(20):
+            x = inference._slice_model_move(state, alloc.counts, move, x)
+            assert len(builds) <= step + 1  # no trial builds a cache
+            assert state.table is None and state.cache.model == state.model
+            rebuilt = build_primitive_cache(state.model, state.n)
+            for name in ("g10", "g11", "log_gs1"):
+                assert np.array_equal(
+                    getattr(state.cache, name), getattr(rebuilt, name), equal_nan=True
+                ), name
+        assert builds  # the state moved off its start model
 
 
 class TestGammaUpdate:
@@ -695,7 +800,85 @@ class TestBlocksAgainstReference:
             np.testing.assert_allclose(fast.a, ref.a, rtol=1e-12, atol=1e-12)
 
 
+def reference_singleton_move(state, y):
+    # the per-row singleton move: each row's residual and own mask rebuilt
+    # from the current state
+    n = state.n
+    rate = state.gamma * state.cache.g11_for(n)
+    inv_two_var = 1.0 / (2.0 * state.sigma_y ** 2)
+    p = state.p
+    counts = state.z.sum(axis=0)
+    for i in range(n):
+        own = (counts == 1) & (state.z[i] == 1)
+        k_new = int(state.rng.poisson(rate))
+        if not own.any() and k_new == 0:
+            continue
+        w_new = state.rng.normal(0.0, state.sigma_w, size=k_new)
+        a_new = state.rng.standard_normal((k_new, p)) * state.sigma_a
+        row_resid = y[i] - (state.w[i] * state.z[i]) @ state.a
+        without_own = row_resid + (state.w[i][own] @ state.a[own])
+        proposed = without_own - (w_new @ a_new if k_new else 0.0)
+        log_ratio = (
+            float(row_resid @ row_resid) - float(proposed @ proposed)
+        ) * inv_two_var
+        if math.log(state.rng.random()) >= log_ratio:
+            continue
+        keep = ~own
+        fresh_z = np.zeros((n, k_new), dtype=np.uint8)
+        fresh_z[i] = 1
+        fresh_w = state.rng.normal(0.0, state.sigma_w, size=(n, k_new))
+        fresh_w[i] = w_new
+        state.z = np.ascontiguousarray(
+            np.concatenate([state.z[:, keep], fresh_z], axis=1)
+        )
+        state.w = np.concatenate([state.w[:, keep], fresh_w], axis=1)
+        state.a = np.concatenate([state.a[keep], a_new], axis=0)
+        counts = np.concatenate([counts[keep], np.ones(k_new, dtype=counts.dtype)])
+
+
 class TestSingletonMove:
+    def twin_states(self, z, seed, sigma_y, gamma=3.0, p=4):
+        model = GibbsModel.py(0.5, 1.0)
+        fast = make_state(model, z, seed=seed, gamma=gamma, p=p, sigma_y=sigma_y)
+        ref = make_state(model, z, seed=seed, gamma=gamma, p=p, sigma_y=sigma_y)
+        fast.sigma_a = ref.sigma_a = np.linspace(0.5, 2.0, p)
+        return fast, ref
+
+    def cases(self):
+        rng = np.random.default_rng(7)
+        # K = 0
+        yield np.zeros((6, 0), dtype=np.uint8), rng.standard_normal((6, 4))
+        # rows 0, 2 and 3 own singletons (row 0 two of them), row 1 none
+        z = np.array(
+            [[1, 1, 1, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 1, 0, 1]],
+            dtype=np.uint8,
+        )
+        yield z, rng.standard_normal((4, 4))
+        for n, k in ((8, 5), (25, 12)):
+            z = (rng.random((n, k)) < 0.15).astype(np.uint8)
+            z[rng.integers(n, size=k), np.arange(k)] = 1
+            yield z, rng.standard_normal((n, 4))
+
+    @pytest.mark.parametrize("sigma_y", [1e3, 1.0, 0.3])
+    def test_matches_per_row_reference(self, sigma_y):
+        # sigma_Y = 1e3 accepts nearly every proposal; smaller values mix
+        # accepts and rejects.  z, w, a and the stream match exactly.
+        from gibbsibp.inference import _singleton_move
+
+        accepts = 0
+        for seed, (z, y) in enumerate(self.cases()):
+            fast, ref = self.twin_states(z, seed, sigma_y)
+            for _ in range(5):
+                before = ref.z.copy()
+                _singleton_move(fast, y)
+                reference_singleton_move(ref, y)
+                assert fast.rng.bit_generator.state == ref.rng.bit_generator.state
+                for name in ("z", "w", "a"):
+                    got, want = getattr(fast, name), getattr(ref, name)
+                    assert got.shape == want.shape and np.array_equal(got, want), name
+                accepts += before.shape != ref.z.shape or not np.array_equal(before, ref.z)
+        assert accepts >= 5
+
     def test_flat_likelihood_reaches_poisson_counts(self):
         # with sigma_Y enormous the acceptance ratio is ~1 and each row's
         # singleton count refreshes to Poisson(gamma * g_{n-1}(1, 1))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from gibbsibp.special_functions import (
+    MAX_TABLE_DEPTH,
     GfcTable,
     build_gfc_table,
     gfc_bruteforce,
@@ -90,6 +91,11 @@ class TestGfcTable:
         for alpha in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError):
                 build_gfc_table(5, alpha)
+
+    def test_refuses_depth_past_limit(self):
+        # one row past the limit: a missing guard allocates only that much
+        with pytest.raises(ValueError, match="MAX_TABLE_DEPTH"):
+            build_gfc_table(MAX_TABLE_DEPTH + 1, 0.5)
 
     def test_out_of_triangle(self):
         table = build_gfc_table(5, 0.5)

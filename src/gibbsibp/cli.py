@@ -28,6 +28,7 @@ from .gibbs_weights import (
     _calibrate,
     build_primitive_cache,
     build_weight_table,
+    check_frozen_draws,
     default_cache_dir,
     load_weight_table,
     save_weight_table,
@@ -272,6 +273,8 @@ def _validate(config):
             f"{flag} needs a table of depth {depth}; dense tables are limited to "
             f"depth {MAX_TABLE_DEPTH}"
         )
+    if monte_carlo and config.subcommand == "calibrate":  # fit's n comes with its data
+        check_frozen_draws(depth, config.samples)
     if config.subcommand == "fit":
         if config.data is None:
             raise ValueError("fit needs --data")

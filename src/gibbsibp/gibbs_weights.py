@@ -30,6 +30,7 @@ BLOCK_LAW_TOL = 1e-8
 # calibrate refuses an NGG/NIG root whose block law has a mean relative
 # standard error sum_k P(B_n = k) rel_se_{n,k} this large
 CALIBRATE_MC_ERROR_MAX = 0.5
+MAX_FROZEN_DRAWS = 2 ** 27  # NggWeightSampler's n x samples doubles: 1 GiB
 
 
 class McDegeneracyError(RuntimeError):
@@ -123,20 +124,6 @@ class GibbsModel:
     def uses_monte_carlo(self):
         return self.variant in ("NGG", "NIG")
 
-    def key(self):
-        """Hashable identity used for table caching and serialization."""
-        if self.variant == "DP":
-            return ("DP", float(self.theta))
-        if self.variant == "PY":
-            return ("PY", float(self.alpha), float(self.theta))
-        return (
-            self.variant,
-            self.stable_index,
-            float(self.beta),
-            int(self.mc_config.samples),
-            int(self.mc_config.seed),
-        )
-
     def describe(self):
         if self.variant == "DP":
             return f"DP(theta={self.theta:g})"
@@ -147,6 +134,8 @@ class GibbsModel:
         return f"NIG(beta={self.beta:g})"
 
     def to_payload(self):
+        """The model's one identity, mc_config included for NGG/NIG: run
+        manifests, table cache paths and content hashes key on it."""
         payload = {"variant": self.variant}
         if self.theta is not None:
             payload["theta"] = float(self.theta)
@@ -782,6 +771,15 @@ def expected_blocks(model, n, table=None, gfc=None):
     return float(np.dot(np.arange(1, n + 1), probs))
 
 
+def check_frozen_draws(n, samples):
+    """Refuse more than MAX_FROZEN_DRAWS frozen draws with a ValueError."""
+    if n * samples > MAX_FROZEN_DRAWS:
+        raise ValueError(
+            f"{n} rows x {samples} samples of frozen draws need {8 * n * samples} "
+            f"bytes; they are limited to MAX_FROZEN_DRAWS = {MAX_FROZEN_DRAWS} draws"
+        )
+
+
 class NggWeightSampler:
     """Frozen Monte Carlo draws for re-evaluating NGG weights as beta moves.
 
@@ -791,7 +789,9 @@ class NggWeightSampler:
     (used by calibration and by hyperparameter moves during inference).
     The draws are those of ngg_last_row_mc for the same seed, and each row k
     is stored shifted, R - min_k R, beside its minimum, which is the form
-    the shared reduction reads.
+    the shared reduction reads.  gfc, the depth-n GFC table at alpha, is
+    beta-free too.  The draws take 8 n samples bytes; past MAX_FROZEN_DRAWS
+    draws the sampler raises ValueError before allocating or drawing any.
     """
 
     def __init__(self, alpha, n, samples, seed):
@@ -800,6 +800,7 @@ class NggWeightSampler:
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         check_table_depth(n)  # its weight tables are n deep
+        check_frozen_draws(n, samples)
         self.alpha = float(alpha)
         self.n = int(n)
         self.samples = int(samples)
@@ -816,6 +817,7 @@ class NggWeightSampler:
         self._shifted.flags.writeable = False
         self._ratio_min.flags.writeable = False
         self._log_prefactor = _log_prefactor(alpha, n)
+        self.gfc = build_gfc_table(n, alpha)
 
     def log_last_row(self, beta):
         """(log_row, rel_se) for row n at this beta, from the frozen draws."""
@@ -888,7 +890,7 @@ def _calibrate(family, target, n, alpha, mc_config):
     if family in ("NGG", "NIG"):
         mc = mc_config or McConfig()
         sampler = NggWeightSampler(alpha, n, mc.samples, mc.seed)
-        gfc = build_gfc_table(n, alpha)
+        gfc = sampler.gfc
 
     def fitted(t):
         # (model, weight table) at t; DP/PY search over log(theta + alpha),
@@ -984,7 +986,7 @@ def primitive_cache_content_hash(cache):
     """Stable content hash of a primitive cache for run manifests."""
     doc = json.dumps(
         {
-            "model": list(cache.model.key()),
+            "model": cache.model.to_payload(),
             "n": cache.n,
             "g10": cache.g10.tolist(),
             "g11": cache.g11.tolist(),
@@ -996,9 +998,11 @@ def primitive_cache_content_hash(cache):
 
 
 def table_cache_path(model, n_max, directory=None):
-    """Cache file path keyed by (variant, parameters, n_max, mc_config)."""
+    """Cache file path keyed by the model's payload (mc_config included) and n_max."""
     directory = Path(directory) if directory is not None else default_cache_dir()
-    key = json.dumps(["weights", TABLE_FORMAT_VERSION, list(model.key()), int(n_max)])
+    key = json.dumps(
+        ["weights", TABLE_FORMAT_VERSION, model.to_payload(), int(n_max)], sort_keys=True
+    )
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     return directory / f"weights_{model.variant.lower()}_{digest}.json"
 

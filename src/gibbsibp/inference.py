@@ -20,6 +20,7 @@ from scipy import special
 
 from .gibbs_weights import (
     ClosedFormPrimitives,
+    McConfig,
     NggWeightSampler,
     build_primitive_cache,
     primitive_cache_content_hash,
@@ -28,7 +29,6 @@ from .gibbs_weights import (
 )
 from .ibp import FeatureAllocation, _log_joint_counts, simulate_ibp
 from .ibp import log_joint as allocation_log_joint
-from .special_functions import build_gfc_table
 
 _LOG_2PI = math.log(2.0 * math.pi)
 SLICE_WIDTH = 1.0
@@ -52,8 +52,8 @@ class ChainConfig:
     """Sweep counts, initial scales, and which blocks to update.
 
     update_theta covers the second model parameter: theta for DP/PY, beta
-    for NGG/NIG.  mc_samples sizes the frozen-draw sampler behind NGG/NIG
-    weight rebuilds.
+    for NGG/NIG.  NGG/NIG chains freeze mc_samples draws per row, first
+    from the chain seed and then from a fresh seed each sweep.
     """
 
     iterations: int = 1000
@@ -77,12 +77,11 @@ class LatentFactorState:
     """Mutable chain state; Z is kept raw (columns in arbitrary order) and
     exposed as an order-of-appearance FeatureAllocation on demand.
 
-    Invariants: W is n x K, A is K x p, all scales strictly positive.
-    mc_samples sizes the frozen-draw sampler of the Monte Carlo variants.
+    Invariants: W is n x K, A is K x p, all scales strictly positive; the
+    sampler, table and cache are those of the model (primitives_at).
     """
 
-    def __init__(self, model, z, w, a, sigma_y, sigma_w, sigma_a, gamma, rng,
-                 mc_samples=ChainConfig.mc_samples):
+    def __init__(self, model, z, w, a, sigma_y, sigma_w, sigma_a, gamma, rng):
         sigma_a = np.asarray(sigma_a, dtype=float)
         if sigma_y <= 0 or sigma_w <= 0 or np.any(sigma_a <= 0):
             raise ValueError("scales must be strictly positive")
@@ -94,11 +93,9 @@ class LatentFactorState:
         self.sigma_a = sigma_a.copy()
         self.gamma = float(gamma)
         self.rng = rng
-        self.mc_samples = int(mc_samples)
         self.cache = None
         self.sampler = None
         self.table = None
-        self.gfc = None
         self._set_factors(z, w, a)
 
     def _set_factors(self, z, w, a):
@@ -136,50 +133,28 @@ class LatentFactorState:
         return FeatureAllocation.from_matrix(self.z, self.gamma)
 
     def primitives_at(self, model):
-        """(table, cache) of `model`'s primitives at this state's n.
+        """(sampler, table, cache) of `model`'s primitives at this state's n.
 
-        A closed-form model has no table.  A Monte Carlo model reads the
-        state's frozen draws and GFC table; at a different alpha both are
-        redrawn from the same seed at that alpha.
+        A closed-form model has no sampler or table.  A Monte Carlo model
+        reads the frozen draws its mc_config names at its alpha: the
+        state's own sampler where (alpha, samples, seed) match, otherwise
+        new ones.
         """
-        return self._primitives_with_draws(model)[2:]
-
-    def _primitives_with_draws(self, model):
-        # (frozen draws, GFC table, table, cache) behind primitives_at
         n = self.n
         if model.is_closed_form:
-            return self.sampler, self.gfc, None, build_primitive_cache(model, n)
-        sampler, gfc = self._draws_at(model.stable_index, self.sampler.seed)
+            return None, None, build_primitive_cache(model, n)
+        alpha, mc = model.stable_index, model.mc_config
+        sampler = self.sampler
+        if sampler is None or (sampler.alpha, sampler.samples, sampler.seed) != (
+            alpha, mc.samples, mc.seed
+        ):
+            sampler = NggWeightSampler(alpha, n, mc.samples, mc.seed)
         table = weight_table_from_sampler(sampler, model.beta)
-        return sampler, gfc, table, build_primitive_cache(model, n, table=table, gfc=gfc)
+        return sampler, table, build_primitive_cache(model, n, table=table, gfc=sampler.gfc)
 
-    def _draws_at(self, alpha, seed):
-        # the state's frozen draws and GFC table where they match
-        sampler, gfc = self.sampler, self.gfc
-        if sampler is None or (sampler.alpha, sampler.seed) != (alpha, seed):
-            sampler = NggWeightSampler(alpha, self.n, self.mc_samples, seed)
-        if gfc is None or gfc.alpha != alpha:
-            gfc = build_gfc_table(max(self.n - 1, 1), alpha)
-        return sampler, gfc
-
-    def refresh_cache(self, sampler_seed=None):
-        """Rebuild the table and cache for the current model.
-
-        For the Monte Carlo variants a sampler_seed redraws the frozen
-        auxiliary draws; without one the existing draws are kept (redrawn
-        from their own seed if alpha moved, from a fresh seed if there are
-        none).
-        """
-        if self.model.uses_monte_carlo:
-            if sampler_seed is None:
-                sampler_seed = (
-                    self.sampler.seed if self.sampler is not None
-                    else int(self.rng.integers(2 ** 63))
-                )
-            elif self.sampler is not None and self.sampler.seed != sampler_seed:
-                self.sampler = None  # frees the old draws before the new ones are made
-            self.sampler, self.gfc = self._draws_at(self.model.stable_index, sampler_seed)
-        self.table, self.cache = self.primitives_at(self.model)
+    def refresh_cache(self):
+        """Rebuild the sampler, table and cache for the current model."""
+        self.sampler, self.table, self.cache = self.primitives_at(self.model)
 
 
 def log_likelihood(y, z, w, a, sigma_y):
@@ -485,7 +460,7 @@ def _slice_model_move(state, counts, move, start):
     exactly).
     """
     model = state.model
-    last = None  # the last evaluated point's (model, draws, GFC, table, cache)
+    last = None  # the last evaluated point's (model, sampler, table, cache)
 
     def trial(x):
         # (model at x, its log prior + Jacobian terms); None off the support
@@ -506,14 +481,14 @@ def _slice_model_move(state, counts, move, start):
             return -math.inf
         last = None  # frees the last trial's draws before new ones are made
         if trial_model == state.model:
-            last = (trial_model, state.sampler, state.gfc, state.table, state.cache)
+            last = (trial_model, state.sampler, state.table, state.cache)
             primitives = state.cache
         elif trial_model.is_closed_form:
-            last = (trial_model, None, None, None, None)  # cache built if accepted
+            last = (trial_model, None, None, None)  # cache built if accepted
             primitives = ClosedFormPrimitives(trial_model)
         else:
-            last = (trial_model,) + state._primitives_with_draws(trial_model)
-            primitives = last[4]
+            last = (trial_model,) + state.primitives_at(trial_model)
+            primitives = last[3]
         log_p = _log_joint_counts(
             counts, state.n, state.gamma, trial_model.stable_index, primitives
         )
@@ -524,7 +499,7 @@ def _slice_model_move(state, counts, move, start):
     else:
         target.__name__ = "log_theta_plus_alpha" if model.is_closed_form else "log_beta"
     x = slice_sample(target, start, state.rng)
-    state.model, state.sampler, state.gfc, state.table, state.cache = last
+    state.model, state.sampler, state.table, state.cache = last
     if state.cache is None:
         state.cache = build_primitive_cache(state.model, state.n)
     return x
@@ -536,13 +511,16 @@ def _update_model_params(state, config):
     Three steps: the Monte Carlo variants (NGG/NIG) redraw their frozen
     auxiliary draws; the discount moves (update_alpha, PY and NGG); then the
     second parameter moves (update_theta: theta for DP/PY, beta for
-    NGG/NIG).  The redraw takes a fresh seed every sweep and has no accept
-    step, so with Monte Carlo weights the chain is an approximate one, not a
-    pseudo-marginal chain on the exact posterior.
+    NGG/NIG).  The redraw puts a fresh seed in the model's mc_config every
+    sweep and has no accept step, so with Monte Carlo weights the chain is
+    an approximate one, not a pseudo-marginal chain on the exact posterior.
     """
     counts = state.z.sum(axis=0).astype(np.int64)
     if state.model.uses_monte_carlo:
-        state.refresh_cache(sampler_seed=int(state.rng.integers(2 ** 63)))
+        mc = replace(state.model.mc_config, seed=int(state.rng.integers(2 ** 63)))
+        state.model = replace(state.model, mc_config=mc)
+        state.sampler = None  # frees the old draws before the new ones are made
+        state.refresh_cache()
     if config.update_alpha and state.model.variant in ("PY", "NGG"):
         _slice_model_move(
             state, counts, "discount", float(special.logit(state.model.alpha))
@@ -587,7 +565,8 @@ def gibbs_sweep(state, y, config):
 
 
 def initial_state(model, y, config, z_init=None):
-    """Prior-flavored starting point for a chain on data y."""
+    """Prior-flavored starting point for a chain on data y; an NGG/NIG
+    chain's model takes mc_config McConfig(config.mc_samples, config.seed)."""
     y = np.asarray(y, dtype=float)
     n, p = y.shape
     rng = np.random.default_rng(config.seed)
@@ -595,12 +574,14 @@ def initial_state(model, y, config, z_init=None):
     if gamma is None:
         gamma = config.priors.lambda1 / config.priors.lambda2
     sigma_a = np.broadcast_to(np.asarray(config.sigma_a, dtype=float), (p,)).copy()
+    if model.uses_monte_carlo:
+        model = replace(model, mc_config=McConfig(config.mc_samples, config.seed))
     # the chain's own primitive cache serves the prior draw of the initial Z
     state = LatentFactorState(
         model, np.zeros((n, 0)), np.zeros((n, 0)), np.zeros((0, p)),
-        config.sigma_y, config.sigma_w, sigma_a, gamma, rng, config.mc_samples,
+        config.sigma_y, config.sigma_w, sigma_a, gamma, rng,
     )
-    state.refresh_cache(sampler_seed=config.seed)
+    state.refresh_cache()
     if z_init is None:
         z = simulate_ibp(
             model, gamma, n, seed=int(rng.integers(2 ** 63)), cache=state.cache

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+from gibbsibp import gibbs_weights
 from gibbsibp.cli import RunConfig, main, read_config_file
+from gibbsibp.gibbs_weights import MAX_FROZEN_DRAWS
 from gibbsibp.inference import synthesize_data
 from gibbsibp.special_functions import MAX_TABLE_DEPTH
 
@@ -404,6 +406,40 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "usage error" in err and "depth" in err
         assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.fixture
+    def refuse_draws(self, monkeypatch):
+        # a missing frozen-draw guard fails at once instead of drawing 2^27
+        # values
+        def refuse(*args):
+            raise AssertionError("drew past the frozen-draw limit")
+
+        monkeypatch.setattr(gibbs_weights, "_fill_shifted_ratio_rows", refuse)
+
+    @pytest.mark.parametrize("family", ["ngg", "nig"])
+    def test_calibrate_frozen_draws_past_limit(self, family, tmp_path, capsys,
+                                               refuse_draws):
+        # calibrate freezes n x samples draws: past the limit it is a usage
+        # error, found before any draw
+        n = 1000
+        samples = MAX_FROZEN_DRAWS // n + 1
+        assert run_cli("calibrate", "--family", family, "--alpha", 0.5, "--target", 5,
+                       "--n", n, "--samples", samples, "--outdir", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and "frozen draws" in err
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_fit_frozen_draws_past_limit(self, tmp_path, capsys, refuse_draws):
+        # fit learns its row count from the data, so its sampler refuses
+        # the draws at run time: a numeric failure, before any draw
+        data = tmp_path / "y.csv"
+        np.savetxt(data, np.random.default_rng(1).standard_normal((3, 2)), delimiter=",")
+        samples = (MAX_FROZEN_DRAWS + 1) // 3
+        assert run_cli("fit", "--model", "ngg", "--alpha", 0.5, "--beta", 1,
+                       "--data", data, "--iterations", 1, "--samples", samples,
+                       "--outdir", tmp_path / "fit") == 3
+        err = capsys.readouterr().err
+        assert "numeric failure" in err and "frozen draws" in err
 
     def test_closed_forms_past_table_limit(self, tmp_path):
         # DP/PY caches are closed forms: no table, so no depth limit

@@ -9,6 +9,7 @@ from scipy import special
 
 from gibbsibp import gibbs_weights
 from gibbsibp.gibbs_weights import (
+    MAX_FROZEN_DRAWS,
     GibbsModel,
     McConfig,
     McDegeneracyError,
@@ -27,6 +28,7 @@ from gibbsibp.gibbs_weights import (
     ngg_weights_smalln,
     persistence_probability,
     primitive,
+    primitive_cache_content_hash,
     py_primitive_closed,
     save_weight_table,
     table_cache_path,
@@ -697,6 +699,34 @@ class TestNggWeightSampler:
             ngg_last_row_mc(0.5, 1.0, 6, 10_000, np.random.default_rng(2))
         assert raised.type is McDegeneracyError
 
+    def test_gfc_rows_match_shallower_table(self):
+        # a depth-n GFC table holds the depth-(n - 1) rows bit for bit, so
+        # the sampler's one table serves depth-n block laws and the
+        # depth-(n - 1) reads of a primitive cache
+        n, alpha = 12, 0.35
+        gfc = NggWeightSampler(alpha, n, 1000, seed=3).gfc
+        assert (gfc.n_max, gfc.alpha) == (n, alpha)
+        shallower = build_gfc_table(n - 1, alpha)
+        for m in range(1, n):
+            assert np.array_equal(gfc.log_row(m), shallower.log_row(m))
+        assert np.array_equal(gfc.log_row(n), build_gfc_table(n, alpha).log_row(n))
+
+    def test_refuses_frozen_draws_past_limit(self, monkeypatch):
+        # refused before anything is drawn; the patched fill makes a missing
+        # guard fail at once instead of drawing 2^27 values
+        def refuse(*args):
+            raise AssertionError("drew past the frozen-draw limit")
+
+        monkeypatch.setattr(gibbs_weights, "_fill_shifted_ratio_rows", refuse)
+        n = 3
+        samples = (MAX_FROZEN_DRAWS + 1) // n
+        assert n * samples == MAX_FROZEN_DRAWS + 1
+        with pytest.raises(ValueError, match="frozen draws") as raised:
+            NggWeightSampler(0.5, n, samples, seed=0)
+        message = str(raised.value)
+        assert f"{n} rows" in message and f"{samples} samples" in message
+        assert f"{8 * n * samples} bytes" in message
+
     def test_block_distribution_normalized(self):
         sampler = NggWeightSampler(0.5, 8, 20_000, seed=8)
         gfc = build_gfc_table(8, 0.5)
@@ -727,6 +757,21 @@ class TestSerialization:
         h2 = weight_table_content_hash(build_weight_table(m2, 5), m2)
         assert h1 == h1_again
         assert h1 != h2
+
+    def test_cache_keys_follow_payload(self, tmp_path):
+        # table paths and cache hashes key on to_payload: equal payloads
+        # share them, a different seed does not
+        model = GibbsModel.nig(1.0, mc_config=McConfig(samples=10_000, seed=1))
+        twin = GibbsModel.from_payload(json.loads(json.dumps(model.to_payload())))
+        other = GibbsModel.nig(1.0, mc_config=McConfig(samples=10_000, seed=2))
+        assert table_cache_path(twin, 6, tmp_path) == table_cache_path(model, 6, tmp_path)
+        assert table_cache_path(other, 6, tmp_path) != table_cache_path(model, 6, tmp_path)
+        table = build_weight_table(model, 6)
+        cache = build_primitive_cache(model, 6, table=table)
+        twin_cache = build_primitive_cache(twin, 6, table=table)
+        other_cache = build_primitive_cache(other, 6, table=table)
+        assert primitive_cache_content_hash(twin_cache) == primitive_cache_content_hash(cache)
+        assert primitive_cache_content_hash(other_cache) != primitive_cache_content_hash(cache)
 
     def test_cache_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GIBBSIBP_CACHE_DIR", str(tmp_path / "custom"))

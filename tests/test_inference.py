@@ -1,5 +1,7 @@
 import json
 import math
+import weakref
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -10,7 +12,10 @@ from gibbsibp import inference
 from gibbsibp.gibbs_weights import (
     ClosedFormPrimitives,
     GibbsModel,
+    McConfig,
     build_primitive_cache,
+    build_weight_table,
+    weight_table_content_hash,
     weight_table_from_sampler,
 )
 from gibbsibp.ibp import FeatureAllocation, _log_joint_counts, log_joint, simulate_ibp
@@ -42,10 +47,12 @@ def make_state(model, z, seed=0, gamma=1.0, p=None, sigma_y=1.0, sigma_w=1.0,
     rng = np.random.default_rng(seed)
     w = rng.normal(0.0, sigma_w, size=(n, k))
     a = rng.standard_normal((k, p))
+    if model.uses_monte_carlo:
+        model = replace(model, mc_config=McConfig(mc_samples, seed))
     state = LatentFactorState(
-        model, z, w, a, sigma_y, sigma_w, np.ones(p), gamma, rng, mc_samples
+        model, z, w, a, sigma_y, sigma_w, np.ones(p), gamma, rng
     )
-    state.refresh_cache(sampler_seed=seed)
+    state.refresh_cache()
     return state
 
 
@@ -374,8 +381,8 @@ class TestModelMoves:
             assert 0.0 < alpha < 1.0 and alpha == special.expit(x)
             # the draws follow alpha from the same seed
             assert state.sampler.seed == seed
-            assert state.sampler.alpha == alpha and state.gfc.alpha == alpha
-            table, cache = state.primitives_at(state.model)
+            assert state.sampler.alpha == alpha and state.sampler.gfc.alpha == alpha
+            _, table, cache = state.primitives_at(state.model)
             assert np.array_equal(state.table._log, table._log, equal_nan=True)
             for name in ("g10", "g11", "log_gs1"):
                 assert np.array_equal(
@@ -409,7 +416,7 @@ class TestModelMoves:
         assert evals[0] == 0.0 and len(builds) == len(evals) - 1
         assert 1.0 not in builds and state.table is not start_table
         assert state.model.beta == math.exp(x)
-        table, cache = state.primitives_at(state.model)
+        _, table, cache = state.primitives_at(state.model)
         assert np.array_equal(state.table._log, table._log, equal_nan=True)
         for name in ("g10", "g11", "log_gs1"):
             assert np.array_equal(
@@ -939,6 +946,69 @@ class TestSweepAndChain:
         rebuilt = build_primitive_cache(state.model, state.n)
         assert np.array_equal(state.cache.g11, rebuilt.g11)
         assert np.array_equal(state.cache.log_gs1, rebuilt.log_gs1)
+
+    @pytest.mark.parametrize(
+        "model, moves",
+        [
+            (GibbsModel.ngg(0.5, 1.0), dict(update_alpha=True, update_theta=True)),
+            (GibbsModel.nig(1.0), dict(update_theta=True)),
+        ],
+        ids=["ngg", "nig"],
+    )
+    def test_manifest_model_rebuilds_final_table(self, model, moves, monkeypatch):
+        # the manifest's model names the chain's last frozen draws, so it
+        # alone rebuilds the final table and its hash
+        states = []
+        sweep = inference.gibbs_sweep
+
+        def recorded_sweep(state, y, config):
+            states.append(state)
+            return sweep(state, y, config)
+
+        monkeypatch.setattr(inference, "gibbs_sweep", recorded_sweep)
+        z = np.zeros((30, 3), dtype=np.uint8)
+        z[:15, 0] = 1
+        z[10:25, 1] = 1
+        z[27, 2] = 1
+        scales = {"sigma_y": 0.3, "sigma_w": 1.0, "sigma_a": 1.0}
+        y = synthesize_data(30, 4, z, scales, seed=8)
+        config = ChainConfig(iterations=3, seed=6, sigma_y=0.3, mc_samples=10_000, **moves)
+        archive = run_chain(y, model, config)
+        state = states[-1]
+        payload = json.loads(json.dumps(archive.manifest["model"]))
+        rebuilt_model = GibbsModel.from_payload(payload)
+        assert rebuilt_model == state.model
+        assert rebuilt_model.mc_config.samples == 10_000
+        table = build_weight_table(rebuilt_model, state.n)
+        assert np.array_equal(table._log, state.table._log)
+        assert np.array_equal(table._rel_se, state.table._rel_se)
+        assert weight_table_content_hash(table, rebuilt_model) == (
+            archive.manifest["weight_table_hash"]
+        )
+
+    def test_redraws_free_old_samplers_first(self, monkeypatch):
+        # the per-sweep redraw and every discount trial make new frozen
+        # draws only once the draws they replace are gone: only the state's
+        # own sampler may outlive a construction
+        y = np.random.default_rng(6).standard_normal((12, 2))
+        config = ChainConfig(seed=5, mc_samples=2000, update_alpha=True, update_theta=True)
+        state = initial_state(GibbsModel.ngg(0.5, 1.0), y, config)
+        built = [weakref.ref(state.sampler)]
+        kinds = []
+        sampler_class = inference.NggWeightSampler
+
+        def watched(alpha, n, samples, seed):
+            kinds.append("redraw" if state.sampler is None else "trial")
+            for ref in built:
+                assert ref() is None or ref() is state.sampler
+            sampler = sampler_class(alpha, n, samples, seed)
+            built.append(weakref.ref(sampler))
+            return sampler
+
+        monkeypatch.setattr(inference, "NggWeightSampler", watched)
+        for _ in range(3):
+            gibbs_sweep(state, y, config)
+        assert kinds.count("redraw") == 3 and "trial" in kinds
 
     def test_zero_iterations_archives_initial_state(self):
         rng = np.random.default_rng(0)

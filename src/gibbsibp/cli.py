@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .gibbs_weights import (
+    CACHE_DIR_ENV,
     MIN_MC_SAMPLES,
     GibbsModel,
     McConfig,
@@ -29,7 +30,6 @@ from .gibbs_weights import (
     build_primitive_cache,
     build_weight_table,
     check_frozen_draws,
-    default_cache_dir,
     load_weight_table,
     save_weight_table,
     table_cache_path,
@@ -78,7 +78,6 @@ class RunConfig:
     sigma_y: float = 1.0
     sigma_w: float = 1.0
     sigma_a: float = 1.0
-    gamma_init: float = None
     fix_gamma: bool = False
     update_scales: bool = False
     update_theta: bool = False
@@ -182,8 +181,11 @@ def _model_from_spec(text, samples, seed):
 
 
 def _cached_table(model, n_max, cache_dir):
-    """Load a weight table from the shared disk cache, building on a miss."""
-    directory = Path(cache_dir) if cache_dir else default_cache_dir()
+    """Load a weight table from the disk cache named by --cache-dir or
+    GIBBSIBP_CACHE_DIR, building on a miss; with neither, store nothing."""
+    directory = cache_dir or os.environ.get(CACHE_DIR_ENV)
+    if not directory:
+        return build_weight_table(model, n_max)
     path = table_cache_path(model, n_max, directory)
     if path.exists():
         table, _ = load_weight_table(path)
@@ -400,7 +402,7 @@ def _chain_config(config):
         sigma_y=config.sigma_y,
         sigma_w=config.sigma_w,
         sigma_a=config.sigma_a,
-        gamma_init=config.gamma_init if config.gamma_init is not None else config.gamma,
+        gamma_init=config.gamma,
         mc_samples=config.samples,
     )
 

@@ -52,8 +52,8 @@ class ChainConfig:
     """Sweep counts, initial scales, and which blocks to update.
 
     update_theta covers the second model parameter: theta for DP/PY, beta
-    for NGG/NIG.  NGG/NIG chains freeze mc_samples draws per row, first
-    from the chain seed and then from a fresh seed each sweep.
+    for NGG/NIG.  An NGG/NIG chain freezes mc_samples draws per row from the
+    chain seed and keeps them for its whole run.
     """
 
     iterations: int = 1000
@@ -78,7 +78,7 @@ class LatentFactorState:
     exposed as an order-of-appearance FeatureAllocation on demand.
 
     Invariants: W is n x K, A is K x p, all scales strictly positive; the
-    sampler, table and cache are those of the model (primitives_at).
+    sampler (if held), table and cache are those of the model (primitives_at).
     """
 
     def __init__(self, model, z, w, a, sigma_y, sigma_w, sigma_a, gamma, rng):
@@ -457,10 +457,13 @@ def _slice_model_move(state, counts, move, start):
     last ones built, since slice_sample returns the last point it
     evaluated.  A trial at the state's own model reuses the state's table
     and cache (exp(log beta) and expit(logit alpha) often round-trip
-    exactly).
+    exactly).  A discount trial draws at its own alpha from the model's
+    seed, so the state's draws are dropped first: one set is alive at once.
     """
     model = state.model
     last = None  # the last evaluated point's (model, sampler, table, cache)
+    if move == "discount":
+        state.sampler = None
 
     def trial(x):
         # (model at x, its log prior + Jacobian terms); None off the support
@@ -508,19 +511,12 @@ def _slice_model_move(state, counts, move, start):
 def _update_model_params(state, config):
     """Slice moves on the model parameters, one target for every subclass.
 
-    Three steps: the Monte Carlo variants (NGG/NIG) redraw their frozen
-    auxiliary draws; the discount moves (update_alpha, PY and NGG); then the
-    second parameter moves (update_theta: theta for DP/PY, beta for
-    NGG/NIG).  The redraw puts a fresh seed in the model's mc_config every
-    sweep and has no accept step, so with Monte Carlo weights the chain is
-    an approximate one, not a pseudo-marginal chain on the exact posterior.
+    The discount move (update_alpha, PY and NGG), then the second
+    parameter move (update_theta: theta for DP/PY, beta for NGG/NIG).  An
+    NGG/NIG chain keeps the frozen draws of its mc_config, so each (alpha,
+    beta) names one weight table: an exact MCMC for the IBP they define.
     """
     counts = state.z.sum(axis=0).astype(np.int64)
-    if state.model.uses_monte_carlo:
-        mc = replace(state.model.mc_config, seed=int(state.rng.integers(2 ** 63)))
-        state.model = replace(state.model, mc_config=mc)
-        state.sampler = None  # frees the old draws before the new ones are made
-        state.refresh_cache()
     if config.update_alpha and state.model.variant in ("PY", "NGG"):
         _slice_model_move(
             state, counts, "discount", float(special.logit(state.model.alpha))
@@ -745,15 +741,14 @@ def geweke_check(model, n, p, config, rounds=100_000, seed=0):
     The marginal-conditional side draws (state, Y) from the prior; the
     successive-conditional side alternates gibbs_sweep with re-emitting Y.
     Matching joints means every statistic's two means agree; z-scores use
-    batch means on the chain side to absorb autocorrelation.
+    batch means on the chain side to absorb autocorrelation.  NGG/NIG run
+    on the table of their mc_config's draws.
 
     Returns:
         dict mapping statistic name -> z-score.
     """
     if config.update_alpha or config.update_theta:
         raise ValueError("the joint-distribution test runs with fixed model parameters")
-    if not model.is_closed_form:
-        raise ValueError("the joint-distribution test needs closed-form primitives")
     if rounds < GEWEKE_BATCHES:
         raise ValueError(f"rounds must be at least the {GEWEKE_BATCHES} batch means")
     rng = np.random.default_rng(seed)

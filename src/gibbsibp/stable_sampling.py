@@ -32,7 +32,8 @@ def sample_positive_stable(alpha, rng, size=None):
     """Draw from the positive stable law with Laplace transform exp(-lambda^alpha).
 
     Uses Kanter's transformation X = (A(U)/E)^{(1-alpha)/alpha} with
-    U ~ Uniform(0, pi) and E ~ Exp(1).
+    U ~ Uniform(0, pi) and E ~ Exp(1): sample_tilted_stable's general path
+    at tilt 0, where its Gamma(1) draw is E.
 
     Args:
         alpha: stability index in (0, 1).
@@ -42,14 +43,7 @@ def sample_positive_stable(alpha, rng, size=None):
     Returns:
         float or array of strictly positive draws.
     """
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    m = 1 if size is None else int(size)
-    u = rng.uniform(1e-12, math.pi - 1e-12, size=m)
-    e = np.maximum(rng.standard_exponential(size=m), 1e-300)
-    log_x = (1.0 - alpha) / alpha * (log_kanter_a(u, alpha) - np.log(e))
-    x = np.exp(log_x)
-    return float(x[0]) if size is None else x
+    return sample_tilted_stable(TiltedStableSpec(alpha, 0.0), rng, size, method="general")
 
 
 def _sample_tilt_angle(alpha, b, rng, m):

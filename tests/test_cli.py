@@ -282,7 +282,7 @@ class TestConfigFile:
             models=["py:alpha=0.5,theta=1", "dp:theta=2"], family="nig",
             target=4.5, data="y.csv", iterations=12, burn_in=2, thin=3,
             rounds=50, lambda1=1.5, lambda2=0.5, sigma_y=0.25, sigma_w=0.75,
-            sigma_a=1.25, gamma_init=0.5, fix_gamma=True, update_scales=True,
+            sigma_a=1.25, fix_gamma=True, update_scales=True,
             update_theta=True, update_alpha=True,
         )
         path = tmp_path / "config.txt"
@@ -470,6 +470,24 @@ class TestCacheSharing:
         assert cached[0].stat().st_mtime_ns == stamp  # loaded, not rebuilt
         assert (tmp_path / "a" / "allocation.csv").read_bytes() == (
             tmp_path / "b" / "allocation.csv"
+        ).read_bytes()
+
+    def test_no_cache_without_a_named_directory(self, tmp_path, monkeypatch):
+        # with neither --cache-dir nor GIBBSIBP_CACHE_DIR nothing is written
+        # outside --outdir, and the output is the cached run's
+        home = tmp_path / "home"
+        home.mkdir()
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.delenv(gibbs_weights.CACHE_DIR_ENV, raising=False)
+        args = ("stats", "--model", "ngg:alpha=0.5,beta=1", "--n-max", 20,
+                "--samples", 10_000)
+        assert run_cli(*args, "--outdir", tmp_path / "plain") == 0
+        assert list(home.rglob("*")) == []
+        assert run_cli(*args, "--outdir", tmp_path / "cached",
+                       "--cache-dir", tmp_path / "cache") == 0
+        assert len(list((tmp_path / "cache").glob("weights_*.json"))) == 1
+        assert (tmp_path / "plain" / "stats.csv").read_bytes() == (
+            tmp_path / "cached" / "stats.csv"
         ).read_bytes()
 
 

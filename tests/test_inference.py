@@ -986,21 +986,17 @@ class TestSweepAndChain:
             archive.manifest["weight_table_hash"]
         )
 
-    def test_redraws_free_old_samplers_first(self, monkeypatch):
-        # the per-sweep redraw and every discount trial make new frozen
-        # draws only once the draws they replace are gone: only the state's
-        # own sampler may outlive a construction
+    def test_one_draw_set_alive_at_a_time(self, monkeypatch):
+        # every discount trial makes new frozen draws only once the draws
+        # they replace are gone, the state's own included
         y = np.random.default_rng(6).standard_normal((12, 2))
         config = ChainConfig(seed=5, mc_samples=2000, update_alpha=True, update_theta=True)
         state = initial_state(GibbsModel.ngg(0.5, 1.0), y, config)
         built = [weakref.ref(state.sampler)]
-        kinds = []
         sampler_class = inference.NggWeightSampler
 
         def watched(alpha, n, samples, seed):
-            kinds.append("redraw" if state.sampler is None else "trial")
-            for ref in built:
-                assert ref() is None or ref() is state.sampler
+            assert all(ref() is None for ref in built)
             sampler = sampler_class(alpha, n, samples, seed)
             built.append(weakref.ref(sampler))
             return sampler
@@ -1008,7 +1004,31 @@ class TestSweepAndChain:
         monkeypatch.setattr(inference, "NggWeightSampler", watched)
         for _ in range(3):
             gibbs_sweep(state, y, config)
-        assert kinds.count("redraw") == 3 and "trial" in kinds
+        assert len(built) > 4  # the discount trials drew
+
+    def test_beta_moves_keep_the_chains_draws(self, monkeypatch):
+        # an NGG chain keeps the draws initial_state made: a beta-only
+        # sweep builds no sampler and never reseeds the model's mc_config
+        y = np.random.default_rng(7).standard_normal((30, 2))
+        config = ChainConfig(seed=3, mc_samples=10_000, update_theta=True)
+        state = initial_state(GibbsModel.ngg(0.5, 1.0), y, config)
+        sampler = state.sampler
+        built = []
+        sampler_class = inference.NggWeightSampler
+
+        def watched(*args):
+            built.append(args)
+            return sampler_class(*args)
+
+        monkeypatch.setattr(inference, "NggWeightSampler", watched)
+        betas = set()
+        for _ in range(5):
+            gibbs_sweep(state, y, config)
+            assert state.model.mc_config == McConfig(config.mc_samples, config.seed)
+            assert state.sampler is sampler
+            betas.add(state.model.beta)
+        assert built == []
+        assert len(betas) > 1  # the move ran
 
     def test_zero_iterations_archives_initial_state(self):
         rng = np.random.default_rng(0)
@@ -1137,16 +1157,27 @@ class TestGeweke:
         config = ChainConfig(update_theta=True)
         with pytest.raises(ValueError):
             geweke_check(GibbsModel.dp(1.0), 4, 2, config, rounds=10)
-        with pytest.raises(ValueError):
-            geweke_check(GibbsModel.nig(1.0), 4, 2, ChainConfig(), rounds=10)
         # fewer rounds than batch means would leave every z-score NaN
         with pytest.raises(ValueError, match="rounds"):
             geweke_check(GibbsModel.dp(1.0), 4, 2, ChainConfig(), rounds=GEWEKE_BATCHES - 1)
+        # a Monte Carlo model runs, at the fewest rounds allowed
+        model = GibbsModel.nig(1.0, mc_config=McConfig(10_000, 1))
+        scores = geweke_check(model, 4, 2, ChainConfig(), rounds=GEWEKE_BATCHES)
+        assert all(math.isfinite(z) for z in scores.values())
 
-    def test_smoke_scores_small(self):
+    @pytest.mark.parametrize(
+        "model",
+        [
+            GibbsModel.dp(1.0),
+            GibbsModel.ngg(0.5, 1.0, mc_config=McConfig(10_000, 1)),
+            GibbsModel.nig(1.0, mc_config=McConfig(10_000, 1)),
+        ],
+        ids=["dp", "ngg", "nig"],
+    )
+    def test_smoke_scores_small(self, model):
         # short run; the acceptance suite runs the full-length version
         config = ChainConfig(seed=0, update_gamma=True)
-        scores = geweke_check(GibbsModel.dp(1.0), 5, 2, config, rounds=4000, seed=1)
+        scores = geweke_check(model, 5, 2, config, rounds=4000, seed=1)
         assert set(scores) >= {"dishes", "gamma", "data_sq_mean"}
         for name, z in scores.items():
             assert abs(z) < 6.0, f"{name}: z = {z}"

@@ -31,6 +31,7 @@ BLOCK_LAW_TOL = 1e-8
 # standard error sum_k P(B_n = k) rel_se_{n,k} this large
 CALIBRATE_MC_ERROR_MAX = 0.5
 MAX_FROZEN_DRAWS = 2 ** 27  # NggWeightSampler's n x samples doubles: 1 GiB
+MOMENT_BLOCK = 2 ** 17  # doubles per _shifted_moments work buffer (1 MiB)
 
 
 class McDegeneracyError(RuntimeError):
@@ -290,16 +291,25 @@ def _shifted_moments(shifted, ratio_min, alpha, beta):
     their minima.
 
     The largest log term of a row is beta^alpha - beta min R, known in
-    closed form, so one pass over a work buffer gives both moments: the
-    row sums of exp(-beta (R - min R)) and of their squares.  Every summand
-    lies in [0, 1] and the row minimum contributes exactly 1, so neither
-    sum can underflow to zero.
+    closed form, so each block of rows needs one cache-sized work buffer:
+    the row sums of exp(-beta (R - min R)), then of the same buffer squared
+    in place.  Every summand lies in [0, 1] and the row minimum contributes
+    exactly 1, so neither sum can underflow to zero.  Both are numpy's
+    pairwise row sums, the same for a row whatever block or array it sits
+    in.  Neither calls BLAS, whose threaded dot product would split a row
+    across threads, leave a worker spinning on another core after the call,
+    and round differently for each BLAS thread count.
     """
-    samples = shifted.shape[1]
-    work = np.multiply(shifted, -beta)
-    np.exp(work, out=work)
-    sum1 = work.sum(axis=1)
-    sum2 = np.vecdot(work, work)  # per-row dot products, the same for any row count
+    rows, samples = shifted.shape
+    step = max(1, MOMENT_BLOCK // samples)
+    sum1, sum2 = np.empty(rows), np.empty(rows)
+    buffer = np.empty((min(step, rows), samples))
+    for first in range(0, rows, step):
+        last = min(first + step, rows)
+        work = np.multiply(shifted[first:last], -beta, out=buffer[:last - first])
+        np.exp(work, out=work)
+        work.sum(axis=1, out=sum1[first:last])
+        np.square(work, out=work).sum(axis=1, out=sum2[first:last])
     top = beta ** alpha - beta * ratio_min
     log_m1 = top + np.log(sum1) - math.log(samples)
     log_m2 = 2.0 * top + np.log(sum2) - math.log(samples)

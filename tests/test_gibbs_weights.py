@@ -642,6 +642,16 @@ class TestNggWeightSampler:
         # both forms take m2 - m1^2 by cancellation, so compare absolutely
         np.testing.assert_allclose(got_rel, rel, rtol=0.0, atol=1e-9)
 
+    @pytest.mark.parametrize("block", [1, 25_000, 3 * 10_000, 2 ** 20])
+    def test_moments_do_not_depend_on_block_size(self, block, monkeypatch):
+        # one, two, three or all seven rows per work buffer: the same bits
+        sampler = NggWeightSampler(0.5, 7, 10_000, seed=6)
+        want = sampler.log_last_row(0.9)
+        monkeypatch.setattr(gibbs_weights, "MOMENT_BLOCK", block)
+        got = sampler.log_last_row(0.9)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
     def test_beta_sweep_is_deterministic(self):
         sampler = NggWeightSampler(0.4, 6, 20_000, seed=8)
         r1, _ = sampler.log_last_row(0.7)

@@ -41,7 +41,7 @@ from .ibp import (
     powerlaw_constant,
     simulate_ibp,
 )
-from .inference import GEWEKE_BATCHES, ChainConfig, Priors, geweke_check, run_chain
+from .inference import GEWEKE_MIN_ROUNDS, ChainConfig, Priors, geweke_check, run_chain
 from .special_functions import MAX_TABLE_DEPTH
 
 MODEL_CHOICES = ("dp", "py", "ngg", "nig")
@@ -289,8 +289,8 @@ def _validate(config):
     if config.subcommand == "geweke":
         if config.p is None or config.p < 1:
             raise ValueError("--p must be a positive integer")
-        if config.rounds < GEWEKE_BATCHES:
-            raise ValueError(f"--rounds must be at least {GEWEKE_BATCHES}")
+        if config.rounds < GEWEKE_MIN_ROUNDS:
+            raise ValueError(f"--rounds must be at least {GEWEKE_MIN_ROUNDS}")
 
 
 def run_simulate(config):

@@ -250,10 +250,9 @@ def _fill_shifted_ratio_rows(alpha, n, samples, rng, fill):
 
     Row k draws from its own child stream, rng.spawn(n)[k - 1], so every
     row depends on the seed alone.  Rows are dealt round-robin to one
-    worker thread per usable core (numpy's variate loops release the GIL;
-    the tilt-angle rejection costs more as k grows), and fill runs on the
-    worker that drew the row.  An exception raised on a worker reaches the
-    caller unchanged.
+    worker thread per usable core (numpy's variate loops release the GIL),
+    and fill runs on the worker that drew the row.  An exception raised on
+    a worker reaches the caller unchanged.
     """
     streams = rng.spawn(n)
 

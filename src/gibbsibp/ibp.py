@@ -14,7 +14,6 @@ import numpy as np
 from scipy import integrate, special
 
 from .gibbs_weights import build_primitive_cache
-from .special_functions import positive_stable_density
 
 
 class FeatureAllocation:
@@ -94,35 +93,68 @@ def simulate_ibp(model, gamma, n, seed, cache=None):
         cache = build_primitive_cache(model, n)
     if cache.n < n:
         raise ValueError(f"cache depth {cache.n} cannot serve n = {n}")
-    alpha = model.stable_index
-    rng = np.random.default_rng(seed)
-    counts = np.zeros(16, dtype=np.int64)
-    k_cur = 0
+    z, _ = _lockstep_buffet(
+        np.array([float(gamma)]), n, model.stable_index, cache, np.random.default_rng(seed)
+    )
+    return FeatureAllocation(z[0], gamma)
+
+
+def _lockstep_buffet(gammas, n, alpha, cache, rng):
+    """Run one buffet of n customers per entry of gammas (its mass), all
+    replicates a customer at a time.
+
+    Replicate r's dishes fill the first dishes[r] slots of its row in order
+    of appearance. An empty slot holds the count alpha, so its probability
+    (count - alpha) g_n(1,0) is exactly 0 and no uniform can take it. At one
+    replicate, rng.random((1, k)) draws what rng.random(k) does, so
+    simulate_ibp keeps the stream of a customer-by-customer loop.
+
+    Returns:
+        (z, dishes): uint8 array (replicates, n, max dishes) with zero
+        columns past each replicate's dishes, and the int array of dishes.
+    """
+    reps = gammas.size
+    counts = np.full((reps, 16), float(alpha))
+    slot = np.arange(16)
+    dishes = np.zeros(reps, dtype=np.int64)
+    width = 0
+    fresh_by_customer = np.zeros((n, reps), dtype=np.int64)
     steps = []
-    for j in range(1, n + 1):
-        if k_cur:
-            probs = (counts[:k_cur] - alpha) * cache.g10_for(j)
-            if probs.min() < 0.0 or probs.max() > 1.0:
+    rates = gammas[:, None] * cache.g11[:n]
+    for i in range(n):
+        if width:
+            g10 = cache.g10[i]
+            probs = (counts[:, :width] - alpha) * g10
+            # counts - alpha >= 0, so only a negative g10 makes probs negative
+            if g10 < 0.0 or probs.max() > 1.0:
                 raise ValueError(
                     "per-dish probability left [0, 1]; the primitives are corrupt"
                 )
-            takes = rng.random(k_cur) < probs
-            counts[:k_cur][takes] += 1
+            takes = rng.random((reps, width)) < probs
+            counts[:, :width] += takes
+            steps.append(takes)
+        if reps == 1:
+            # a scalar rate draws what a length-1 array does, ~8 us faster
+            fresh = rng.poisson(rates[0, i])
+            born = fresh > 0
         else:
-            takes = np.zeros(0, dtype=bool)
-        fresh = int(rng.poisson(gamma * cache.g11_for(j)))
-        if k_cur + fresh > counts.size:
-            counts = np.concatenate([counts, np.zeros(counts.size + fresh, dtype=np.int64)])
-        counts[k_cur:k_cur + fresh] = 1
-        k_cur += fresh
-        steps.append((takes, fresh))
-    matrix = np.zeros((n, k_cur), dtype=np.uint8)
-    seen = 0
-    for i, (takes, fresh) in enumerate(steps):
-        matrix[i, :takes.size] = takes
-        matrix[i, seen:seen + fresh] = 1
-        seen += fresh
-    return FeatureAllocation(matrix, gamma)
+            fresh = rng.poisson(rates[:, i])
+            born = fresh.any()
+        if born:
+            dishes = dishes + fresh
+            width = max(width, int(dishes.max()))
+            if width > slot.size:
+                counts = np.pad(counts, ((0, 0), (0, width + slot.size)), constant_values=alpha)
+                slot = np.arange(counts.shape[1])
+            # taken slots hold counts >= 1 and empty ones alpha < 1
+            np.maximum(counts, slot < dishes[:, None], out=counts)
+            fresh_by_customer[i] = fresh
+    seen = fresh_by_customer.T.cumsum(axis=1)[:, :, None]
+    k = np.arange(width)
+    z = ((k < seen) & (k >= seen - fresh_by_customer.T[:, :, None])).view(np.uint8)
+    for i, takes in enumerate(steps, start=n - len(steps)):
+        z[:, i, :takes.shape[1]] |= takes
+    return z, dishes
 
 
 def sample_feature_counts(model, gamma, n, replicates, seed, cache=None):
@@ -261,8 +293,16 @@ def powerlaw_constant(model):
     """Leading constant C in E[K_n] ~ gamma C n^alpha.
 
     PY evaluates Gamma(theta+1)/(alpha Gamma(theta+alpha)); NIG the Bessel
-    form (2/sqrt(pi)) sqrt(beta) e^{sqrt(beta)} K_1(sqrt(beta)); NGG the
-    quadrature e^{beta^alpha} int t^{-alpha} e^{-beta t} f_alpha(t) dt.
+    form (2/sqrt(pi)) sqrt(beta) e^{sqrt(beta)} K_1(sqrt(beta)). NGG's
+    constant e^{beta^alpha} int t^{-alpha} e^{-beta t} f_alpha(t) dt becomes
+    one integral through t^{-alpha} = Gamma(alpha)^{-1} int s^{alpha-1}
+    e^{-st} ds and the stable Laplace transform:
+
+        C = e^{beta^alpha} / Gamma(alpha) int_0^inf s^{alpha-1}
+            exp(-(beta+s)^alpha) ds,
+
+    and s = t^{1/alpha} turns the integrand into exp(beta^alpha -
+    (beta + t^{1/alpha})^alpha) / alpha, smooth and bounded at t = 0.
     DP dish counts grow logarithmically, so no such constant exists and the
     result is None.
     """
@@ -281,12 +321,16 @@ def powerlaw_constant(model):
         # k1e(x) = e^x K_1(x), stable for large beta
         return 2.0 / math.sqrt(math.pi) * root * float(special.k1e(root))
 
-    def integrand(t):
-        return t ** -alpha * math.exp(-beta * t) * positive_stable_density(alpha, t)
+    scale, log_beta = beta ** alpha, math.log(beta)
 
-    head, _ = integrate.quad(integrand, 0.0, 1.0)
-    tail, _ = integrate.quad(integrand, 1.0, np.inf)
-    return math.exp(beta ** alpha) * (head + tail)
+    def integrand(t):
+        # beta^alpha - (beta + s)^alpha = -beta^alpha expm1(alpha log(1 + s/beta)),
+        # free of cancellation at s << beta; the log stays finite where s overflows
+        growth = alpha * float(np.logaddexp(0.0, math.log(t) / alpha - log_beta)) if t else 0.0
+        return math.exp(-scale * math.expm1(min(growth, 700.0)))
+
+    value, _ = integrate.quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-12, limit=200)
+    return value / math.gamma(alpha + 1.0)
 
 
 def export_allocation_csv(allocation, path):

@@ -27,14 +27,16 @@ from .gibbs_weights import (
     weight_table_content_hash,
     weight_table_from_sampler,
 )
-from .ibp import FeatureAllocation, _log_joint_counts, simulate_ibp
+from .ibp import FeatureAllocation, _lockstep_buffet, _log_joint_counts, simulate_ibp
 from .ibp import log_joint as allocation_log_joint
 
 _LOG_2PI = math.log(2.0 * math.pi)
 SLICE_WIDTH = 1.0
 STEP_OUT_STEPS = 100
 SHRINK_STEPS = 200
-GEWEKE_BATCHES = 50
+# the autocorrelation sum of a shorter Geweke chain has too few lags to mean much
+GEWEKE_MIN_ROUNDS = 50
+GEWEKE_CHUNK = 2 ** 15  # cells of Y per chunk of marginal-side prior draws
 
 
 @dataclass(frozen=True)
@@ -709,6 +711,8 @@ GEWEKE_STATISTIC_NAMES = (
 
 
 def _prior_state(model, n, p, config, rng, cache=None):
+    # one prior draw: the chain side's start, and the reference that
+    # _marginal_statistics is tested against
     gamma = float(rng.gamma(config.priors.lambda1, 1.0 / config.priors.lambda2))
     if config.update_scales:
         # variances ~ inverse-gamma(1, 1)
@@ -728,11 +732,56 @@ def _prior_state(model, n, p, config, rng, cache=None):
     return LatentFactorState(model, z, w, a, sigma_y, sigma_w, sigma_a, gamma, rng)
 
 
-def _batch_means_se(draws):
-    draws = np.asarray(draws, dtype=float)
-    usable = (draws.size // GEWEKE_BATCHES) * GEWEKE_BATCHES
-    means = draws[:usable].reshape(GEWEKE_BATCHES, -1).mean(axis=1)
-    return float(means.std(ddof=1) / math.sqrt(GEWEKE_BATCHES))
+def _marginal_statistics(model, n, p, config, rounds, rng, cache):
+    """Geweke statistics of `rounds` independent prior draws of (state, Y).
+
+    Chunks of rounds run through one lockstep buffet each, holding
+    GEWEKE_CHUNK cells of Y (and Z, W o Z and A of like size) at a time.
+    """
+    out = np.empty((rounds, len(GEWEKE_STATISTIC_NAMES)))
+    step = max(1, GEWEKE_CHUNK // (n * p))
+    for first in range(0, rounds, step):
+        reps = min(step, rounds - first)
+        gamma = rng.gamma(config.priors.lambda1, 1.0 / config.priors.lambda2, size=reps)
+        if config.update_scales:
+            # variances ~ inverse-gamma(1, 1)
+            sigma_y = np.sqrt(1.0 / rng.gamma(1.0, size=reps))
+            sigma_w = np.sqrt(1.0 / rng.gamma(1.0, size=reps))
+            sigma_a = np.sqrt(1.0 / rng.gamma(1.0, size=(reps, p)))
+        else:
+            sigma_y = np.full(reps, config.sigma_y)
+            sigma_w = np.full(reps, config.sigma_w)
+            sigma_a = np.broadcast_to(np.asarray(config.sigma_a, dtype=float), (reps, p))
+        z, dishes = _lockstep_buffet(gamma, n, model.stable_index, cache, rng)
+        live = np.arange(z.shape[2]) < dishes[:, None]
+        wz = rng.standard_normal(z.shape) * sigma_w[:, None, None] * z
+        a = rng.standard_normal((reps, z.shape[2], p)) * sigma_a[:, None, :] * live[:, :, None]
+        y = wz @ a + rng.standard_normal((reps, n, p)) * sigma_y[:, None, None]
+        # _geweke_statistics, one row per replicate
+        cells = (1, 2)
+        out[first:first + reps] = np.column_stack(
+            [dishes, z.sum(cells), gamma, wz.sum(cells), (a * a).sum(cells),
+             y.mean(cells), (y * y).mean(cells)]
+        )
+    return out
+
+
+def _autocorrelation_se(draws):
+    """Standard error of the mean of a stationary series.
+
+    The asymptotic variance is Geyer's (1992) initial monotone sequence
+    estimate: sums of adjacent autocovariance pairs, cut at the first that
+    is not positive and made nonincreasing.
+    """
+    x = np.asarray(draws, dtype=float)
+    m = x.size
+    spectrum = np.fft.rfft(x - x.mean(), 2 * m)
+    acov = np.fft.irfft(spectrum.real ** 2 + spectrum.imag ** 2, 2 * m)[:m] / m
+    pairs = acov[: m - m % 2].reshape(-1, 2).sum(axis=1)
+    cut = np.flatnonzero(pairs <= 0.0)
+    pairs = np.minimum.accumulate(pairs[: cut[0] if cut.size else pairs.size])
+    # 2 Gamma_0 - gamma_0 = gamma_0 + 2 gamma_1 < 0 at a strong lag-1 anticorrelation
+    return math.sqrt(max(2.0 * pairs.sum() - acov[0], 0.0) / m)
 
 
 def geweke_check(model, n, p, config, rounds=100_000, seed=0):
@@ -740,25 +789,21 @@ def geweke_check(model, n, p, config, rounds=100_000, seed=0):
 
     The marginal-conditional side draws (state, Y) from the prior; the
     successive-conditional side alternates gibbs_sweep with re-emitting Y.
-    Matching joints means every statistic's two means agree; z-scores use
-    batch means on the chain side to absorb autocorrelation.  NGG/NIG run
-    on the table of their mc_config's draws.
+    Matching joints means every statistic's two means agree; the chain
+    side's standard errors come from its autocorrelations
+    (_autocorrelation_se).  The marginal side draws its prior states in
+    lockstep chunks.  NGG/NIG run on the table of their mc_config's draws.
 
     Returns:
         dict mapping statistic name -> z-score.
     """
     if config.update_alpha or config.update_theta:
         raise ValueError("the joint-distribution test runs with fixed model parameters")
-    if rounds < GEWEKE_BATCHES:
-        raise ValueError(f"rounds must be at least the {GEWEKE_BATCHES} batch means")
+    if rounds < GEWEKE_MIN_ROUNDS:
+        raise ValueError(f"rounds must be at least {GEWEKE_MIN_ROUNDS}")
     rng = np.random.default_rng(seed)
     cache = build_primitive_cache(model, n)
-
-    marginal = np.empty((rounds, len(GEWEKE_STATISTIC_NAMES)))
-    for r in range(rounds):
-        state = _prior_state(model, n, p, config, rng, cache=cache)
-        y = _emit_data(state, rng)
-        marginal[r] = _geweke_statistics(state, y)
+    marginal = _marginal_statistics(model, n, p, config, rounds, rng, cache)
 
     state = _prior_state(model, n, p, config, rng, cache=cache)
     state.cache = cache
@@ -772,7 +817,7 @@ def geweke_check(model, n, p, config, rounds=100_000, seed=0):
     scores = {}
     for idx, name in enumerate(GEWEKE_STATISTIC_NAMES):
         se_m = marginal[:, idx].std(ddof=1) / math.sqrt(rounds)
-        se_s = _batch_means_se(successive[:, idx])
+        se_s = _autocorrelation_se(successive[:, idx])
         gap = marginal[:, idx].mean() - successive[:, idx].mean()
         scores[name] = float(gap / math.hypot(se_m, se_s))
     return scores

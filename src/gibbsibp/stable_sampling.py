@@ -47,23 +47,48 @@ def sample_positive_stable(alpha, rng, size=None):
 
 
 def _sample_tilt_angle(alpha, b, rng, m):
-    # density on (0, pi) proportional to A(u)^{-b}; A is increasing, so a
-    # uniform proposal with envelope A(0+)^{-b} is exact
+    """m angles U from the density on (0, pi) proportional to A(u)^{-b},
+    returned as the pair (U, log A(U)).
+
+    Write s(x) = log(sin x / x) = -x^2/6 - x^4/180 - ..., whose Taylor
+    coefficients in x^2 are all negative. Then
+
+        log A(u) - log A(0+) = alpha/(1-alpha) [s(alpha u) - s(u)]
+                               + s((1-alpha) u) - s(u),
+
+    and each of its coefficients in u^2 is -c_k [alpha/(1-alpha)
+    (1 - alpha^{2k}) + 1 - (1-alpha)^{2k}] > 0 with c_k that of s; the
+    first is alpha/2. So A(u)^{-b} <= A(0+)^{-b} exp(-b alpha u^2 / 2) on
+    (0, pi): a half-normal proposal with variance 1/(b alpha), rejected at
+    u >= pi, is an exact envelope (Devroye 2009 bounds the same kernel).
+    Its mass sqrt(pi/(2 b alpha)) beats the uniform envelope's pi when
+    b alpha > 1/(2 pi); below that the uniform proposal stays. A is
+    increasing, so A(0+)^{-b} bounds it.
+    """
     log_a0 = log_kanter_a0(alpha)
-    out = np.empty(m)
+    out = np.empty((2, m))
     filled = 0
-    # uniform-proposal acceptance is ~ 1/sqrt(2 pi b alpha (1-alpha)) for
-    # large b, so oversample accordingly
-    rate_guess = max(min(1.0, 1.0 / math.sqrt(2.0 * math.pi * b * alpha * (1.0 - alpha))), 1e-3)
+    normal = b * alpha > 0.5 / math.pi
+    scale = 1.0 / math.sqrt(b * alpha)
+    rate = 1.0  # half-normal acceptance per proposal, re-estimated each round
     while filled < m:
-        chunk = int((m - filled) / rate_guess * 1.2) + 64
-        u = rng.uniform(1e-12, math.pi - 1e-12, size=chunk)
-        log_ratio = b * (log_a0 - log_kanter_a(u, alpha))
-        keep = np.log(rng.uniform(size=chunk)) < log_ratio
-        got = u[keep]
-        take = min(got.size, m - filled)
-        out[filled:filled + take] = got[:take]
-        filled += take
+        if normal:
+            chunk = int((m - filled) / rate * 1.05) + 64
+            u = np.abs(rng.standard_normal(chunk)) * scale
+            u = u[u < math.pi]
+            log_a = log_kanter_a(u, alpha)
+            excess = b * (log_a - log_a0 - 0.5 * alpha * u * u)
+            keep = rng.standard_exponential(u.size) > excess
+        else:
+            chunk = int((m - filled) * 1.2) + 64
+            u = rng.uniform(1e-12, math.pi - 1e-12, size=chunk)
+            log_a = log_kanter_a(u, alpha)
+            keep = np.log(rng.uniform(size=chunk)) < b * (log_a0 - log_a)
+        got = np.flatnonzero(keep)[:m - filled]
+        out[0, filled:filled + got.size] = u[got]
+        out[1, filled:filled + got.size] = log_a[got]
+        filled += got.size
+        rate = max(np.count_nonzero(keep), 1) / chunk
     return out
 
 
@@ -74,6 +99,8 @@ def sample_tilted_stable(spec, rng, size=None, method="auto"):
     proportional to A(U)^{-b} on (0, pi), with b = tilt (1-alpha)/alpha, the
     transformed draw X = (A(U)/G)^{(1-alpha)/alpha} with G ~ Gamma(1 + b) has
     the target law. At tilt = 0 this reduces to Kanter's untilted sampler.
+    The angle is drawn by rejection from a half-normal envelope when
+    b alpha > 1/(2 pi), and from a uniform one otherwise.
 
     Args:
         spec: TiltedStableSpec with the stability index and tilt exponent.
@@ -95,9 +122,9 @@ def sample_tilted_stable(spec, rng, size=None, method="auto"):
     else:
         b = tilt * (1.0 - alpha) / alpha
         if b == 0.0:
-            u = rng.uniform(1e-12, math.pi - 1e-12, size=m)
+            log_a = log_kanter_a(rng.uniform(1e-12, math.pi - 1e-12, size=m), alpha)
         else:
-            u = _sample_tilt_angle(alpha, b, rng, m)
+            _, log_a = _sample_tilt_angle(alpha, b, rng, m)
         g = np.maximum(rng.gamma(1.0 + b, size=m), 1e-300)
-        x = np.exp((1.0 - alpha) / alpha * (log_kanter_a(u, alpha) - np.log(g)))
+        x = np.exp((1.0 - alpha) / alpha * (log_a - np.log(g)))
     return float(x[0]) if size is None else x

@@ -336,6 +336,7 @@ def test_criterion_11_stick_and_sequential_laws_agree():
 
 
 def test_criterion_12_sampler_joint_distribution_and_conjugacy():
+    start = time.perf_counter()
     zscores = geweke_check(
         GibbsModel.dp(1.0), 8, 4, ChainConfig(update_gamma=True), rounds=100_000, seed=0
     )
@@ -361,12 +362,15 @@ def test_criterion_12_sampler_joint_distribution_and_conjugacy():
         _resample_gamma(state, Priors())
         draws[i] = state.gamma
     p_value = stats.kstest(draws, stats.gamma(a=shape, scale=1.0 / rate).cdf).pvalue
+    elapsed = time.perf_counter() - start
     _verdict(
         12,
         "joint-distribution sampler test and conjugate mass update",
-        len(zscores) >= 6 and worst_z < 4.0 and params_ok and p_value > 0.001,
+        len(zscores) >= 6 and worst_z < 4.0 and params_ok and p_value > 0.001
+        and elapsed < 120.0,
         f"max |z| {worst_z:.2f} over {len(zscores)} statistics (tol 4, 1e5 rounds, "
-        f"n=8, p=4); mass-update KS p-value {p_value:.3f} (level 0.001, 1e4 draws)",
+        f"n=8, p=4); mass-update KS p-value {p_value:.3f} (level 0.001, 1e4 draws), "
+        f"{elapsed:.0f}s (budget 120s)",
     )
 
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from gibbsibp.gibbs_weights import (
 )
 from gibbsibp.ibp import (
     FeatureAllocation,
+    _lockstep_buffet,
     expected_features,
     export_allocation_csv,
     export_statistics_csv,
@@ -30,12 +32,42 @@ from gibbsibp.ibp import (
 
 # mpmath quadrature (40 dps) of e^{b^a}/Gamma(a) int_b^inf (u-b)^{a-1} e^{-u^a} du,
 # the Laplace-transform form of the dish-growth constant; the route reproduces
-# the alpha = 1/2 Bessel closed form to 22 digits
+# the alpha = 1/2 Bessel closed form to 22 digits.  The alpha = 0.05 and 0.95
+# entries integrate (u-b)^{a-1} (e^{b^a - u^a} - 1) on [b, b+1] and add 1/a,
+# so no quadrature node meets the singular endpoint.
 POWERLAW_ORACLE = {
     (0.3, 1.0): 2.067777643296223,
     (0.7, 0.5): 1.399800118852481,
     (0.5, 1.0): 1.846201508070154,
     (0.5, 2.5): 2.142901371206614,
+    (0.05, 0.01): 1.8404735872832904047,
+    (0.05, 100.0): 2.3137758967550510206,
+    (0.95, 0.01): 1.0233852605452369727,
+    (0.95, 100.0): 1.3074526623368409469,
+}
+
+# simulate_ibp(model, gamma, n, seed=3) -> (dishes, sha256 of the matrix
+# bytes, first 16 hex digits), recorded from the customer-by-customer loop
+# that preceded the lockstep buffet
+SIMULATE_PINS = {
+    ("dp", 1, 0.0): (0, "e3b0c44298fc1c14"),
+    ("dp", 1, 2.5): (1, "4bf5122f344554c5"),
+    ("dp", 20, 0.0): (0, "e3b0c44298fc1c14"),
+    ("dp", 20, 2.5): (3, "35f4c6f205f998a8"),
+    ("dp", 1000, 0.0): (0, "e3b0c44298fc1c14"),
+    ("dp", 1000, 2.5): (11, "89221d0468f3dbad"),
+    ("py", 1, 0.0): (0, "e3b0c44298fc1c14"),
+    ("py", 1, 2.5): (1, "4bf5122f344554c5"),
+    ("py", 20, 0.0): (0, "e3b0c44298fc1c14"),
+    ("py", 20, 2.5): (13, "5ffa6cd6d59ec445"),
+    ("py", 1000, 0.0): (0, "e3b0c44298fc1c14"),
+    ("py", 1000, 2.5): (169, "c5f9fc545007d6f5"),
+    ("ngg", 1, 0.0): (0, "e3b0c44298fc1c14"),
+    ("ngg", 1, 2.5): (1, "4bf5122f344554c5"),
+    ("ngg", 20, 0.0): (0, "e3b0c44298fc1c14"),
+    ("ngg", 20, 2.5): (12, "583d7460ae6677c9"),
+    ("ngg", 1000, 0.0): (0, "e3b0c44298fc1c14"),
+    ("ngg", 1000, 2.5): (150, "bef2b07c99f42ecc"),
 }
 
 
@@ -137,6 +169,35 @@ class TestSimulateIbp:
         bad = PrimitiveCache(model, 3, np.full(3, 5.0), good.g11, good.log_gs1)
         with pytest.raises(ValueError, match="corrupt"):
             simulate_ibp(model, 1.0, 3, seed=0, cache=bad)
+        with pytest.raises(ValueError, match="corrupt"):
+            _lockstep_buffet(np.full(50, 1.0), 3, 0.5, bad, np.random.default_rng(0))
+
+    def test_outputs_pinned(self):
+        ngg = GibbsModel.ngg(0.5, 1.0, mc_config=McConfig(10_000, 1))
+        models = {
+            "dp": (GibbsModel.dp(1.0), None),
+            "py": (GibbsModel.py(0.5, 1.0), None),
+            "ngg": (ngg, build_primitive_cache(ngg, 1000)),
+        }
+        for (name, n, gamma), (dishes, digest) in SIMULATE_PINS.items():
+            model, cache = models[name]
+            matrix = simulate_ibp(model, gamma, n, seed=3, cache=cache).matrix
+            assert matrix.shape == (n, dishes)
+            assert hashlib.sha256(matrix.tobytes()).hexdigest()[:16] == digest, (name, n, gamma)
+
+    def test_lockstep_replicates_are_independent_buffets(self):
+        # each replicate's columns past its dishes are empty, and its dish
+        # totals follow the one-replicate law at its own mass
+        model = GibbsModel.py(0.5, 1.0)
+        cache = build_primitive_cache(model, 6)
+        gammas = np.repeat([0.5, 3.0], 10_000)
+        z, dishes = _lockstep_buffet(gammas, 6, 0.5, cache, np.random.default_rng(8))
+        assert z.shape == (gammas.size, 6, dishes.max())
+        live = np.arange(z.shape[2]) < dishes[:, None]
+        assert np.array_equal(z.any(axis=1), live)
+        for gamma, half in zip((0.5, 3.0), (dishes[:10_000], dishes[10_000:])):
+            single = [simulate_ibp(model, gamma, 6, seed=s, cache=cache).dishes for s in range(3000)]
+            assert stats.ks_2samp(half, single).pvalue > 0.001
 
 
 class TestSampleFeatureCounts:
@@ -348,6 +409,13 @@ class TestPowerlawConstant:
         )
         assert powerlaw_constant(GibbsModel.ngg(0.7, 0.5)) == pytest.approx(
             POWERLAW_ORACLE[(0.7, 0.5)], rel=1e-8
+        )
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.95])
+    @pytest.mark.parametrize("beta", [0.01, 100.0])
+    def test_ngg_extreme_parameters(self, alpha, beta):
+        assert powerlaw_constant(GibbsModel.ngg(alpha, beta)) == pytest.approx(
+            POWERLAW_ORACLE[(alpha, beta)], rel=1e-10
         )
 
     def test_quadrature_meets_bessel(self):

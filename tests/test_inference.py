@@ -20,7 +20,7 @@ from gibbsibp.gibbs_weights import (
 )
 from gibbsibp.ibp import FeatureAllocation, _log_joint_counts, log_joint, simulate_ibp
 from gibbsibp.inference import (
-    GEWEKE_BATCHES,
+    GEWEKE_MIN_ROUNDS,
     ChainConfig,
     LatentFactorState,
     Priors,
@@ -1157,13 +1157,71 @@ class TestGeweke:
         config = ChainConfig(update_theta=True)
         with pytest.raises(ValueError):
             geweke_check(GibbsModel.dp(1.0), 4, 2, config, rounds=10)
-        # fewer rounds than batch means would leave every z-score NaN
+        # a shorter chain gives the autocorrelation sum too few lags
         with pytest.raises(ValueError, match="rounds"):
-            geweke_check(GibbsModel.dp(1.0), 4, 2, ChainConfig(), rounds=GEWEKE_BATCHES - 1)
+            geweke_check(GibbsModel.dp(1.0), 4, 2, ChainConfig(), rounds=GEWEKE_MIN_ROUNDS - 1)
         # a Monte Carlo model runs, at the fewest rounds allowed
         model = GibbsModel.nig(1.0, mc_config=McConfig(10_000, 1))
-        scores = geweke_check(model, 4, 2, ChainConfig(), rounds=GEWEKE_BATCHES)
+        scores = geweke_check(model, 4, 2, ChainConfig(), rounds=GEWEKE_MIN_ROUNDS)
         assert all(math.isfinite(z) for z in scores.values())
+
+    @pytest.mark.parametrize("update_scales", [False, True], ids=["fixed", "scales"])
+    @pytest.mark.parametrize(
+        "model",
+        [
+            GibbsModel.dp(1.0),
+            GibbsModel.py(0.5, 1.0),
+            GibbsModel.ngg(0.75, 0.6, mc_config=McConfig(10_000, 1)),
+        ],
+        ids=["dp", "py", "ngg"],
+    )
+    def test_marginal_side_matches_prior_states(self, model, update_scales):
+        # the lockstep chunks against one _prior_state draw per round
+        n, p, rounds = 8, 4, 20_000
+        config = ChainConfig(update_scales=update_scales)
+        cache = build_primitive_cache(model, n)
+        batch = inference._marginal_statistics(
+            model, n, p, config, rounds, np.random.default_rng(1), cache
+        )
+        rng = np.random.default_rng(2)
+        single = np.empty_like(batch)
+        for r in range(rounds):
+            state = inference._prior_state(model, n, p, config, rng, cache=cache)
+            single[r] = inference._geweke_statistics(state, inference._emit_data(state, rng))
+        for idx, name in enumerate(inference.GEWEKE_STATISTIC_NAMES):
+            p_value = stats.ks_2samp(batch[:, idx], single[:, idx]).pvalue
+            assert p_value > 1e-4, f"{name}: KS p = {p_value}"
+
+    def test_marginal_chunks_are_bounded(self, monkeypatch):
+        sizes = []
+        buffet = inference._lockstep_buffet
+
+        def recording(gammas, *args):
+            sizes.append(gammas.size)
+            return buffet(gammas, *args)
+
+        monkeypatch.setattr(inference, "_lockstep_buffet", recording)
+        model, n, p = GibbsModel.dp(1.0), 8, 4
+        cache = build_primitive_cache(model, n)
+        out = inference._marginal_statistics(
+            model, n, p, ChainConfig(), 10_000, np.random.default_rng(0), cache
+        )
+        assert out.shape == (10_000, len(inference.GEWEKE_STATISTIC_NAMES))
+        assert sum(sizes) == 10_000
+        assert max(sizes) * n * p <= inference.GEWEKE_CHUNK
+
+    @pytest.mark.parametrize("phi", [0.0, 0.5, 0.9])
+    def test_autocorrelation_se_of_ar1(self, phi):
+        # x_t = phi x_{t-1} + e_t: the mean's variance is 1/((1-phi)^2 m)
+        m = 200_000
+        rng = np.random.default_rng(31)
+        noise = rng.standard_normal(m)
+        x = np.empty(m)
+        x[0] = noise[0] / math.sqrt(1.0 - phi * phi)
+        for t in range(1, m):
+            x[t] = phi * x[t - 1] + noise[t]
+        exact = 1.0 / ((1.0 - phi) * math.sqrt(m))
+        assert inference._autocorrelation_se(x) == pytest.approx(exact, rel=0.1)
 
     @pytest.mark.parametrize(
         "model",

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
+from gibbsibp.special_functions import log_kanter_a, log_kanter_a0
 from gibbsibp.stable_sampling import (
     TiltedStableSpec,
+    _sample_tilt_angle,
     sample_positive_stable,
     sample_tilted_stable,
 )
@@ -50,6 +52,13 @@ class TestPositiveStable:
         b = sample_positive_stable(0.6, np.random.default_rng(42), size=50)
         np.testing.assert_array_equal(a, b)
 
+    def test_pinned_draws(self):
+        # tilt 0 draws a uniform angle, untouched by the tilted envelopes
+        draws = sample_positive_stable(0.6, np.random.default_rng(42), size=4)
+        assert draws.tolist() == [
+            9.132059732874271, 0.38469661124886717, 2.983962915140006, 0.5352561381992798,
+        ]
+
 
 class TestTiltedStable:
     def test_spec_validation(self):
@@ -73,10 +82,12 @@ class TestTiltedStable:
         draws = sample_tilted_stable(spec, rng, size=200_000)
         assert np.median(draws) == pytest.approx(0.25 / math.log(2.0), rel=0.02)
 
-    @pytest.mark.parametrize("k", [1, 3, 5])
+    # tilts 0.05, 0.5, 1.5, 2.5, 300: b alpha = tilt/2 puts the first on the
+    # uniform angle envelope and the rest on the half-normal one
+    @pytest.mark.parametrize("k", [0.1, 1, 3, 5, 600])
     def test_inverse_gamma_ks(self, k):
         spec = TiltedStableSpec(alpha=0.5, tilt=0.5 * k)
-        rng = np.random.default_rng(100 + k)
+        rng = np.random.default_rng(100 + int(k))
         draws = sample_tilted_stable(spec, rng, size=100_000, method="general")
         result = stats.kstest(draws, stats.invgamma(a=(k + 1) / 2, scale=0.25).cdf)
         assert result.pvalue > 0.001
@@ -106,3 +117,37 @@ class TestTiltedStable:
         spec = TiltedStableSpec(alpha=0.4, tilt=2.0)
         with pytest.raises(ValueError):
             sample_tilted_stable(spec, np.random.default_rng(0), method="fancy")
+
+
+class TestTiltAngle:
+    def test_half_normal_envelope_bound(self):
+        # _sample_tilt_angle's series argument: log A(u) - log A(0+) has
+        # positive Taylor coefficients in u^2, the first alpha/2
+        u = np.linspace(1e-6, math.pi - 1e-6, 20_001)
+        for alpha in np.arange(1, 100) / 100:
+            gap = log_kanter_a(u, alpha) - log_kanter_a0(alpha) - 0.5 * alpha * u * u
+            assert gap.min() >= -1e-12, alpha
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.75, 0.95])
+    @pytest.mark.parametrize("b", [0.1, 2.0, 25.0])
+    def test_angles_follow_their_density(self, alpha, b):
+        # density proportional to A(u)^{-b} on (0, pi); b = 0.1 takes the
+        # uniform envelope, 2 and 25 the half-normal one
+        u = np.linspace(0.0, math.pi, 40_001)
+        density = np.zeros_like(u)
+        density[1:-1] = np.exp(-b * (log_kanter_a(u[1:-1], alpha) - log_kanter_a0(alpha)))
+        density[0] = 1.0
+        cdf = integrate.cumulative_trapezoid(density, u, initial=0.0)
+        cdf /= cdf[-1]
+        draws, log_a = _sample_tilt_angle(alpha, b, np.random.default_rng(17), 20_000)
+        assert draws.size == 20_000 and 0.0 < draws.min() and draws.max() < math.pi
+        np.testing.assert_array_equal(log_a, log_kanter_a(draws, alpha))
+        assert stats.kstest(draws, lambda x: np.interp(x, u, cdf)).pvalue > 0.001
+
+    def test_uniform_envelope_draws_pinned(self):
+        # b alpha = 0.06 < 1/(2 pi): the uniform envelope and its stream
+        spec = TiltedStableSpec(alpha=0.4, tilt=0.1)
+        draws = sample_tilted_stable(spec, np.random.default_rng(42), size=4, method="general")
+        assert draws.tolist() == [
+            109.09177745074217, 0.2870210584326056, 0.8218402390370402, 0.8740525538808965,
+        ]

@@ -106,7 +106,8 @@ def _lockstep_buffet(gammas, n, alpha, cache, rng):
     Replicate r's dishes fill the first dishes[r] slots of its row in order
     of appearance. An empty slot holds the count alpha, so its probability
     (count - alpha) g_n(1,0) is exactly 0 and no uniform can take it. At one
-    replicate, rng.random((1, k)) draws what rng.random(k) does, so
+    replicate, rng.random((1, k)) draws what rng.random(k) does and
+    rng.poisson of a one-entry rate array what the scalar rate does, so
     simulate_ibp keeps the stream of a customer-by-customer loop.
 
     Returns:
@@ -133,14 +134,8 @@ def _lockstep_buffet(gammas, n, alpha, cache, rng):
             takes = rng.random((reps, width)) < probs
             counts[:, :width] += takes
             steps.append(takes)
-        if reps == 1:
-            # a scalar rate draws what a length-1 array does, ~8 us faster
-            fresh = rng.poisson(rates[0, i])
-            born = fresh > 0
-        else:
-            fresh = rng.poisson(rates[:, i])
-            born = fresh.any()
-        if born:
+        fresh = rng.poisson(rates[:, i])
+        if fresh.any():
             dishes = dishes + fresh
             width = max(width, int(dishes.max()))
             if width > slot.size:

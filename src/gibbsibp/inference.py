@@ -684,19 +684,32 @@ def _emit_data(state, rng):
     return (state.w * state.z) @ state.a + noise
 
 
-def _geweke_statistics(state, y):
-    wz = state.w * state.z
-    return np.array(
-        [
-            float(state.dishes),
-            float(state.z.sum()),
-            state.gamma,
-            float(wz.sum()),
-            float((state.a * state.a).sum()),
-            float(y.mean()),
-            float((y * y).mean()),
-        ]
+def _geweke_statistics(dishes, z, wz, a, gamma, y):
+    """The GEWEKE_STATISTIC_NAMES of replicates stacked on a leading axis.
+
+    Args:
+        dishes, gamma: arrays (replicates,).
+        z, wz: Z and W o Z, (replicates, n, k); zero columns past a
+            replicate's dishes add nothing.
+        a: A, (replicates, k, p), likewise zero past the dishes.
+        y: Y, (replicates, n, p).
+
+    Returns:
+        array (replicates, len(GEWEKE_STATISTIC_NAMES)).
+    """
+    cells = (1, 2)
+    return np.column_stack(
+        [dishes, z.sum(cells), gamma, wz.sum(cells), (a * a).sum(cells),
+         y.mean(cells), (y * y).mean(cells)]
     )
+
+
+def _state_statistics(state, y):
+    # _geweke_statistics of one chain state, as its single replicate
+    return _geweke_statistics(
+        np.array([state.dishes]), state.z[None], (state.w * state.z)[None],
+        state.a[None], np.array([state.gamma]), y[None],
+    )[0]
 
 
 GEWEKE_STATISTIC_NAMES = (
@@ -757,12 +770,7 @@ def _marginal_statistics(model, n, p, config, rounds, rng, cache):
         wz = rng.standard_normal(z.shape) * sigma_w[:, None, None] * z
         a = rng.standard_normal((reps, z.shape[2], p)) * sigma_a[:, None, :] * live[:, :, None]
         y = wz @ a + rng.standard_normal((reps, n, p)) * sigma_y[:, None, None]
-        # _geweke_statistics, one row per replicate
-        cells = (1, 2)
-        out[first:first + reps] = np.column_stack(
-            [dishes, z.sum(cells), gamma, wz.sum(cells), (a * a).sum(cells),
-             y.mean(cells), (y * y).mean(cells)]
-        )
+        out[first:first + reps] = _geweke_statistics(dishes, z, wz, a, gamma, y)
     return out
 
 
@@ -812,7 +820,7 @@ def geweke_check(model, n, p, config, rounds=100_000, seed=0):
     for r in range(rounds):
         gibbs_sweep(state, y, config)
         y = _emit_data(state, rng)
-        successive[r] = _geweke_statistics(state, y)
+        successive[r] = _state_statistics(state, y)
 
     scores = {}
     for idx, name in enumerate(GEWEKE_STATISTIC_NAMES):

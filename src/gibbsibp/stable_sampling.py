@@ -5,6 +5,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .special_functions import log_kanter_a, log_kanter_a0
 
@@ -59,36 +60,31 @@ def _sample_tilt_angle(alpha, b, rng, m):
     and each of its coefficients in u^2 is -c_k [alpha/(1-alpha)
     (1 - alpha^{2k}) + 1 - (1-alpha)^{2k}] > 0 with c_k that of s; the
     first is alpha/2. So A(u)^{-b} <= A(0+)^{-b} exp(-b alpha u^2 / 2) on
-    (0, pi): a half-normal proposal with variance 1/(b alpha), rejected at
-    u >= pi, is an exact envelope (Devroye 2009 bounds the same kernel).
-    Its mass sqrt(pi/(2 b alpha)) beats the uniform envelope's pi when
-    b alpha > 1/(2 pi); below that the uniform proposal stays. A is
-    increasing, so A(0+)^{-b} bounds it.
+    (0, pi): the half-normal of variance 1/(b alpha) truncated to (0, pi),
+    drawn by inverse CDF, is an exact envelope at every b > 0 (Devroye 2009
+    bounds the same kernel). Its mass min(pi, sqrt(pi/(2 b alpha))) is
+    never above the uniform envelope's pi, so it accepts at least as often.
     """
     log_a0 = log_kanter_a0(alpha)
+    sigma = 1.0 / math.sqrt(b * alpha)
+    # the proposal's CDF on (0, pi) is (ndtr(u/sigma) - 1/2) / mass
+    mass = special.ndtr(math.pi / sigma) - 0.5
     out = np.empty((2, m))
     filled = 0
-    normal = b * alpha > 0.5 / math.pi
-    scale = 1.0 / math.sqrt(b * alpha)
-    rate = 1.0  # half-normal acceptance per proposal, re-estimated each round
+    rate = 1.0  # acceptance per proposal, re-estimated each round
     while filled < m:
-        if normal:
-            chunk = int((m - filled) / rate * 1.05) + 64
-            u = np.abs(rng.standard_normal(chunk)) * scale
-            u = u[u < math.pi]
-            log_a = log_kanter_a(u, alpha)
-            excess = b * (log_a - log_a0 - 0.5 * alpha * u * u)
-            keep = rng.standard_exponential(u.size) > excess
-        else:
-            chunk = int((m - filled) * 1.2) + 64
-            u = rng.uniform(1e-12, math.pi - 1e-12, size=chunk)
-            log_a = log_kanter_a(u, alpha)
-            keep = np.log(rng.uniform(size=chunk)) < b * (log_a0 - log_a)
+        chunk = int((m - filled) / rate * 1.05) + 64
+        # u = 0 (a zero uniform) or u >= pi (rounding) give NaN or huge
+        # log A, which the test below rejects
+        u = sigma * special.ndtri(0.5 + mass * rng.random(chunk))
+        log_a = log_kanter_a(u, alpha)
+        excess = b * (log_a - log_a0 - 0.5 * alpha * u * u)
+        keep = rng.standard_exponential(chunk) > excess
         got = np.flatnonzero(keep)[:m - filled]
         out[0, filled:filled + got.size] = u[got]
         out[1, filled:filled + got.size] = log_a[got]
         filled += got.size
-        rate = max(np.count_nonzero(keep), 1) / chunk
+        rate = max(got.size, 1) / chunk
     return out
 
 
@@ -99,8 +95,7 @@ def sample_tilted_stable(spec, rng, size=None, method="auto"):
     proportional to A(U)^{-b} on (0, pi), with b = tilt (1-alpha)/alpha, the
     transformed draw X = (A(U)/G)^{(1-alpha)/alpha} with G ~ Gamma(1 + b) has
     the target law. At tilt = 0 this reduces to Kanter's untilted sampler.
-    The angle is drawn by rejection from a half-normal envelope when
-    b alpha > 1/(2 pi), and from a uniform one otherwise.
+    The angle is drawn by rejection from a truncated half-normal envelope.
 
     Args:
         spec: TiltedStableSpec with the stability index and tilt exponent.

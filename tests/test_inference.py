@@ -1187,7 +1187,7 @@ class TestGeweke:
         single = np.empty_like(batch)
         for r in range(rounds):
             state = inference._prior_state(model, n, p, config, rng, cache=cache)
-            single[r] = inference._geweke_statistics(state, inference._emit_data(state, rng))
+            single[r] = inference._state_statistics(state, inference._emit_data(state, rng))
         for idx, name in enumerate(inference.GEWEKE_STATISTIC_NAMES):
             p_value = stats.ks_2samp(batch[:, idx], single[:, idx]).pvalue
             assert p_value > 1e-4, f"{name}: KS p = {p_value}"

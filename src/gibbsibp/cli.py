@@ -5,13 +5,13 @@ Every subcommand resolves its flags into a RunConfig, executes
 deterministically under --seed, and writes its artifacts (CSV data, a JSON
 manifest, and a re-runnable key=value config file) into --outdir.
 
-Exit codes: 0 success, 2 usage error, 3 numeric failure.
+Exit codes: 0 success, 2 usage error (a table past its size limit
+included), 3 numeric failure.
 """
 
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from .gibbs_weights import (
-    CACHE_DIR_ENV,
     MIN_MC_SAMPLES,
     GibbsModel,
     McConfig,
@@ -29,7 +28,6 @@ from .gibbs_weights import (
     _calibrate,
     build_primitive_cache,
     build_weight_table,
-    check_frozen_draws,
     load_weight_table,
     save_weight_table,
     table_cache_path,
@@ -42,9 +40,10 @@ from .ibp import (
     simulate_ibp,
 )
 from .inference import GEWEKE_MIN_ROUNDS, ChainConfig, Priors, geweke_check, run_chain
-from .special_functions import MAX_TABLE_DEPTH
+from .special_functions import TableSizeError
 
 MODEL_CHOICES = ("dp", "py", "ngg", "nig")
+CACHE_DIR_ENV = "GIBBSIBP_CACHE_DIR"
 
 
 @dataclass
@@ -243,7 +242,7 @@ def _validate(config):
             raise ValueError("--n-max must be a positive integer")
         for spec in config.models:
             models.append(_model_from_spec(spec, config.samples, config.seed))
-    monte_carlo = any(model.uses_monte_carlo for model in models)
+    monte_carlo = any(not model.is_closed_form for model in models)
     if config.subcommand == "calibrate":
         if config.family is None or config.family.lower() not in MODEL_CHOICES:
             raise ValueError(f"--family must be one of {MODEL_CHOICES}")
@@ -261,22 +260,6 @@ def _validate(config):
             f"--samples must be at least {MIN_MC_SAMPLES} for Monte Carlo weights, "
             f"got {config.samples}"
         )
-    # the deepest dense table the run builds: Monte Carlo caches read a
-    # weight table (primitives one row deeper), calibrate tables of any family
-    flag, depth = None, 0
-    if config.subcommand == "calibrate":
-        flag, depth = "--n", 50 if config.n is None else config.n
-    elif monte_carlo and config.subcommand == "stats":
-        flag, depth = "--n-max", config.n_max
-    elif monte_carlo and config.subcommand in ("simulate", "primitives"):
-        flag, depth = "--n", config.n + (config.subcommand == "primitives")
-    if depth > MAX_TABLE_DEPTH:
-        raise ValueError(
-            f"{flag} needs a table of depth {depth}; dense tables are limited to "
-            f"depth {MAX_TABLE_DEPTH}"
-        )
-    if monte_carlo and config.subcommand == "calibrate":  # fit's n comes with its data
-        check_frozen_draws(depth, config.samples)
     if config.subcommand == "fit":
         if config.data is None:
             raise ValueError("fit needs --data")
@@ -573,6 +556,11 @@ def main(argv=None):
         return 2
     try:
         _RUNNERS[config.subcommand](config)
+    except TableSizeError as exc:
+        # the library refuses a table or draw set past its limit before
+        # building any of it
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     except (McDegeneracyError, NormalizationError, ValueError, RuntimeError,
             FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

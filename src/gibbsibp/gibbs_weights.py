@@ -18,13 +18,17 @@ import mpmath
 import numpy as np
 from scipy import optimize, special
 
-from .special_functions import build_gfc_table, check_table_depth, log_rising_factorial
+from .special_functions import (
+    TableSizeError,
+    build_gfc_table,
+    check_table_depth,
+    log_rising_factorial,
+)
 from .stable_sampling import TiltedStableSpec, sample_tilted_stable
 
 VARIANTS = ("DP", "PY", "NGG", "NIG")
 SMALLN_MAX = 12
 MIN_MC_SAMPLES = 10_000
-CACHE_DIR_ENV = "GIBBSIBP_CACHE_DIR"
 TABLE_FORMAT_VERSION = 1
 BLOCK_LAW_TOL = 1e-8
 # calibrate refuses an NGG/NIG root whose block law has a mean relative
@@ -121,10 +125,6 @@ class GibbsModel:
     def is_closed_form(self):
         return self.variant in ("DP", "PY")
 
-    @property
-    def uses_monte_carlo(self):
-        return self.variant in ("NGG", "NIG")
-
     def describe(self):
         if self.variant == "DP":
             return f"DP(theta={self.theta:g})"
@@ -144,7 +144,7 @@ class GibbsModel:
             payload["alpha"] = float(self.alpha)
         if self.beta is not None:
             payload["beta"] = float(self.beta)
-        if self.uses_monte_carlo:
+        if not self.is_closed_form:
             payload["mc_samples"] = int(self.mc_config.samples)
             payload["mc_seed"] = int(self.mc_config.seed)
         return payload
@@ -781,9 +781,9 @@ def expected_blocks(model, n, table=None, gfc=None):
 
 
 def check_frozen_draws(n, samples):
-    """Refuse more than MAX_FROZEN_DRAWS frozen draws with a ValueError."""
+    """Refuse more than MAX_FROZEN_DRAWS frozen draws with TableSizeError."""
     if n * samples > MAX_FROZEN_DRAWS:
-        raise ValueError(
+        raise TableSizeError(
             f"{n} rows x {samples} samples of frozen draws need {8 * n * samples} "
             f"bytes; they are limited to MAX_FROZEN_DRAWS = {MAX_FROZEN_DRAWS} draws"
         )
@@ -800,7 +800,7 @@ class NggWeightSampler:
     is stored shifted, R - min_k R, beside its minimum, which is the form
     the shared reduction reads.  gfc, the depth-n GFC table at alpha, is
     beta-free too.  The draws take 8 n samples bytes; past MAX_FROZEN_DRAWS
-    draws the sampler raises ValueError before allocating or drawing any.
+    draws the sampler raises TableSizeError before allocating or drawing any.
     """
 
     def __init__(self, alpha, n, samples, seed):
@@ -958,14 +958,6 @@ def _calibrate(family, target, n, alpha, mc_config):
     return float(param), achieved, mc_error
 
 
-def default_cache_dir():
-    """Directory for serialized weight tables, overridable by environment."""
-    override = os.environ.get(CACHE_DIR_ENV)
-    if override:
-        return Path(override)
-    return Path("~/.cache/gibbsibp").expanduser()
-
-
 def _table_payload(table, model):
     rows = [list(map(float, table.log_row(n))) for n in range(1, table.n_max + 1)]
     payload = {
@@ -1006,20 +998,18 @@ def primitive_cache_content_hash(cache):
     return hashlib.sha256(doc.encode()).hexdigest()
 
 
-def table_cache_path(model, n_max, directory=None):
-    """Cache file path keyed by the model's payload (mc_config included) and n_max."""
-    directory = Path(directory) if directory is not None else default_cache_dir()
+def table_cache_path(model, n_max, directory):
+    """Cache file path in `directory`, keyed by the model's payload
+    (mc_config included) and n_max."""
     key = json.dumps(
         ["weights", TABLE_FORMAT_VERSION, model.to_payload(), int(n_max)], sort_keys=True
     )
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
-    return directory / f"weights_{model.variant.lower()}_{digest}.json"
+    return Path(directory) / f"weights_{model.variant.lower()}_{digest}.json"
 
 
-def save_weight_table(table, model, path=None):
+def save_weight_table(table, model, path):
     """Serialize a table (with provenance) to a versioned JSON cache file."""
-    if path is None:
-        path = table_cache_path(model, table.n_max)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:

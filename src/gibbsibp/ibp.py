@@ -339,21 +339,6 @@ def export_allocation_csv(allocation, path):
     return path
 
 
-def import_allocation_csv(path, gamma):
-    """Read an allocation written by export_allocation_csv.
-
-    Columns are re-sorted to order of appearance, so hand-edited files with
-    shuffled dishes still load; empty dishes are rejected.
-    """
-    with open(str(path), newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[int(cell) for cell in row[1:]] for row in reader]
-    width = len(header) - 1
-    matrix = np.array(rows, dtype=np.uint8).reshape(len(rows), width)
-    return FeatureAllocation.from_matrix(matrix, gamma)
-
-
 def export_statistics_csv(statistics, path):
     """Write feature_statistics output in long form: series,index,value."""
     path = str(path)

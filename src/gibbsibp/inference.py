@@ -11,7 +11,6 @@ updates, and slice moves for the model parameters.
 """
 
 import csv
-import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 
@@ -526,7 +525,7 @@ def _update_model_params(state, config):
     if config.update_theta:
         model = state.model
         start = math.log(
-            model.beta if model.uses_monte_carlo else model.theta + model.stable_index
+            model.theta + model.stable_index if model.is_closed_form else model.beta
         )
         _slice_model_move(state, counts, "second", start)
 
@@ -572,7 +571,7 @@ def initial_state(model, y, config, z_init=None):
     if gamma is None:
         gamma = config.priors.lambda1 / config.priors.lambda2
     sigma_a = np.broadcast_to(np.asarray(config.sigma_a, dtype=float), (p,)).copy()
-    if model.uses_monte_carlo:
+    if not model.is_closed_form:
         model = replace(model, mc_config=McConfig(config.mc_samples, config.seed))
     # the chain's own primitive cache serves the prior draw of the initial Z
     state = LatentFactorState(
@@ -641,12 +640,6 @@ class SampleArchive:
             writer = csv.DictWriter(fh, fieldnames=names)
             writer.writeheader()
             writer.writerows(self.records)
-        return path
-
-    def manifest_to_json(self, path):
-        path = str(path)
-        with open(path, "w") as fh:
-            json.dump(self.manifest, fh, indent=2, sort_keys=True)
         return path
 
 
@@ -801,6 +794,10 @@ def geweke_check(model, n, p, config, rounds=100_000, seed=0):
     side's standard errors come from its autocorrelations
     (_autocorrelation_se).  The marginal side draws its prior states in
     lockstep chunks.  NGG/NIG run on the table of their mc_config's draws.
+
+    Known fault: with config.update_scales, sigma_y^2 ~ IG(1, 1) has no
+    finite mean, so data_sq_mean has no finite variance and its z-score has
+    no basis; no fixed |z| bound can hold for it.
 
     Returns:
         dict mapping statistic name -> z-score.

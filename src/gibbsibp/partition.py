@@ -1,7 +1,6 @@
 """Gibbs-type random partitions: urn-scheme simulation and the exchangeable
 partition probability function."""
 
-import csv
 import math
 
 import numpy as np
@@ -164,14 +163,3 @@ def log_eppf(model, block_sizes, table=None):
         log_f += log_rising_factorial(1.0 - alpha, s - 1)
     return float(log_f)
 
-
-def export_partition_csv(state, path):
-    """Write a sampled partition as rows of (customer, block)."""
-    if state.assignments is None:
-        raise ValueError("partition has no per-customer assignments to export")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["customer", "block"])
-        for i, block in enumerate(state.assignments, start=1):
-            writer.writerow([i, block])
-    return path

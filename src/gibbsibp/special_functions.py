@@ -1,22 +1,25 @@
 """Log-space special functions: rising factorials, generalized factorial
-coefficients, positive stable densities, incomplete gamma."""
+coefficients and positive stable densities."""
 
 import math
 
-import mpmath
 import numpy as np
 from scipy import integrate, optimize, special
 
-BRUTEFORCE_MAX_N = 15
 # Weight, GFC and Stirling tables are dense (n+1) x (n+1) float64 arrays:
 # 32 MB each at this depth, 0.8 GB at n = 10^4.
 MAX_TABLE_DEPTH = 2000
 
 
+class TableSizeError(ValueError):
+    """A table or a set of frozen draws past its size limit, refused before
+    anything is allocated or drawn."""
+
+
 def check_table_depth(n_max):
-    """Refuse a dense table deeper than MAX_TABLE_DEPTH with a ValueError."""
+    """Refuse a dense table deeper than MAX_TABLE_DEPTH with TableSizeError."""
     if n_max > MAX_TABLE_DEPTH:
-        raise ValueError(
+        raise TableSizeError(
             f"a table of depth {n_max} would take {8 * (n_max + 1) ** 2 / 1e6:.0f} MB; "
             f"dense tables are limited to depth MAX_TABLE_DEPTH = {MAX_TABLE_DEPTH}"
         )
@@ -115,29 +118,6 @@ def build_gfc_table(n_max, alpha):
     return GfcTable(n_max, alpha, table)
 
 
-def gfc_bruteforce(n, k, alpha):
-    """Generalized factorial coefficient by the explicit alternating sum.
-
-    C(n, k; alpha) = (1/k!) sum_{i=0}^k (-1)^i binom(k, i) (-i alpha)_n,
-    evaluated in extended precision: the alternating terms exceed the result
-    by many orders (the corner C(n, n; alpha) = alpha^n is built from terms
-    of size n!), so a double-precision sum keeps only the leading digits.
-    Test oracle only; refused past n = 15.
-    """
-    if n > BRUTEFORCE_MAX_N:
-        raise ValueError(f"bruteforce sum is unreliable past n={BRUTEFORCE_MAX_N}, got {n}")
-    if n < 0 or k < 0:
-        raise ValueError("n and k must be nonnegative")
-    if k == 0:
-        return 1.0 if n == 0 else 0.0
-    with mpmath.workdps(60):
-        a = mpmath.mpf(alpha)
-        total = mpmath.mpf(0)
-        for i in range(k + 1):
-            total += (-1) ** i * mpmath.binomial(k, i) * mpmath.rf(-i * a, n)
-        return float(total / mpmath.factorial(k))
-
-
 def log_kanter_a(u, alpha):
     """log A(u) for the Zolotarev/Kanter kernel on (0, pi):
     A(u) = [sin(alpha u)/sin u]^{alpha/(1-alpha)} sin((1-alpha)u)/sin u.
@@ -212,18 +192,3 @@ def positive_stable_density(alpha, t):
         value = integrate.quad(integrand, lo, np.inf, limit=200)[0]
     return alpha / (1.0 - alpha) / math.pi * value
 
-
-def log_upper_incomplete_gamma(x, a):
-    """log of the upper incomplete gamma integral int_x^inf s^{a-1} e^{-s} ds.
-
-    Args:
-        x: lower integration limit, must be nonnegative.
-        a: shape, must be positive.
-    """
-    if a <= 0:
-        raise ValueError(f"shape must be positive, got {a}")
-    if x < 0:
-        raise ValueError(f"lower limit must be nonnegative, got {x}")
-    if x == 0:
-        return float(special.gammaln(a))
-    return float(special.gammaln(a) + np.log(special.gammaincc(a, x)))

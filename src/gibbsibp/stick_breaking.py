@@ -8,7 +8,6 @@ ones.  The module also evaluates structural densities (all variants) and
 the per-round Poisson intensities (DP/PY).
 """
 
-import csv
 import math
 
 import numpy as np
@@ -242,31 +241,3 @@ def superposition_intensity(model, depth, p):
     )
     return float(value) if value.ndim == 0 else value
 
-
-def export_structural_density_csv(model, path, grid=None):
-    """Write (p, density) rows over a grid in (0, 1)."""
-    if grid is None:
-        grid = np.linspace(0.005, 0.995, 199)
-    path = str(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["p", "density"])
-        for p in np.asarray(grid, dtype=float):
-            writer.writerow([float(p), structural_density(model, float(p))])
-    return path
-
-
-def export_intensity_csv(model, depths, path, grid=None):
-    """Write (depth, p, intensity) rows for the requested depths."""
-    if grid is None:
-        grid = np.linspace(0.005, 0.995, 199)
-    grid = np.asarray(grid, dtype=float)
-    path = str(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["depth", "p", "intensity"])
-        for depth in depths:
-            values = superposition_intensity(model, int(depth), grid)
-            for p, value in zip(grid, values):
-                writer.writerow([int(depth), float(p), float(value)])
-    return path

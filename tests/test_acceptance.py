@@ -49,13 +49,14 @@ from gibbsibp.inference import (
     run_chain,
     synthesize_data,
 )
-from gibbsibp.special_functions import build_gfc_table, gfc_bruteforce
+from gibbsibp.special_functions import build_gfc_table
 from gibbsibp.stable_sampling import TiltedStableSpec, sample_tilted_stable
 from gibbsibp.stick_breaking import (
     sample_truncated_feature_counts,
     structural_density,
     suggest_rounds,
 )
+from oracles import gfc_bruteforce
 
 
 def _verdict(num, name, ok, detail):

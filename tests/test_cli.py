@@ -9,7 +9,7 @@ import pytest
 from scipy.special import gammaln
 
 from gibbsibp import gibbs_weights
-from gibbsibp.cli import RunConfig, main, read_config_file
+from gibbsibp.cli import CACHE_DIR_ENV, RunConfig, main, read_config_file
 from gibbsibp.gibbs_weights import MAX_FROZEN_DRAWS
 from gibbsibp.inference import synthesize_data
 from gibbsibp.special_functions import MAX_TABLE_DEPTH
@@ -431,15 +431,26 @@ class TestUsageErrors:
 
     def test_fit_frozen_draws_past_limit(self, tmp_path, capsys, refuse_draws):
         # fit learns its row count from the data, so its sampler refuses
-        # the draws at run time: a numeric failure, before any draw
+        # the draws at run time: still a usage error, before any draw
         data = tmp_path / "y.csv"
         np.savetxt(data, np.random.default_rng(1).standard_normal((3, 2)), delimiter=",")
         samples = (MAX_FROZEN_DRAWS + 1) // 3
         assert run_cli("fit", "--model", "ngg", "--alpha", 0.5, "--beta", 1,
                        "--data", data, "--iterations", 1, "--samples", samples,
-                       "--outdir", tmp_path / "fit") == 3
+                       "--outdir", tmp_path / "fit") == 2
         err = capsys.readouterr().err
-        assert "numeric failure" in err and "frozen draws" in err
+        assert "usage error" in err and "frozen draws" in err
+
+    def test_fit_table_depth_past_limit(self, tmp_path, capsys, refuse_draws):
+        # one data row past the limit needs a table one row too deep
+        data = tmp_path / "y.csv"
+        np.savetxt(data, np.zeros((MAX_TABLE_DEPTH + 1, 1)), delimiter=",")
+        assert run_cli("fit", "--model", "ngg", "--alpha", 0.5, "--beta", 1,
+                       "--data", data, "--iterations", 1,
+                       "--outdir", tmp_path / "fit") == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and "depth" in err
+        assert not (tmp_path / "fit" / "manifest.json").exists()
 
     def test_closed_forms_past_table_limit(self, tmp_path):
         # DP/PY caches are closed forms: no table, so no depth limit
@@ -478,7 +489,7 @@ class TestCacheSharing:
         home = tmp_path / "home"
         home.mkdir()
         monkeypatch.setenv("HOME", str(home))
-        monkeypatch.delenv(gibbs_weights.CACHE_DIR_ENV, raising=False)
+        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
         args = ("stats", "--model", "ngg:alpha=0.5,beta=1", "--n-max", 20,
                 "--samples", 10_000)
         assert run_cli(*args, "--outdir", tmp_path / "plain") == 0
@@ -489,6 +500,17 @@ class TestCacheSharing:
         assert (tmp_path / "plain" / "stats.csv").read_bytes() == (
             tmp_path / "cached" / "stats.csv"
         ).read_bytes()
+
+    def test_cache_dir_env_names_the_cache(self, tmp_path, monkeypatch):
+        # GIBBSIBP_CACHE_DIR stands in for --cache-dir, and the flag wins
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "env"))
+        args = ("stats", "--model", "nig:beta=1", "--n-max", 10, "--samples", 10_000)
+        assert run_cli(*args, "--outdir", tmp_path / "a") == 0
+        assert len(list((tmp_path / "env").glob("weights_nig_*.json"))) == 1
+        assert run_cli(*args, "--outdir", tmp_path / "b",
+                       "--cache-dir", tmp_path / "flag") == 0
+        assert len(list((tmp_path / "flag").glob("weights_nig_*.json"))) == 1
+        assert len(list((tmp_path / "env").glob("*"))) == 1
 
 
 def test_console_script_help():

@@ -35,7 +35,7 @@ from gibbsibp.gibbs_weights import (
     weight_table_content_hash,
     weight_table_from_sampler,
 )
-from gibbsibp.special_functions import MAX_TABLE_DEPTH, build_gfc_table
+from gibbsibp.special_functions import MAX_TABLE_DEPTH, TableSizeError, build_gfc_table
 from gibbsibp.stable_sampling import TiltedStableSpec, sample_tilted_stable
 
 # Frozen oracle values for NGG weights: mpmath quadrature (30 dps) of
@@ -122,12 +122,12 @@ class TestBuildWeightTable:
     def test_refuses_depth_past_limit(self):
         # one row past the limit: a missing guard allocates only that much
         depth = MAX_TABLE_DEPTH + 1
-        with pytest.raises(ValueError, match="MAX_TABLE_DEPTH"):
+        with pytest.raises(TableSizeError, match="MAX_TABLE_DEPTH"):
             build_weight_table(GibbsModel.py(0.5, 1.0), depth)
-        with pytest.raises(ValueError, match="MAX_TABLE_DEPTH"):
+        with pytest.raises(TableSizeError, match="MAX_TABLE_DEPTH"):
             block_count_distribution(GibbsModel.dp(1.0), depth)
         # the chain's tables come from frozen draws, refused before drawing
-        with pytest.raises(ValueError, match="MAX_TABLE_DEPTH"):
+        with pytest.raises(TableSizeError, match="MAX_TABLE_DEPTH"):
             NggWeightSampler(0.5, depth, 10, seed=0)
 
     def test_py_anchor_values(self):
@@ -731,7 +731,7 @@ class TestNggWeightSampler:
         n = 3
         samples = (MAX_FROZEN_DRAWS + 1) // n
         assert n * samples == MAX_FROZEN_DRAWS + 1
-        with pytest.raises(ValueError, match="frozen draws") as raised:
+        with pytest.raises(TableSizeError, match="frozen draws") as raised:
             NggWeightSampler(0.5, n, samples, seed=0)
         message = str(raised.value)
         assert f"{n} rows" in message and f"{samples} samples" in message
@@ -782,11 +782,6 @@ class TestSerialization:
         other_cache = build_primitive_cache(other, 6, table=table)
         assert primitive_cache_content_hash(twin_cache) == primitive_cache_content_hash(cache)
         assert primitive_cache_content_hash(other_cache) != primitive_cache_content_hash(cache)
-
-    def test_cache_dir_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GIBBSIBP_CACHE_DIR", str(tmp_path / "custom"))
-        path = table_cache_path(GibbsModel.dp(1.0), 10)
-        assert str(path).startswith(str(tmp_path / "custom"))
 
     def test_version_check(self, tmp_path):
         model = GibbsModel.dp(1.0)

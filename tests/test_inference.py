@@ -47,7 +47,7 @@ def make_state(model, z, seed=0, gamma=1.0, p=None, sigma_y=1.0, sigma_w=1.0,
     rng = np.random.default_rng(seed)
     w = rng.normal(0.0, sigma_w, size=(n, k))
     a = rng.standard_normal((k, p))
-    if model.uses_monte_carlo:
+    if not model.is_closed_form:
         model = replace(model, mc_config=McConfig(mc_samples, seed))
     state = LatentFactorState(
         model, z, w, a, sigma_y, sigma_w, np.ones(p), gamma, rng
@@ -1125,11 +1125,10 @@ class TestArchive:
     def test_csv_and_manifest_round_trip(self, tmp_path):
         archive = self.make_archive()
         csv_path = archive.to_csv(tmp_path / "samples.csv")
-        manifest_path = archive.manifest_to_json(tmp_path / "run.json")
         rows = [line.split(",") for line in open(csv_path).read().strip().split("\n")]
         assert len(rows) == len(archive.records) + 1
         assert rows[0][0] == "iteration"
-        manifest = json.load(open(manifest_path))
+        manifest = archive.manifest
         assert manifest["model"] == {"variant": "DP", "theta": 1.0}
         assert len(manifest["cache_hash"]) == 64
         assert manifest["config"]["iterations"] == 12

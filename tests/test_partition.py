@@ -1,4 +1,3 @@
-import csv
 import itertools
 import math
 
@@ -21,7 +20,6 @@ from gibbsibp.gibbs_weights import (
 )
 from gibbsibp.partition import (
     PartitionState,
-    export_partition_csv,
     log_eppf,
     sample_block_counts,
     sample_partition,
@@ -282,17 +280,3 @@ class TestLogEppf:
             if ok:
                 total += math.exp(log_eppf(model, sizes, table=table))
         assert total == pytest.approx(1.0, rel=1e-10)
-
-
-class TestCsvExport:
-    def test_round_trip(self, tmp_path):
-        state = sample_partition(GibbsModel.py(0.5, 1.0), 10, seed=2)
-        path = export_partition_csv(state, tmp_path / "partition.csv")
-        with open(path) as fh:
-            rows = list(csv.DictReader(fh))
-        assert [int(r["customer"]) for r in rows] == list(range(1, 11))
-        assert tuple(int(r["block"]) for r in rows) == state.assignments
-
-    def test_requires_assignments(self):
-        with pytest.raises(ValueError):
-            export_partition_csv(PartitionState(2, (2,)), "unused.csv")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate, special
 
@@ -10,13 +10,12 @@ from gibbsibp.special_functions import (
     MAX_TABLE_DEPTH,
     GfcTable,
     build_gfc_table,
-    gfc_bruteforce,
     log_kanter_a,
     log_kanter_a0,
     log_rising_factorial,
-    log_upper_incomplete_gamma,
     positive_stable_density,
 )
+from oracles import gfc_bruteforce
 
 # Frozen oracle values for f_alpha(t): mpmath quadrature (30 dps) of the
 # Zolotarev integral representation, cross-checked against Talbot numerical
@@ -189,35 +188,3 @@ class TestPositiveStableDensity:
             for lo, hi in [(0.0, 1.0), (1.0, 100.0), (100.0, np.inf)]
         )
         assert total == pytest.approx(1.0, abs=1e-4)
-
-
-class TestLogUpperIncompleteGamma:
-    def test_full_integral(self):
-        for a in (0.5, 1.0, 3.7):
-            assert log_upper_incomplete_gamma(0.0, a) == pytest.approx(
-                float(special.gammaln(a)), abs=1e-12
-            )
-
-    def test_exponential_case(self):
-        assert log_upper_incomplete_gamma(1.0, 1.0) == pytest.approx(-1.0, abs=1e-12)
-
-    @given(
-        a=st.floats(min_value=0.1, max_value=10.0),
-        x=st.floats(min_value=0.0, max_value=20.0),
-        dx=st.floats(min_value=1e-3, max_value=5.0),
-    )
-    @settings(max_examples=50)
-    def test_monotone_nonincreasing_in_x(self, a, x, dx):
-        # ties are possible in float when the decrement is below machine
-        # precision (tiny x with large shape), so the property is non-strict
-        assert log_upper_incomplete_gamma(x + dx, a) <= log_upper_incomplete_gamma(x, a)
-
-    def test_strictly_decreasing_spot(self):
-        values = [log_upper_incomplete_gamma(x, 2.5) for x in (0.0, 1.0, 3.0, 8.0)]
-        assert all(b < a for a, b in zip(values, values[1:]))
-
-    def test_rejects_bad_domain(self):
-        with pytest.raises(ValueError):
-            log_upper_incomplete_gamma(1.0, 0.0)
-        with pytest.raises(ValueError):
-            log_upper_incomplete_gamma(-0.5, 1.0)

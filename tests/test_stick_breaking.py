@@ -1,4 +1,3 @@
-import csv
 import math
 
 import numpy as np
@@ -12,8 +11,6 @@ from gibbsibp.stick_breaking import (
     construct_truncated,
     draw_bernoulli,
     expected_stick_mass,
-    export_intensity_csv,
-    export_structural_density_csv,
     sample_sticks,
     sample_truncated_feature_counts,
     structural_density,
@@ -204,30 +201,3 @@ class TestSuperpositionIntensity:
     def test_ngg_unsupported(self):
         with pytest.raises(ValueError):
             superposition_intensity(GibbsModel.ngg(0.5, 1.0), 0, 0.5)
-
-
-class TestCsvGrids:
-    def test_structural_grid(self, tmp_path):
-        model = GibbsModel.py(0.5, 1.0)
-        path = export_structural_density_csv(model, tmp_path / "density.csv")
-        with open(path) as fh:
-            rows = list(csv.DictReader(fh))
-        ps = np.array([float(r["p"]) for r in rows])
-        assert np.all(np.diff(ps) > 0)
-        middle = min(rows, key=lambda r: abs(float(r["p"]) - 0.5))
-        assert float(middle["density"]) == pytest.approx(
-            structural_density(model, float(middle["p"])), rel=1e-12
-        )
-
-    def test_intensity_grid(self, tmp_path):
-        model = GibbsModel.dp(1.0)
-        path = export_intensity_csv(model, [0, 1, 2], tmp_path / "intensity.csv")
-        with open(path) as fh:
-            rows = list(csv.DictReader(fh))
-        depths = {int(r["depth"]) for r in rows}
-        assert depths == {0, 1, 2}
-        row = rows[0]
-        assert float(row["intensity"]) == pytest.approx(
-            float(superposition_intensity(model, int(row["depth"]), float(row["p"]))),
-            rel=1e-12,
-        )

@@ -452,6 +452,16 @@ class TestUsageErrors:
         assert "usage error" in err and "depth" in err
         assert not (tmp_path / "fit" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("model", [("ngg", "--alpha", 0.5, "--beta", 1),
+                                       ("nig", "--beta", 1)],
+                             ids=["ngg", "nig"])
+    def test_geweke_table_depth_past_limit(self, model, tmp_path, capsys, refuse_draws):
+        assert run_cli("geweke", "--model", *model, "--n", MAX_TABLE_DEPTH + 1,
+                       "--p", 2, "--rounds", 50, "--outdir", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and "depth" in err
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_closed_forms_past_table_limit(self, tmp_path):
         # DP/PY caches are closed forms: no table, so no depth limit
         n = MAX_TABLE_DEPTH + 1

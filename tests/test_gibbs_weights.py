@@ -10,6 +10,7 @@ from scipy import special
 from gibbsibp import gibbs_weights
 from gibbsibp.gibbs_weights import (
     MAX_FROZEN_DRAWS,
+    check_frozen_draws,
     GibbsModel,
     McConfig,
     McDegeneracyError,
@@ -107,6 +108,13 @@ class TestGibbsModel:
         t_ngg = build_weight_table(ngg, 6)
         for n in range(1, 7):
             np.testing.assert_allclose(t_nig.log_row(n), t_ngg.log_row(n), rtol=0, atol=0)
+
+    def test_closed_form_families(self):
+        # DP/PY weights are closed forms; NGG/NIG come from Monte Carlo draws
+        assert GibbsModel.dp(1.0).is_closed_form
+        assert GibbsModel.py(0.5, 1.0).is_closed_form
+        assert not GibbsModel.ngg(0.5, 1.0).is_closed_form
+        assert not GibbsModel.nig(1.0).is_closed_form
 
     def test_payload_round_trip(self):
         for model in (
@@ -737,6 +745,14 @@ class TestNggWeightSampler:
         assert f"{n} rows" in message and f"{samples} samples" in message
         assert f"{8 * n * samples} bytes" in message
 
+    def test_frozen_draw_limit_is_inclusive(self):
+        n = 2 ** 7
+        samples = MAX_FROZEN_DRAWS // n
+        assert n * samples == MAX_FROZEN_DRAWS
+        check_frozen_draws(n, samples)
+        with pytest.raises(TableSizeError, match="frozen draws"):
+            check_frozen_draws(n, samples + 1)
+
     def test_block_distribution_normalized(self):
         sampler = NggWeightSampler(0.5, 8, 20_000, seed=8)
         gfc = build_gfc_table(8, 0.5)
@@ -782,6 +798,24 @@ class TestSerialization:
         other_cache = build_primitive_cache(other, 6, table=table)
         assert primitive_cache_content_hash(twin_cache) == primitive_cache_content_hash(cache)
         assert primitive_cache_content_hash(other_cache) != primitive_cache_content_hash(cache)
+
+    def test_cache_path_in_named_directory(self, tmp_path, monkeypatch):
+        # the library has no default location: the environment is the CLI's
+        monkeypatch.setenv("GIBBSIBP_CACHE_DIR", str(tmp_path / "env"))
+        model = GibbsModel.nig(1.0, mc_config=McConfig(samples=10_000, seed=1))
+        path = table_cache_path(model, 6, tmp_path / "named")
+        assert path.parent == tmp_path / "named"
+        assert path.name.startswith("weights_nig_") and path.suffix == ".json"
+        assert table_cache_path(model, 7, tmp_path / "named") != path
+
+    def test_save_makes_the_directory(self, tmp_path):
+        model = GibbsModel.py(0.5, 1.0)
+        table = build_weight_table(model, 4)
+        target = tmp_path / "a" / "b" / "t.json"
+        assert save_weight_table(table, model, target) == target
+        loaded, loaded_model = load_weight_table(target)
+        assert loaded_model == model
+        np.testing.assert_array_equal(loaded.log_row(4), table.log_row(4))
 
     def test_version_check(self, tmp_path):
         model = GibbsModel.dp(1.0)

@@ -442,6 +442,12 @@ class TestCsvRoundTrips:
         matrix = np.array([[int(cell) for cell in row[1:]] for row in rows])
         np.testing.assert_array_equal(matrix, alloc.matrix)
 
+    def test_empty_round_trip(self, tmp_path):
+        alloc = FeatureAllocation(np.zeros((3, 0)), 1.0)
+        path = export_allocation_csv(alloc, tmp_path / "empty.csv")
+        with open(path, newline="") as fh:
+            assert list(csv.reader(fh)) == [["customer"], ["1"], ["2"], ["3"]]
+
     def test_statistics_csv(self, tmp_path):
         alloc = simulate_ibp(GibbsModel.dp(1.0), 1.0, 8, seed=6)
         rec = feature_statistics(alloc)

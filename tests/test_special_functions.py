@@ -9,7 +9,9 @@ from scipy import integrate, special
 from gibbsibp.special_functions import (
     MAX_TABLE_DEPTH,
     GfcTable,
+    TableSizeError,
     build_gfc_table,
+    check_table_depth,
     log_kanter_a,
     log_kanter_a0,
     log_rising_factorial,
@@ -129,6 +131,17 @@ class TestGfcTable:
         table = build_gfc_table(5, 0.5)
         with pytest.raises(ValueError):
             table.log_row(3)[0] = 0.0
+
+
+class TestCheckTableDepth:
+    def test_limit_is_inclusive(self):
+        check_table_depth(MAX_TABLE_DEPTH)
+        with pytest.raises(TableSizeError, match=f"depth {MAX_TABLE_DEPTH + 1} "):
+            check_table_depth(MAX_TABLE_DEPTH + 1)
+
+    def test_refusal_is_a_value_error(self):
+        # callers that catch ValueError still see the refusal
+        assert issubclass(TableSizeError, ValueError)
 
 
 class TestGfcBruteforce:

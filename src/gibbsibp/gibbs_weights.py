@@ -10,7 +10,7 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -243,39 +243,81 @@ def _usable_cores():
         return os.cpu_count() or 1
 
 
+def _run_units(units, start_worker):
+    """Run units 0..units-1 on min(_usable_cores(), units) threads, the
+    caller among them; numpy's loops release the GIL, so they overlap.
+
+    start_worker() is called once on each thread and returns the function
+    that thread applies to every unit it takes.  Units are handed out one
+    at a time from a lock-guarded counter, so a thread on a slow core takes
+    fewer.  A one-unit call runs inline.  The first exception raised on any
+    thread stops the hand-out and reaches the caller unchanged once every
+    thread has finished: no thread outlives the call.
+    """
+    lock = threading.Lock()
+    taken = 0
+    errors = []
+
+    def drain():
+        nonlocal taken
+        try:
+            work = start_worker()
+            while True:
+                with lock:
+                    if errors or taken == units:
+                        return
+                    unit = taken
+                    taken += 1
+                work(unit)
+        except BaseException as exc:  # re-raised in the caller below
+            with lock:
+                errors.append(exc)
+
+    threads = [
+        threading.Thread(target=drain)
+        for _ in range(min(_usable_cores(), units) - 1)
+    ]
+    for thread in threads:
+        thread.start()
+    drain()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
 def _fill_shifted_ratio_rows(alpha, n, samples, rng, fill):
     """Call fill(k, R - min R, min R) for k = 1..n with the draws of R = X/Y
     behind V_{n,k}: X is tilted stable (tilt k alpha) and Y ~ Beta(k alpha,
     n - k alpha), so no draw involves beta.
 
     Row k draws from its own child stream, rng.spawn(n)[k - 1], so every
-    row depends on the seed alone.  Rows are dealt round-robin to one
-    worker thread per usable core (numpy's variate loops release the GIL),
-    and fill runs on the worker that drew the row.  An exception raised on
-    a worker reaches the caller unchanged.
+    row depends on the seed alone, whatever the number of usable cores
+    (`taskset` limits them).  The rows run on every usable core through
+    _run_units, and fill runs on the thread that drew the row.  An
+    exception raised on any thread reaches the caller unchanged.
     """
     streams = rng.spawn(n)
 
-    def fill_rows(first, step):
-        for k in range(first, n + 1, step):
-            row_rng = streams[k - 1]
-            spec = TiltedStableSpec(alpha=alpha, tilt=k * alpha)
+    def fill_row(unit):
+        k = unit + 1
+        row_rng = streams[unit]
+        spec = TiltedStableSpec(alpha=alpha, tilt=k * alpha)
+        # numpy keeps errstate per thread and a new thread starts from the
+        # default, so it is set here.  Overflow: a ratio past the largest
+        # double is inf, and its term exp(-beta inf) = 0 is the exact limit.
+        # Invalid: a row of only inf ratios shifts to nan, which the moment
+        # pass refuses with McDegeneracyError.
+        with np.errstate(over="ignore", invalid="ignore"):
             # X is drawn before Y
             ratios = sample_tilted_stable(spec, row_rng, size=samples) / np.maximum(
                 row_rng.beta(k * alpha, n - k * alpha, size=samples), 1e-300
             )
             ratio_min = ratios.min()
             ratios -= ratio_min
-            fill(k, ratios, ratio_min)
+        fill(k, ratios, ratio_min)
 
-    workers = min(_usable_cores(), n)
-    if workers == 1:
-        fill_rows(1, 1)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fill_rows, first, workers) for first in range(1, workers + 1)]
-        for future in futures:
-            future.result()
+    _run_units(n, lambda: fill_row)
 
 
 def _log_prefactor(alpha, n):
@@ -294,21 +336,32 @@ def _shifted_moments(shifted, ratio_min, alpha, beta):
     the row sums of exp(-beta (R - min R)), then of the same buffer squared
     in place.  Every summand lies in [0, 1] and the row minimum contributes
     exactly 1, so neither sum can underflow to zero.  Both are numpy's
-    pairwise row sums, the same for a row whatever block or array it sits
-    in.  Neither calls BLAS, whose threaded dot product would split a row
-    across threads, leave a worker spinning on another core after the call,
-    and round differently for each BLAS thread count.
+    pairwise row sums, the same for a row whatever block, array or thread
+    it sits in, so the blocks run on every usable core through _run_units,
+    one buffer per thread, and the result does not depend on the number of
+    cores (`taskset` limits them).  Neither sum calls BLAS, whose threaded
+    dot product would split a row across threads, leave a worker spinning
+    on another core after the call, and round differently for each BLAS
+    thread count.
     """
     rows, samples = shifted.shape
     step = max(1, MOMENT_BLOCK // samples)
     sum1, sum2 = np.empty(rows), np.empty(rows)
-    buffer = np.empty((min(step, rows), samples))
-    for first in range(0, rows, step):
-        last = min(first + step, rows)
-        work = np.multiply(shifted[first:last], -beta, out=buffer[:last - first])
-        np.exp(work, out=work)
-        work.sum(axis=1, out=sum1[first:last])
-        np.square(work, out=work).sum(axis=1, out=sum2[first:last])
+
+    def start_worker():
+        buffer = np.empty((min(step, rows), samples))
+
+        def reduce_block(block):
+            first = block * step
+            last = min(first + step, rows)
+            work = np.multiply(shifted[first:last], -beta, out=buffer[:last - first])
+            np.exp(work, out=work)
+            work.sum(axis=1, out=sum1[first:last])
+            np.square(work, out=work).sum(axis=1, out=sum2[first:last])
+
+        return reduce_block
+
+    _run_units(-(-rows // step), start_worker)
     top = beta ** alpha - beta * ratio_min
     log_m1 = top + np.log(sum1) - math.log(samples)
     log_m2 = 2.0 * top + np.log(sum2) - math.log(samples)
@@ -330,11 +383,12 @@ def ngg_last_row_mc(alpha, beta, n, samples, rng):
 
     Uses V_{n,k} = [alpha^{k-1} Gamma(k) / Gamma(n)] E[exp(beta^alpha - beta X/Y)]
     with X polynomially tilted stable (tilt k alpha) and Y ~ Beta(k alpha,
-    n - k alpha), for every 1 <= k <= n.  Each worker thread draws and
-    reduces one row k at a time, so memory holds a few rows of `samples`
-    doubles per usable core whatever n is; the reduction is the one
-    NggWeightSampler applies to its frozen draws, and for the same seed both
-    give the same row, whatever the number of cores.
+    n - k alpha), for every 1 <= k <= n.  The rows run on every usable
+    core (`taskset` limits them), and each thread draws and reduces one row
+    k at a time, so memory holds a few rows of `samples` doubles per usable
+    core whatever n is; the reduction is the one NggWeightSampler applies
+    to its frozen draws, and for the same seed both give the same row,
+    whatever the number of cores.
 
     Args:
         alpha: stability index in (0, 1).
@@ -798,8 +852,10 @@ class NggWeightSampler:
     (used by calibration and by hyperparameter moves during inference).
     The draws are those of ngg_last_row_mc for the same seed, and each row k
     is stored shifted, R - min_k R, beside its minimum, which is the form
-    the shared reduction reads.  gfc, the depth-n GFC table at alpha, is
-    beta-free too.  The draws take 8 n samples bytes; past MAX_FROZEN_DRAWS
+    the shared reduction reads.  The rows are drawn, and each beta's
+    reduction runs in blocks of rows, on every usable core (`taskset`
+    limits them); draws and tables do not depend on the number of cores.
+    gfc, the depth-n GFC table at alpha, is beta-free too.  The draws take 8 n samples bytes; past MAX_FROZEN_DRAWS
     draws the sampler raises TableSizeError before allocating or drawing any.
     """
 

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -680,8 +682,11 @@ class TestNggWeightSampler:
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75])
     def test_draws_do_not_depend_on_worker_count(self, alpha, monkeypatch):
+        # one row per moment block, so the moment pass is split across
+        # threads as the row fill is
         n, samples, seed, beta = 9, 10_000, 5, 0.8
         model = GibbsModel.ngg(alpha, beta, McConfig(samples, seed))
+        monkeypatch.setattr(gibbs_weights, "MOMENT_BLOCK", samples)
 
         def outputs(workers):
             monkeypatch.setattr(gibbs_weights, "_usable_cores", lambda: workers)
@@ -689,16 +694,17 @@ class TestNggWeightSampler:
             streamed = build_weight_table(model, n)
             frozen = weight_table_from_sampler(sampler, beta)
             return [
-                sampler._shifted, sampler._ratio_min,
+                sampler._shifted, sampler._ratio_min, *sampler.log_last_row(beta),
                 *ngg_last_row_mc(alpha, beta, n, samples, np.random.default_rng(seed)),
                 streamed._log, streamed._rel_se, frozen._log, frozen._rel_se,
             ]
 
-        one, two = outputs(1), outputs(2)
-        for got, want in zip(two, one):
-            assert np.array_equal(got, want)
+        one = outputs(1)
+        for workers in (2, 3):
+            for got, want in zip(outputs(workers), one):
+                assert np.array_equal(got, want)
         # the streamed and frozen estimators still give the same table
-        assert np.array_equal(one[4], one[6]) and np.array_equal(one[5], one[7])
+        assert np.array_equal(one[6], one[8]) and np.array_equal(one[7], one[9])
 
     def test_worker_exception_reaches_caller(self, monkeypatch):
         # a degenerate row on a worker thread raises McDegeneracyError in
@@ -716,6 +722,108 @@ class TestNggWeightSampler:
         with pytest.raises(McDegeneracyError, match="row 4") as raised:
             ngg_last_row_mc(0.5, 1.0, 6, 10_000, np.random.default_rng(2))
         assert raised.type is McDegeneracyError
+
+    def test_moment_block_exception_reaches_caller(self, monkeypatch):
+        # the first moment block a worker thread reads raises; the caller's
+        # own block waits for it, so the failure is on a worker, and the
+        # caller still ends with that exception and no thread left running
+        monkeypatch.setattr(gibbs_weights, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(gibbs_weights, "MOMENT_BLOCK", 10_000)
+        sampler = NggWeightSampler(0.5, 6, 10_000, seed=2)
+        worker_read = threading.Event()
+
+        class FailOnWorker(np.ndarray):
+            def __getitem__(self, key):
+                if threading.current_thread() is threading.main_thread():
+                    assert worker_read.wait(timeout=30)
+                else:
+                    worker_read.set()
+                    raise McDegeneracyError("block on a worker underflowed")
+                return super().__getitem__(key)
+
+        shifted = sampler._shifted.view(FailOnWorker)
+        threads = threading.active_count()
+        with pytest.raises(McDegeneracyError, match="on a worker") as raised:
+            gibbs_weights._shifted_moments(shifted, sampler._ratio_min, 0.5, 1.0)
+        assert raised.type is McDegeneracyError
+        assert threading.active_count() == threads
+
+    def test_every_unit_runs_once(self, monkeypatch):
+        # more threads than cores and a short switch interval: each unit
+        # runs exactly once, and each thread, the caller among them, starts
+        # one worker
+        monkeypatch.setattr(gibbs_weights, "_usable_cores", lambda: 5)
+        units = 3000
+        runs = np.zeros(units, dtype=int)
+        starts = []
+
+        def start_worker():
+            starts.append(threading.get_ident())
+
+            def work(unit):
+                runs[unit] += 1
+
+            return work
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            gibbs_weights._run_units(units, start_worker)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.all(runs == 1)
+        assert len(starts) == 5 and threading.get_ident() in starts
+
+    def test_table_builds_leave_no_thread(self, monkeypatch):
+        monkeypatch.setattr(gibbs_weights, "_usable_cores", lambda: 3)
+        threads = threading.active_count()
+        sampler = NggWeightSampler(0.5, 40, 10_000, seed=1)
+        weight_table_from_sampler(sampler, 1.0)
+        build_weight_table(GibbsModel.ngg(0.5, 1.0, McConfig(10_000, 1)), 12)
+        assert threading.active_count() == threads
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("alpha", [0.01, 0.003])
+    def test_overflowing_ratios_are_quiet(self, alpha):
+        # at a small alpha some X/Y pass the largest double (and at 0.003
+        # some X do); those draws are inf and add exp(-beta inf) = 0
+        sampler = NggWeightSampler(alpha, 30, 10_000, seed=2)
+        assert np.isinf(sampler._shifted).any()
+        table = weight_table_from_sampler(sampler, 1.0)
+        for m in range(1, 31):
+            assert np.all(np.isfinite(table.log_row(m)))
+            assert np.all(np.isfinite(table.rel_se_row(m)))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_row_of_only_overflows_is_degenerate(self, monkeypatch):
+        # every X of row 1 is the largest double, so every X/Y overflows
+        draw = gibbs_weights.sample_tilted_stable
+
+        def huge_first_row(spec, rng, size):
+            x = draw(spec, rng, size=size)
+            return np.full_like(x, np.finfo(float).max) if spec.tilt == spec.alpha else x
+
+        monkeypatch.setattr(gibbs_weights, "sample_tilted_stable", huge_first_row)
+        monkeypatch.setattr(gibbs_weights, "_usable_cores", lambda: 2)
+        with pytest.raises(McDegeneracyError):
+            ngg_last_row_mc(0.5, 1.0, 6, 10_000, np.random.default_rng(2))
+        sampler = NggWeightSampler(0.5, 6, 10_000, seed=2)
+        with pytest.raises(McDegeneracyError):
+            sampler.log_last_row(1.0)
+
+    def test_sampler_tables_pinned(self):
+        # content hashes of frozen-draw tables: a change to the draws, their
+        # streams or the moment reduction moves them
+        mc = McConfig(10_000, 3)
+        pins = {
+            GibbsModel.ngg(0.5, 1.0, mc): "d4c611b79e6be89e",
+            GibbsModel.ngg(0.75, 0.6, mc): "48bfbd21b575f07d",
+            GibbsModel.nig(1.0, mc): "2d69ac6077400a9e",
+        }
+        for model, digest in pins.items():
+            sampler = NggWeightSampler(model.stable_index, 30, mc.samples, mc.seed)
+            table = weight_table_from_sampler(sampler, model.beta)
+            assert weight_table_content_hash(table, model)[:16] == digest, model
 
     def test_gfc_rows_match_shallower_table(self):
         # a depth-n GFC table holds the depth-(n - 1) rows bit for bit, so

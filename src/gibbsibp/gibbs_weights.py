@@ -713,6 +713,53 @@ class ClosedFormPrimitives:
         return float(g11.sum()), log_gs1
 
 
+class NggRowPrimitives:
+    """An NGG/NIG model's answers to PrimitiveCache.log_joint_reads from row
+    n of its weights alone, the twin of ClosedFormPrimitives: a slice trial
+    scores a model with no backward fill and no length-n cache.
+
+    Two identities of the Gibbs urn make row n enough.  The block law sums
+    to one, sum_k V_{n,k} alpha^{-k} C(n, k; alpha) = V_{1,1}, so row n
+    divided by that sum is row n of the triangle normalised to V_{1,1} = 1
+    (the one _mc_weight_table fills), which log g_{n-s}(s,1) reads; and
+    sum_{m<n} g_m(1,1) = E[B_n], the mean of that law.
+
+    Args:
+        log_row: log V_{n,k} for k = 1..n up to one additive constant: the
+            raw row of NggWeightSampler.log_last_row, or an exact one.
+        log_c: log[alpha^{-k} C(m, k; alpha)] for m, k = 1..n or deeper
+            (row m-1, column k-1, -inf for k > m): NggWeightSampler.log_c.
+        rel_se: the row's relative standard errors, which the weight table
+            of an accepted point carries; None for an exact row.
+    """
+
+    def __init__(self, log_row, log_c, rel_se=None):
+        n = len(log_row)
+        self.log_row = log_row
+        self.rel_se = rel_se
+        self._log_c = log_c
+        shifted = log_row - np.max(log_row)
+        law = shifted + log_c[n - 1, :n]
+        top = law.max()
+        mass = np.exp(law - top)
+        total = mass.sum()
+        self._log_v = shifted - (top + math.log(total))  # V_{1,1} = 1
+        self.expected_blocks = float(np.dot(np.arange(1, n + 1), mass)) / total
+
+    def log_joint_reads(self, n, sizes):
+        """The allocation log joint's two reads at depth n = len(log_row):
+        E[B_n], and log g_{n-s}(s,1) at each s of `sizes` (an int array in
+        [1, n]), where g_{n-s}(s,1) = sum_k V_{n,k+1} alpha^{-k} C(n-s, k;
+        alpha) and g_0(n,1) = V_{n,1}."""
+        log_gs1 = np.full(len(sizes), self._log_v[0])
+        inner = sizes < n
+        base = n - sizes[inner]
+        log_gs1[inner] = _log_sum_exp_rows(
+            self._log_v[1:] + self._log_c[base - 1, :n - 1]
+        )
+        return self.expected_blocks, log_gs1
+
+
 def build_primitive_cache(model, n, table=None, gfc=None):
     """Precompute the primitives required for a dataset of size n.
 
@@ -738,11 +785,10 @@ def build_primitive_cache(model, n, table=None, gfc=None):
         gfc = build_gfc_table(max(n - 1, 1), alpha)
     _check_primitive_tables(table, gfc, n, n - 1)
     v = table._log
-    # terms[m-1, k-1] = log[alpha^{-k} C(m, k; alpha)] for base counts
+    # log_c[m-1, k-1] = log[alpha^{-k} C(m, k; alpha)] for base counts
     # m = 1..n-1; the GFC triangle is -inf for k > m, which masks every sum
     # to the k <= m that log_primitive sums over
-    k = np.arange(1, n)
-    log_c = gfc.log_block(n - 1) - k * math.log(table.alpha)
+    log_c = _log_scaled_gfc_block(gfc, n - 1, table.alpha)
     g10 = np.concatenate(
         [[math.nan], np.exp(_log_sum_exp_rows(v[2:n + 1, 1:n] + log_c))]
     )
@@ -754,6 +800,12 @@ def build_primitive_cache(model, n, table=None, gfc=None):
         [_log_sum_exp_rows(v[n, 2:n + 1] + log_c)[::-1], [v[n, 1]]]
     )
     return PrimitiveCache(model, n, g10, g11, log_gs1)
+
+
+def _log_scaled_gfc_block(gfc, depth, alpha):
+    # log[alpha^{-k} C(m, k; alpha)] for m, k = 1..depth (row m-1, column
+    # k-1), -inf for k > m
+    return gfc.log_block(depth) - np.arange(1, depth + 1) * math.log(alpha)
 
 
 def _log_sum_exp_rows(terms):
@@ -855,8 +907,11 @@ class NggWeightSampler:
     the shared reduction reads.  The rows are drawn, and each beta's
     reduction runs in blocks of rows, on every usable core (`taskset`
     limits them); draws and tables do not depend on the number of cores.
-    gfc, the depth-n GFC table at alpha, is beta-free too.  The draws take 8 n samples bytes; past MAX_FROZEN_DRAWS
-    draws the sampler raises TableSizeError before allocating or drawing any.
+    gfc, the depth-n GFC table at alpha, and log_c, its block
+    log[alpha^{-k} C(m, k; alpha)] for m, k = 1..n, are beta-free too and
+    built once; every row read (row_primitives) reads log_c.  The draws
+    take 8 n samples bytes; past MAX_FROZEN_DRAWS draws the sampler raises
+    TableSizeError before allocating or drawing any.
     """
 
     def __init__(self, alpha, n, samples, seed):
@@ -883,6 +938,8 @@ class NggWeightSampler:
         self._ratio_min.flags.writeable = False
         self._log_prefactor = _log_prefactor(alpha, n)
         self.gfc = build_gfc_table(n, alpha)
+        self.log_c = _log_scaled_gfc_block(self.gfc, n, self.alpha)
+        self.log_c.flags.writeable = False
 
     def log_last_row(self, beta):
         """(log_row, rel_se) for row n at this beta, from the frozen draws."""
@@ -890,6 +947,21 @@ class NggWeightSampler:
             raise ValueError(f"beta must be positive, got {beta}")
         log_m1, rel = _shifted_moments(self._shifted, self._ratio_min, self.alpha, beta)
         return self._log_prefactor + log_m1, rel
+
+    def row_primitives(self, beta):
+        """NggRowPrimitives of row n at this beta: one moment pass."""
+        log_row, rel = self.log_last_row(beta)
+        return NggRowPrimitives(log_row, self.log_c, rel)
+
+    def weight_table(self, log_row, rel_se):
+        """The weight triangle whose last row is (log_row, rel_se), a row
+        of these draws (log_last_row), filled with no further moment pass."""
+        return _mc_weight_table(
+            self.alpha,
+            log_row,
+            rel_se,
+            Provenance("monte-carlo", self.samples, self.seed),
+        )
 
 
 def weight_table_from_sampler(sampler, beta):
@@ -901,13 +973,7 @@ def weight_table_from_sampler(sampler, beta):
     moves need: the draws are auxiliary variables held fixed while beta
     varies.
     """
-    last_log, last_rel = sampler.log_last_row(beta)
-    return _mc_weight_table(
-        sampler.alpha,
-        last_log,
-        last_rel,
-        Provenance("monte-carlo", sampler.samples, sampler.seed),
-    )
+    return sampler.weight_table(*sampler.log_last_row(beta))
 
 
 def calibrate(family, target, n, alpha=None, mc_config=None):

@@ -204,7 +204,8 @@ def _log_joint_counts(counts, n, gamma, alpha, primitives):
     # log_joint from the dish counts S_{n,k} alone, without argument checks.
     # Dishes of one size add the same term, so the sum runs over the
     # histogram of sizes: permutation invariance is exact, and primitives
-    # (a PrimitiveCache, or ClosedFormPrimitives for a slice trial) are
+    # (a PrimitiveCache, or for a slice trial ClosedFormPrimitives (DP/PY)
+    # or NggRowPrimitives, which reads row n of the weights (NGG/NIG)) are
     # read at the sizes that occur only.
     k_n = len(counts)
     if k_n == 0:

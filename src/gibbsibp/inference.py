@@ -4,10 +4,11 @@ Data model: Y = (W o Z) A + eps with eps_{ij} ~ N(0, sigma_Y^2), weights
 W_{ik} ~ N(0, sigma_W^2), loadings A_{kj} ~ N(0, sigma_{A,j}^2), and Z a
 Gibbs-type feature allocation.  The sampler touches the allocation prior
 only through its primitives (PrimitiveCache values, which DP/PY slice
-trials read in closed form), so every model variant runs through the same
-sweep: per-element Z updates, a Metropolis-Hastings move on each row's
-singleton dishes, conjugate W/A updates, conjugate gamma and scale
-updates, and slice moves for the model parameters.
+trials read in closed form and NGG/NIG ones from row n of the weights), so
+every model variant runs through the same sweep: per-element Z updates, a
+Metropolis-Hastings move on each row's singleton dishes, conjugate W/A
+updates, conjugate gamma and scale updates, and slice moves for the model
+parameters.
 """
 
 import csv
@@ -24,7 +25,6 @@ from .gibbs_weights import (
     build_primitive_cache,
     primitive_cache_content_hash,
     weight_table_content_hash,
-    weight_table_from_sampler,
 )
 from .ibp import FeatureAllocation, _lockstep_buffet, _log_joint_counts, simulate_ibp
 from .ibp import log_joint as allocation_log_joint
@@ -79,7 +79,11 @@ class LatentFactorState:
     exposed as an order-of-appearance FeatureAllocation on demand.
 
     Invariants: W is n x K, A is K x p, all scales strictly positive; the
-    sampler (if held), table and cache are those of the model (primitives_at).
+    sampler (if held), reads, table and cache are those of the model
+    (primitives_at).  reads is what a slice move scores the model by
+    (log_joint_reads): the row-n reads of an NGG/NIG model, the cache of a
+    DP/PY one; a state whose cache is set by hand has no reads (None) and
+    refuses slice moves.
     """
 
     def __init__(self, model, z, w, a, sigma_y, sigma_w, sigma_a, gamma, rng):
@@ -96,6 +100,7 @@ class LatentFactorState:
         self.rng = rng
         self.cache = None
         self.sampler = None
+        self.reads = None
         self.table = None
         self._set_factors(z, w, a)
 
@@ -133,29 +138,41 @@ class LatentFactorState:
     def allocation(self):
         return FeatureAllocation.from_matrix(self.z, self.gamma)
 
-    def primitives_at(self, model):
-        """(sampler, table, cache) of `model`'s primitives at this state's n.
-
-        A closed-form model has no sampler or table.  A Monte Carlo model
-        reads the frozen draws its mc_config names at its alpha: the
-        state's own sampler where (alpha, samples, seed) match, otherwise
-        new ones.
-        """
-        n = self.n
-        if model.is_closed_form:
-            return None, None, build_primitive_cache(model, n)
+    def row_reads(self, model):
+        """(sampler, row reads) of an NGG/NIG `model` at this state's n: the
+        frozen draws its mc_config names at its alpha (the state's own
+        where alpha, samples and seed match, otherwise new ones) and their
+        row n at its beta, one moment pass."""
         alpha, mc = model.stable_index, model.mc_config
         sampler = self.sampler
         if sampler is None or (sampler.alpha, sampler.samples, sampler.seed) != (
             alpha, mc.samples, mc.seed
         ):
-            sampler = NggWeightSampler(alpha, n, mc.samples, mc.seed)
-        table = weight_table_from_sampler(sampler, model.beta)
-        return sampler, table, build_primitive_cache(model, n, table=table, gfc=sampler.gfc)
+            sampler = NggWeightSampler(alpha, self.n, mc.samples, mc.seed)
+        return sampler, sampler.row_primitives(model.beta)
+
+    def primitives_at(self, model, trial=None):
+        """(sampler, reads, table, cache) of `model`'s primitives at this
+        state's n.
+
+        A closed-form model has no sampler or table, and its cache is its
+        reads.  A Monte Carlo model's reads are row n of its weights
+        (row_reads, or `trial`, the (sampler, reads) a slice trial already
+        scored it by), and its table and cache are built from that row's
+        log entries and rel_se with no second moment pass.
+        """
+        n = self.n
+        if model.is_closed_form:
+            cache = build_primitive_cache(model, n)
+            return None, cache, None, cache
+        sampler, reads = trial or self.row_reads(model)
+        table = sampler.weight_table(reads.log_row, reads.rel_se)
+        cache = build_primitive_cache(model, n, table=table, gfc=sampler.gfc)
+        return sampler, reads, table, cache
 
     def refresh_cache(self):
-        """Rebuild the sampler, table and cache for the current model."""
-        self.sampler, self.table, self.cache = self.primitives_at(self.model)
+        """Rebuild the sampler, reads, table and cache for the current model."""
+        self.sampler, self.reads, self.table, self.cache = self.primitives_at(self.model)
 
 
 def log_likelihood(y, z, w, a, sigma_y):
@@ -449,20 +466,28 @@ def _slice_model_move(state, counts, move, start):
     ~ Exp(1).  The target is the log joint of the dish counts
     (ibp._log_joint_counts) under the trial model's primitives plus the
     coordinate's log prior and Jacobian.  Sets the state's model, frozen
-    draws, table and cache to the accepted point and returns its coordinate.
+    draws, reads, table and cache to the accepted point and returns its
+    coordinate.
 
-    A DP/PY trial reads its primitives in closed form at the dish sizes
-    that occur (ClosedFormPrimitives), and only the accepted point builds a
-    full cache.  An NGG/NIG trial builds its table and cache
-    (LatentFactorState.primitives_at), and the accepted point keeps the
-    last ones built, since slice_sample returns the last point it
-    evaluated.  A trial at the state's own model reuses the state's table
-    and cache (exp(log beta) and expit(logit alpha) often round-trip
-    exactly).  A discount trial draws at its own alpha from the model's
-    seed, so the state's draws are dropped first: one set is alive at once.
+    No trial builds a table or a cache.  A DP/PY trial reads its
+    primitives in closed form at the dish sizes that occur
+    (ClosedFormPrimitives).  An NGG/NIG trial reads them from row n of its
+    weights (LatentFactorState.row_reads): one moment pass of the frozen
+    draws, then sums of length n.  A trial at the state's own model is
+    scored by the state's reads (exp(log beta) and expit(logit alpha) often
+    round-trip exactly), which for NGG/NIG are row-n reads too, so the
+    target is one function of the model.  Only the accepted point, the last
+    one slice_sample evaluated, builds its table and cache, once per move:
+    an NGG/NIG table from the row its trial read.  A discount trial draws
+    at its own alpha from the model's seed, so the state's draws are
+    dropped first: one set is alive at once.
     """
+    if state.reads is None:
+        raise ValueError(
+            "a slice move needs the state's reads: build its primitives with refresh_cache"
+        )
     model = state.model
-    last = None  # the last evaluated point's (model, sampler, table, cache)
+    last = None  # the last evaluated point's (model, sampler, reads)
     if move == "discount":
         state.sampler = None
 
@@ -485,16 +510,13 @@ def _slice_model_move(state, counts, move, start):
             return -math.inf
         last = None  # frees the last trial's draws before new ones are made
         if trial_model == state.model:
-            last = (trial_model, state.sampler, state.table, state.cache)
-            primitives = state.cache
+            last = (trial_model, state.sampler, state.reads)
         elif trial_model.is_closed_form:
-            last = (trial_model, None, None, None)  # cache built if accepted
-            primitives = ClosedFormPrimitives(trial_model)
+            last = (trial_model, None, ClosedFormPrimitives(trial_model))
         else:
-            last = (trial_model,) + state.primitives_at(trial_model)
-            primitives = last[3]
+            last = (trial_model,) + state.row_reads(trial_model)
         log_p = _log_joint_counts(
-            counts, state.n, state.gamma, trial_model.stable_index, primitives
+            counts, state.n, state.gamma, trial_model.stable_index, last[2]
         )
         return log_p + terms[0] + terms[1]
 
@@ -503,9 +525,12 @@ def _slice_model_move(state, counts, move, start):
     else:
         target.__name__ = "log_theta_plus_alpha" if model.is_closed_form else "log_beta"
     x = slice_sample(target, start, state.rng)
-    state.model, state.sampler, state.table, state.cache = last
-    if state.cache is None:
-        state.cache = build_primitive_cache(state.model, state.n)
+    accepted, sampler, reads = last
+    if reads is not state.reads:  # the accepted point is not the start
+        state.model = accepted
+        state.sampler, state.reads, state.table, state.cache = state.primitives_at(
+            accepted, (sampler, reads)
+        )
     return x
 
 

@@ -8,13 +8,18 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from gibbsibp import inference
+from gibbsibp import gibbs_weights, inference
 from gibbsibp.gibbs_weights import (
+    SMALLN_MAX,
     ClosedFormPrimitives,
     GibbsModel,
     McConfig,
+    NggRowPrimitives,
+    NggWeightSampler,
     build_primitive_cache,
     build_weight_table,
+    expected_blocks,
+    ngg_weights_smalln,
     weight_table_content_hash,
     weight_table_from_sampler,
 )
@@ -262,6 +267,72 @@ class TestClosedFormTrialTerms:
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+def _row_trial_models():
+    # NGG over the corners of (alpha, beta), and NIG
+    for alpha in (0.05, 0.5, 0.95):
+        for beta in (0.01, 1.0, 100.0):
+            yield GibbsModel.ngg(alpha, beta)
+    yield GibbsModel.nig(1.0)
+
+
+class TestNggRowTrialTerms:
+    """An NGG/NIG slice trial's row-n reads against the full cache, and
+    E[B_n] from row n against criterion 7's sum and the block law."""
+
+    @staticmethod
+    def assert_reads_match(reads, cache, table, gfc, model, n, rng):
+        sizes = np.unique(np.concatenate([[1, n], rng.integers(1, n + 1, size=6)]))
+        got_sum, got_log = reads.log_joint_reads(n, sizes)
+        want_sum, want_log = cache.log_joint_reads(n, sizes)
+        # E[B_n] = sum_{m<n} g_m(1,1), criterion 7's identity for NGG/NIG
+        assert got_sum == pytest.approx(want_sum, rel=1e-12, abs=0.0)
+        assert got_sum == pytest.approx(
+            expected_blocks(model, n, table=table, gfc=gfc), rel=1e-12, abs=0.0
+        )
+        # s = 1 and s = n (g_0(n,1) = V_{n,1}) among them; the absolute
+        # term bounds the primitives' relative error where a log is near 0
+        # (the series gives log V_{1,1} = -2e-61 at some corners)
+        np.testing.assert_allclose(got_log, want_log, rtol=1e-12, atol=1e-12)
+        gamma = float(rng.uniform(0.1, 5.0))
+        alloc = _random_allocation(rng, n, gamma)
+        got = _log_joint_counts(alloc.counts, n, gamma, model.stable_index, reads)
+        want = log_joint(alloc, model, gamma, cache=cache)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), (n, alloc.dishes)
+
+    @pytest.mark.parametrize(
+        "model", list(_row_trial_models()), ids=lambda model: model.describe()
+    )
+    def test_row_reads_match_full_cache(self, model):
+        rng = np.random.default_rng(23)
+        alpha = model.stable_index
+        exact = ngg_weights_smalln(alpha, model.beta, SMALLN_MAX)
+        for n in (1, 2, 12, 100):
+            # Monte Carlo rows: the cache the accepted point would build
+            sampler = NggWeightSampler(alpha, n, 500, seed=n)
+            reads = sampler.row_primitives(model.beta)
+            table = sampler.weight_table(reads.log_row, reads.rel_se)
+            cache = build_primitive_cache(model, n, table=table, gfc=sampler.gfc)
+            self.assert_reads_match(reads, cache, table, sampler.gfc, model, n, rng)
+            if n <= SMALLN_MAX:
+                # the exact row of the series
+                reads = NggRowPrimitives(exact.log_row(n), sampler.log_c)
+                cache = build_primitive_cache(model, n, table=exact, gfc=sampler.gfc)
+                self.assert_reads_match(reads, cache, exact, sampler.gfc, model, n, rng)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
+    def test_sampler_gfc_block_slices(self, alpha):
+        # row reads slice the sampler's beta-free block, and a primitive
+        # cache computes its own at depth n-1: each leading depth-m slice
+        # has the bits of the block computed at depth m
+        n = 30
+        sampler = NggWeightSampler(alpha, n, 500, seed=3)
+        assert not sampler.log_c.flags.writeable
+        for depth in (1, 2, n - 1, n):
+            k = np.arange(1, depth + 1)
+            want = sampler.gfc.log_block(depth) - k * math.log(alpha)
+            assert np.array_equal(sampler.log_c[:depth, :depth], want), depth
+
+
 def _thinned(draws):
     # thin until successive kept draws are nearly uncorrelated
     for thin in range(1, 21):
@@ -382,27 +453,39 @@ class TestModelMoves:
             # the draws follow alpha from the same seed
             assert state.sampler.seed == seed
             assert state.sampler.alpha == alpha and state.sampler.gfc.alpha == alpha
-            _, table, cache = state.primitives_at(state.model)
+            _, _, table, cache = state.primitives_at(state.model)
             assert np.array_equal(state.table._log, table._log, equal_nan=True)
             for name in ("g10", "g11", "log_gs1"):
                 assert np.array_equal(
                     getattr(state.cache, name), getattr(cache, name), equal_nan=True
                 ), name
 
-    def test_ngg_beta_move_builds_each_trial_table_once(self, monkeypatch):
-        # the start point reuses the state's table and the accepted point
-        # keeps the table its evaluation built: one build per other point
+    def test_ngg_beta_move_scores_trials_from_row_n(self, monkeypatch):
+        # no trial fills a table or builds a cache: every evaluated point but
+        # the start, which the state's own row reads score, reads row n once,
+        # and the accepted point builds one table and one cache from the row
+        # its trial read
         model = GibbsModel.ngg(0.5, 1.0)
         alloc = self.allocation(GibbsModel.py(0.5, 1.0), seed=5)
         state = make_state(model, alloc.matrix, seed=25, gamma=self.GAMMA, mc_samples=2000)
         start_table = state.table
-        builds, evals = [], []
-        build = inference.weight_table_from_sampler
+        rows, fills, caches, evals = [], [], [], []
+        read_row = gibbs_weights.NggWeightSampler.log_last_row
+        fill = gibbs_weights._mc_weight_table
+        build = inference.build_primitive_cache
         slice_move = inference.slice_sample
 
-        def counted_build(sampler, beta):
-            builds.append(beta)
-            return build(sampler, beta)
+        def counted_row(sampler, beta):
+            rows.append(beta)
+            return read_row(sampler, beta)
+
+        def counted_fill(*args, **kwargs):
+            fills.append(len(evals))
+            return fill(*args, **kwargs)
+
+        def counted_build(*args, **kwargs):
+            caches.append(len(evals))
+            return build(*args, **kwargs)
 
         def counted_slice(log_density, x0, rng):
             def counted(x):
@@ -410,18 +493,70 @@ class TestModelMoves:
                 return log_density(x)
             return slice_move(counted, x0, rng)
 
-        monkeypatch.setattr(inference, "weight_table_from_sampler", counted_build)
+        monkeypatch.setattr(gibbs_weights.NggWeightSampler, "log_last_row", counted_row)
+        monkeypatch.setattr(gibbs_weights, "_mc_weight_table", counted_fill)
+        monkeypatch.setattr(inference, "build_primitive_cache", counted_build)
+        monkeypatch.setattr(gibbs_weights, "build_primitive_cache", counted_build)
         monkeypatch.setattr(inference, "slice_sample", counted_slice)
         x = inference._slice_model_move(state, alloc.counts, "second", 0.0)
-        assert evals[0] == 0.0 and len(builds) == len(evals) - 1
-        assert 1.0 not in builds and state.table is not start_table
+        assert evals[0] == 0.0 and len(rows) == len(evals) - 1
+        assert 1.0 not in rows
+        # one fill and one cache, both after the last evaluation
+        assert fills == caches == [len(evals)]
+        assert state.table is not start_table
         assert state.model.beta == math.exp(x)
-        _, table, cache = state.primitives_at(state.model)
-        assert np.array_equal(state.table._log, table._log, equal_nan=True)
-        for name in ("g10", "g11", "log_gs1"):
-            assert np.array_equal(
-                getattr(state.cache, name), getattr(cache, name), equal_nan=True
-            ), name
+        monkeypatch.undo()
+        _, _, table, cache = state.primitives_at(state.model)
+        direct = weight_table_from_sampler(state.sampler, state.model.beta)
+        direct_cache = build_primitive_cache(
+            state.model, state.n, table=direct, gfc=state.sampler.gfc
+        )
+        for rebuilt, rebuilt_cache in ((table, cache), (direct, direct_cache)):
+            assert np.array_equal(state.table._log, rebuilt._log, equal_nan=True)
+            assert np.array_equal(state.table._rel_se, rebuilt._rel_se)
+            for name in ("g10", "g11", "log_gs1"):
+                assert np.array_equal(
+                    getattr(state.cache, name), getattr(rebuilt_cache, name),
+                    equal_nan=True,
+                ), name
+
+    def test_ngg_target_is_one_function_of_beta(self, monkeypatch):
+        # the target at the state's own beta (its stored row reads) and at
+        # the same beta from a fresh state, as a trial or as its start,
+        # agree to the bit
+        model = GibbsModel.ngg(0.5, 1.0)
+        alloc = self.allocation(GibbsModel.py(0.5, 1.0), seed=5)
+        counts = alloc.counts
+        state = make_state(model, alloc.matrix, seed=26, gamma=self.GAMMA, mc_samples=2000)
+        x = inference._slice_model_move(state, counts, "second", 0.0)
+        beta = state.model.beta
+        assert beta == math.exp(x) and beta != 1.0
+        assert isinstance(state.reads, gibbs_weights.NggRowPrimitives)
+        values = []
+
+        def probe(log_density, x0, rng):
+            values.append(log_density(x))
+            return x
+
+        monkeypatch.setattr(inference, "slice_sample", probe)
+        fresh = make_state(model, alloc.matrix, seed=26, gamma=self.GAMMA, mc_samples=2000)
+        at_beta = make_state(
+            replace(model, beta=beta), alloc.matrix, seed=26, gamma=self.GAMMA,
+            mc_samples=2000,
+        )
+        for chain in (state, fresh, at_beta):
+            inference._slice_model_move(chain, counts, "second", x)
+        assert math.isfinite(values[0]) and values == [values[0]] * 3
+
+    def test_move_refuses_state_without_reads(self):
+        # a cache set by hand (as the joint-distribution test does) leaves
+        # no reads to score the start point by: refused, not scored stale
+        model = GibbsModel.dp(1.0)
+        alloc = self.allocation(GibbsModel.py(0.4, 1.0), seed=3)
+        state = make_state(model, alloc.matrix, gamma=self.GAMMA)
+        state.reads = None
+        with pytest.raises(ValueError, match="refresh_cache"):
+            inference._slice_model_move(state, alloc.counts, "second", 0.0)
 
     @pytest.mark.parametrize(
         "model, move, name",

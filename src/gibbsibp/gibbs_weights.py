@@ -537,8 +537,6 @@ def ngg_weights_smalln(alpha, beta, n_max):
 def _check_primitive_tables(table, gfc, depth, gfc_depth):
     # the primitives read weight rows up to `depth` and GFC rows up to
     # `gfc_depth`
-    if table.alpha <= 0.0:
-        raise ValueError("primitives divide by alpha^k; use the dedicated closed forms for alpha = 0")
     if depth > table.n_max:
         raise ValueError(f"weight table depth {table.n_max} cannot serve row {depth}")
     if gfc_depth > gfc.n_max:
@@ -551,8 +549,9 @@ def log_primitive(table, gfc, n, z1, z2):
     """log g_n(z1, z2) from tabulated weights and GFCs.
 
     g_n(z1, z2) = sum_{k=1..n} V_{n+z1, k+z2} alpha^{-k} C(n, k; alpha),
-    evaluated by log-sum-exp (every summand is positive for alpha in (0,1));
-    the log scale matters because g_n(s, 1) decays roughly like n^{alpha-s}.
+    evaluated by log-sum-exp over the GFC table's stored row (every summand
+    is positive for alpha in [0, 1), DP's alpha = 0 included); the log scale
+    matters because g_n(s, 1) decays roughly like n^{alpha-s}.
 
     Args:
         table: WeightTable covering depth n + z1.
@@ -568,10 +567,8 @@ def log_primitive(table, gfc, n, z1, z2):
     k_count = min(n, n + z1 - z2)  # entries with k + z2 > n + z1 vanish
     if k_count < 1:
         return -math.inf
-    k = np.arange(1, k_count + 1)
     log_v = table._log[n + z1, z2 + 1:z2 + k_count + 1]
-    terms = log_v - k * math.log(table.alpha) + gfc.log_row(n)[:k_count]
-    return float(special.logsumexp(terms))
+    return float(special.logsumexp(log_v + gfc.log_row(n)[:k_count]))
 
 
 def primitive(table, gfc, n, z1, z2):
@@ -727,19 +724,19 @@ class NggRowPrimitives:
     Args:
         log_row: log V_{n,k} for k = 1..n up to one additive constant: the
             raw row of NggWeightSampler.log_last_row, or an exact one.
-        log_c: log[alpha^{-k} C(m, k; alpha)] for m, k = 1..n or deeper
-            (row m-1, column k-1, -inf for k > m): NggWeightSampler.log_c.
+        gfc: GfcTable at the model's alpha, depth n or deeper (the
+            sampler's own); its block holds log[alpha^{-k} C(m, k; alpha)].
         rel_se: the row's relative standard errors, which the weight table
             of an accepted point carries; None for an exact row.
     """
 
-    def __init__(self, log_row, log_c, rel_se=None):
+    def __init__(self, log_row, gfc, rel_se=None):
         n = len(log_row)
         self.log_row = log_row
         self.rel_se = rel_se
-        self._log_c = log_c
+        self._log_c = gfc.log_block(n)
         shifted = log_row - np.max(log_row)
-        law = shifted + log_c[n - 1, :n]
+        law = shifted + gfc.log_row(n)
         top = law.max()
         mass = np.exp(law - top)
         total = mass.sum()
@@ -749,15 +746,20 @@ class NggRowPrimitives:
     def log_joint_reads(self, n, sizes):
         """The allocation log joint's two reads at depth n = len(log_row):
         E[B_n], and log g_{n-s}(s,1) at each s of `sizes` (an int array in
-        [1, n]), where g_{n-s}(s,1) = sum_k V_{n,k+1} alpha^{-k} C(n-s, k;
-        alpha) and g_0(n,1) = V_{n,1}."""
-        log_gs1 = np.full(len(sizes), self._log_v[0])
-        inner = sizes < n
-        base = n - sizes[inner]
-        log_gs1[inner] = _log_sum_exp_rows(
-            self._log_v[1:] + self._log_c[base - 1, :n - 1]
-        )
-        return self.expected_blocks, log_gs1
+        [1, n])."""
+        return self.expected_blocks, _log_gs1(self._log_v, self._log_c, sizes)
+
+
+def _log_gs1(log_v, log_c, sizes):
+    # log g_{n-s}(s,1) = log sum_k V_{n,k+1} alpha^{-k} C(n-s, k; alpha) at
+    # each s of `sizes` (an int array in [1, n]), from row n of the weights
+    # (log_v[k-1] = log V_{n,k}, k = 1..n) and a GFC block log_c of depth
+    # n-1 or deeper (GfcTable.log_block); g_0(n,1) = V_{n,1}
+    n = len(log_v)
+    log_gs1 = np.full(len(sizes), log_v[0])
+    inner = sizes < n
+    log_gs1[inner] = _log_sum_exp_rows(log_v[1:] + log_c[n - 1 - sizes[inner], :n - 1])
+    return log_gs1
 
 
 def build_primitive_cache(model, n, table=None, gfc=None):
@@ -788,24 +790,15 @@ def build_primitive_cache(model, n, table=None, gfc=None):
     # log_c[m-1, k-1] = log[alpha^{-k} C(m, k; alpha)] for base counts
     # m = 1..n-1; the GFC triangle is -inf for k > m, which masks every sum
     # to the k <= m that log_primitive sums over
-    log_c = _log_scaled_gfc_block(gfc, n - 1, table.alpha)
+    log_c = gfc.log_block(n - 1)
     g10 = np.concatenate(
         [[math.nan], np.exp(_log_sum_exp_rows(v[2:n + 1, 1:n] + log_c))]
     )
     g11 = np.concatenate(
         [[1.0], np.exp(_log_sum_exp_rows(v[2:n + 1, 2:n + 1] + log_c))]
     )
-    # g_{n-s}(s, 1) reads row n at every s, so base count m = n - s
-    log_gs1 = np.concatenate(
-        [_log_sum_exp_rows(v[n, 2:n + 1] + log_c)[::-1], [v[n, 1]]]
-    )
+    log_gs1 = _log_gs1(v[n, 1:n + 1], log_c, np.arange(1, n + 1))
     return PrimitiveCache(model, n, g10, g11, log_gs1)
-
-
-def _log_scaled_gfc_block(gfc, depth, alpha):
-    # log[alpha^{-k} C(m, k; alpha)] for m, k = 1..depth (row m-1, column
-    # k-1), -inf for k > m
-    return gfc.log_block(depth) - np.arange(1, depth + 1) * math.log(alpha)
 
 
 def _log_sum_exp_rows(terms):
@@ -832,44 +825,30 @@ def persistence_probability(cache, n, s):
     return math.exp(log_rising_factorial(1.0 - alpha, s - 1) + cache.log_gs1_for(s))
 
 
-def _log_unsigned_stirling_first(n):
-    # |s(n+1, k)| = n |s(n, k)| + |s(n, k-1)| in log space
-    check_table_depth(n)
-    table = np.full((n + 1, n + 1), -np.inf)
-    table[0, 0] = 0.0
-    for m in range(n):
-        k = np.arange(1, m + 2)
-        grow = (math.log(m) if m > 0 else -np.inf) + table[m, 1:m + 2]
-        shift = table[m, 0:m + 1]
-        table[m + 1, 1:m + 2] = np.logaddexp(grow, shift)
-    return table
-
-
 def block_count_distribution(model, n, table=None, gfc=None):
     """Distribution of the number of blocks B_n over k = 1..n.
 
-    Pr{B_n = k} = V_{n,k} alpha^{-k} C(n, k; alpha); for DP the alpha -> 0
-    closed form Pr{B_n = k} = |s(n, k)| theta^k / (theta)_n is used instead.
-    The returned vector is the raw evaluation; a NormalizationError signals
-    that it missed summing to one beyond 1e-8.  Every weight table satisfies
-    the recursion (Monte Carlo tables are filled backward by it), so the
-    tolerance is the same for all of them.
+    Pr{B_n = k} = V_{n,k} alpha^{-k} C(n, k; alpha), row n of the weights
+    times the GFC table's stored row n.  DP keeps its closed-form weights:
+    Pr{B_n = k} = |s(n, k)| theta^k / (theta)_n, with |s(n, k)| the stored
+    row of the alpha = 0 GFC table.  The returned vector is the raw
+    evaluation; a NormalizationError signals that it missed summing to one
+    beyond 1e-8.  Every weight table satisfies the recursion (Monte Carlo
+    tables are filled backward by it), so the tolerance is the same for all
+    of them.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if gfc is None:
+        gfc = build_gfc_table(n, model.stable_index)
     if model.variant == "DP":
         theta = model.theta
-        stirling = _log_unsigned_stirling_first(n)
         k = np.arange(1, n + 1)
-        log_p = stirling[n, 1:n + 1] + k * math.log(theta) - log_rising_factorial(theta, n)
+        log_p = gfc.log_row(n) + k * math.log(theta) - log_rising_factorial(theta, n)
     else:
-        alpha = model.stable_index
         if table is None:
             table = build_weight_table(model, n)
-        if gfc is None:
-            gfc = build_gfc_table(n, alpha)
-        k = np.arange(1, n + 1)
-        log_p = table.log_row(n) + gfc.log_row(n) - k * math.log(alpha)
+        log_p = table.log_row(n) + gfc.log_row(n)
     probs = np.exp(log_p)
     defect = abs(float(probs.sum()) - 1.0)
     if defect > BLOCK_LAW_TOL:
@@ -907,9 +886,9 @@ class NggWeightSampler:
     the shared reduction reads.  The rows are drawn, and each beta's
     reduction runs in blocks of rows, on every usable core (`taskset`
     limits them); draws and tables do not depend on the number of cores.
-    gfc, the depth-n GFC table at alpha, and log_c, its block
-    log[alpha^{-k} C(m, k; alpha)] for m, k = 1..n, are beta-free too and
-    built once; every row read (row_primitives) reads log_c.  The draws
+    gfc, the depth-n GFC table at alpha, is beta-free too and built once;
+    every row read (row_primitives) reads its stored block
+    log[alpha^{-k} C(m, k; alpha)] for m, k = 1..n.  The draws
     take 8 n samples bytes; past MAX_FROZEN_DRAWS draws the sampler raises
     TableSizeError before allocating or drawing any.
     """
@@ -938,8 +917,6 @@ class NggWeightSampler:
         self._ratio_min.flags.writeable = False
         self._log_prefactor = _log_prefactor(alpha, n)
         self.gfc = build_gfc_table(n, alpha)
-        self.log_c = _log_scaled_gfc_block(self.gfc, n, self.alpha)
-        self.log_c.flags.writeable = False
 
     def log_last_row(self, beta):
         """(log_row, rel_se) for row n at this beta, from the frozen draws."""
@@ -951,7 +928,7 @@ class NggWeightSampler:
     def row_primitives(self, beta):
         """NggRowPrimitives of row n at this beta: one moment pass."""
         log_row, rel = self.log_last_row(beta)
-        return NggRowPrimitives(log_row, self.log_c, rel)
+        return NggRowPrimitives(log_row, self.gfc, rel)
 
     def weight_table(self, log_row, rel_se):
         """The weight triangle whose last row is (log_row, rel_se), a row
@@ -1017,11 +994,12 @@ def _calibrate(family, target, n, alpha, mc_config):
     if family == "DP":
         alpha = 0.0
 
-    gfc = None
     if family in ("NGG", "NIG"):
         mc = mc_config or McConfig()
         sampler = NggWeightSampler(alpha, n, mc.samples, mc.seed)
         gfc = sampler.gfc
+    else:
+        gfc = build_gfc_table(n, alpha)  # free of theta: one table serves the search
 
     def fitted(t):
         # (model, weight table) at t; DP/PY search over log(theta + alpha),

@@ -27,7 +27,6 @@ from .gibbs_weights import (
     weight_table_content_hash,
 )
 from .ibp import FeatureAllocation, _lockstep_buffet, _log_joint_counts, simulate_ibp
-from .ibp import log_joint as allocation_log_joint
 
 _LOG_2PI = math.log(2.0 * math.pi)
 SLICE_WIDTH = 1.0
@@ -618,7 +617,9 @@ def initial_state(model, y, config, z_init=None):
 
 
 def _record(state, y, iteration):
-    lj = allocation_log_joint(state.allocation, state.model, state.gamma, cache=state.cache)
+    lj = _log_joint_counts(
+        state.z.sum(axis=0), state.n, state.gamma, state.model.stable_index, state.cache
+    )
     ll = log_likelihood(y, state.z, state.w, state.a, state.sigma_y)
     row = {
         "iteration": iteration,

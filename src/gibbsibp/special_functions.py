@@ -6,8 +6,8 @@ import math
 import numpy as np
 from scipy import integrate, optimize, special
 
-# Weight, GFC and Stirling tables are dense (n+1) x (n+1) float64 arrays:
-# 32 MB each at this depth, 0.8 GB at n = 10^4.
+# Weight and GFC tables are dense (n+1) x (n+1) float64 arrays: 32 MB each
+# at this depth, 0.8 GB at n = 10^4.
 MAX_TABLE_DEPTH = 2000
 
 
@@ -45,11 +45,14 @@ def log_rising_factorial(a, n):
 
 
 class GfcTable:
-    """Triangular array of log generalized factorial coefficients.
+    """Triangular array of log[alpha^{-k} C(n, k; alpha)], 1 <= k <= n <= n_max.
 
-    Holds log C(n, k; alpha) for 1 <= k <= n <= n_max. Every coefficient is
-    strictly positive for alpha in (0, 1), so all stored logs are finite.
-    Instances are immutable after construction and safe to share.
+    The scaled generalized factorial coefficients form Gnedin and Pitman's
+    generalized Stirling triangle, which the primitives and block-count laws
+    read; at alpha = 0 they are the unsigned Stirling numbers of the first
+    kind |s(n, k)|.  They are positive for alpha in [0, 1), so the stored
+    logs are finite.  Instances are immutable after construction and safe to
+    share.
     """
 
     def __init__(self, n_max, alpha, log_entries):
@@ -59,62 +62,61 @@ class GfcTable:
         self._log = log_entries
 
     def log_gfc(self, n, k):
-        """log C(n, k; alpha); -inf where the coefficient is zero (k=0 with
-        n >= 1, or k > n)."""
+        """log C(n, k; alpha) itself (not the stored alpha^{-k} form); -inf
+        where the coefficient is zero (k=0 with n >= 1, k > n, or k >= 1 at
+        alpha = 0)."""
         if not 0 <= n <= self.n_max:
             raise ValueError(f"n must lie in [0, {self.n_max}], got {n}")
         if k < 0:
             raise ValueError(f"k must be nonnegative, got {k}")
-        if k > n:
+        if k > n or (k > 0 and self.alpha == 0.0):
             return -np.inf
-        return float(self._log[n, k])
+        return float(self._log[n, k]) + (k * math.log(self.alpha) if k else 0.0)
 
     def log_row(self, n):
-        """Row of log C(n, k; alpha) for k = 1..n as an array."""
+        """Row of log[alpha^{-k} C(n, k; alpha)] for k = 1..n as an array."""
         if not 1 <= n <= self.n_max:
             raise ValueError(f"n must lie in [1, {self.n_max}], got {n}")
         return self._log[n, 1:n + 1]
 
     def log_block(self, n):
-        """log C(m, k; alpha) for 1 <= m, k <= n as an n x n array (row m-1,
-        column k-1); the entries with k > m are -inf."""
+        """log[alpha^{-k} C(m, k; alpha)] for 1 <= m, k <= n as an n x n
+        array (row m-1, column k-1); the entries with k > m are -inf."""
         if not 0 <= n <= self.n_max:
             raise ValueError(f"n must lie in [0, {self.n_max}], got {n}")
         return self._log[1:n + 1, 1:n + 1]
 
 
 def build_gfc_table(n_max, alpha):
-    """Build the triangular log-GFC table by the forward recursion.
+    """Build the triangular table of log[alpha^{-k} C(n, k; alpha)] by the
+    forward recursion of the generalized Stirling triangle.
 
-    Seeds the diagonal with C(n, n; alpha) = alpha^n, then sweeps
-    C(j+1, k) = (j - alpha k) C(j, k) + alpha C(j, k-1) in log space;
-    both summands are positive for alpha in (0, 1).
+    With S(n, k) = alpha^{-k} C(n, k; alpha), the diagonal is S(n, n) = 1
+    and S(j+1, k) = (j - alpha k) S(j, k) + S(j, k-1), swept in log space;
+    both summands are nonnegative for alpha in [0, 1).  At alpha = 0 this
+    is the recursion of the unsigned Stirling numbers of the first kind.
 
     Args:
         n_max: largest n to tabulate, a positive integer at most
             MAX_TABLE_DEPTH.
-        alpha: stability index in the open interval (0, 1).
+        alpha: stability index in [0, 1).
 
     Returns:
         GfcTable with entries for 1 <= k <= n <= n_max.
     """
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if not 0 <= alpha < 1:
+        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     if n_max < 1 or n_max != int(n_max):
         raise ValueError(f"n_max must be a positive integer, got {n_max}")
     check_table_depth(n_max)
     n_max = int(n_max)
-    log_alpha = math.log(alpha)
     table = np.full((n_max + 1, n_max + 1), -np.inf)
-    table[0, 0] = 0.0
-    for n in range(1, n_max + 1):
-        table[n, n] = n * log_alpha
+    np.fill_diagonal(table, 0.0)
     for n in range(1, n_max):
         k = np.arange(1, n + 1)
         # n - alpha*k > 0 for every k <= n since alpha < 1
         keep = np.log(n - alpha * k) + table[n, 1:n + 1]
-        shift = log_alpha + table[n, 0:n]
-        table[n + 1, 1:n + 1] = np.logaddexp(keep, shift)
+        table[n + 1, 1:n + 1] = np.logaddexp(keep, table[n, 0:n])
     return GfcTable(n_max, alpha, table)
 
 

@@ -1,8 +1,10 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -524,9 +526,13 @@ class TestCacheSharing:
 
 
 def test_console_script_help():
+    # the child imports the package these tests import, wherever pytest
+    # found it (the pythonpath setting, PYTHONPATH or an installed copy)
+    src = str(Path(gibbs_weights.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "gibbsibp.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "simulate" in proc.stdout and "geweke" in proc.stdout

@@ -207,7 +207,7 @@ class TestBuildWeightTable:
                 new = np.exp(table.log_row(m + 1)[1:] - table.log_row(m))
                 steps = (m - alpha * k) * same + new
                 assert np.abs(steps - 1.0).max() <= 1e-10
-            law = np.exp(table.log_row(m) + gfc.log_row(m) - k * math.log(alpha))
+            law = np.exp(table.log_row(m) + gfc.log_row(m))
             assert abs(law.sum() - 1.0) <= 1e-8
 
     def test_mc_reproducible(self):
@@ -297,11 +297,17 @@ class TestPrimitive:
         with pytest.raises(ValueError):
             primitive(table, gfc, 4, 0, 0)
 
-    def test_rejects_dp_table(self):
-        table = build_weight_table(GibbsModel.dp(1.0), 3)
-        gfc = build_gfc_table(3, 0.5)
-        with pytest.raises(ValueError):
-            primitive(table, gfc, 1, 1, 0)
+    def test_dp_matches_closed_forms(self):
+        # a DP weight table with the alpha = 0 GFC table (unsigned Stirling
+        # numbers of the first kind) is a valid generic primitive
+        gfc = build_gfc_table(60, 0.0)
+        for theta in (0.1, 1.0, 10.0):
+            table = build_weight_table(GibbsModel.dp(theta), 61)
+            for n in range(1, 61):
+                for which in ((1, 0), (1, 1)):
+                    want = math.log(py_primitive_closed(0.0, theta, n, which))
+                    got = log_primitive(table, gfc, n, *which)
+                    assert got == pytest.approx(want, rel=0.0, abs=1e-12), (theta, n, which)
 
     def test_alpha_mismatch(self):
         table = build_weight_table(GibbsModel.py(0.5, 1.0), 3)
@@ -433,7 +439,7 @@ class TestPrimitiveCache:
             gfc = build_gfc_table(n - 1, alpha)
             cache = build_primitive_cache(GibbsModel.ngg(alpha, 1.0), n, table=table, gfc=gfc)
             v = table._log
-            log_c = gfc.log_block(n - 1) - np.arange(1, n) * math.log(alpha)
+            log_c = gfc.log_block(n - 1)
             assert np.isneginf(log_c[np.triu_indices(n - 1, 1)]).all()
             g10 = np.exp(special.logsumexp(v[2:n + 1, 1:n] + log_c, axis=1))
             g11 = np.exp(special.logsumexp(v[2:n + 1, 2:n + 1] + log_c, axis=1))

@@ -315,22 +315,21 @@ class TestNggRowTrialTerms:
             self.assert_reads_match(reads, cache, table, sampler.gfc, model, n, rng)
             if n <= SMALLN_MAX:
                 # the exact row of the series
-                reads = NggRowPrimitives(exact.log_row(n), sampler.log_c)
+                reads = NggRowPrimitives(exact.log_row(n), sampler.gfc)
                 cache = build_primitive_cache(model, n, table=exact, gfc=sampler.gfc)
                 self.assert_reads_match(reads, cache, exact, sampler.gfc, model, n, rng)
 
     @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
     def test_sampler_gfc_block_slices(self, alpha):
-        # row reads slice the sampler's beta-free block, and a primitive
-        # cache computes its own at depth n-1: each leading depth-m slice
-        # has the bits of the block computed at depth m
+        # row reads slice the sampler's beta-free GFC block, and a primitive
+        # cache reads a table of depth n-1: each leading depth-m slice has
+        # the bits of the block of a table built at depth m
         n = 30
-        sampler = NggWeightSampler(alpha, n, 500, seed=3)
-        assert not sampler.log_c.flags.writeable
+        block = NggWeightSampler(alpha, n, 500, seed=3).gfc.log_block(n)
+        assert not block.flags.writeable
         for depth in (1, 2, n - 1, n):
-            k = np.arange(1, depth + 1)
-            want = sampler.gfc.log_block(depth) - k * math.log(alpha)
-            assert np.array_equal(sampler.log_c[:depth, :depth], want), depth
+            want = build_gfc_table(depth, alpha).log_block(depth)
+            assert np.array_equal(block[:depth, :depth], want), depth
 
 
 def _thinned(draws):

@@ -17,7 +17,7 @@ from gibbsibp.special_functions import (
     log_rising_factorial,
     positive_stable_density,
 )
-from oracles import gfc_bruteforce
+from oracles import gfc_bruteforce, log_scaled_gfc_mp, unsigned_stirling_first
 
 # Frozen oracle values for f_alpha(t): mpmath quadrature (30 dps) of the
 # Zolotarev integral representation, cross-checked against Talbot numerical
@@ -89,7 +89,7 @@ class TestGfcTable:
                 assert table.log_gfc(n, n) == n * math.log(alpha)
 
     def test_rejects_bad_alpha(self):
-        for alpha in (0.0, 1.0, -0.2, 1.5):
+        for alpha in (1.0, -0.2, 1.5):
             with pytest.raises(ValueError):
                 build_gfc_table(5, alpha)
 
@@ -126,6 +126,31 @@ class TestGfcTable:
             for n in range(1, 51):
                 expected = math.log(alpha) + log_rising_factorial(1.0 - alpha, n - 1)
                 assert table.log_gfc(n, 1) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_alpha_zero_is_unsigned_stirling_first(self):
+        # alpha^{-k} C(n, k; alpha) -> |s(n, k)| as alpha -> 0, while
+        # C(n, k; 0) itself is 0 for k >= 1
+        n_max = 40
+        table = build_gfc_table(n_max, 0.0)
+        exact = unsigned_stirling_first(n_max)
+        for n in range(1, n_max + 1):
+            want = [math.log(exact[n][k]) for k in range(1, n + 1)]
+            np.testing.assert_allclose(table.log_row(n), want, rtol=1e-14, atol=0.0)
+            assert table.log_row(n)[-1] == 0.0
+            assert table.log_gfc(n, 0) == -np.inf
+            for k in (1, n):
+                assert table.log_gfc(n, k) == -np.inf
+        assert table.log_gfc(0, 0) == 0.0
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
+    def test_scaled_entries_match_extended_precision(self, alpha):
+        n_max = 300
+        table = build_gfc_table(n_max, alpha)
+        exact = log_scaled_gfc_mp(n_max, alpha)
+        worst = max(
+            float(np.abs(table.log_row(n) - exact[n - 1]).max()) for n in range(1, n_max + 1)
+        )
+        assert worst <= 1e-11
 
     def test_immutable(self):
         table = build_gfc_table(5, 0.5)

@@ -663,62 +663,78 @@ class PrimitiveCache:
             raise ValueError(f"s must lie in [1, {self.n}], got {s}")
         return float(self.log_gs1[s - 1])
 
+    @property
+    def expected_blocks(self):
+        """E[B_n] = sum_{j<=n} g_{j-1}(1,1)."""
+        return float(self.g11[:self.n].sum())
+
     def log_joint_reads(self, n, sizes):
         """The allocation log joint's two reads at depth n = self.n:
-        sum_{j<=n} g_{j-1}(1,1), and log g_{n-s}(s,1) at each s of `sizes`
-        (an int array in [1, n])."""
-        return float(self.g11[:n].sum()), self.log_gs1[sizes - 1]
+        E[B_n], and log g_{n-s}(s,1) at each s of `sizes` (an int array in
+        [1, n])."""
+        return self.expected_blocks, self.log_gs1[sizes - 1]
 
 
-def _closed_form_primitives(alpha, theta, n, sizes):
-    # DP/PY at depth n: g11[m] = g_m(1,1) for m = 0..n-1, and log g_r(s,1)
-    # at each s of `sizes` with r = n - s, from
-    #   g_r(s,1) = Gamma(theta+1) Gamma(theta+alpha+r) /
-    #              [Gamma(theta+alpha) Gamma(theta+r+s)]
-    # (g_m(1,1) is the s = 1 case, evaluated in py_primitive_closed's order
-    # of operations, which rounds differently)
-    log_top = special.gammaln(theta + 1.0)
-    log_bottom = special.gammaln(theta + alpha)
-    m = np.arange(n)
-    g11 = np.exp(
-        log_top
-        + special.gammaln(theta + alpha + m)
-        - special.gammaln(theta + m + 1.0)
-        - log_bottom
-    )
-    r = n - sizes
-    log_gs1 = (
-        log_top
-        + special.gammaln(theta + alpha + r)
-        - log_bottom
-        - special.gammaln(theta + r + sizes)
-    )
-    return g11, log_gs1
+class _DepthPrimitives:
+    """The primitives one sweep at data size n reads, by PrimitiveCache's
+    names: g10_for(n) (nan at n = 1), g11_for(n), expected_blocks and
+    log_joint_reads(n, sizes).  Any depth other than n is refused."""
 
+    def _check_depth(self, j):
+        if j != self.n:
+            raise ValueError(f"primitives were built for n = {self.n}, got {j}")
 
-class ClosedFormPrimitives:
-    """A DP/PY model's answers to PrimitiveCache.log_joint_reads, evaluated
-    at the sizes asked for only: a slice trial scores a model without
-    building its length-n cache."""
+    def g10_for(self, j):
+        self._check_depth(j)
+        return self._g10
 
-    def __init__(self, model):
-        self.alpha = model.stable_index
-        self.theta = model.theta
+    def g11_for(self, j):
+        self._check_depth(j)
+        return self._g11
 
     def log_joint_reads(self, n, sizes):
-        g11, log_gs1 = _closed_form_primitives(self.alpha, self.theta, n, sizes)
-        return float(g11.sum()), log_gs1
+        """E[B_n], and log g_{n-s}(s,1) at each s of `sizes` (an int array
+        in [1, n])."""
+        self._check_depth(n)
+        return self.expected_blocks, self._log_gs1_at(sizes)
 
 
-class NggRowPrimitives:
-    """An NGG/NIG model's answers to PrimitiveCache.log_joint_reads from row
-    n of its weights alone, the twin of ClosedFormPrimitives: a slice trial
-    scores a model with no backward fill and no length-n cache.
+class ClosedFormPrimitives(_DepthPrimitives):
+    """A DP/PY model's primitives at depth n in closed form, with the bits
+    of build_primitive_cache's entries; log g_{n-s}(s,1) is evaluated at
+    the sizes asked for only.  With r = n - s, g_r(s,1) = Gamma(theta+1)
+    Gamma(theta+alpha+r) / [Gamma(theta+alpha) Gamma(theta+r+s)]; g11[m] =
+    g_m(1,1) for m < n is the s = 1 case in py_primitive_closed's order of
+    operations, which rounds differently."""
+
+    def __init__(self, model, n):
+        self.n = n = int(n)
+        self._alpha, self._theta = alpha, theta = model.stable_index, model.theta
+        self._log_top = special.gammaln(theta + 1.0)
+        self._log_bottom = special.gammaln(theta + alpha)
+        m = np.arange(n)
+        log_g11 = self._log_top + special.gammaln(theta + alpha + m)
+        self.g11 = np.exp(log_g11 - special.gammaln(theta + m + 1.0) - self._log_bottom)
+        self.g11.flags.writeable = False
+        self.expected_blocks = float(self.g11.sum())
+        self._g10 = 1.0 / (theta + (n - 1)) if n > 1 else math.nan
+        self._g11 = float(self.g11[-1])
+
+    def _log_gs1_at(self, sizes):
+        r = self.n - sizes
+        log_gs1 = self._log_top + special.gammaln(self._theta + self._alpha + r)
+        return log_gs1 - self._log_bottom - special.gammaln(self._theta + r + sizes)
+
+
+class NggRowPrimitives(_DepthPrimitives):
+    """An NGG/NIG model's primitives at depth n from row n of its weights
+    alone, the twin of ClosedFormPrimitives: no backward fill and no
+    length-n cache.
 
     Two identities of the Gibbs urn make row n enough.  The block law sums
     to one, sum_k V_{n,k} alpha^{-k} C(n, k; alpha) = V_{1,1}, so row n
     divided by that sum is row n of the triangle normalised to V_{1,1} = 1
-    (the one _mc_weight_table fills), which log g_{n-s}(s,1) reads; and
+    (the one _mc_weight_table fills), which every g_{n-s}(s,z2) reads; and
     sum_{m<n} g_m(1,1) = E[B_n], the mean of that law.
 
     Args:
@@ -727,11 +743,11 @@ class NggRowPrimitives:
         gfc: GfcTable at the model's alpha, depth n or deeper (the
             sampler's own); its block holds log[alpha^{-k} C(m, k; alpha)].
         rel_se: the row's relative standard errors, which the weight table
-            of an accepted point carries; None for an exact row.
+            filled from it carries; None for an exact row.
     """
 
     def __init__(self, log_row, gfc, rel_se=None):
-        n = len(log_row)
+        n = self.n = len(log_row)
         self.log_row = log_row
         self.rel_se = rel_se
         self._log_c = gfc.log_block(n)
@@ -742,12 +758,13 @@ class NggRowPrimitives:
         total = mass.sum()
         self._log_v = shifted - (top + math.log(total))  # V_{1,1} = 1
         self.expected_blocks = float(np.dot(np.arange(1, n + 1), mass)) / total
+        self._g11 = float(np.exp(self._log_gs1_at(np.array([1]))[0]))
+        # g_{n-1}(1,0) = sum_{k<n} V_{n,k} alpha^{-k} C(n-1, k; alpha)
+        terms = self._log_v[:-1] + self._log_c[max(n - 2, 0), :n - 1]
+        self._g10 = float(np.exp(_log_sum_exp_rows(terms[None])[0])) if n > 1 else math.nan
 
-    def log_joint_reads(self, n, sizes):
-        """The allocation log joint's two reads at depth n = len(log_row):
-        E[B_n], and log g_{n-s}(s,1) at each s of `sizes` (an int array in
-        [1, n])."""
-        return self.expected_blocks, _log_gs1(self._log_v, self._log_c, sizes)
+    def _log_gs1_at(self, sizes):
+        return _log_gs1(self._log_v, self._log_c, sizes)
 
 
 def _log_gs1(log_v, log_c, sizes):
@@ -765,10 +782,9 @@ def _log_gs1(log_v, log_c, sizes):
 def build_primitive_cache(model, n, table=None, gfc=None):
     """Precompute the primitives required for a dataset of size n.
 
-    DP and PY use their closed forms (which keeps large n cheap; the
-    expressions are the ones ClosedFormPrimitives evaluates for a slice
-    trial); NGG/NIG evaluate the generic log-sum-exp primitive from their
-    weight and GFC tables (built on demand when not supplied; the weight
+    DP and PY read ClosedFormPrimitives at every size (the closed forms
+    keep large n cheap); NGG/NIG evaluate the generic log-sum-exp
+    primitive from their weight and GFC tables (built on demand when not supplied; the weight
     table must reach depth n, the GFC table depth n-1).  Both branches fill
     every entry in one array pass; py_primitive_closed and log_primitive
     are the scalar forms of the same expressions.
@@ -777,10 +793,10 @@ def build_primitive_cache(model, n, table=None, gfc=None):
         raise ValueError(f"n must be >= 1, got {n}")
     alpha = model.stable_index
     if model.is_closed_form:
-        theta = model.theta
-        g10 = np.concatenate([[math.nan], 1.0 / (theta + np.arange(1, n))])
-        g11, log_gs1 = _closed_form_primitives(alpha, theta, n, np.arange(1, n + 1))
-        return PrimitiveCache(model, n, g10, g11, log_gs1)
+        g10 = np.concatenate([[math.nan], 1.0 / (model.theta + np.arange(1, n))])
+        closed = ClosedFormPrimitives(model, n)
+        _, log_gs1 = closed.log_joint_reads(n, np.arange(1, n + 1))
+        return PrimitiveCache(model, n, g10, closed.g11, log_gs1)
     if table is None:
         table = build_weight_table(model, n)
     if gfc is None:
@@ -942,14 +958,8 @@ class NggWeightSampler:
 
 
 def weight_table_from_sampler(sampler, beta):
-    """Weight triangle at `beta` from a sampler's frozen draws.
-
-    Same construction as build_weight_table's Monte Carlo path (backward
-    recursion from the last row, normalized so V_{1,1} = 1 exactly), but
-    deterministic in beta given the sampler, which is what hyperparameter
-    moves need: the draws are auxiliary variables held fixed while beta
-    varies.
-    """
+    """Weight triangle at `beta` from a sampler's frozen draws, built as
+    build_weight_table builds a Monte Carlo one: deterministic in beta."""
     return sampler.weight_table(*sampler.log_last_row(beta))
 
 

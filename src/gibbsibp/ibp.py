@@ -186,7 +186,9 @@ def log_joint(allocation, model, gamma, cache=None):
         allocation: FeatureAllocation.
         model: GibbsModel.
         gamma: mass parameter, >= 0.
-        cache: optional PrimitiveCache built for exactly n = allocation.n.
+        cache: optional primitives at depth n = allocation.n: a
+            PrimitiveCache, or a depth-n ClosedFormPrimitives or
+            NggRowPrimitives (a chain state's cache).
     """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
@@ -203,10 +205,8 @@ def log_joint(allocation, model, gamma, cache=None):
 def _log_joint_counts(counts, n, gamma, alpha, primitives):
     # log_joint from the dish counts S_{n,k} alone, without argument checks.
     # Dishes of one size add the same term, so the sum runs over the
-    # histogram of sizes: permutation invariance is exact, and primitives
-    # (a PrimitiveCache, or for a slice trial ClosedFormPrimitives (DP/PY)
-    # or NggRowPrimitives, which reads row n of the weights (NGG/NIG)) are
-    # read at the sizes that occur only.
+    # histogram of sizes: permutation invariance is exact, and the depth-n
+    # primitives (log_joint's cache) are read at the sizes that occur only.
     k_n = len(counts)
     if k_n == 0:
         base = 0.0

@@ -3,9 +3,9 @@
 Data model: Y = (W o Z) A + eps with eps_{ij} ~ N(0, sigma_Y^2), weights
 W_{ik} ~ N(0, sigma_W^2), loadings A_{kj} ~ N(0, sigma_{A,j}^2), and Z a
 Gibbs-type feature allocation.  The sampler touches the allocation prior
-only through its primitives (PrimitiveCache values, which DP/PY slice
-trials read in closed form and NGG/NIG ones from row n of the weights), so
-every model variant runs through the same sweep: per-element Z updates, a
+only through its primitives at the data size n (read in closed form for
+DP/PY and from row n of the weights for NGG/NIG), so every model variant
+runs through the same sweep: per-element Z updates, a
 Metropolis-Hastings move on each row's singleton dishes, conjugate W/A
 updates, conjugate gamma and scale updates, and slice moves for the model
 parameters.
@@ -77,12 +77,10 @@ class LatentFactorState:
     """Mutable chain state; Z is kept raw (columns in arbitrary order) and
     exposed as an order-of-appearance FeatureAllocation on demand.
 
-    Invariants: W is n x K, A is K x p, all scales strictly positive; the
-    sampler (if held), reads, table and cache are those of the model
-    (primitives_at).  reads is what a slice move scores the model by
-    (log_joint_reads): the row-n reads of an NGG/NIG model, the cache of a
-    DP/PY one; a state whose cache is set by hand has no reads (None) and
-    refuses slice moves.
+    Invariants: W is n x K, A is K x p, all scales strictly positive;
+    cache holds the model's depth-n primitives (primitives), which every
+    sweep block and slice move reads, and sampler the NGG/NIG frozen draws
+    they come from.  A PrimitiveCache set by hand serves the sweep blocks.
     """
 
     def __init__(self, model, z, w, a, sigma_y, sigma_w, sigma_a, gamma, rng):
@@ -99,8 +97,7 @@ class LatentFactorState:
         self.rng = rng
         self.cache = None
         self.sampler = None
-        self.reads = None
-        self.table = None
+        self._filled = (None, None)  # (primitives, the table filled from them)
         self._set_factors(z, w, a)
 
     def _set_factors(self, z, w, a):
@@ -137,11 +134,13 @@ class LatentFactorState:
     def allocation(self):
         return FeatureAllocation.from_matrix(self.z, self.gamma)
 
-    def row_reads(self, model):
-        """(sampler, row reads) of an NGG/NIG `model` at this state's n: the
-        frozen draws its mc_config names at its alpha (the state's own
-        where alpha, samples and seed match, otherwise new ones) and their
-        row n at its beta, one moment pass."""
+    def primitives(self, model):
+        """(sampler, primitives) of `model` at this state's n: (None,
+        ClosedFormPrimitives) for DP/PY; for NGG/NIG the frozen draws its
+        mc_config names at its alpha (the state's own if they match) and
+        the NggRowPrimitives of their row n at its beta."""
+        if model.is_closed_form:
+            return None, ClosedFormPrimitives(model, self.n)
         alpha, mc = model.stable_index, model.mc_config
         sampler = self.sampler
         if sampler is None or (sampler.alpha, sampler.samples, sampler.seed) != (
@@ -150,28 +149,26 @@ class LatentFactorState:
             sampler = NggWeightSampler(alpha, self.n, mc.samples, mc.seed)
         return sampler, sampler.row_primitives(model.beta)
 
-    def primitives_at(self, model, trial=None):
-        """(sampler, reads, table, cache) of `model`'s primitives at this
-        state's n.
-
-        A closed-form model has no sampler or table, and its cache is its
-        reads.  A Monte Carlo model's reads are row n of its weights
-        (row_reads, or `trial`, the (sampler, reads) a slice trial already
-        scored it by), and its table and cache are built from that row's
-        log entries and rel_se with no second moment pass.
-        """
-        n = self.n
-        if model.is_closed_form:
-            cache = build_primitive_cache(model, n)
-            return None, cache, None, cache
-        sampler, reads = trial or self.row_reads(model)
-        table = sampler.weight_table(reads.log_row, reads.rel_se)
-        cache = build_primitive_cache(model, n, table=table, gfc=sampler.gfc)
-        return sampler, reads, table, cache
-
     def refresh_cache(self):
-        """Rebuild the sampler, reads, table and cache for the current model."""
-        self.sampler, self.reads, self.table, self.cache = self.primitives_at(self.model)
+        """Set the sampler and primitives of the current model."""
+        self.sampler, self.cache = self.primitives(self.model)
+
+    @property
+    def table(self):
+        """The NGG/NIG weight triangle filled from the primitives' row, once
+        per primitives object; None for DP/PY."""
+        if self.sampler is None:
+            return None
+        if self._filled[0] is not self.cache:
+            table = self.sampler.weight_table(self.cache.log_row, self.cache.rel_se)
+            self._filled = (self.cache, table)
+        return self._filled[1]
+
+    def full_cache(self):
+        """The model's PrimitiveCache to depth n (NGG/NIG: from the table),
+        which an initial Z's prior draw and a manifest's hash read whole."""
+        gfc = None if self.sampler is None else self.sampler.gfc
+        return build_primitive_cache(self.model, self.n, table=self.table, gfc=gfc)
 
 
 def log_likelihood(y, z, w, a, sigma_y):
@@ -220,8 +217,9 @@ def synthesize_data(n, p, z_true, scales, seed):
 
 
 def gamma_posterior(k_n, priors, cache):
-    """(shape, rate) of the conjugate gamma update given K_n dishes."""
-    rate = priors.lambda2 + float(cache.g11[: cache.n].sum())
+    """(shape, rate) of the conjugate gamma update given K_n dishes; the
+    rate reads E[B_n] = sum_{m<n} g_m(1,1) of any depth-n primitives."""
+    rate = priors.lambda2 + cache.expected_blocks
     return priors.lambda1 + k_n, rate
 
 
@@ -464,31 +462,19 @@ def _slice_model_move(state, counts, move, start):
     x = log(theta + alpha) for DP/PY and x = log beta for NGG/NIG, either
     ~ Exp(1).  The target is the log joint of the dish counts
     (ibp._log_joint_counts) under the trial model's primitives plus the
-    coordinate's log prior and Jacobian.  Sets the state's model, frozen
-    draws, reads, table and cache to the accepted point and returns its
-    coordinate.
+    coordinate's log prior and Jacobian.  Returns the accepted coordinate.
 
-    No trial builds a table or a cache.  A DP/PY trial reads its
-    primitives in closed form at the dish sizes that occur
-    (ClosedFormPrimitives).  An NGG/NIG trial reads them from row n of its
-    weights (LatentFactorState.row_reads): one moment pass of the frozen
-    draws, then sums of length n.  A trial at the state's own model is
-    scored by the state's reads (exp(log beta) and expit(logit alpha) often
-    round-trip exactly), which for NGG/NIG are row-n reads too, so the
-    target is one function of the model.  Only the accepted point, the last
-    one slice_sample evaluated, builds its table and cache, once per move:
-    an NGG/NIG table from the row its trial read.  A discount trial draws
-    at its own alpha from the model's seed, so the state's draws are
-    dropped first: one set is alive at once.
+    A trial is scored by its depth-n primitives (LatentFactorState
+    .primitives: closed form for DP/PY, one moment pass of the frozen draws
+    for NGG/NIG), a trial at the state's own model by the state's, which
+    are the same function of the model.  The state adopts the model, draws
+    and primitives of the accepted point, the last one slice_sample
+    evaluated, and builds nothing more.  A discount trial draws at its own
+    alpha from the model's seed, so the state's draws are dropped before a
+    trial makes new ones: one set is alive at once.
     """
-    if state.reads is None:
-        raise ValueError(
-            "a slice move needs the state's reads: build its primitives with refresh_cache"
-        )
     model = state.model
-    last = None  # the last evaluated point's (model, sampler, reads)
-    if move == "discount":
-        state.sampler = None
+    last = None  # the last evaluated point's (model, sampler, primitives)
 
     def trial(x):
         # (model at x, its log prior + Jacobian terms); None off the support
@@ -508,12 +494,14 @@ def _slice_model_move(state, counts, move, start):
         if trial_model is None:
             return -math.inf
         last = None  # frees the last trial's draws before new ones are made
-        if trial_model == state.model:
-            last = (trial_model, state.sampler, state.reads)
-        elif trial_model.is_closed_form:
-            last = (trial_model, None, ClosedFormPrimitives(trial_model))
+        if trial_model == state.model and state.cache is not None:
+            last = (trial_model, state.sampler, state.cache)
         else:
-            last = (trial_model,) + state.row_reads(trial_model)
+            if move == "discount":
+                # the state's draws go before the trial's are made; a later
+                # trial at the state's model draws them again
+                state.sampler = state.cache = None
+            last = (trial_model,) + state.primitives(trial_model)
         log_p = _log_joint_counts(
             counts, state.n, state.gamma, trial_model.stable_index, last[2]
         )
@@ -524,12 +512,7 @@ def _slice_model_move(state, counts, move, start):
     else:
         target.__name__ = "log_theta_plus_alpha" if model.is_closed_form else "log_beta"
     x = slice_sample(target, start, state.rng)
-    accepted, sampler, reads = last
-    if reads is not state.reads:  # the accepted point is not the start
-        state.model = accepted
-        state.sampler, state.reads, state.table, state.cache = state.primitives_at(
-            accepted, (sampler, reads)
-        )
+    state.model, state.sampler, state.cache = last
     return x
 
 
@@ -597,7 +580,7 @@ def initial_state(model, y, config, z_init=None):
     sigma_a = np.broadcast_to(np.asarray(config.sigma_a, dtype=float), (p,)).copy()
     if not model.is_closed_form:
         model = replace(model, mc_config=McConfig(config.mc_samples, config.seed))
-    # the chain's own primitive cache serves the prior draw of the initial Z
+    # the chain's own primitives serve the prior draw of the initial Z
     state = LatentFactorState(
         model, np.zeros((n, 0)), np.zeros((n, 0)), np.zeros((0, p)),
         config.sigma_y, config.sigma_w, sigma_a, gamma, rng,
@@ -605,7 +588,7 @@ def initial_state(model, y, config, z_init=None):
     state.refresh_cache()
     if z_init is None:
         z = simulate_ibp(
-            model, gamma, n, seed=int(rng.integers(2 ** 63)), cache=state.cache
+            model, gamma, n, seed=int(rng.integers(2 ** 63)), cache=state.full_cache()
         ).matrix
     else:
         z = np.asarray(getattr(z_init, "matrix", z_init), dtype=np.uint8)
@@ -691,7 +674,7 @@ def run_chain(y, model, config, z_init=None):
     manifest = {
         "config": asdict(config),
         "model": state.model.to_payload(),
-        "cache_hash": primitive_cache_content_hash(state.cache),
+        "cache_hash": primitive_cache_content_hash(state.full_cache()),
     }
     if state.table is not None:
         manifest["weight_table_hash"] = weight_table_content_hash(state.table, state.model)

@@ -20,6 +20,7 @@ from gibbsibp.gibbs_weights import (
     build_weight_table,
     expected_blocks,
     ngg_weights_smalln,
+    py_primitive_closed,
     weight_table_content_hash,
     weight_table_from_sampler,
 )
@@ -212,6 +213,32 @@ def _closed_form_models():
             yield GibbsModel.py(alpha, theta)
 
 
+def assert_same_primitives(got, want, rel=0.0):
+    # the reads one sweep makes at depth n: bit for bit at rel = 0
+    n = want.n
+    assert got.n == n
+    g10 = want.g10[0] if n == 1 else want.g10_for(n)  # nan at n = 1
+    if rel == 0.0:
+        assert np.array_equal(got.g10_for(n), g10, equal_nan=True)
+        assert got.g11_for(n) == want.g11_for(n)
+        assert got.expected_blocks == want.expected_blocks
+    else:
+        assert got.g10_for(n) == pytest.approx(g10, rel=rel, abs=0.0, nan_ok=True)
+        assert got.g11_for(n) == pytest.approx(want.g11_for(n), rel=rel, abs=0.0)
+        assert got.expected_blocks == pytest.approx(want.expected_blocks, rel=rel, abs=0.0)
+    sizes = np.arange(1, n + 1)
+    got_sum, got_log = got.log_joint_reads(n, sizes)
+    want_sum, want_log = want.log_joint_reads(n, sizes)
+    assert got_sum == got.expected_blocks and want_sum == want.expected_blocks
+    if rel == 0.0:
+        assert np.array_equal(got_log, want_log)
+    else:
+        # the absolute term bounds the primitives' relative error where a
+        # log is near 0 (the series gives log V_{1,1} = -2e-61 at some
+        # corners)
+        np.testing.assert_allclose(got_log, want_log, rtol=rel, atol=rel)
+
+
 def _random_allocation(rng, n, gamma):
     # up to 30 dishes with sizes spread over [1, n], several sharing a size
     k = int(rng.integers(0, 31))
@@ -223,15 +250,34 @@ def _random_allocation(rng, n, gamma):
 
 
 class TestClosedFormTrialTerms:
-    """A slice trial's closed-form reads against the full cache and mpmath."""
+    """Closed-form depth-n primitives against the full cache and mpmath."""
+
+    @pytest.mark.parametrize(
+        "model", list(_closed_form_models()), ids=lambda model: model.describe()
+    )
+    def test_depth_n_reads_have_full_cache_bits(self, model):
+        alpha, theta = model.stable_index, model.theta
+        for n in (1, 2, 100):
+            primitives = ClosedFormPrimitives(model, n)
+            assert_same_primitives(primitives, build_primitive_cache(model, n))
+            # and the bits of the scalar closed forms
+            assert primitives.g11_for(n) == py_primitive_closed(alpha, theta, n - 1, (1, 1))
+            if n > 1:
+                want = py_primitive_closed(alpha, theta, n - 1, (1, 0))
+                assert primitives.g10_for(n) == want
+            for read in (primitives.g10_for, primitives.g11_for):
+                with pytest.raises(ValueError, match="built for n"):
+                    read(n + 1)
+            with pytest.raises(ValueError, match="built for n"):
+                primitives.log_joint_reads(n + 1, np.array([1]))
 
     @pytest.mark.parametrize(
         "model", list(_closed_form_models()), ids=lambda model: model.describe()
     )
     def test_trial_log_joint_matches_full_cache(self, model):
         rng = np.random.default_rng(17)
-        trial = ClosedFormPrimitives(model)
         for n in (1, 2, 100, 1000):
+            trial = ClosedFormPrimitives(model, n)
             cache = build_primitive_cache(model, n)
             for _ in range(3):
                 gamma = float(rng.uniform(0.1, 5.0))
@@ -247,7 +293,7 @@ class TestClosedFormTrialTerms:
     def test_reads_match_extended_precision(self, alpha, theta):
         # the g_m(1,1) sum is a gammaln sum, not the telescoped closed form,
         # which loses ~4e-4 relative at alpha = 1e-6, theta = 1e3
-        trial = ClosedFormPrimitives(GibbsModel.py(alpha, theta))
+        model = GibbsModel.py(alpha, theta)
         with mpmath.workdps(40):
             a, t = mpmath.mpf(alpha), mpmath.mpf(theta)
 
@@ -259,7 +305,7 @@ class TestClosedFormTrialTerms:
 
             for n in (1, 2, 100):
                 sizes = np.unique([1, (n + 1) // 2, n])
-                g11_sum, log_gs1 = trial.log_joint_reads(n, sizes)
+                g11_sum, log_gs1 = ClosedFormPrimitives(model, n).log_joint_reads(n, sizes)
                 want_sum = mpmath.fsum(mpmath.exp(log_g(m, 1)) for m in range(n))
                 assert g11_sum == pytest.approx(float(want_sum), rel=1e-12)
                 for s, got in zip(sizes.tolist(), log_gs1.tolist()):
@@ -276,23 +322,20 @@ def _row_trial_models():
 
 
 class TestNggRowTrialTerms:
-    """An NGG/NIG slice trial's row-n reads against the full cache, and
-    E[B_n] from row n against criterion 7's sum and the block law."""
+    """NGG/NIG row-n primitives against the full cache, and E[B_n] from
+    row n against criterion 7's sum and the block law."""
 
     @staticmethod
     def assert_reads_match(reads, cache, table, gfc, model, n, rng):
-        sizes = np.unique(np.concatenate([[1, n], rng.integers(1, n + 1, size=6)]))
-        got_sum, got_log = reads.log_joint_reads(n, sizes)
-        want_sum, want_log = cache.log_joint_reads(n, sizes)
-        # E[B_n] = sum_{m<n} g_m(1,1), criterion 7's identity for NGG/NIG
-        assert got_sum == pytest.approx(want_sum, rel=1e-12, abs=0.0)
-        assert got_sum == pytest.approx(
+        # g_{n-1}(1,0), g_{n-1}(1,1), and log g_{n-s}(s,1) at every s, s = n
+        # (g_0(n,1) = V_{n,1}) among them; E[B_n] = sum_{m<n} g_m(1,1),
+        # criterion 7's identity for NGG/NIG
+        assert_same_primitives(reads, cache, rel=1e-12)
+        assert reads.expected_blocks == pytest.approx(
             expected_blocks(model, n, table=table, gfc=gfc), rel=1e-12, abs=0.0
         )
-        # s = 1 and s = n (g_0(n,1) = V_{n,1}) among them; the absolute
-        # term bounds the primitives' relative error where a log is near 0
-        # (the series gives log V_{1,1} = -2e-61 at some corners)
-        np.testing.assert_allclose(got_log, want_log, rtol=1e-12, atol=1e-12)
+        with pytest.raises(ValueError, match="built for n"):
+            reads.g10_for(n + 1)
         gamma = float(rng.uniform(0.1, 5.0))
         alloc = _random_allocation(rng, n, gamma)
         got = _log_joint_counts(alloc.counts, n, gamma, model.stable_index, reads)
@@ -452,18 +495,16 @@ class TestModelMoves:
             # the draws follow alpha from the same seed
             assert state.sampler.seed == seed
             assert state.sampler.alpha == alpha and state.sampler.gfc.alpha == alpha
-            _, _, table, cache = state.primitives_at(state.model)
-            assert np.array_equal(state.table._log, table._log, equal_nan=True)
-            for name in ("g10", "g11", "log_gs1"):
-                assert np.array_equal(
-                    getattr(state.cache, name), getattr(cache, name), equal_nan=True
-                ), name
+            sampler, primitives = state.primitives(state.model)
+            assert sampler is state.sampler
+            assert np.array_equal(state.cache.log_row, primitives.log_row)
+            assert_same_primitives(state.cache, primitives)
 
     def test_ngg_beta_move_scores_trials_from_row_n(self, monkeypatch):
-        # no trial fills a table or builds a cache: every evaluated point but
-        # the start, which the state's own row reads score, reads row n once,
-        # and the accepted point builds one table and one cache from the row
-        # its trial read
+        # every evaluated point but the start, which the state's own
+        # primitives score, reads row n once; no point fills a table or
+        # builds a cache, and the state adopts the accepted trial's
+        # primitives, whose table is the one its frozen draws give at beta
         model = GibbsModel.ngg(0.5, 1.0)
         alloc = self.allocation(GibbsModel.py(0.5, 1.0), seed=5)
         state = make_state(model, alloc.matrix, seed=25, gamma=self.GAMMA, mc_samples=2000)
@@ -500,27 +541,27 @@ class TestModelMoves:
         x = inference._slice_model_move(state, alloc.counts, "second", 0.0)
         assert evals[0] == 0.0 and len(rows) == len(evals) - 1
         assert 1.0 not in rows
-        # one fill and one cache, both after the last evaluation
-        assert fills == caches == [len(evals)]
-        assert state.table is not start_table
+        assert fills == caches == []
         assert state.model.beta == math.exp(x)
+        # a sweep with every move on builds neither
+        config = ChainConfig(update_alpha=True, update_theta=True, update_scales=True)
+        y = np.random.default_rng(9).standard_normal((self.N, 2))
+        for _ in range(3):
+            gibbs_sweep(state, y, config)
+        assert fills == caches == []
+        assert state.model.alpha != 0.5  # the discount moved
         monkeypatch.undo()
-        _, _, table, cache = state.primitives_at(state.model)
+        sampler, primitives = state.primitives(state.model)
+        assert sampler is state.sampler
+        assert_same_primitives(state.cache, primitives)
+        table = state.table
+        assert table is not start_table and state.table is table  # filled once
         direct = weight_table_from_sampler(state.sampler, state.model.beta)
-        direct_cache = build_primitive_cache(
-            state.model, state.n, table=direct, gfc=state.sampler.gfc
-        )
-        for rebuilt, rebuilt_cache in ((table, cache), (direct, direct_cache)):
-            assert np.array_equal(state.table._log, rebuilt._log, equal_nan=True)
-            assert np.array_equal(state.table._rel_se, rebuilt._rel_se)
-            for name in ("g10", "g11", "log_gs1"):
-                assert np.array_equal(
-                    getattr(state.cache, name), getattr(rebuilt_cache, name),
-                    equal_nan=True,
-                ), name
+        assert np.array_equal(table._log, direct._log)
+        assert np.array_equal(table._rel_se, direct._rel_se)
 
     def test_ngg_target_is_one_function_of_beta(self, monkeypatch):
-        # the target at the state's own beta (its stored row reads) and at
+        # the target at the state's own beta (its stored primitives) and at
         # the same beta from a fresh state, as a trial or as its start,
         # agree to the bit
         model = GibbsModel.ngg(0.5, 1.0)
@@ -530,7 +571,7 @@ class TestModelMoves:
         x = inference._slice_model_move(state, counts, "second", 0.0)
         beta = state.model.beta
         assert beta == math.exp(x) and beta != 1.0
-        assert isinstance(state.reads, gibbs_weights.NggRowPrimitives)
+        assert isinstance(state.cache, gibbs_weights.NggRowPrimitives)
         values = []
 
         def probe(log_density, x0, rng):
@@ -546,16 +587,6 @@ class TestModelMoves:
         for chain in (state, fresh, at_beta):
             inference._slice_model_move(chain, counts, "second", x)
         assert math.isfinite(values[0]) and values == [values[0]] * 3
-
-    def test_move_refuses_state_without_reads(self):
-        # a cache set by hand (as the joint-distribution test does) leaves
-        # no reads to score the start point by: refused, not scored stale
-        model = GibbsModel.dp(1.0)
-        alloc = self.allocation(GibbsModel.py(0.4, 1.0), seed=3)
-        state = make_state(model, alloc.matrix, gamma=self.GAMMA)
-        state.reads = None
-        with pytest.raises(ValueError, match="refresh_cache"):
-            inference._slice_model_move(state, alloc.counts, "second", 0.0)
 
     @pytest.mark.parametrize(
         "model, move, name",
@@ -582,8 +613,7 @@ class TestModelMoves:
 
 
 class TestClosedFormMoves:
-    """DP/PY slice moves score trials in closed form and cache the accepted
-    point only."""
+    """DP/PY slice moves score trials in closed form and build no cache."""
 
     @pytest.mark.parametrize(
         "model, move",
@@ -608,16 +638,15 @@ class TestClosedFormMoves:
         x = math.log(model.theta + model.stable_index)
         if move == "discount":
             x = float(special.logit(model.alpha))
-        for step in range(20):
+        start = state.model
+        for _ in range(20):
             x = inference._slice_model_move(state, alloc.counts, move, x)
-            assert len(builds) <= step + 1  # no trial builds a cache
-            assert state.table is None and state.cache.model == state.model
-            rebuilt = build_primitive_cache(state.model, state.n)
-            for name in ("g10", "g11", "log_gs1"):
-                assert np.array_equal(
-                    getattr(state.cache, name), getattr(rebuilt, name), equal_nan=True
-                ), name
-        assert builds  # the state moved off its start model
+            assert not builds
+            assert state.table is None
+            assert isinstance(state.cache, ClosedFormPrimitives)
+            # the accepted primitives have the bits of a full rebuild
+            assert_same_primitives(state.cache, build(state.model, state.n))
+        assert state.model != start
 
 
 class TestGammaUpdate:
@@ -1069,17 +1098,33 @@ class TestSweepAndChain:
             alloc = state.allocation  # must stay liftable to an allocation
             assert alloc.dishes == state.dishes
 
-    def test_hyper_moves_keep_cache_coherent(self):
-        model = GibbsModel.dp(1.0)
+    @pytest.mark.parametrize(
+        "model, moves",
+        [
+            (GibbsModel.dp(1.0), dict(update_theta=True)),
+            (GibbsModel.py(0.4, 1.0),
+             dict(update_alpha=True, update_theta=True, update_scales=True)),
+        ],
+        ids=["dp", "py"],
+    )
+    def test_hyper_moves_keep_cache_coherent(self, model, moves, monkeypatch):
+        # sweeps build no cache, and the state's primitives have the bits of
+        # a full rebuild at the model they reached
         rng = np.random.default_rng(5)
         y = rng.standard_normal((10, 2))
-        config = ChainConfig(iterations=0, seed=1, update_theta=True)
+        config = ChainConfig(iterations=0, seed=1, **moves)
         state = initial_state(model, y, config)
+        build = inference.build_primitive_cache
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sweep built a primitive cache")
+
+        monkeypatch.setattr(inference, "build_primitive_cache", refuse)
+        monkeypatch.setattr(gibbs_weights, "build_primitive_cache", refuse)
         for _ in range(10):
             gibbs_sweep(state, y, config)
-        rebuilt = build_primitive_cache(state.model, state.n)
-        assert np.array_equal(state.cache.g11, rebuilt.g11)
-        assert np.array_equal(state.cache.log_gs1, rebuilt.log_gs1)
+        assert state.model != model
+        assert_same_primitives(state.cache, build(state.model, state.n))
 
     @pytest.mark.parametrize(
         "model, moves",

@@ -11,7 +11,7 @@ import json
 import math
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import mpmath
@@ -124,6 +124,20 @@ class GibbsModel:
     @property
     def is_closed_form(self):
         return self.variant in ("DP", "PY")
+
+    @property
+    def second_coordinate(self):
+        """log(theta + alpha) for DP/PY, log beta for NGG/NIG: the line the
+        second slice move and calibrate search, with no domain boundary."""
+        if self.is_closed_form:
+            return math.log(self.theta + self.stable_index)
+        return math.log(self.beta)
+
+    def with_second_coordinate(self, x):
+        """This model with its second coordinate at x."""
+        if self.is_closed_form:
+            return replace(self, theta=math.exp(x) - self.stable_index)
+        return replace(self, beta=math.exp(x))
 
     def describe(self):
         if self.variant == "DP":
@@ -735,7 +749,7 @@ class NggRowPrimitives(_DepthPrimitives):
     to one, sum_k V_{n,k} alpha^{-k} C(n, k; alpha) = V_{1,1}, so row n
     divided by that sum is row n of the triangle normalised to V_{1,1} = 1
     (the one _mc_weight_table fills), which every g_{n-s}(s,z2) reads; and
-    sum_{m<n} g_m(1,1) = E[B_n], the mean of that law.
+    sum_{m<n} g_m(1,1) = E[B_n], the mean of that law, kept as block_law.
 
     Args:
         log_row: log V_{n,k} for k = 1..n up to one additive constant: the
@@ -756,6 +770,7 @@ class NggRowPrimitives(_DepthPrimitives):
         top = law.max()
         mass = np.exp(law - top)
         total = mass.sum()
+        self.block_law = mass / total
         self._log_v = shifted - (top + math.log(total))  # V_{1,1} = 1
         self.expected_blocks = float(np.dot(np.arange(1, n + 1), mass)) / total
         self._g11 = float(np.exp(self._log_gs1_at(np.array([1]))[0]))
@@ -963,18 +978,32 @@ def weight_table_from_sampler(sampler, beta):
     return sampler.weight_table(*sampler.log_last_row(beta))
 
 
+def depth_primitives(model, n, sampler=None):
+    """(sampler, primitives) of `model` at depth n: (None, ClosedFormPrimitives)
+    for DP/PY; for NGG/NIG, the frozen draws its mc_config names at its alpha
+    and n (`sampler` if it holds them) and their NggRowPrimitives at its beta."""
+    if model.is_closed_form:
+        return None, ClosedFormPrimitives(model, n)
+    draws = (model.stable_index, n, model.mc_config.samples, model.mc_config.seed)
+    held = sampler and (sampler.alpha, sampler.n, sampler.samples, sampler.seed)
+    if held != draws:
+        sampler = NggWeightSampler(*draws)
+    return sampler, sampler.row_primitives(model.beta)
+
+
 def calibrate(family, target, n, alpha=None, mc_config=None):
     """Find the free parameter value giving E[B_n] = target within 0.05.
 
-    DP and PY solve for theta; NGG and NIG solve for beta. The dependence of
-    E[B_n] on the free parameter is monotone increasing, so the root is
-    bracketed by doubling and polished with Brent's method. For the Monte
-    Carlo variants the objective is evaluated on one frozen set of draws
-    (common random numbers), making the search deterministic; the quoted
-    tolerance is then relative to that Monte Carlo surface.  Where that
-    surface is too noisy to resolve beta (the mean relative standard error
-    of the block law at the root, sum_k P(B_n = k) rel_se_{n,k}, reaches
-    CALIBRATE_MC_ERROR_MAX) the root is refused with McDegeneracyError.
+    DP and PY solve for theta; NGG and NIG solve for beta.  E[B_n], read
+    from the model's depth_primitives (no table for DP/PY), is monotone
+    increasing in its second_coordinate, so the root is bracketed by
+    doubling and polished with Brent's method.  NGG/NIG read one frozen
+    set of draws (common random numbers), making the search deterministic;
+    the quoted tolerance is then relative to that Monte Carlo surface.
+    Where that surface is too noisy to resolve beta (the mean relative
+    standard error of the filled table's block law at the root, sum_k
+    P(B_n = k) rel_se_{n,k}, reaches CALIBRATE_MC_ERROR_MAX) the root is
+    refused with McDegeneracyError.
 
     Args:
         family: one of "DP", "PY", "NGG", "NIG".
@@ -999,33 +1028,24 @@ def _calibrate(family, target, n, alpha, mc_config):
         raise ValueError(f"E[B_{n}] is confined to (1, {n}); target {target} is unreachable")
     if family in ("PY", "NGG") and alpha is None:
         raise ValueError(f"{family} calibration requires alpha")
-    if family == "NIG":
-        alpha = 0.5
     if family == "DP":
-        alpha = 0.0
-
-    if family in ("NGG", "NIG"):
-        mc = mc_config or McConfig()
-        sampler = NggWeightSampler(alpha, n, mc.samples, mc.seed)
-        gfc = sampler.gfc
+        base = GibbsModel.dp(1.0)
+    elif family == "PY":
+        base = GibbsModel.py(alpha, 1.0)
+    elif family == "NGG":
+        base = GibbsModel.ngg(alpha, 1.0, mc_config or McConfig())
     else:
-        gfc = build_gfc_table(n, alpha)  # free of theta: one table serves the search
+        base = GibbsModel.nig(1.0, mc_config or McConfig())
+    sampler = None  # NGG/NIG: the frozen draws every point reads
 
     def fitted(t):
-        # (model, weight table) at t; DP/PY search over log(theta + alpha),
-        # which keeps theta inside its domain, and build no table here;
-        # NGG/NIG search over log beta on one set of frozen draws
-        param = math.exp(t)
-        if family == "DP":
-            return GibbsModel.dp(param), None
-        if family == "PY":
-            return GibbsModel.py(alpha, param - alpha), None
-        model = GibbsModel(family, alpha=alpha, beta=param, mc_config=mc)
-        return model, weight_table_from_sampler(sampler, param)
+        nonlocal sampler
+        model = base.with_second_coordinate(t)
+        sampler, primitives = depth_primitives(model, n, sampler)
+        return model, primitives
 
     def objective(t):
-        model, table = fitted(t)
-        return expected_blocks(model, n, table=table, gfc=gfc) - target
+        return fitted(t)[1].expected_blocks - target
 
     lo, hi = 0.0, 1.0
     f_lo, f_hi = objective(lo), objective(hi)
@@ -1046,17 +1066,18 @@ def _calibrate(family, target, n, alpha, mc_config):
     else:
         raise ValueError(f"could not bracket target {target} from above")
     t_star = optimize.brentq(objective, lo, hi, xtol=1e-12)
-    model, table = fitted(t_star)
-    achieved = expected_blocks(model, n, table=table, gfc=gfc)
+    model, primitives = fitted(t_star)
+    achieved = primitives.expected_blocks
     residual = achieved - target
     if abs(residual) > 0.05:
         raise ValueError(
             f"calibration stalled: |E[B_{n}] - {target}| = {abs(residual):.4f} > 0.05"
         )
     mc_error = None
-    if table is not None:
-        probs = block_count_distribution(model, n, table=table, gfc=gfc)
-        mc_error = float(probs @ table.rel_se_row(n))
+    if sampler is not None:
+        # row n of the filled table carries rel_se_{n,k} + rel_se_{1,1}, and
+        # the fill makes rel_se_{1,1} = sum_k P(B_n = k) rel_se_{n,k}
+        mc_error = 2.0 * float(primitives.block_law @ primitives.rel_se)
         if not mc_error < CALIBRATE_MC_ERROR_MAX:
             raise McDegeneracyError(
                 f"calibration root beta={model.beta:.6g} lies on a degenerate Monte "
@@ -1064,7 +1085,7 @@ def _calibrate(family, target, n, alpha, mc_config):
                 f"(limit {CALIBRATE_MC_ERROR_MAX}), so E[B_{n}] there does not "
                 f"resolve beta; use more samples or a lower target"
             )
-    param = math.exp(t_star) - alpha if family in ("DP", "PY") else math.exp(t_star)
+    param = model.theta if model.is_closed_form else model.beta
     return float(param), achieved, mc_error
 
 

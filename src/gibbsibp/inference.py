@@ -19,10 +19,9 @@ import numpy as np
 from scipy import special
 
 from .gibbs_weights import (
-    ClosedFormPrimitives,
     McConfig,
-    NggWeightSampler,
     build_primitive_cache,
+    depth_primitives,
     primitive_cache_content_hash,
     weight_table_content_hash,
 )
@@ -78,9 +77,9 @@ class LatentFactorState:
     exposed as an order-of-appearance FeatureAllocation on demand.
 
     Invariants: W is n x K, A is K x p, all scales strictly positive;
-    cache holds the model's depth-n primitives (primitives), which every
-    sweep block and slice move reads, and sampler the NGG/NIG frozen draws
-    they come from.  A PrimitiveCache set by hand serves the sweep blocks.
+    cache holds the model's depth_primitives, which every sweep block and
+    slice move reads, and sampler the NGG/NIG frozen draws they come
+    from.  A PrimitiveCache set by hand serves the sweep blocks.
     """
 
     def __init__(self, model, z, w, a, sigma_y, sigma_w, sigma_a, gamma, rng):
@@ -134,24 +133,9 @@ class LatentFactorState:
     def allocation(self):
         return FeatureAllocation.from_matrix(self.z, self.gamma)
 
-    def primitives(self, model):
-        """(sampler, primitives) of `model` at this state's n: (None,
-        ClosedFormPrimitives) for DP/PY; for NGG/NIG the frozen draws its
-        mc_config names at its alpha (the state's own if they match) and
-        the NggRowPrimitives of their row n at its beta."""
-        if model.is_closed_form:
-            return None, ClosedFormPrimitives(model, self.n)
-        alpha, mc = model.stable_index, model.mc_config
-        sampler = self.sampler
-        if sampler is None or (sampler.alpha, sampler.samples, sampler.seed) != (
-            alpha, mc.samples, mc.seed
-        ):
-            sampler = NggWeightSampler(alpha, self.n, mc.samples, mc.seed)
-        return sampler, sampler.row_primitives(model.beta)
-
     def refresh_cache(self):
         """Set the sampler and primitives of the current model."""
-        self.sampler, self.cache = self.primitives(self.model)
+        self.sampler, self.cache = depth_primitives(self.model, self.n, self.sampler)
 
     @property
     def table(self):
@@ -464,14 +448,14 @@ def _slice_model_move(state, counts, move, start):
     (ibp._log_joint_counts) under the trial model's primitives plus the
     coordinate's log prior and Jacobian.  Returns the accepted coordinate.
 
-    A trial is scored by its depth-n primitives (LatentFactorState
-    .primitives: closed form for DP/PY, one moment pass of the frozen draws
-    for NGG/NIG), a trial at the state's own model by the state's, which
-    are the same function of the model.  The state adopts the model, draws
-    and primitives of the accepted point, the last one slice_sample
-    evaluated, and builds nothing more.  A discount trial draws at its own
-    alpha from the model's seed, so the state's draws are dropped before a
-    trial makes new ones: one set is alive at once.
+    A trial is scored by its depth-n primitives (gibbs_weights
+    .depth_primitives: closed form for DP/PY, one moment pass of the
+    frozen draws for NGG/NIG), a trial at the state's own model by the
+    state's, which are the same function of the model.  The state adopts
+    the model, draws and primitives of the accepted point, the last one
+    slice_sample evaluated, and builds nothing more.  A discount trial
+    draws at its own alpha from the model's seed, so the state's draws are
+    dropped before a trial makes new ones: one set is alive at once.
     """
     model = state.model
     last = None  # the last evaluated point's (model, sampler, primitives)
@@ -483,10 +467,7 @@ def _slice_model_move(state, counts, move, start):
             if not 0.0 < alpha < 1.0 or (model.variant == "PY" and model.theta <= -alpha):
                 return None, None
             return replace(model, alpha=alpha), (math.log(alpha), math.log1p(-alpha))
-        value = math.exp(x)
-        if model.is_closed_form:
-            return replace(model, theta=value - model.stable_index), (-value, x)
-        return replace(model, beta=value), (-value, x)
+        return model.with_second_coordinate(x), (-math.exp(x), x)
 
     def target(x):
         nonlocal last
@@ -501,7 +482,9 @@ def _slice_model_move(state, counts, move, start):
                 # the state's draws go before the trial's are made; a later
                 # trial at the state's model draws them again
                 state.sampler = state.cache = None
-            last = (trial_model,) + state.primitives(trial_model)
+            last = (trial_model,) + depth_primitives(
+                trial_model, state.n, state.sampler
+            )
         log_p = _log_joint_counts(
             counts, state.n, state.gamma, trial_model.stable_index, last[2]
         )
@@ -530,11 +513,7 @@ def _update_model_params(state, config):
             state, counts, "discount", float(special.logit(state.model.alpha))
         )
     if config.update_theta:
-        model = state.model
-        start = math.log(
-            model.theta + model.stable_index if model.is_closed_form else model.beta
-        )
-        _slice_model_move(state, counts, "second", start)
+        _slice_model_move(state, counts, "second", state.model.second_coordinate)
 
 
 def _update_scales(state, y):

@@ -8,6 +8,7 @@ ones.  The module also evaluates structural densities (all variants) and
 the per-round Poisson intensities (DP/PY).
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -57,31 +58,30 @@ def sample_sticks(model, count, rng, size=None):
     return sticks[0] if size is None else sticks
 
 
-def expected_stick_mass(model, i):
-    """E[P_i]; the fractions are independent so the means multiply."""
-    if i < 1:
-        raise ValueError(f"i must be >= 1, got {i}")
+def _stick_means(model):
+    # E[P_1], E[P_2], ...; the fractions are independent so the means multiply
     total = 1.0
-    for j in range(1, i + 1):
+    for j in itertools.count(1):
         a, b = _stick_beta_params(model, j)
         mean = a / (a + b)
-        if j == i:
-            return total * mean
+        yield total * mean
         total *= 1.0 - mean
-    raise AssertionError("unreachable")
+
+
+def expected_stick_mass(model, i):
+    """E[P_i]."""
+    if i < 1:
+        raise ValueError(f"i must be >= 1, got {i}")
+    return next(itertools.islice(_stick_means(model), i - 1, None))
 
 
 def suggest_rounds(model, tol=DEFAULT_RESIDUAL_MASS, max_rounds=100_000):
     """Smallest round count I with E[P_I] < tol."""
     if not 0 < tol < 1:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    total = 1.0
-    for j in range(1, max_rounds + 1):
-        a, b = _stick_beta_params(model, j)
-        mean = a / (a + b)
-        if total * mean < tol:
+    for j, mass in enumerate(itertools.islice(_stick_means(model), max_rounds), 1):
+        if mass < tol:
             return j
-        total *= 1.0 - mean
     raise ValueError(f"expected stick mass stays >= {tol} through {max_rounds} rounds")
 
 

@@ -395,13 +395,9 @@ class TestUsageErrors:
             ("primitives", "--model", "nig", "--beta", 1, "--n", MAX_TABLE_DEPTH),
             ("stats", "--model", "py:alpha=0.5,theta=1", "--model", "nig:beta=1",
              "--n-max", MAX_TABLE_DEPTH + 1),
-            ("calibrate", "--family", "dp", "--target", 5, "--n", MAX_TABLE_DEPTH + 1),
-            ("calibrate", "--family", "py", "--alpha", 0.5, "--target", 5,
-             "--n", MAX_TABLE_DEPTH + 1),
             ("calibrate", "--family", "nig", "--target", 5, "--n", MAX_TABLE_DEPTH + 1),
         ],
-        ids=["simulate-ngg", "primitives-nig", "stats-nig", "calibrate-dp",
-             "calibrate-py", "calibrate-nig"],
+        ids=["simulate-ngg", "primitives-nig", "stats-nig", "calibrate-nig"],
     )
     def test_table_depth_past_limit(self, argv, tmp_path, capsys):
         assert run_cli(*argv, "--samples", 10_000, "--outdir", tmp_path) == 2
@@ -465,12 +461,18 @@ class TestUsageErrors:
         assert not (tmp_path / "manifest.json").exists()
 
     def test_closed_forms_past_table_limit(self, tmp_path):
-        # DP/PY caches are closed forms: no table, so no depth limit
+        # DP/PY primitives are closed forms: no table, so no depth limit
         n = MAX_TABLE_DEPTH + 1
         assert run_cli("simulate", "--model", "py", "--alpha", 0.5, "--theta", 1,
                        "--n", n, "--outdir", tmp_path / "sim") == 0
         assert run_cli("stats", "--model", "dp:theta=1", "--n-max", n,
                        "--outdir", tmp_path / "stats") == 0
+        for family in (("dp",), ("py", "--alpha", 0.5)):
+            outdir = tmp_path / f"calibrate-{family[0]}"
+            assert run_cli("calibrate", "--family", *family, "--target", 5, "--n", n,
+                           "--outdir", outdir) == 0
+            report = json.loads((outdir / "calibration.json").read_text())
+            assert abs(report["achieved"] - 5) <= 0.05
 
     def test_few_samples_fine_for_closed_forms(self, tmp_path):
         assert run_cli("stats", "--model", "py:alpha=0.5,theta=1", "--n-max", 5,

@@ -24,6 +24,7 @@ from gibbsibp.gibbs_weights import (
     build_primitive_cache,
     build_weight_table,
     calibrate,
+    depth_primitives,
     expected_blocks,
     load_weight_table,
     log_primitive,
@@ -528,6 +529,13 @@ class TestBlockCountDistribution:
         assert np.all(probs >= 0)
 
 
+def _table_mc_error(model, table):
+    # the block law's mean relative standard error in the filled weight
+    # table's row n: sum_k P(B_n = k) rel_se_{n,k}
+    law = block_count_distribution(model, table.n_max, table=table)
+    return float(law @ table.rel_se_row(table.n_max))
+
+
 class TestExpectedBlocksAndCalibrate:
     def test_expected_blocks_at_one(self):
         for model in (GibbsModel.dp(1.0), GibbsModel.py(0.5, 1.0)):
@@ -556,36 +564,59 @@ class TestExpectedBlocksAndCalibrate:
     @pytest.mark.parametrize("family, alpha", [("PY", 0.5), ("NGG", 0.5)])
     def test_calibrate_reports_achieved_expectation(self, family, alpha):
         # the achieved E[B_n] is the search's own value at the root, equal to
-        # a fresh evaluation on the same draws
+        # the fitted model's depth-n primitives built afresh on the same
+        # draws, and within 1e-12 of the weight table's block law
         mc = McConfig(samples=10_000, seed=3)
         param, achieved, mc_error = _calibrate(family, 8.0, 20, alpha, mc)
         assert param == calibrate(family, 8.0, 20, alpha=alpha, mc_config=mc)
+        table = None
         if family == "PY":
-            fresh = expected_blocks(GibbsModel.py(alpha, param), 20)
+            model = GibbsModel.py(alpha, param)
             assert mc_error is None
         else:
-            sampler = NggWeightSampler(alpha, 20, mc.samples, mc.seed)
             model = GibbsModel.ngg(alpha, param, mc_config=mc)
-            table = weight_table_from_sampler(sampler, param)
-            gfc = build_gfc_table(20, alpha)
-            fresh = expected_blocks(model, 20, table=table, gfc=gfc)
-            law = block_count_distribution(model, 20, table=table, gfc=gfc)
-            assert mc_error == float(law @ table.rel_se_row(20))
+            table = weight_table_from_sampler(
+                NggWeightSampler(alpha, 20, mc.samples, mc.seed), param
+            )
+        _, primitives = depth_primitives(model, 20)
+        assert achieved == primitives.expected_blocks
+        assert achieved == pytest.approx(expected_blocks(model, 20, table=table), rel=1e-12)
+        if table is not None:
+            assert mc_error == 2.0 * float(primitives.block_law @ primitives.rel_se)
+            assert mc_error == pytest.approx(_table_mc_error(model, table), rel=1e-12)
             assert 0.0 < mc_error < gibbs_weights.CALIBRATE_MC_ERROR_MAX
-        assert achieved == fresh
         assert abs(achieved - 8.0) <= 0.05
 
     @pytest.mark.parametrize("family, alpha", [("NGG", 0.3), ("NIG", None)])
     def test_calibrated_model_reaches_achieved_expectation(self, family, alpha):
-        # the fitted model's own E[B_n], from a weight table built afresh,
-        # is the value calibrate reports
+        # the fitted model's own E[B_n], from its depth-n primitives built
+        # afresh, is the value calibrate reports; its weight table's block
+        # law agrees within 1e-12
         mc = McConfig(samples=10_000, seed=6)
         param, achieved, _ = _calibrate(family, 6.0, 25, alpha, mc)
         if family == "NGG":
             model = GibbsModel.ngg(alpha, param, mc_config=mc)
         else:
             model = GibbsModel.nig(param, mc_config=mc)
-        assert achieved == expected_blocks(model, 25)
+        assert achieved == depth_primitives(model, 25)[1].expected_blocks
+        assert achieved == pytest.approx(expected_blocks(model, 25), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "family, alpha", [("DP", None), ("PY", 0.5), ("NGG", 0.75), ("NIG", None)]
+    )
+    def test_calibrate_builds_no_triangle(self, family, alpha, monkeypatch):
+        # the search reads depth-n primitives only: no weight triangle, and
+        # for DP/PY no GFC table (an NGG/NIG sampler builds its own)
+        def refuse(*args, **kwargs):
+            raise AssertionError("calibrate built a triangle")
+
+        monkeypatch.setattr(gibbs_weights, "_closed_form_log_weights", refuse)
+        monkeypatch.setattr(gibbs_weights, "_mc_weight_table", refuse)
+        if family in ("DP", "PY"):
+            monkeypatch.setattr(gibbs_weights, "build_gfc_table", refuse)
+        mc = McConfig(samples=10_000, seed=1)
+        param, achieved, _ = _calibrate(family, 15.0, 30, alpha, mc)
+        assert param > 0 and abs(achieved - 15.0) <= 0.05
 
     def test_calibrate_rejects_unreachable_target(self):
         with pytest.raises(ValueError):
@@ -601,18 +632,36 @@ class TestExpectedBlocksAndCalibrate:
     def test_calibrate_refuses_degenerate_monte_carlo_root(self):
         # E[B_50] on these 10 000 draws equals 49 to 10 digits for every beta
         # in e^13.5..e^16, where the last row's rel_se reaches 1: the root
-        # (beta ~ 6.3e5) is arbitrary, and the block law's mean rel_se there
-        # is 2.0
+        # (beta ~ 3.3e6; rounding alone moves it along that plateau) is
+        # arbitrary, and the block law's mean rel_se there is 2.0
         with pytest.raises(McDegeneracyError, match="degenerate Monte Carlo surface"):
             calibrate("NGG", 49.0, 50, alpha=0.5, mc_config=McConfig(samples=10_000, seed=1))
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_calibrate_reports_small_mc_error(self, seed):
-        # the benchmark's NGG case: mean rel_se ~0.002 at the root
+        # the benchmark's NGG case: mean rel_se ~0.002 at the root, the
+        # weight table's block-law mean within 1e-12
         mc = McConfig(samples=20_000, seed=seed)
-        _, achieved, mc_error = _calibrate("NGG", 25.0, 50, 0.75, mc)
+        beta, achieved, mc_error = _calibrate("NGG", 25.0, 50, 0.75, mc)
         assert abs(achieved - 25.0) <= 0.05
         assert 0.0 < mc_error < 0.01
+        model = GibbsModel.ngg(0.75, beta, mc_config=mc)
+        table = weight_table_from_sampler(NggWeightSampler(0.75, 50, 20_000, seed), beta)
+        assert mc_error == pytest.approx(_table_mc_error(model, table), rel=1e-12)
+
+    def test_mc_error_is_twice_the_rows_mean_rel_se(self):
+        # on a row of the degenerate plateau above: the filled table's row n
+        # carries rel_se_{n,k} + rel_se_{1,1}, and the fill makes rel_se_{1,1}
+        # the block law's mean of rel_se_{n,k}
+        mc = McConfig(samples=10_000, seed=1)
+        sampler = NggWeightSampler(0.5, 50, mc.samples, mc.seed)
+        beta = 6.3e5
+        primitives = sampler.row_primitives(beta)
+        row_error = 2.0 * float(primitives.block_law @ primitives.rel_se)
+        table = weight_table_from_sampler(sampler, beta)
+        model = GibbsModel.ngg(0.5, beta, mc_config=mc)
+        assert row_error == pytest.approx(_table_mc_error(model, table), rel=1e-12)
+        assert row_error > gibbs_weights.CALIBRATE_MC_ERROR_MAX
 
     def test_calibrate_requires_alpha(self):
         with pytest.raises(ValueError):

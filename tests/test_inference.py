@@ -18,6 +18,7 @@ from gibbsibp.gibbs_weights import (
     NggWeightSampler,
     build_primitive_cache,
     build_weight_table,
+    depth_primitives,
     expected_blocks,
     ngg_weights_smalln,
     py_primitive_closed,
@@ -288,6 +289,32 @@ class TestClosedFormTrialTerms:
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0), (n, alloc.dishes)
 
     @pytest.mark.parametrize(
+        "model",
+        [GibbsModel.dp(1.0), GibbsModel.dp(22.0), GibbsModel.py(0.5, 1.0),
+         GibbsModel.py(0.3, 0.8), GibbsModel.py(0.9, 50.0)],
+        ids=lambda model: model.describe(),
+    )
+    def test_expected_blocks_match_closed_form(self, model):
+        # E[B_n] = sum_{m<n} g_m(1,1), which calibrate solves for, against
+        # DP's theta [psi(theta+n) - psi(theta)] and PY's (theta/alpha)
+        # [Gamma(theta+alpha+n) Gamma(theta) / (Gamma(theta+alpha)
+        # Gamma(theta+n)) - 1], past the dense tables' depth limit too
+        with mpmath.workdps(40):
+            t = mpmath.mpf(model.theta)
+            for n in (1, 7, 2000, 10_000):
+                if model.variant == "DP":
+                    want = t * (mpmath.digamma(t + n) - mpmath.digamma(t))
+                else:
+                    a = mpmath.mpf(model.alpha)
+                    log_ratio = (
+                        mpmath.loggamma(t + a + n) + mpmath.loggamma(t)
+                        - mpmath.loggamma(t + a) - mpmath.loggamma(t + n)
+                    )
+                    want = t / a * mpmath.expm1(log_ratio)
+                got = ClosedFormPrimitives(model, n).expected_blocks
+                assert got == pytest.approx(float(want), rel=1e-11), n
+
+    @pytest.mark.parametrize(
         "alpha, theta", [(1e-6, 1e3), (1e-6, -0.999e-6), (0.5, 1.0), (0.999, 1e3)]
     )
     def test_reads_match_extended_precision(self, alpha, theta):
@@ -495,7 +522,7 @@ class TestModelMoves:
             # the draws follow alpha from the same seed
             assert state.sampler.seed == seed
             assert state.sampler.alpha == alpha and state.sampler.gfc.alpha == alpha
-            sampler, primitives = state.primitives(state.model)
+            sampler, primitives = depth_primitives(state.model, state.n, state.sampler)
             assert sampler is state.sampler
             assert np.array_equal(state.cache.log_row, primitives.log_row)
             assert_same_primitives(state.cache, primitives)
@@ -551,7 +578,7 @@ class TestModelMoves:
         assert fills == caches == []
         assert state.model.alpha != 0.5  # the discount moved
         monkeypatch.undo()
-        sampler, primitives = state.primitives(state.model)
+        sampler, primitives = depth_primitives(state.model, state.n, state.sampler)
         assert sampler is state.sampler
         assert_same_primitives(state.cache, primitives)
         table = state.table
@@ -1172,7 +1199,7 @@ class TestSweepAndChain:
         config = ChainConfig(seed=5, mc_samples=2000, update_alpha=True, update_theta=True)
         state = initial_state(GibbsModel.ngg(0.5, 1.0), y, config)
         built = [weakref.ref(state.sampler)]
-        sampler_class = inference.NggWeightSampler
+        sampler_class = gibbs_weights.NggWeightSampler
 
         def watched(alpha, n, samples, seed):
             assert all(ref() is None for ref in built)
@@ -1180,7 +1207,7 @@ class TestSweepAndChain:
             built.append(weakref.ref(sampler))
             return sampler
 
-        monkeypatch.setattr(inference, "NggWeightSampler", watched)
+        monkeypatch.setattr(gibbs_weights, "NggWeightSampler", watched)
         for _ in range(3):
             gibbs_sweep(state, y, config)
         assert len(built) > 4  # the discount trials drew
@@ -1193,13 +1220,13 @@ class TestSweepAndChain:
         state = initial_state(GibbsModel.ngg(0.5, 1.0), y, config)
         sampler = state.sampler
         built = []
-        sampler_class = inference.NggWeightSampler
+        sampler_class = gibbs_weights.NggWeightSampler
 
         def watched(*args):
             built.append(args)
             return sampler_class(*args)
 
-        monkeypatch.setattr(inference, "NggWeightSampler", watched)
+        monkeypatch.setattr(gibbs_weights, "NggWeightSampler", watched)
         betas = set()
         for _ in range(5):
             gibbs_sweep(state, y, config)

@@ -306,9 +306,7 @@ def run_primitives(config):
         writer = csv.writer(fh)
         writer.writerow(["n", "g10", "g11", "gs1"])
         for m in range(1, n + 1):
-            writer.writerow(
-                [m, wide.g10_for(m + 1), wide.g11_for(m + 1), deep.gs1_for(m)]
-            )
+            writer.writerow([m, float(wide.g10[m]), float(wide.g11[m]), deep.gs1_for(m)])
     _finish(outdir, config, ["primitives.csv"], extra={"model": model.to_payload()})
 
 

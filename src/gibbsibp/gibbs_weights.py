@@ -12,6 +12,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import mpmath
@@ -627,45 +628,42 @@ def py_primitive_closed(alpha, theta, n, which):
     raise ValueError(f"which must be (1,0) or (1,1), got {which}")
 
 
-class PrimitiveCache:
-    """Primitive evaluations a dataset of size n needs, precomputed.
+class _DepthPrimitives:
+    """A model's primitives g_m(z1, z2) for a dataset of size n.
 
-    Fields: g10[j-1] = g_{j-1}(1,0) for j = 2..n (entry 0 is nan: an empty
-    buffet has no occupied dishes so g_0(1,0) is never consumed);
-    g11[j-1] = g_{j-1}(1,1) for j = 1..n with g_0(1,1) = 1;
-    log_gs1[s-1] = log g_{n-s}(s,1) for s = 1..n, where the boundary case
-    is g_0(n,1) = V_{n,1}.  Stored in log space: the values decay like
-    n^{alpha-s} and underflow long before their logs do.
+    A sweep reads depth n only, each read no dearer than the object:
+    g10_for(n) = g_{n-1}(1,0), g11_for(n) = g_{n-1}(1,1), expected_blocks
+    = E[B_n] = sum_{m<n} g_m(1,1) and log_joint_reads(n, sizes).  The whole
+    sequences, which the buffet, the CLI and run manifests read, are built
+    on first use: g10[j-1] = g_{j-1}(1,0) for j = 2..n (entry 0 is nan: an
+    empty buffet has no occupied dishes, so g_0(1,0) is never consumed);
+    g11[j-1] = g_{j-1}(1,1) for j = 1..n, with g_0(1,1) = 1; log_gs1[s-1] =
+    log g_{n-s}(s,1) for s = 1..n, where g_0(n,1) = V_{n,1}.  The last is
+    stored in log space: it decays like n^{alpha-s} and underflows long
+    before its log does.
     """
 
-    def __init__(self, model, n, g10, g11, log_gs1):
-        self.model = model
-        self.n = int(n)
-        g10 = np.asarray(g10, dtype=float)
-        g11 = np.asarray(g11, dtype=float)
-        log_gs1 = np.asarray(log_gs1, dtype=float)
-        g10.flags.writeable = False
-        g11.flags.writeable = False
-        log_gs1.flags.writeable = False
-        self.g10 = g10
-        self.g11 = g11
-        self.log_gs1 = log_gs1
+    @cached_property
+    def log_gs1(self):
+        return _frozen(self._log_gs1_at(np.arange(1, self.n + 1)))
 
     @property
     def gs1(self):
         return np.exp(self.log_gs1)
 
+    def _check_index(self, name, value, low):
+        if not low <= value <= self.n:
+            raise ValueError(f"{name} must lie in [{low}, {self.n}], got {value}")
+
     def g10_for(self, j):
         """g_{j-1}(1,0) for 2 <= j <= n."""
-        if not 2 <= j <= self.n:
-            raise ValueError(f"j must lie in [2, {self.n}], got {j}")
-        return float(self.g10[j - 1])
+        self._check_index("j", j, 2)
+        return self._g10 if j == self.n else float(self.g10[j - 1])
 
     def g11_for(self, j):
         """g_{j-1}(1,1) for 1 <= j <= n."""
-        if not 1 <= j <= self.n:
-            raise ValueError(f"j must lie in [1, {self.n}], got {j}")
-        return float(self.g11[j - 1])
+        self._check_index("j", j, 1)
+        return self._g11 if j == self.n else float(self.g11[j - 1])
 
     def gs1_for(self, s):
         """g_{n-s}(s,1) for 1 <= s <= n."""
@@ -673,83 +671,67 @@ class PrimitiveCache:
 
     def log_gs1_for(self, s):
         """log g_{n-s}(s,1) for 1 <= s <= n."""
-        if not 1 <= s <= self.n:
-            raise ValueError(f"s must lie in [1, {self.n}], got {s}")
+        self._check_index("s", s, 1)
         return float(self.log_gs1[s - 1])
-
-    @property
-    def expected_blocks(self):
-        """E[B_n] = sum_{j<=n} g_{j-1}(1,1)."""
-        return float(self.g11[:self.n].sum())
-
-    def log_joint_reads(self, n, sizes):
-        """The allocation log joint's two reads at depth n = self.n:
-        E[B_n], and log g_{n-s}(s,1) at each s of `sizes` (an int array in
-        [1, n])."""
-        return self.expected_blocks, self.log_gs1[sizes - 1]
-
-
-class _DepthPrimitives:
-    """The primitives one sweep at data size n reads, by PrimitiveCache's
-    names: g10_for(n) (nan at n = 1), g11_for(n), expected_blocks and
-    log_joint_reads(n, sizes).  Any depth other than n is refused."""
-
-    def _check_depth(self, j):
-        if j != self.n:
-            raise ValueError(f"primitives were built for n = {self.n}, got {j}")
-
-    def g10_for(self, j):
-        self._check_depth(j)
-        return self._g10
-
-    def g11_for(self, j):
-        self._check_depth(j)
-        return self._g11
 
     def log_joint_reads(self, n, sizes):
         """E[B_n], and log g_{n-s}(s,1) at each s of `sizes` (an int array
         in [1, n])."""
-        self._check_depth(n)
+        if n != self.n:
+            raise ValueError(f"primitives were built for n = {self.n}, got {n}")
         return self.expected_blocks, self._log_gs1_at(sizes)
 
 
+def _frozen(array):
+    array.flags.writeable = False
+    return array
+
+
 class ClosedFormPrimitives(_DepthPrimitives):
-    """A DP/PY model's primitives at depth n in closed form, with the bits
-    of build_primitive_cache's entries; log g_{n-s}(s,1) is evaluated at
-    the sizes asked for only.  With r = n - s, g_r(s,1) = Gamma(theta+1)
-    Gamma(theta+alpha+r) / [Gamma(theta+alpha) Gamma(theta+r+s)]; g11[m] =
-    g_m(1,1) for m < n is the s = 1 case in py_primitive_closed's order of
-    operations, which rounds differently."""
+    """A DP/PY model's primitives at depth n in closed form.  With r = n - s,
+    g_r(s,1) = Gamma(theta+1) Gamma(theta+alpha+r) / [Gamma(theta+alpha)
+    Gamma(theta+r+s)]; g11[m] = g_m(1,1) for m < n is the s = 1 case in
+    py_primitive_closed's order of operations, which rounds differently,
+    and g10[m] = g_m(1,0) = 1/(theta+m)."""
 
     def __init__(self, model, n):
         self.n = n = int(n)
-        self._alpha, self._theta = alpha, theta = model.stable_index, model.theta
+        self.alpha, self._theta = alpha, theta = model.stable_index, model.theta
         self._log_top = special.gammaln(theta + 1.0)
         self._log_bottom = special.gammaln(theta + alpha)
         m = np.arange(n)
         log_g11 = self._log_top + special.gammaln(theta + alpha + m)
-        self.g11 = np.exp(log_g11 - special.gammaln(theta + m + 1.0) - self._log_bottom)
-        self.g11.flags.writeable = False
+        self.g11 = _frozen(
+            np.exp(log_g11 - special.gammaln(theta + m + 1.0) - self._log_bottom)
+        )
         self.expected_blocks = float(self.g11.sum())
         self._g10 = 1.0 / (theta + (n - 1)) if n > 1 else math.nan
         self._g11 = float(self.g11[-1])
 
+    @cached_property
+    def g10(self):
+        return _frozen(
+            np.concatenate([[math.nan], 1.0 / (self._theta + np.arange(1, self.n))])
+        )
+
     def _log_gs1_at(self, sizes):
         r = self.n - sizes
-        log_gs1 = self._log_top + special.gammaln(self._theta + self._alpha + r)
+        log_gs1 = self._log_top + special.gammaln(self._theta + self.alpha + r)
         return log_gs1 - self._log_bottom - special.gammaln(self._theta + r + sizes)
 
 
 class NggRowPrimitives(_DepthPrimitives):
-    """An NGG/NIG model's primitives at depth n from row n of its weights
-    alone, the twin of ClosedFormPrimitives: no backward fill and no
-    length-n cache.
+    """An NGG/NIG model's primitives at depth n from row n of its weights,
+    the twin of ClosedFormPrimitives: the depth-n reads need no backward
+    fill and no length-n sequence.
 
     Two identities of the Gibbs urn make row n enough.  The block law sums
     to one, sum_k V_{n,k} alpha^{-k} C(n, k; alpha) = V_{1,1}, so row n
     divided by that sum is row n of the triangle normalised to V_{1,1} = 1
     (the one _mc_weight_table fills), which every g_{n-s}(s,z2) reads; and
     sum_{m<n} g_m(1,1) = E[B_n], the mean of that law, kept as block_law.
+    The g10 and g11 sequences read rows 2..n of `table`, which is filled
+    from the row on first read unless one is given.
 
     Args:
         log_row: log V_{n,k} for k = 1..n up to one additive constant: the
@@ -758,12 +740,20 @@ class NggRowPrimitives(_DepthPrimitives):
             sampler's own); its block holds log[alpha^{-k} C(m, k; alpha)].
         rel_se: the row's relative standard errors, which the weight table
             filled from it carries; None for an exact row.
+        draws: the NggWeightSampler the row was read from, whose samples
+            and seed the filled table records.
+        table: a weight table of depth n or deeper whose row n is log_row,
+            in place of the filled one.
     """
 
-    def __init__(self, log_row, gfc, rel_se=None):
+    def __init__(self, log_row, gfc, rel_se=None, draws=None, table=None):
         n = self.n = len(log_row)
+        self.alpha = float(gfc.alpha)
         self.log_row = log_row
         self.rel_se = rel_se
+        self.draws = draws
+        if table is not None:
+            self.table = table
         self._log_c = gfc.log_block(n)
         shifted = log_row - np.max(log_row)
         law = shifted + gfc.log_row(n)
@@ -777,6 +767,31 @@ class NggRowPrimitives(_DepthPrimitives):
         # g_{n-1}(1,0) = sum_{k<n} V_{n,k} alpha^{-k} C(n-1, k; alpha)
         terms = self._log_v[:-1] + self._log_c[max(n - 2, 0), :n - 1]
         self._g10 = float(np.exp(_log_sum_exp_rows(terms[None])[0])) if n > 1 else math.nan
+
+    @cached_property
+    def table(self):
+        if self.draws is None:
+            raise ValueError("primitives of a row with no draws have no table to fill")
+        return _mc_weight_table(
+            self.alpha, self.log_row, self.rel_se,
+            Provenance("monte-carlo", self.draws.samples, self.draws.seed),
+        )
+
+    @cached_property
+    def g10(self):
+        return self._table_sequence(0, math.nan)
+
+    @cached_property
+    def g11(self):
+        return self._table_sequence(1, 1.0)
+
+    def _table_sequence(self, z2, head):
+        # [head, g_1(1,z2), ..., g_{n-1}(1,z2)] from rows 2..n of the table;
+        # the GFC block is -inf for k > m, which masks each row's sum to the
+        # k <= m that log_primitive sums over
+        n, v = self.n, self.table._log
+        terms = v[2:n + 1, 1 + z2:n + z2] + self._log_c[:n - 1, :n - 1]
+        return _frozen(np.concatenate([[head], np.exp(_log_sum_exp_rows(terms))]))
 
     def _log_gs1_at(self, sizes):
         return _log_gs1(self._log_v, self._log_c, sizes)
@@ -795,41 +810,26 @@ def _log_gs1(log_v, log_c, sizes):
 
 
 def build_primitive_cache(model, n, table=None, gfc=None):
-    """Precompute the primitives required for a dataset of size n.
+    """The primitives of `model` for a dataset of size n.
 
-    DP and PY read ClosedFormPrimitives at every size (the closed forms
-    keep large n cheap); NGG/NIG evaluate the generic log-sum-exp
-    primitive from their weight and GFC tables (built on demand when not supplied; the weight
-    table must reach depth n, the GFC table depth n-1).  Both branches fill
-    every entry in one array pass; py_primitive_closed and log_primitive
-    are the scalar forms of the same expressions.
+    DP and PY give ClosedFormPrimitives (the closed forms keep large n
+    cheap); NGG/NIG the NggRowPrimitives of row n of their weight table,
+    which their g10 and g11 sequences read.  The weight table (built by
+    build_weight_table unless supplied) must reach depth n, and so must the
+    GFC table (built unless supplied), whose row n normalises the block
+    law.  py_primitive_closed and log_primitive are the scalar forms of the
+    same primitives.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    alpha = model.stable_index
     if model.is_closed_form:
-        g10 = np.concatenate([[math.nan], 1.0 / (model.theta + np.arange(1, n))])
-        closed = ClosedFormPrimitives(model, n)
-        _, log_gs1 = closed.log_joint_reads(n, np.arange(1, n + 1))
-        return PrimitiveCache(model, n, g10, closed.g11, log_gs1)
+        return ClosedFormPrimitives(model, n)
     if table is None:
         table = build_weight_table(model, n)
     if gfc is None:
-        gfc = build_gfc_table(max(n - 1, 1), alpha)
-    _check_primitive_tables(table, gfc, n, n - 1)
-    v = table._log
-    # log_c[m-1, k-1] = log[alpha^{-k} C(m, k; alpha)] for base counts
-    # m = 1..n-1; the GFC triangle is -inf for k > m, which masks every sum
-    # to the k <= m that log_primitive sums over
-    log_c = gfc.log_block(n - 1)
-    g10 = np.concatenate(
-        [[math.nan], np.exp(_log_sum_exp_rows(v[2:n + 1, 1:n] + log_c))]
-    )
-    g11 = np.concatenate(
-        [[1.0], np.exp(_log_sum_exp_rows(v[2:n + 1, 2:n + 1] + log_c))]
-    )
-    log_gs1 = _log_gs1(v[n, 1:n + 1], log_c, np.arange(1, n + 1))
-    return PrimitiveCache(model, n, g10, g11, log_gs1)
+        gfc = build_gfc_table(n, model.stable_index)
+    _check_primitive_tables(table, gfc, n, n)
+    return NggRowPrimitives(table.log_row(n), gfc, table.rel_se_row(n), table=table)
 
 
 def _log_sum_exp_rows(terms):
@@ -852,8 +852,7 @@ def persistence_probability(cache, n, s):
         raise ValueError(f"cache was built for n = {cache.n}, got n = {n}")
     if not 1 <= s <= n:
         raise ValueError(f"s must lie in [1, {n}], got {s}")
-    alpha = cache.model.stable_index
-    return math.exp(log_rising_factorial(1.0 - alpha, s - 1) + cache.log_gs1_for(s))
+    return math.exp(log_rising_factorial(1.0 - cache.alpha, s - 1) + cache.log_gs1_for(s))
 
 
 def block_count_distribution(model, n, table=None, gfc=None):
@@ -957,38 +956,30 @@ class NggWeightSampler:
         return self._log_prefactor + log_m1, rel
 
     def row_primitives(self, beta):
-        """NggRowPrimitives of row n at this beta: one moment pass."""
+        """NggRowPrimitives of row n at this beta: one moment pass.  They
+        carry these draws, and fill their weight table on first read."""
         log_row, rel = self.log_last_row(beta)
-        return NggRowPrimitives(log_row, self.gfc, rel)
-
-    def weight_table(self, log_row, rel_se):
-        """The weight triangle whose last row is (log_row, rel_se), a row
-        of these draws (log_last_row), filled with no further moment pass."""
-        return _mc_weight_table(
-            self.alpha,
-            log_row,
-            rel_se,
-            Provenance("monte-carlo", self.samples, self.seed),
-        )
+        return NggRowPrimitives(log_row, self.gfc, rel, draws=self)
 
 
 def weight_table_from_sampler(sampler, beta):
     """Weight triangle at `beta` from a sampler's frozen draws, built as
     build_weight_table builds a Monte Carlo one: deterministic in beta."""
-    return sampler.weight_table(*sampler.log_last_row(beta))
+    return sampler.row_primitives(beta).table
 
 
-def depth_primitives(model, n, sampler=None):
-    """(sampler, primitives) of `model` at depth n: (None, ClosedFormPrimitives)
-    for DP/PY; for NGG/NIG, the frozen draws its mc_config names at its alpha
-    and n (`sampler` if it holds them) and their NggRowPrimitives at its beta."""
+def depth_primitives(model, n, held=None):
+    """The primitives of `model` at depth n: ClosedFormPrimitives for DP/PY;
+    for NGG/NIG, the NggRowPrimitives at its beta of the frozen draws its
+    mc_config names at its alpha and n, reusing the draws of the primitives
+    `held` when they are those."""
     if model.is_closed_form:
-        return None, ClosedFormPrimitives(model, n)
+        return ClosedFormPrimitives(model, n)
     draws = (model.stable_index, n, model.mc_config.samples, model.mc_config.seed)
-    held = sampler and (sampler.alpha, sampler.n, sampler.samples, sampler.seed)
-    if held != draws:
+    sampler = getattr(held, "draws", None)
+    if sampler is None or (sampler.alpha, sampler.n, sampler.samples, sampler.seed) != draws:
         sampler = NggWeightSampler(*draws)
-    return sampler, sampler.row_primitives(model.beta)
+    return sampler.row_primitives(model.beta)
 
 
 def calibrate(family, target, n, alpha=None, mc_config=None):
@@ -1036,13 +1027,13 @@ def _calibrate(family, target, n, alpha, mc_config):
         base = GibbsModel.ngg(alpha, 1.0, mc_config or McConfig())
     else:
         base = GibbsModel.nig(1.0, mc_config or McConfig())
-    sampler = None  # NGG/NIG: the frozen draws every point reads
+    held = None  # the last point's primitives, whose NGG/NIG draws every point reads
 
     def fitted(t):
-        nonlocal sampler
+        nonlocal held
         model = base.with_second_coordinate(t)
-        sampler, primitives = depth_primitives(model, n, sampler)
-        return model, primitives
+        held = depth_primitives(model, n, held)
+        return model, held
 
     def objective(t):
         return fitted(t)[1].expected_blocks - target
@@ -1074,7 +1065,7 @@ def _calibrate(family, target, n, alpha, mc_config):
             f"calibration stalled: |E[B_{n}] - {target}| = {abs(residual):.4f} > 0.05"
         )
     mc_error = None
-    if sampler is not None:
+    if not model.is_closed_form:
         # row n of the filled table carries rel_se_{n,k} + rel_se_{1,1}, and
         # the fill makes rel_se_{1,1} = sum_k P(B_n = k) rel_se_{n,k}
         mc_error = 2.0 * float(primitives.block_law @ primitives.rel_se)
@@ -1114,11 +1105,11 @@ def weight_table_content_hash(table, model=None):
     return hashlib.sha256(doc.encode()).hexdigest()
 
 
-def primitive_cache_content_hash(cache):
-    """Stable content hash of a primitive cache for run manifests."""
+def primitive_cache_content_hash(cache, model):
+    """Stable content hash of a model's primitives for run manifests."""
     doc = json.dumps(
         {
-            "model": cache.model.to_payload(),
+            "model": model.to_payload(),
             "n": cache.n,
             "g10": cache.g10.tolist(),
             "g11": cache.g11.tolist(),

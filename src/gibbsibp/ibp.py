@@ -79,7 +79,9 @@ def simulate_ibp(model, gamma, n, seed, cache=None):
         gamma: mass parameter, >= 0.
         n: number of customers, >= 1.
         seed: RNG seed.
-        cache: optional PrimitiveCache of depth >= n.
+        cache: optional primitives of depth >= n (build_primitive_cache,
+            or a chain state's cache); the buffet reads their g10 and g11
+            sequences.
 
     Returns:
         FeatureAllocation with dishes in order of appearance (ties within a
@@ -106,9 +108,10 @@ def _lockstep_buffet(gammas, n, alpha, cache, rng):
     Replicate r's dishes fill the first dishes[r] slots of its row in order
     of appearance. An empty slot holds the count alpha, so its probability
     (count - alpha) g_n(1,0) is exactly 0 and no uniform can take it. At one
-    replicate, rng.random((1, k)) draws what rng.random(k) does and
-    rng.poisson of a one-entry rate array what the scalar rate does, so
-    simulate_ibp keeps the stream of a customer-by-customer loop.
+    replicate, rng.random((1, k)) draws what rng.random(k) does and each
+    customer's Poisson draw takes the scalar rate, as a customer-by-customer
+    loop does, so simulate_ibp keeps that loop's stream; a scalar rate also
+    skips numpy's checks of an array argument, most of a draw's cost.
 
     Returns:
         (z, dishes): uint8 array (replicates, n, max dishes) with zero
@@ -122,6 +125,7 @@ def _lockstep_buffet(gammas, n, alpha, cache, rng):
     fresh_by_customer = np.zeros((n, reps), dtype=np.int64)
     steps = []
     rates = gammas[:, None] * cache.g11[:n]
+    one_rates = rates[0].tolist() if reps == 1 else None
     for i in range(n):
         if width:
             g10 = cache.g10[i]
@@ -134,16 +138,22 @@ def _lockstep_buffet(gammas, n, alpha, cache, rng):
             takes = rng.random((reps, width)) < probs
             counts[:, :width] += takes
             steps.append(takes)
-        fresh = rng.poisson(rates[:, i])
-        if fresh.any():
-            dishes = dishes + fresh
-            width = max(width, int(dishes.max()))
-            if width > slot.size:
-                counts = np.pad(counts, ((0, 0), (0, width + slot.size)), constant_values=alpha)
-                slot = np.arange(counts.shape[1])
-            # taken slots hold counts >= 1 and empty ones alpha < 1
-            np.maximum(counts, slot < dishes[:, None], out=counts)
-            fresh_by_customer[i] = fresh
+        if one_rates is None:
+            fresh = rng.poisson(rates[:, i])
+            if not fresh.any():
+                continue
+        else:
+            fresh = rng.poisson(one_rates[i])
+            if not fresh:
+                continue
+        dishes = dishes + fresh
+        width = max(width, int(dishes.max()))
+        if width > slot.size:
+            counts = np.pad(counts, ((0, 0), (0, width + slot.size)), constant_values=alpha)
+            slot = np.arange(counts.shape[1])
+        # taken slots hold counts >= 1 and empty ones alpha < 1
+        np.maximum(counts, slot < dishes[:, None], out=counts)
+        fresh_by_customer[i] = fresh
     seen = fresh_by_customer.T.cumsum(axis=1)[:, :, None]
     k = np.arange(width)
     z = ((k < seen) & (k >= seen - fresh_by_customer.T[:, :, None])).view(np.uint8)
@@ -186,9 +196,9 @@ def log_joint(allocation, model, gamma, cache=None):
         allocation: FeatureAllocation.
         model: GibbsModel.
         gamma: mass parameter, >= 0.
-        cache: optional primitives at depth n = allocation.n: a
-            PrimitiveCache, or a depth-n ClosedFormPrimitives or
-            NggRowPrimitives (a chain state's cache).
+        cache: optional primitives at depth n = allocation.n
+            (build_primitive_cache, or a chain state's cache), read at
+            depth n only.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")

@@ -77,9 +77,9 @@ class LatentFactorState:
     exposed as an order-of-appearance FeatureAllocation on demand.
 
     Invariants: W is n x K, A is K x p, all scales strictly positive;
-    cache holds the model's depth_primitives, which every sweep block and
-    slice move reads, and sampler the NGG/NIG frozen draws they come
-    from.  A PrimitiveCache set by hand serves the sweep blocks.
+    cache holds the model's depth-n primitives (depth_primitives), which
+    every sweep block and slice move reads; NGG/NIG primitives carry their
+    frozen draws and fill their weight table (table) on first read.
     """
 
     def __init__(self, model, z, w, a, sigma_y, sigma_w, sigma_a, gamma, rng):
@@ -95,8 +95,6 @@ class LatentFactorState:
         self.gamma = float(gamma)
         self.rng = rng
         self.cache = None
-        self.sampler = None
-        self._filled = (None, None)  # (primitives, the table filled from them)
         self._set_factors(z, w, a)
 
     def _set_factors(self, z, w, a):
@@ -134,25 +132,14 @@ class LatentFactorState:
         return FeatureAllocation.from_matrix(self.z, self.gamma)
 
     def refresh_cache(self):
-        """Set the sampler and primitives of the current model."""
-        self.sampler, self.cache = depth_primitives(self.model, self.n, self.sampler)
+        """Set the primitives of the current model."""
+        self.cache = depth_primitives(self.model, self.n, self.cache)
 
     @property
     def table(self):
-        """The NGG/NIG weight triangle filled from the primitives' row, once
-        per primitives object; None for DP/PY."""
-        if self.sampler is None:
-            return None
-        if self._filled[0] is not self.cache:
-            table = self.sampler.weight_table(self.cache.log_row, self.cache.rel_se)
-            self._filled = (self.cache, table)
-        return self._filled[1]
-
-    def full_cache(self):
-        """The model's PrimitiveCache to depth n (NGG/NIG: from the table),
-        which an initial Z's prior draw and a manifest's hash read whole."""
-        gfc = None if self.sampler is None else self.sampler.gfc
-        return build_primitive_cache(self.model, self.n, table=self.table, gfc=gfc)
+        """The NGG/NIG primitives' weight triangle, filled once per
+        primitives object on first read; None for DP/PY."""
+        return getattr(self.cache, "table", None)
 
 
 def log_likelihood(y, z, w, a, sigma_y):
@@ -452,13 +439,14 @@ def _slice_model_move(state, counts, move, start):
     .depth_primitives: closed form for DP/PY, one moment pass of the
     frozen draws for NGG/NIG), a trial at the state's own model by the
     state's, which are the same function of the model.  The state adopts
-    the model, draws and primitives of the accepted point, the last one
+    the model and primitives of the accepted point, the last one
     slice_sample evaluated, and builds nothing more.  A discount trial
-    draws at its own alpha from the model's seed, so the state's draws are
-    dropped before a trial makes new ones: one set is alive at once.
+    draws at its own alpha from the model's seed, so the state's
+    primitives, and with them its draws, are dropped before a trial makes
+    new ones: one set is alive at once.
     """
     model = state.model
-    last = None  # the last evaluated point's (model, sampler, primitives)
+    last = None  # the last evaluated point's (model, primitives)
 
     def trial(x):
         # (model at x, its log prior + Jacobian terms); None off the support
@@ -476,17 +464,15 @@ def _slice_model_move(state, counts, move, start):
             return -math.inf
         last = None  # frees the last trial's draws before new ones are made
         if trial_model == state.model and state.cache is not None:
-            last = (trial_model, state.sampler, state.cache)
+            last = (trial_model, state.cache)
         else:
             if move == "discount":
                 # the state's draws go before the trial's are made; a later
                 # trial at the state's model draws them again
-                state.sampler = state.cache = None
-            last = (trial_model,) + depth_primitives(
-                trial_model, state.n, state.sampler
-            )
+                state.cache = None
+            last = (trial_model, depth_primitives(trial_model, state.n, state.cache))
         log_p = _log_joint_counts(
-            counts, state.n, state.gamma, trial_model.stable_index, last[2]
+            counts, state.n, state.gamma, trial_model.stable_index, last[1]
         )
         return log_p + terms[0] + terms[1]
 
@@ -495,7 +481,7 @@ def _slice_model_move(state, counts, move, start):
     else:
         target.__name__ = "log_theta_plus_alpha" if model.is_closed_form else "log_beta"
     x = slice_sample(target, start, state.rng)
-    state.model, state.sampler, state.cache = last
+    state.model, state.cache = last
     return x
 
 
@@ -567,7 +553,7 @@ def initial_state(model, y, config, z_init=None):
     state.refresh_cache()
     if z_init is None:
         z = simulate_ibp(
-            model, gamma, n, seed=int(rng.integers(2 ** 63)), cache=state.full_cache()
+            model, gamma, n, seed=int(rng.integers(2 ** 63)), cache=state.cache
         ).matrix
     else:
         z = np.asarray(getattr(z_init, "matrix", z_init), dtype=np.uint8)
@@ -653,7 +639,7 @@ def run_chain(y, model, config, z_init=None):
     manifest = {
         "config": asdict(config),
         "model": state.model.to_payload(),
-        "cache_hash": primitive_cache_content_hash(state.full_cache()),
+        "cache_hash": primitive_cache_content_hash(state.cache, state.model),
     }
     if state.table is not None:
         manifest["weight_table_hash"] = weight_table_content_hash(state.table, state.model)
@@ -781,7 +767,8 @@ def geweke_check(model, n, p, config, rounds=100_000, seed=0):
     Matching joints means every statistic's two means agree; the chain
     side's standard errors come from its autocorrelations
     (_autocorrelation_se).  The marginal side draws its prior states in
-    lockstep chunks.  NGG/NIG run on the table of their mc_config's draws.
+    lockstep chunks.  Both read build_primitive_cache(model, n), whose
+    NGG/NIG table (of their mc_config's draws) has no frozen-draw limit.
 
     Known fault: with config.update_scales, sigma_y^2 ~ IG(1, 1) has no
     finite mean, so data_sq_mean has no finite variance and its z-score has

@@ -338,7 +338,7 @@ class TestPyPrimitiveClosed:
             py_primitive_closed(0.5, 1.0, 1, (2, 0))
 
 
-class TestPrimitiveCache:
+class TestBuildPrimitiveCache:
     def test_g11_starts_at_one(self):
         for model in (GibbsModel.dp(2.0), GibbsModel.py(0.5, 1.0)):
             cache = build_primitive_cache(model, 6)
@@ -415,8 +415,9 @@ class TestPrimitiveCache:
     def test_mc_cache_matches_scalar_primitives(self, alpha):
         for n in (1, 2, 3, 37, 100):
             table = weight_table_from_sampler(NggWeightSampler(alpha, n, 500, seed=n), 1.0)
-            gfc = build_gfc_table(max(n - 1, 1), alpha)
+            gfc = build_gfc_table(n, alpha)
             cache = build_primitive_cache(GibbsModel.ngg(alpha, 1.0), n, table=table, gfc=gfc)
+            assert cache.table is table
             assert math.isnan(cache.g10[0]) and cache.g11[0] == 1.0
             for j in range(2, n + 1):
                 assert cache.g10[j - 1] == pytest.approx(
@@ -429,7 +430,10 @@ class TestPrimitiveCache:
                 assert cache.log_gs1[s - 1] == pytest.approx(
                     log_primitive(table, gfc, n - s, s, 1), rel=1e-12, abs=0.0
                 )
-            assert cache.log_gs1[n - 1] == table.log_weight(n, 1)
+            # row n normalised by its block law, not by the backward fill
+            assert cache.log_gs1[n - 1] == pytest.approx(
+                table.log_weight(n, 1), rel=1e-12, abs=1e-15
+            )
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
     def test_mc_cache_matches_logsumexp_form(self, alpha):
@@ -437,7 +441,7 @@ class TestPrimitiveCache:
         # masked triangles (the GFC block is -inf above its diagonal)
         for n in (2, 10, 100):
             table = weight_table_from_sampler(NggWeightSampler(alpha, n, 500, seed=n), 1.0)
-            gfc = build_gfc_table(n - 1, alpha)
+            gfc = build_gfc_table(n, alpha)
             cache = build_primitive_cache(GibbsModel.ngg(alpha, 1.0), n, table=table, gfc=gfc)
             v = table._log
             log_c = gfc.log_block(n - 1)
@@ -454,10 +458,11 @@ class TestPrimitiveCache:
         table = weight_table_from_sampler(NggWeightSampler(0.5, 8, 500, seed=1), 1.0)
         with pytest.raises(ValueError):  # weight table too shallow
             build_primitive_cache(model, 9, table=table, gfc=build_gfc_table(8, 0.5))
-        with pytest.raises(ValueError):  # GFC table too shallow
-            build_primitive_cache(model, 8, table=table, gfc=build_gfc_table(6, 0.5))
-        with pytest.raises(ValueError):  # alpha disagrees
-            build_primitive_cache(model, 8, table=table, gfc=build_gfc_table(7, 0.4))
+        with pytest.raises(ValueError, match="GFC table depth"):
+            # row n normalises the block law, so depth n - 1 is too shallow
+            build_primitive_cache(model, 8, table=table, gfc=build_gfc_table(7, 0.5))
+        with pytest.raises(ValueError, match="disagree on alpha"):
+            build_primitive_cache(model, 8, table=table, gfc=build_gfc_table(8, 0.4))
 
     def test_dp_matches_py_limit(self):
         # alpha -> 0 continuity: DP closed forms against PY at tiny alpha
@@ -578,7 +583,7 @@ class TestExpectedBlocksAndCalibrate:
             table = weight_table_from_sampler(
                 NggWeightSampler(alpha, 20, mc.samples, mc.seed), param
             )
-        _, primitives = depth_primitives(model, 20)
+        primitives = depth_primitives(model, 20)
         assert achieved == primitives.expected_blocks
         assert achieved == pytest.approx(expected_blocks(model, 20, table=table), rel=1e-12)
         if table is not None:
@@ -598,7 +603,7 @@ class TestExpectedBlocksAndCalibrate:
             model = GibbsModel.ngg(alpha, param, mc_config=mc)
         else:
             model = GibbsModel.nig(param, mc_config=mc)
-        assert achieved == depth_primitives(model, 25)[1].expected_blocks
+        assert achieved == depth_primitives(model, 25).expected_blocks
         assert achieved == pytest.approx(expected_blocks(model, 25), rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -883,7 +888,7 @@ class TestNggWeightSampler:
     def test_gfc_rows_match_shallower_table(self):
         # a depth-n GFC table holds the depth-(n - 1) rows bit for bit, so
         # the sampler's one table serves depth-n block laws and the
-        # depth-(n - 1) reads of a primitive cache
+        # depth-(n - 1) reads of the g10 and g11 sequences
         n, alpha = 12, 0.35
         gfc = NggWeightSampler(alpha, n, 1000, seed=3).gfc
         assert (gfc.n_max, gfc.alpha) == (n, alpha)
@@ -959,8 +964,9 @@ class TestSerialization:
         cache = build_primitive_cache(model, 6, table=table)
         twin_cache = build_primitive_cache(twin, 6, table=table)
         other_cache = build_primitive_cache(other, 6, table=table)
-        assert primitive_cache_content_hash(twin_cache) == primitive_cache_content_hash(cache)
-        assert primitive_cache_content_hash(other_cache) != primitive_cache_content_hash(cache)
+        digest = primitive_cache_content_hash(cache, model)
+        assert primitive_cache_content_hash(twin_cache, twin) == digest
+        assert primitive_cache_content_hash(other_cache, other) != digest
 
     def test_cache_path_in_named_directory(self, tmp_path, monkeypatch):
         # the library has no default location: the environment is the CLI's

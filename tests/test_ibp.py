@@ -9,7 +9,6 @@ from scipy import stats
 from gibbsibp.gibbs_weights import (
     GibbsModel,
     McConfig,
-    PrimitiveCache,
     build_gfc_table,
     build_primitive_cache,
     build_weight_table,
@@ -164,8 +163,8 @@ class TestSimulateIbp:
 
     def test_corrupt_primitives_rejected(self):
         model = GibbsModel.py(0.5, 1.0)
-        good = build_primitive_cache(model, 3)
-        bad = PrimitiveCache(model, 3, np.full(3, 5.0), good.g11, good.log_gs1)
+        bad = build_primitive_cache(model, 3)
+        bad.g10 = np.full(3, 5.0)  # every dish taken with probability > 1
         with pytest.raises(ValueError, match="corrupt"):
             simulate_ibp(model, 1.0, 3, seed=0, cache=bad)
         with pytest.raises(ValueError, match="corrupt"):

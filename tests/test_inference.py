@@ -2,6 +2,7 @@ import json
 import math
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -20,7 +21,9 @@ from gibbsibp.gibbs_weights import (
     build_weight_table,
     depth_primitives,
     expected_blocks,
+    log_primitive,
     ngg_weights_smalln,
+    primitive,
     py_primitive_closed,
     weight_table_content_hash,
     weight_table_from_sampler,
@@ -41,7 +44,7 @@ from gibbsibp.inference import (
     slice_sample,
     synthesize_data,
 )
-from gibbsibp.special_functions import build_gfc_table
+from gibbsibp.special_functions import build_gfc_table, log_rising_factorial
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -214,30 +217,43 @@ def _closed_form_models():
             yield GibbsModel.py(alpha, theta)
 
 
-def assert_same_primitives(got, want, rel=0.0):
-    # the reads one sweep makes at depth n: bit for bit at rel = 0
+def assert_same_primitives(got, want):
+    # the reads one sweep makes at depth n, bit for bit (g_{n-1}(1,0) from
+    # n = 2 on: the Z block reads none at n = 1)
     n = want.n
     assert got.n == n
-    g10 = want.g10[0] if n == 1 else want.g10_for(n)  # nan at n = 1
-    if rel == 0.0:
-        assert np.array_equal(got.g10_for(n), g10, equal_nan=True)
-        assert got.g11_for(n) == want.g11_for(n)
-        assert got.expected_blocks == want.expected_blocks
-    else:
-        assert got.g10_for(n) == pytest.approx(g10, rel=rel, abs=0.0, nan_ok=True)
-        assert got.g11_for(n) == pytest.approx(want.g11_for(n), rel=rel, abs=0.0)
-        assert got.expected_blocks == pytest.approx(want.expected_blocks, rel=rel, abs=0.0)
+    if n > 1:
+        assert got.g10_for(n) == want.g10_for(n)
+    assert got.g11_for(n) == want.g11_for(n)
+    assert got.expected_blocks == want.expected_blocks
     sizes = np.arange(1, n + 1)
     got_sum, got_log = got.log_joint_reads(n, sizes)
     want_sum, want_log = want.log_joint_reads(n, sizes)
     assert got_sum == got.expected_blocks and want_sum == want.expected_blocks
-    if rel == 0.0:
-        assert np.array_equal(got_log, want_log)
-    else:
-        # the absolute term bounds the primitives' relative error where a
-        # log is near 0 (the series gives log V_{1,1} = -2e-61 at some
-        # corners)
-        np.testing.assert_allclose(got_log, want_log, rtol=rel, atol=rel)
+    assert np.array_equal(got_log, want_log)
+
+
+def assert_closed_form_reads(primitives, model, n):
+    # depth-n reads of DP/PY primitives against the scalar closed forms
+    # (bit for bit: the same expressions in the same order), the generic
+    # table primitives and the table's block law
+    alpha, theta = model.stable_index, model.theta
+    assert primitives.n == n
+    assert primitives.g11_for(n) == py_primitive_closed(alpha, theta, n - 1, (1, 1))
+    if n > 1:
+        assert primitives.g10_for(n) == py_primitive_closed(alpha, theta, n - 1, (1, 0))
+    table = build_weight_table(model, n)
+    gfc = build_gfc_table(n, alpha)
+    assert primitives.expected_blocks == pytest.approx(
+        expected_blocks(model, n, table=table, gfc=gfc), rel=1e-10, abs=0.0
+    )
+    sizes = np.arange(1, n + 1)
+    g11_sum, log_gs1 = primitives.log_joint_reads(n, sizes)
+    assert g11_sum == primitives.expected_blocks
+    # atol: the table route's log-sum-exp rounds a log near 0 by ~1e-12
+    want = [log_primitive(table, gfc, n - s, s, 1) for s in range(1, n)]
+    np.testing.assert_allclose(log_gs1[:-1], want, rtol=1e-10, atol=1e-10)
+    assert log_gs1[-1] == pytest.approx(table.log_weight(n, 1), rel=1e-10, abs=1e-10)
 
 
 def _random_allocation(rng, n, gamma):
@@ -251,23 +267,26 @@ def _random_allocation(rng, n, gamma):
 
 
 class TestClosedFormTrialTerms:
-    """Closed-form depth-n primitives against the full cache and mpmath."""
+    """Closed-form depth-n primitives against the scalar closed forms, the
+    table primitives and mpmath."""
 
     @pytest.mark.parametrize(
         "model", list(_closed_form_models()), ids=lambda model: model.describe()
     )
-    def test_depth_n_reads_have_full_cache_bits(self, model):
+    def test_depth_n_reads_match_scalar_primitives(self, model):
         alpha, theta = model.stable_index, model.theta
         for n in (1, 2, 100):
             primitives = ClosedFormPrimitives(model, n)
-            assert_same_primitives(primitives, build_primitive_cache(model, n))
-            # and the bits of the scalar closed forms
-            assert primitives.g11_for(n) == py_primitive_closed(alpha, theta, n - 1, (1, 1))
-            if n > 1:
-                want = py_primitive_closed(alpha, theta, n - 1, (1, 0))
-                assert primitives.g10_for(n) == want
+            assert_closed_form_reads(primitives, model, n)
+            # every shallower read is a sequence entry, with the same bits
+            for j in range(2, n + 1):
+                want = py_primitive_closed(alpha, theta, j - 1, (1, 0))
+                assert primitives.g10_for(j) == want == primitives.g10[j - 1]
+            for j in range(1, n + 1):
+                want = py_primitive_closed(alpha, theta, j - 1, (1, 1))
+                assert primitives.g11_for(j) == want == primitives.g11[j - 1]
             for read in (primitives.g10_for, primitives.g11_for):
-                with pytest.raises(ValueError, match="built for n"):
+                with pytest.raises(ValueError, match="must lie in"):
                     read(n + 1)
             with pytest.raises(ValueError, match="built for n"):
                 primitives.log_joint_reads(n + 1, np.array([1]))
@@ -275,18 +294,34 @@ class TestClosedFormTrialTerms:
     @pytest.mark.parametrize(
         "model", list(_closed_form_models()), ids=lambda model: model.describe()
     )
-    def test_trial_log_joint_matches_full_cache(self, model):
+    def test_trial_log_joint_matches_dish_by_dish_sum(self, model):
+        # against K log gamma - gamma sum_{m<n} g_m(1,1) + sum over dishes of
+        # log (1 - alpha)_{S-1} + log g_{n-S}(S,1), the primitives written
+        # out from the gamma functions one dish at a time
+        alpha, theta = model.stable_index, model.theta
         rng = np.random.default_rng(17)
+
+        def log_gs1(n, s):
+            r = n - s
+            return (
+                special.gammaln(theta + 1.0) + special.gammaln(theta + alpha + r)
+                - special.gammaln(theta + alpha) - special.gammaln(theta + r + s)
+            )
+
         for n in (1, 2, 100, 1000):
             trial = ClosedFormPrimitives(model, n)
-            cache = build_primitive_cache(model, n)
+            g11_sum = math.fsum(py_primitive_closed(alpha, theta, m, (1, 1)) for m in range(n))
             for _ in range(3):
                 gamma = float(rng.uniform(0.1, 5.0))
                 alloc = _random_allocation(rng, n, gamma)
                 counts = rng.permutation(alloc.counts)
-                got = _log_joint_counts(counts, n, gamma, model.stable_index, trial)
-                want = log_joint(alloc, model, gamma, cache=cache)
+                got = _log_joint_counts(counts, n, gamma, alpha, trial)
+                want = alloc.dishes * math.log(gamma) - gamma * g11_sum + math.fsum(
+                    log_rising_factorial(1.0 - alpha, s - 1) + log_gs1(n, s)
+                    for s in counts.tolist()
+                )
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0), (n, alloc.dishes)
+                assert log_joint(alloc, model, gamma, cache=trial) == got
 
     @pytest.mark.parametrize(
         "model",
@@ -349,51 +384,91 @@ def _row_trial_models():
 
 
 class TestNggRowTrialTerms:
-    """NGG/NIG row-n primitives against the full cache, and E[B_n] from
-    row n against criterion 7's sum and the block law."""
+    """NGG/NIG row-n primitives against the scalar primitives of the
+    weight table filled from the row, and E[B_n] from row n against
+    criterion 7's sum and the block law."""
 
     @staticmethod
-    def assert_reads_match(reads, cache, table, gfc, model, n, rng):
+    def assert_reads_match(reads, table, gfc, model, n, rng):
         # g_{n-1}(1,0), g_{n-1}(1,1), and log g_{n-s}(s,1) at every s, s = n
         # (g_0(n,1) = V_{n,1}) among them; E[B_n] = sum_{m<n} g_m(1,1),
         # criterion 7's identity for NGG/NIG
-        assert_same_primitives(reads, cache, rel=1e-12)
+        rel = 1e-12
+        if n > 1:
+            want = primitive(table, gfc, n - 1, 1, 0)
+            assert reads.g10_for(n) == pytest.approx(want, rel=rel, abs=0.0)
+            want = primitive(table, gfc, n - 1, 1, 1)
+            assert reads.g11_for(n) == pytest.approx(want, rel=rel, abs=0.0)
+        else:
+            assert reads.g11_for(1) == pytest.approx(1.0, rel=rel, abs=0.0)
         assert reads.expected_blocks == pytest.approx(
-            expected_blocks(model, n, table=table, gfc=gfc), rel=1e-12, abs=0.0
+            expected_blocks(model, n, table=table, gfc=gfc), rel=rel, abs=0.0
         )
-        with pytest.raises(ValueError, match="built for n"):
+        want_log = [log_primitive(table, gfc, n - s, s, 1) for s in range(1, n)]
+        want_log.append(table.log_weight(n, 1))
+        g11_sum, got_log = reads.log_joint_reads(n, np.arange(1, n + 1))
+        assert g11_sum == reads.expected_blocks
+        # the absolute term bounds the primitives' relative error where a
+        # log is near 0 (the series gives log V_{1,1} = -2e-61 at some
+        # corners)
+        np.testing.assert_allclose(got_log, want_log, rtol=rel, atol=rel)
+        with pytest.raises(ValueError, match="must lie in"):
             reads.g10_for(n + 1)
         gamma = float(rng.uniform(0.1, 5.0))
         alloc = _random_allocation(rng, n, gamma)
         got = _log_joint_counts(alloc.counts, n, gamma, model.stable_index, reads)
-        want = log_joint(alloc, model, gamma, cache=cache)
-        assert got == pytest.approx(want, rel=1e-12, abs=0.0), (n, alloc.dishes)
+        want = alloc.dishes * math.log(gamma) - gamma * reads.expected_blocks + math.fsum(
+            log_rising_factorial(1.0 - model.stable_index, s - 1) + want_log[s - 1]
+            for s in alloc.counts.tolist()
+        )
+        assert got == pytest.approx(want, rel=rel, abs=0.0), (n, alloc.dishes)
 
     @pytest.mark.parametrize(
         "model", list(_row_trial_models()), ids=lambda model: model.describe()
     )
-    def test_row_reads_match_full_cache(self, model):
+    def test_row_reads_match_table_primitives(self, model):
         rng = np.random.default_rng(23)
         alpha = model.stable_index
         exact = ngg_weights_smalln(alpha, model.beta, SMALLN_MAX)
         for n in (1, 2, 12, 100):
-            # Monte Carlo rows: the cache the accepted point would build
+            # Monte Carlo rows, against the table filled from them
             sampler = NggWeightSampler(alpha, n, 500, seed=n)
             reads = sampler.row_primitives(model.beta)
-            table = sampler.weight_table(reads.log_row, reads.rel_se)
-            cache = build_primitive_cache(model, n, table=table, gfc=sampler.gfc)
-            self.assert_reads_match(reads, cache, table, sampler.gfc, model, n, rng)
+            self.assert_reads_match(reads, reads.table, sampler.gfc, model, n, rng)
             if n <= SMALLN_MAX:
                 # the exact row of the series
                 reads = NggRowPrimitives(exact.log_row(n), sampler.gfc)
-                cache = build_primitive_cache(model, n, table=exact, gfc=sampler.gfc)
-                self.assert_reads_match(reads, cache, exact, sampler.gfc, model, n, rng)
+                self.assert_reads_match(reads, exact, sampler.gfc, model, n, rng)
+
+    @pytest.mark.parametrize(
+        "model", list(_row_trial_models()), ids=lambda model: model.describe()
+    )
+    def test_sequences_agree_with_depth_reads(self, model):
+        # one object's table sequences and its row-n reads: the sum of g11
+        # is E[B_n] and g10[n-1] is g10_for(n), each to 1e-12; log_gs1 is
+        # the table's log g_{n-s}(s,1); a shallower read is the sequence's
+        alpha = model.stable_index
+        for n in (2, 12, 100):
+            primitives = depth_primitives(replace(model, mc_config=McConfig(500, n)), n)
+            table, gfc = primitives.table, primitives.draws.gfc
+            assert primitives.g11.sum() == pytest.approx(
+                primitives.expected_blocks, rel=1e-12, abs=0.0
+            )
+            assert primitives.g10[n - 1] == pytest.approx(
+                primitives.g10_for(n), rel=1e-12, abs=0.0
+            )
+            want = [log_primitive(table, gfc, n - s, s, 1) for s in range(1, n)]
+            np.testing.assert_allclose(primitives.log_gs1[:-1], want, rtol=1e-12, atol=0.0)
+            for j in range(2, n):
+                assert primitives.g10_for(j) == primitives.g10[j - 1]
+                assert primitives.g11_for(j) == primitives.g11[j - 1]
+            assert alpha == primitives.alpha == table.alpha
 
     @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
     def test_sampler_gfc_block_slices(self, alpha):
-        # row reads slice the sampler's beta-free GFC block, and a primitive
-        # cache reads a table of depth n-1: each leading depth-m slice has
-        # the bits of the block of a table built at depth m
+        # row reads slice the sampler's beta-free GFC block, and the g10 and
+        # g11 sequences its depth-(n-1) corner: each leading depth-m slice
+        # has the bits of the block of a table built at depth m
         n = 30
         block = NggWeightSampler(alpha, n, 500, seed=3).gfc.log_block(n)
         assert not block.flags.writeable
@@ -494,8 +569,8 @@ class TestModelMoves:
         model = GibbsModel.ngg(0.5, 1.0)
         alloc = self.allocation(GibbsModel.py(0.5, 1.0), seed=5)
         state = make_state(model, alloc.matrix, seed=23, gamma=self.GAMMA, mc_samples=2000)
-        sampler = state.sampler
-        gfc = build_gfc_table(self.N - 1, 0.5)
+        sampler = state.cache.draws
+        gfc = build_gfc_table(self.N, 0.5)
 
         def log_density(x):
             beta = math.exp(x)
@@ -505,14 +580,14 @@ class TestModelMoves:
             return log_joint(alloc, trial, self.GAMMA, cache=cache) - beta + x
 
         draws = self.chain(state, "second", 0.0, draws=2400)
-        assert state.sampler is sampler  # the move never redraws
+        assert state.cache.draws is sampler  # the move never redraws
         assert self.ks(draws, log_density, -26.0, 4.0) > 0.001
 
     def test_ngg_discount_keeps_cache_coherent(self):
         model = GibbsModel.ngg(0.5, 1.0)
         alloc = self.allocation(GibbsModel.py(0.5, 1.0), seed=5)
         state = make_state(model, alloc.matrix, seed=24, gamma=self.GAMMA, mc_samples=2000)
-        seed = state.sampler.seed
+        seed = state.cache.draws.seed
         counts = alloc.counts
         x = 0.0
         for _ in range(5):
@@ -520,10 +595,11 @@ class TestModelMoves:
             alpha = state.model.alpha
             assert 0.0 < alpha < 1.0 and alpha == special.expit(x)
             # the draws follow alpha from the same seed
-            assert state.sampler.seed == seed
-            assert state.sampler.alpha == alpha and state.sampler.gfc.alpha == alpha
-            sampler, primitives = depth_primitives(state.model, state.n, state.sampler)
-            assert sampler is state.sampler
+            draws = state.cache.draws
+            assert draws.seed == seed
+            assert draws.alpha == alpha and draws.gfc.alpha == alpha
+            primitives = depth_primitives(state.model, state.n, state.cache)
+            assert primitives.draws is draws
             assert np.array_equal(state.cache.log_row, primitives.log_row)
             assert_same_primitives(state.cache, primitives)
 
@@ -578,12 +654,12 @@ class TestModelMoves:
         assert fills == caches == []
         assert state.model.alpha != 0.5  # the discount moved
         monkeypatch.undo()
-        sampler, primitives = depth_primitives(state.model, state.n, state.sampler)
-        assert sampler is state.sampler
+        primitives = depth_primitives(state.model, state.n, state.cache)
+        assert primitives.draws is state.cache.draws
         assert_same_primitives(state.cache, primitives)
         table = state.table
         assert table is not start_table and state.table is table  # filled once
-        direct = weight_table_from_sampler(state.sampler, state.model.beta)
+        direct = weight_table_from_sampler(state.cache.draws, state.model.beta)
         assert np.array_equal(table._log, direct._log)
         assert np.array_equal(table._rel_se, direct._rel_se)
 
@@ -651,7 +727,7 @@ class TestClosedFormMoves:
         ],
         ids=["DP-theta", "PY-theta", "PY-discount"],
     )
-    def test_accepted_cache_is_a_full_rebuild(self, model, move, monkeypatch):
+    def test_accepted_cache_is_the_closed_forms(self, model, move, monkeypatch):
         alloc = simulate_ibp(model, 1.3, 10, seed=3)
         state = make_state(model, alloc.matrix, seed=31, gamma=1.3)
         builds = []
@@ -671,8 +747,8 @@ class TestClosedFormMoves:
             assert not builds
             assert state.table is None
             assert isinstance(state.cache, ClosedFormPrimitives)
-            # the accepted primitives have the bits of a full rebuild
-            assert_same_primitives(state.cache, build(state.model, state.n))
+            # the accepted primitives are the closed forms at the model
+            assert_closed_form_reads(state.cache, state.model, state.n)
         assert state.model != start
 
 
@@ -957,30 +1033,24 @@ class TestBlocksAgainstReference:
         assert np.array_equal(fast.z, ref.z) and np.array_equal(fast.z, z)
 
     def test_z_block_exact_at_certain_take(self):
-        # a hand-built DP cache with g_2(1, 0) = 1/2: a dish the two other
-        # rows take has prior take probability (2 - 0) / 2 = 1, whatever
-        # the likelihood says
-        from gibbsibp.gibbs_weights import PrimitiveCache
-
+        # hand-set DP primitives with g_2(1, 0) = 1/2, the one read the Z
+        # block makes: a dish the two other rows take has prior take
+        # probability (2 - 0) / 2 = 1, whatever the likelihood says
         model = GibbsModel.dp(1.0)
         z = np.array([[0, 0], [1, 1], [1, 1]], dtype=np.uint8)
         y = np.random.default_rng(13).standard_normal((3, 5)) * 50.0
         fast, ref = self.twin_states(z, 4, model=model)
         for state in (fast, ref):
-            state.cache = PrimitiveCache(
-                model, 3, [math.nan, 0.5, 0.5], [1.0, 0.5, 1.0 / 3.0], [-1.0, -2.0, -3.0]
-            )
+            state.cache = SimpleNamespace(g10_for=lambda j: 0.5)
         assert (2 - model.stable_index) * fast.cache.g10_for(3) == 1.0
         self.run_both(inference._resample_z, reference_resample_z, fast, ref, y)
         assert np.array_equal(fast.z, ref.z)
         assert fast.z.all()
 
     def test_z_block_keeps_corrupt_prior_error(self):
-        from gibbsibp.gibbs_weights import PrimitiveCache
-
         model = GibbsModel.dp(1.0)
         fast, _ = self.twin_states(np.ones((3, 2), dtype=np.uint8), 5, model=model)
-        fast.cache = PrimitiveCache(model, 3, [math.nan, 0.5, 0.75], [1.0] * 3, [0.0] * 3)
+        fast.cache = SimpleNamespace(g10_for=lambda j: 0.75)  # (2 - 0) 0.75 > 1
         with pytest.raises(ValueError, match="dish-take prior"):
             inference._resample_z(fast, np.zeros((3, 5)))
 
@@ -1135,13 +1205,12 @@ class TestSweepAndChain:
         ids=["dp", "py"],
     )
     def test_hyper_moves_keep_cache_coherent(self, model, moves, monkeypatch):
-        # sweeps build no cache, and the state's primitives have the bits of
-        # a full rebuild at the model they reached
+        # sweeps build no cache, and the state's primitives are the closed
+        # forms at the model they reached
         rng = np.random.default_rng(5)
         y = rng.standard_normal((10, 2))
         config = ChainConfig(iterations=0, seed=1, **moves)
         state = initial_state(model, y, config)
-        build = inference.build_primitive_cache
 
         def refuse(*args, **kwargs):
             raise AssertionError("a sweep built a primitive cache")
@@ -1151,7 +1220,7 @@ class TestSweepAndChain:
         for _ in range(10):
             gibbs_sweep(state, y, config)
         assert state.model != model
-        assert_same_primitives(state.cache, build(state.model, state.n))
+        assert_closed_form_reads(state.cache, state.model, state.n)
 
     @pytest.mark.parametrize(
         "model, moves",
@@ -1192,13 +1261,36 @@ class TestSweepAndChain:
             archive.manifest["weight_table_hash"]
         )
 
+    def test_ngg_state_table_is_its_primitives_table(self):
+        # what a benchmark of NGG fits reads after every sweep: the state's
+        # table is its primitives' own, filled once from their frozen draws
+        # (mc_samples of them), its row n is their row normalised to
+        # V_{1,1} = 1, and the log joint under the primitives is finite
+        y = np.random.default_rng(8).standard_normal((12, 2))
+        config = ChainConfig(seed=4, mc_samples=2000, update_alpha=True, update_theta=True)
+        model = GibbsModel.ngg(0.5, 1.0)
+        state = initial_state(model, y, config)
+        for _ in range(3):
+            gibbs_sweep(state, y, config)
+        assert state.model.alpha != 0.5 and state.model.beta != 1.0  # both moved
+        table = state.table
+        assert table is state.cache.table and state.table is table
+        assert table.provenance.samples == config.mc_samples
+        n = state.n
+        shift = table.log_row(n) - state.cache.log_row
+        np.testing.assert_allclose(shift, shift[0], rtol=0.0, atol=1e-12)
+        law = np.exp(table.log_row(n) + state.cache.draws.gfc.log_row(n))
+        np.testing.assert_allclose(law, state.cache.block_law, rtol=1e-12, atol=1e-15)
+        log_p = log_joint(state.allocation, state.model, state.gamma, cache=state.cache)
+        assert math.isfinite(log_p)
+
     def test_one_draw_set_alive_at_a_time(self, monkeypatch):
         # every discount trial makes new frozen draws only once the draws
         # they replace are gone, the state's own included
         y = np.random.default_rng(6).standard_normal((12, 2))
         config = ChainConfig(seed=5, mc_samples=2000, update_alpha=True, update_theta=True)
         state = initial_state(GibbsModel.ngg(0.5, 1.0), y, config)
-        built = [weakref.ref(state.sampler)]
+        built = [weakref.ref(state.cache.draws)]
         sampler_class = gibbs_weights.NggWeightSampler
 
         def watched(alpha, n, samples, seed):
@@ -1218,7 +1310,7 @@ class TestSweepAndChain:
         y = np.random.default_rng(7).standard_normal((30, 2))
         config = ChainConfig(seed=3, mc_samples=10_000, update_theta=True)
         state = initial_state(GibbsModel.ngg(0.5, 1.0), y, config)
-        sampler = state.sampler
+        sampler = state.cache.draws
         built = []
         sampler_class = gibbs_weights.NggWeightSampler
 
@@ -1231,7 +1323,7 @@ class TestSweepAndChain:
         for _ in range(5):
             gibbs_sweep(state, y, config)
             assert state.model.mc_config == McConfig(config.mc_samples, config.seed)
-            assert state.sampler is sampler
+            assert state.cache.draws is sampler
             betas.add(state.model.beta)
         assert built == []
         assert len(betas) > 1  # the move ran
@@ -1276,7 +1368,7 @@ class TestSweepAndChain:
         y = np.random.default_rng(6).standard_normal((12, 2))
         config = ChainConfig(seed=5, mc_samples=2000)
         state = initial_state(GibbsModel.ngg(0.5, 1.0), y, config)
-        assert state.sampler.samples == 2000
+        assert state.cache.draws.samples == 2000
         assert state.table.provenance.samples == 2000
         assert state.z.shape[0] == 12 and state.w.shape == state.z.shape
 

@@ -12,6 +12,7 @@ included), 3 numeric failure.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -306,7 +307,8 @@ def run_primitives(config):
         writer = csv.writer(fh)
         writer.writerow(["n", "g10", "g11", "gs1"])
         for m in range(1, n + 1):
-            writer.writerow([m, float(wide.g10[m]), float(wide.g11[m]), deep.gs1_for(m)])
+            gs1 = math.exp(deep.log_gs1[m - 1])
+            writer.writerow([m, float(wide.g10[m]), float(wide.g11[m]), gs1])
     _finish(outdir, config, ["primitives.csv"], extra={"model": model.to_payload()})
 
 
@@ -443,6 +445,14 @@ def _add_common(sub):
                      help="weight-table cache directory (or set GIBBSIBP_CACHE_DIR)")
 
 
+def _add_prior_flags(sub):
+    sub.add_argument("--lambda1", type=float, help="gamma prior shape")
+    sub.add_argument("--lambda2", type=float, help="gamma prior rate")
+    sub.add_argument("--sigma-y", dest="sigma_y", type=float, help="noise scale (fit: initial)")
+    sub.add_argument("--sigma-w", dest="sigma_w", type=float, help="weight scale (fit: initial)")
+    sub.add_argument("--sigma-a", dest="sigma_a", type=float, help="loading scale (fit: initial)")
+
+
 def _add_model_flags(sub):
     sub.add_argument("--model", choices=MODEL_CHOICES, help="model variant")
     sub.add_argument("--alpha", type=float, help="discount in (0,1)")
@@ -497,11 +507,7 @@ def build_parser():
     p.add_argument("--iterations", type=int, help="total sweeps (default 1000)")
     p.add_argument("--burn-in", dest="burn_in", type=int, help="discarded sweeps")
     p.add_argument("--thin", type=int, help="keep every thin-th sweep")
-    p.add_argument("--lambda1", type=float, help="gamma prior shape")
-    p.add_argument("--lambda2", type=float, help="gamma prior rate")
-    p.add_argument("--sigma-y", dest="sigma_y", type=float, help="initial noise scale")
-    p.add_argument("--sigma-w", dest="sigma_w", type=float, help="initial weight scale")
-    p.add_argument("--sigma-a", dest="sigma_a", type=float, help="initial loading scale")
+    _add_prior_flags(p)
     p.add_argument("--fix-gamma", dest="fix_gamma", action="store_true",
                    help="hold gamma at its initial value")
     p.add_argument("--update-scales", dest="update_scales", action="store_true",
@@ -518,11 +524,7 @@ def build_parser():
     p.add_argument("--n", type=int, help="rows in the synthetic data")
     p.add_argument("--p", type=int, help="columns in the synthetic data")
     p.add_argument("--rounds", type=int, help="rounds per side (default 10000)")
-    p.add_argument("--lambda1", type=float, help="gamma prior shape")
-    p.add_argument("--lambda2", type=float, help="gamma prior rate")
-    p.add_argument("--sigma-y", dest="sigma_y", type=float, help="noise scale")
-    p.add_argument("--sigma-w", dest="sigma_w", type=float, help="weight scale")
-    p.add_argument("--sigma-a", dest="sigma_a", type=float, help="loading scale")
+    _add_prior_flags(p)
     _add_common(p)
 
     return parser, registry

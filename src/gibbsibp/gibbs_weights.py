@@ -32,6 +32,7 @@ SMALLN_MAX = 12
 MIN_MC_SAMPLES = 10_000
 TABLE_FORMAT_VERSION = 1
 BLOCK_LAW_TOL = 1e-8
+ALPHA_TOL = 1e-12  # largest gap between two alphas taken as one discount
 # calibrate refuses an NGG/NIG root whose block law has a mean relative
 # standard error sum_k P(B_n = k) rel_se_{n,k} this large
 CALIBRATE_MC_ERROR_MAX = 0.5
@@ -66,7 +67,8 @@ class GibbsModel:
     Variants: DP(theta > 0); PY(alpha in (0,1), theta > -alpha);
     NGG(alpha in (0,1), beta > 0); NIG(beta > 0), which behaves identically
     to NGG(1/2, beta) in every operation. mc_config only matters for the
-    Monte Carlo variants.
+    Monte Carlo variants; a chain (inference.initial_state) replaces it with
+    McConfig(config.mc_samples, config.seed).
     """
 
     variant: str
@@ -556,7 +558,7 @@ def _check_primitive_tables(table, gfc, depth, gfc_depth):
         raise ValueError(f"weight table depth {table.n_max} cannot serve row {depth}")
     if gfc_depth > gfc.n_max:
         raise ValueError(f"GFC table depth {gfc.n_max} cannot serve row {gfc_depth}")
-    if abs(gfc.alpha - table.alpha) > 1e-12:
+    if abs(gfc.alpha - table.alpha) > ALPHA_TOL:
         raise ValueError("weight and GFC tables disagree on alpha")
 
 
@@ -629,11 +631,13 @@ def py_primitive_closed(alpha, theta, n, which):
 
 
 class _DepthPrimitives:
-    """A model's primitives g_m(z1, z2) for a dataset of size n.
+    """A model's primitives g_m(z1, z2) for a dataset of size n, with its
+    discount alpha.
 
     A sweep reads depth n only, each read no dearer than the object:
-    g10_for(n) = g_{n-1}(1,0), g11_for(n) = g_{n-1}(1,1), expected_blocks
-    = E[B_n] = sum_{m<n} g_m(1,1) and log_joint_reads(n, sizes).  The whole
+    g10_n = g_{n-1}(1,0) (nan at n = 1), g11_n = g_{n-1}(1,1),
+    expected_blocks = E[B_n] = sum_{m<n} g_m(1,1) and log_gs1_at(sizes) =
+    log g_{n-s}(s,1) at an int array of sizes s in [1, n].  The whole
     sequences, which the buffet, the CLI and run manifests read, are built
     on first use: g10[j-1] = g_{j-1}(1,0) for j = 2..n (entry 0 is nan: an
     empty buffet has no occupied dishes, so g_0(1,0) is never consumed);
@@ -645,41 +649,7 @@ class _DepthPrimitives:
 
     @cached_property
     def log_gs1(self):
-        return _frozen(self._log_gs1_at(np.arange(1, self.n + 1)))
-
-    @property
-    def gs1(self):
-        return np.exp(self.log_gs1)
-
-    def _check_index(self, name, value, low):
-        if not low <= value <= self.n:
-            raise ValueError(f"{name} must lie in [{low}, {self.n}], got {value}")
-
-    def g10_for(self, j):
-        """g_{j-1}(1,0) for 2 <= j <= n."""
-        self._check_index("j", j, 2)
-        return self._g10 if j == self.n else float(self.g10[j - 1])
-
-    def g11_for(self, j):
-        """g_{j-1}(1,1) for 1 <= j <= n."""
-        self._check_index("j", j, 1)
-        return self._g11 if j == self.n else float(self.g11[j - 1])
-
-    def gs1_for(self, s):
-        """g_{n-s}(s,1) for 1 <= s <= n."""
-        return math.exp(self.log_gs1_for(s))
-
-    def log_gs1_for(self, s):
-        """log g_{n-s}(s,1) for 1 <= s <= n."""
-        self._check_index("s", s, 1)
-        return float(self.log_gs1[s - 1])
-
-    def log_joint_reads(self, n, sizes):
-        """E[B_n], and log g_{n-s}(s,1) at each s of `sizes` (an int array
-        in [1, n])."""
-        if n != self.n:
-            raise ValueError(f"primitives were built for n = {self.n}, got {n}")
-        return self.expected_blocks, self._log_gs1_at(sizes)
+        return _frozen(self.log_gs1_at(np.arange(1, self.n + 1)))
 
 
 def _frozen(array):
@@ -705,8 +675,8 @@ class ClosedFormPrimitives(_DepthPrimitives):
             np.exp(log_g11 - special.gammaln(theta + m + 1.0) - self._log_bottom)
         )
         self.expected_blocks = float(self.g11.sum())
-        self._g10 = 1.0 / (theta + (n - 1)) if n > 1 else math.nan
-        self._g11 = float(self.g11[-1])
+        self.g10_n = 1.0 / (theta + (n - 1)) if n > 1 else math.nan
+        self.g11_n = float(self.g11[-1])
 
     @cached_property
     def g10(self):
@@ -714,7 +684,7 @@ class ClosedFormPrimitives(_DepthPrimitives):
             np.concatenate([[math.nan], 1.0 / (self._theta + np.arange(1, self.n))])
         )
 
-    def _log_gs1_at(self, sizes):
+    def log_gs1_at(self, sizes):
         r = self.n - sizes
         log_gs1 = self._log_top + special.gammaln(self._theta + self.alpha + r)
         return log_gs1 - self._log_bottom - special.gammaln(self._theta + r + sizes)
@@ -762,11 +732,11 @@ class NggRowPrimitives(_DepthPrimitives):
         total = mass.sum()
         self.block_law = mass / total
         self._log_v = shifted - (top + math.log(total))  # V_{1,1} = 1
-        self.expected_blocks = float(np.dot(np.arange(1, n + 1), mass)) / total
-        self._g11 = float(np.exp(self._log_gs1_at(np.array([1]))[0]))
+        self.expected_blocks = float(np.dot(np.arange(1, n + 1), mass) / total)
+        self.g11_n = float(np.exp(self.log_gs1_at(np.array([1]))[0]))
         # g_{n-1}(1,0) = sum_{k<n} V_{n,k} alpha^{-k} C(n-1, k; alpha)
         terms = self._log_v[:-1] + self._log_c[max(n - 2, 0), :n - 1]
-        self._g10 = float(np.exp(_log_sum_exp_rows(terms[None])[0])) if n > 1 else math.nan
+        self.g10_n = float(np.exp(_log_sum_exp_rows(terms[None])[0])) if n > 1 else math.nan
 
     @cached_property
     def table(self):
@@ -793,20 +763,16 @@ class NggRowPrimitives(_DepthPrimitives):
         terms = v[2:n + 1, 1 + z2:n + z2] + self._log_c[:n - 1, :n - 1]
         return _frozen(np.concatenate([[head], np.exp(_log_sum_exp_rows(terms))]))
 
-    def _log_gs1_at(self, sizes):
-        return _log_gs1(self._log_v, self._log_c, sizes)
-
-
-def _log_gs1(log_v, log_c, sizes):
-    # log g_{n-s}(s,1) = log sum_k V_{n,k+1} alpha^{-k} C(n-s, k; alpha) at
-    # each s of `sizes` (an int array in [1, n]), from row n of the weights
-    # (log_v[k-1] = log V_{n,k}, k = 1..n) and a GFC block log_c of depth
-    # n-1 or deeper (GfcTable.log_block); g_0(n,1) = V_{n,1}
-    n = len(log_v)
-    log_gs1 = np.full(len(sizes), log_v[0])
-    inner = sizes < n
-    log_gs1[inner] = _log_sum_exp_rows(log_v[1:] + log_c[n - 1 - sizes[inner], :n - 1])
-    return log_gs1
+    def log_gs1_at(self, sizes):
+        # log g_{n-s}(s,1) = log sum_k V_{n,k+1} alpha^{-k} C(n-s, k; alpha)
+        # from row n of the weights; g_0(n,1) = V_{n,1}
+        n, log_v = self.n, self._log_v
+        log_gs1 = np.full(len(sizes), log_v[0])
+        inner = sizes < n
+        log_gs1[inner] = _log_sum_exp_rows(
+            log_v[1:] + self._log_c[n - 1 - sizes[inner], :n - 1]
+        )
+        return log_gs1
 
 
 def build_primitive_cache(model, n, table=None, gfc=None):
@@ -846,13 +812,14 @@ def persistence_probability(cache, n, s):
     fixed dish is taken by all of the first s of n customers and no other
     dish is ever taken.
 
-    The diagonal case is g(n, n) = (1 - alpha)_{n-1} V_{n,1}.
+    cache is the model's depth-n primitives, which supply alpha and
+    log_gs1[s-1]; the diagonal case is g(n, n) = (1 - alpha)_{n-1} V_{n,1}.
     """
     if n != cache.n:
         raise ValueError(f"cache was built for n = {cache.n}, got n = {n}")
     if not 1 <= s <= n:
         raise ValueError(f"s must lie in [1, {n}], got {s}")
-    return math.exp(log_rising_factorial(1.0 - cache.alpha, s - 1) + cache.log_gs1_for(s))
+    return math.exp(log_rising_factorial(1.0 - cache.alpha, s - 1) + cache.log_gs1[s - 1])
 
 
 def block_count_distribution(model, n, table=None, gfc=None):

@@ -11,9 +11,10 @@ import csv
 import math
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
-from .gibbs_weights import build_primitive_cache
+from .gibbs_weights import ALPHA_TOL, build_primitive_cache
+from .special_functions import tilted_stable_integral
 
 
 class FeatureAllocation:
@@ -71,6 +72,15 @@ class FeatureAllocation:
         return cls(matrix, gamma)
 
 
+def _primitives(model, n, cache):
+    # `cache`, refused unless it carries the model's alpha; else built at depth n
+    if cache is None:
+        return build_primitive_cache(model, n)
+    if abs(cache.alpha - model.stable_index) > ALPHA_TOL:
+        raise ValueError(f"cache alpha {cache.alpha} is not the model's {model.stable_index}")
+    return cache
+
+
 def simulate_ibp(model, gamma, n, seed, cache=None):
     """Simulate n customers of the buffet process.
 
@@ -79,9 +89,10 @@ def simulate_ibp(model, gamma, n, seed, cache=None):
         gamma: mass parameter, >= 0.
         n: number of customers, >= 1.
         seed: RNG seed.
-        cache: optional primitives of depth >= n (build_primitive_cache,
-            or a chain state's cache); the buffet reads their g10 and g11
-            sequences.
+        cache: optional primitives of the model at depth >= n
+            (build_primitive_cache, or a chain state's cache); the buffet
+            reads their alpha and their g10 and g11 sequences.  A cache
+            whose alpha is not the model's is refused.
 
     Returns:
         FeatureAllocation with dishes in order of appearance (ties within a
@@ -91,19 +102,17 @@ def simulate_ibp(model, gamma, n, seed, cache=None):
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if cache is None:
-        cache = build_primitive_cache(model, n)
+    cache = _primitives(model, n, cache)
     if cache.n < n:
         raise ValueError(f"cache depth {cache.n} cannot serve n = {n}")
-    z, _ = _lockstep_buffet(
-        np.array([float(gamma)]), n, model.stable_index, cache, np.random.default_rng(seed)
-    )
+    z, _ = _lockstep_buffet(np.array([float(gamma)]), n, cache, np.random.default_rng(seed))
     return FeatureAllocation(z[0], gamma)
 
 
-def _lockstep_buffet(gammas, n, alpha, cache, rng):
+def _lockstep_buffet(gammas, n, cache, rng):
     """Run one buffet of n customers per entry of gammas (its mass), all
-    replicates a customer at a time.
+    replicates a customer at a time, under the primitives `cache` (depth
+    >= n), whose alpha and g10 and g11 sequences it reads.
 
     Replicate r's dishes fill the first dishes[r] slots of its row in order
     of appearance. An empty slot holds the count alpha, so its probability
@@ -117,6 +126,7 @@ def _lockstep_buffet(gammas, n, alpha, cache, rng):
         (z, dishes): uint8 array (replicates, n, max dishes) with zero
         columns past each replicate's dishes, and the int array of dishes.
     """
+    alpha = cache.alpha
     reps = gammas.size
     counts = np.full((reps, 16), float(alpha))
     slot = np.arange(16)
@@ -165,22 +175,16 @@ def _lockstep_buffet(gammas, n, alpha, cache, rng):
 def sample_feature_counts(model, gamma, n, replicates, seed, cache=None):
     """Dish totals K_n from `replicates` independent buffet runs.
 
-    The dish-taking draws cannot change K_n, so each run reduces to its
-    per-customer new-dish Poisson counts; those are drawn in lockstep across
-    replicates.
+    K_n is a sum of independent Poisson(gamma g_{j-1}(1,1)) new-dish
+    counts, j = 1..n, and the dish-taking draws cannot change it, so it is
+    exactly Poisson(E[K_n]) (expected_features, which reads `cache` as
+    simulate_ibp does): one draw per replicate.
 
     Returns:
         int array of shape (replicates,).
     """
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    if cache is None:
-        cache = build_primitive_cache(model, n)
-    if cache.n < n:
-        raise ValueError(f"cache depth {cache.n} cannot serve n = {n}")
-    rng = np.random.default_rng(seed)
-    means = gamma * cache.g11[:n]
-    return rng.poisson(np.broadcast_to(means, (replicates, n))).sum(axis=1)
+    mean = expected_features(model, gamma, n, cache=cache)
+    return np.random.default_rng(seed).poisson(mean, size=replicates)
 
 
 def log_joint(allocation, model, gamma, cache=None):
@@ -196,27 +200,30 @@ def log_joint(allocation, model, gamma, cache=None):
         allocation: FeatureAllocation.
         model: GibbsModel.
         gamma: mass parameter, >= 0.
-        cache: optional primitives at depth n = allocation.n
-            (build_primitive_cache, or a chain state's cache), read at
-            depth n only.
+        cache: optional primitives of the model at depth n = allocation.n
+            (build_primitive_cache, or a chain state's cache), which supply
+            alpha and the depth-n reads.  A cache whose alpha is not the
+            model's is refused.
+
+    Returns a float.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     n = allocation.n
     if n < 1:
         raise ValueError("allocation must contain at least one customer")
-    if cache is None:
-        cache = build_primitive_cache(model, n)
+    cache = _primitives(model, n, cache)
     if cache.n != n:
         raise ValueError(f"cache was built for n = {cache.n}, need n = {n}")
-    return _log_joint_counts(allocation.counts, n, gamma, model.stable_index, cache)
+    return _log_joint_counts(allocation.counts, gamma, cache)
 
 
-def _log_joint_counts(counts, n, gamma, alpha, primitives):
-    # log_joint from the dish counts S_{n,k} alone, without argument checks.
-    # Dishes of one size add the same term, so the sum runs over the
-    # histogram of sizes: permutation invariance is exact, and the depth-n
-    # primitives (log_joint's cache) are read at the sizes that occur only.
+def _log_joint_counts(counts, gamma, primitives):
+    # log_joint from the dish counts S_{n,k} alone, without argument checks;
+    # alpha and every g come from the depth-n primitives.  Dishes of one size
+    # add the same term, so the sum runs over the histogram of sizes:
+    # permutation invariance is exact, and log g_{n-s}(s,1) is read at the
+    # sizes that occur only.
     k_n = len(counts)
     if k_n == 0:
         base = 0.0
@@ -227,10 +234,11 @@ def _log_joint_counts(counts, n, gamma, alpha, primitives):
     histogram = np.bincount(np.asarray(counts, dtype=np.int64))
     sizes = histogram.nonzero()[0]
     multiplicity = histogram[sizes]
-    g11_sum, log_gs1 = primitives.log_joint_reads(n, sizes)
+    alpha = primitives.alpha
     # log (1 - alpha)_{s-1}, exactly 0 at s = 1
     log_rising = special.gammaln((1.0 - alpha) + (sizes - 1)) - special.gammaln(1.0 - alpha)
-    return base - gamma * g11_sum + float(multiplicity @ (log_rising + log_gs1))
+    log_terms = log_rising + primitives.log_gs1_at(sizes)
+    return base - gamma * primitives.expected_blocks + float(multiplicity @ log_terms)
 
 
 def log_transition(counts, takes, fresh, gamma, alpha, g10, g11):
@@ -285,11 +293,12 @@ def feature_statistics(allocation):
 
 
 def expected_features(model, gamma, n, cache=None):
-    """E[K_n] = gamma sum_{j=1..n} g_{j-1}(1,1)."""
+    """E[K_n] = gamma sum_{j=1..n} g_{j-1}(1,1), read from `cache` (the
+    model's primitives at depth >= n; a cache whose alpha is not the
+    model's is refused) or from primitives built at depth n."""
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    if cache is None:
-        cache = build_primitive_cache(model, n)
+    cache = _primitives(model, n, cache)
     if cache.n < n:
         raise ValueError(f"cache depth {cache.n} cannot serve n = {n}")
     return gamma * float(cache.g11[:n].sum())
@@ -305,10 +314,9 @@ def powerlaw_constant(model):
     e^{-st} ds and the stable Laplace transform:
 
         C = e^{beta^alpha} / Gamma(alpha) int_0^inf s^{alpha-1}
-            exp(-(beta+s)^alpha) ds,
+            exp(-(beta+s)^alpha) ds = M(alpha, beta) / Gamma(alpha),
 
-    and s = t^{1/alpha} turns the integrand into exp(beta^alpha -
-    (beta + t^{1/alpha})^alpha) / alpha, smooth and bounded at t = 0.
+    with M evaluated by special_functions.tilted_stable_integral.
     DP dish counts grow logarithmically, so no such constant exists and the
     result is None.
     """
@@ -326,17 +334,8 @@ def powerlaw_constant(model):
         root = math.sqrt(beta)
         # k1e(x) = e^x K_1(x), stable for large beta
         return 2.0 / math.sqrt(math.pi) * root * float(special.k1e(root))
-
-    scale, log_beta = beta ** alpha, math.log(beta)
-
-    def integrand(t):
-        # beta^alpha - (beta + s)^alpha = -beta^alpha expm1(alpha log(1 + s/beta)),
-        # free of cancellation at s << beta; the log stays finite where s overflows
-        growth = alpha * float(np.logaddexp(0.0, math.log(t) / alpha - log_beta)) if t else 0.0
-        return math.exp(-scale * math.expm1(min(growth, 700.0)))
-
-    value, _ = integrate.quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-12, limit=200)
-    return value / math.gamma(alpha + 1.0)
+    # tilted_stable_integral is alpha M(alpha, beta)
+    return tilted_stable_integral(alpha, beta) / math.gamma(alpha + 1.0)
 
 
 def export_allocation_csv(allocation, path):

@@ -253,7 +253,7 @@ def _resample_z(state, y):
     if n < 2 or k_dishes == 0:
         return
     alpha = state.model.stable_index
-    g10 = state.cache.g10_for(n)
+    g10 = state.cache.g10_n
     a = state.a
     gram = (a @ a.T).tolist()
     gram_diag = [gram[k][k] for k in range(k_dishes)]
@@ -329,7 +329,7 @@ def _singleton_move(state, y):
     per-row form used.
     """
     n = state.n
-    rate = state.gamma * state.cache.g11_for(n)
+    rate = state.gamma * state.cache.g11_n
     inv_two_var = 1.0 / (2.0 * state.sigma_y ** 2)
     p = state.p
     rng = state.rng
@@ -471,9 +471,7 @@ def _slice_model_move(state, counts, move, start):
                 # trial at the state's model draws them again
                 state.cache = None
             last = (trial_model, depth_primitives(trial_model, state.n, state.cache))
-        log_p = _log_joint_counts(
-            counts, state.n, state.gamma, trial_model.stable_index, last[1]
-        )
+        log_p = _log_joint_counts(counts, state.gamma, last[1])
         return log_p + terms[0] + terms[1]
 
     if move == "discount":
@@ -565,9 +563,7 @@ def initial_state(model, y, config, z_init=None):
 
 
 def _record(state, y, iteration):
-    lj = _log_joint_counts(
-        state.z.sum(axis=0), state.n, state.gamma, state.model.stable_index, state.cache
-    )
+    lj = _log_joint_counts(state.z.sum(axis=0), state.gamma, state.cache)
     ll = log_likelihood(y, state.z, state.w, state.a, state.sigma_y)
     row = {
         "iteration": iteration,
@@ -732,7 +728,7 @@ def _marginal_statistics(model, n, p, config, rounds, rng, cache):
             sigma_y = np.full(reps, config.sigma_y)
             sigma_w = np.full(reps, config.sigma_w)
             sigma_a = np.broadcast_to(np.asarray(config.sigma_a, dtype=float), (reps, p))
-        z, dishes = _lockstep_buffet(gamma, n, model.stable_index, cache, rng)
+        z, dishes = _lockstep_buffet(gamma, n, cache, rng)
         live = np.arange(z.shape[2]) < dishes[:, None]
         wz = rng.standard_normal(z.shape) * sigma_w[:, None, None] * z
         a = rng.standard_normal((reps, z.shape[2], p)) * sigma_a[:, None, :] * live[:, :, None]

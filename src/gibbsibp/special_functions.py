@@ -1,5 +1,5 @@
 """Log-space special functions: rising factorials, generalized factorial
-coefficients and positive stable densities."""
+coefficients, positive stable densities and the tilted stable integral."""
 
 import math
 
@@ -194,3 +194,21 @@ def positive_stable_density(alpha, t):
         value = integrate.quad(integrand, lo, np.inf, limit=200)[0]
     return alpha / (1.0 - alpha) / math.pi * value
 
+
+def tilted_stable_integral(alpha, s):
+    """alpha M(alpha, s) for alpha in (0, 1) and s > 0, where M(alpha, s) =
+    int_0^inf r^{alpha-1} exp(s^alpha - (s + r)^alpha) dr = Gamma(alpha)
+    int_0^inf t^{-alpha} e^{s^alpha - s t} f_alpha(t) dt.  The substitution
+    r = t^{1/alpha} leaves one adaptive quadrature of a smooth integrand
+    bounded by 1: int_0^inf exp(s^alpha - (s + t^{1/alpha})^alpha) dt.
+    """
+    scale, log_s = s ** alpha, math.log(s)
+
+    def integrand(t):
+        # s^alpha - (s + r)^alpha = -s^alpha expm1(alpha log(1 + r/s)), free
+        # of cancellation at r << s; the log stays finite where r overflows
+        growth = alpha * float(np.logaddexp(0.0, math.log(t) / alpha - log_s)) if t else 0.0
+        return math.exp(-scale * math.expm1(min(growth, 700.0)))
+
+    value, _ = integrate.quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-12, limit=200)
+    return value

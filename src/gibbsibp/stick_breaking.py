@@ -12,10 +12,10 @@ import itertools
 import math
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .ibp import FeatureAllocation
-from .special_functions import positive_stable_density
+from .special_functions import tilted_stable_integral
 
 DEFAULT_RESIDUAL_MASS = 1e-3
 
@@ -183,9 +183,12 @@ def sample_truncated_feature_counts(model, gamma, n, rounds, replicates, seed):
 def structural_density(model, p):
     """Density of the limiting frequency of the first dish, at p.
 
-    DP/PY evaluate the beta(1-alpha, theta+alpha) density; NGG/NIG the
-    quadrature [alpha/Gamma(1-alpha)] p^{-alpha}
-    int t^{-alpha} e^{beta^alpha - beta t} f_alpha(t(1-p)) dt.
+    DP/PY evaluate the beta(1-alpha, theta+alpha) density.  NGG/NIG's
+    [alpha/Gamma(1-alpha)] p^{-alpha} int t^{-alpha} e^{beta^alpha - beta t}
+    f_alpha(t(1-p)) dt is, with s = beta/(1-p), alpha p^{-alpha}
+    (1-p)^{alpha-1} e^{beta^alpha - s^alpha} M(alpha, s) / (Gamma(1-alpha)
+    Gamma(alpha)): the integral M of powerlaw_constant, at s for beta
+    (special_functions.tilted_stable_integral).
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
@@ -201,17 +204,14 @@ def structural_density(model, p):
             np.exp(log_norm + (-alpha) * math.log(p) + (theta + alpha - 1.0) * math.log1p(-p))
         )
     beta = model.beta
-
-    def integrand(t):
-        return (
-            t ** -alpha
-            * math.exp(beta ** alpha - beta * t)
-            * positive_stable_density(alpha, t * (1.0 - p))
-        )
-
-    head, _ = integrate.quad(integrand, 0.0, 1.0 / (1.0 - p))
-    tail, _ = integrate.quad(integrand, 1.0 / (1.0 - p), np.inf)
-    return alpha / math.gamma(1.0 - alpha) * p ** -alpha * (head + tail)
+    s = beta / (1.0 - p)
+    # Gamma(1-alpha) Gamma(alpha) = pi / sin(pi alpha)
+    return (
+        math.sin(math.pi * alpha) / math.pi
+        * p ** -alpha * (1.0 - p) ** (alpha - 1.0)
+        * math.exp(beta ** alpha - s ** alpha)
+        * tilted_stable_integral(alpha, s)
+    )
 
 
 def superposition_intensity(model, depth, p):

@@ -297,9 +297,8 @@ def test_criterion_10_joint_increments_are_transition_logprobs():
             counts = alloc.matrix[: j - 1, :k_prev].sum(axis=0)
             takes = alloc.matrix[j - 1, :k_prev].astype(bool)
             fresh = int(trajectory[j - 1]) - k_prev
-            g10 = caches[j].g10_for(j) if j > 1 else math.nan
             step = log_transition(
-                counts, takes, fresh, gamma, alpha, g10, caches[j].g11_for(j)
+                counts, takes, fresh, gamma, alpha, caches[j].g10_n, caches[j].g11_n
             )
             worst = max(worst, abs(current - previous - step))
             previous = current

@@ -342,7 +342,7 @@ class TestBuildPrimitiveCache:
     def test_g11_starts_at_one(self):
         for model in (GibbsModel.dp(2.0), GibbsModel.py(0.5, 1.0)):
             cache = build_primitive_cache(model, 6)
-            assert cache.g11_for(1) == pytest.approx(1.0, abs=1e-12)
+            assert cache.g11[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_entries_positive(self):
         cache = build_primitive_cache(GibbsModel.py(0.3, 0.5), 12)
@@ -350,7 +350,7 @@ class TestBuildPrimitiveCache:
         assert np.all(np.isfinite(cache.log_gs1))
         assert np.all(cache.g10[1:] > 0)
         assert math.isnan(cache.g10[0])
-        assert cache.g10_for(12) == pytest.approx(1.0 / (0.5 + 11.0), rel=1e-12)
+        assert cache.g10_n == pytest.approx(1.0 / (0.5 + 11.0), rel=1e-12)
 
     def test_py_closed_cache_matches_generic_route(self):
         # the PY cache takes the closed-form branch; the generic
@@ -361,14 +361,14 @@ class TestBuildPrimitiveCache:
         gfc = build_gfc_table(n - 1, 0.35)
         cache = build_primitive_cache(model, n)
         for j in range(2, n + 1):
-            assert cache.g10_for(j) == pytest.approx(
+            assert cache.g10[j - 1] == pytest.approx(
                 primitive(table, gfc, j - 1, 1, 0), rel=1e-10
             )
-            assert cache.g11_for(j) == pytest.approx(
+            assert cache.g11[j - 1] == pytest.approx(
                 primitive(table, gfc, j - 1, 1, 1), rel=1e-10
             )
         for s in range(1, n):
-            assert cache.gs1_for(s) == pytest.approx(
+            assert math.exp(cache.log_gs1[s - 1]) == pytest.approx(
                 primitive(table, gfc, n - s, s, 1), rel=1e-10
             )
 
@@ -376,7 +376,7 @@ class TestBuildPrimitiveCache:
         model = GibbsModel.py(0.5, 1.0)
         table = build_weight_table(model, 6)
         cache = build_primitive_cache(model, 6, table=table)
-        assert cache.gs1_for(6) == pytest.approx(table.weight(6, 1), rel=1e-12)
+        assert math.exp(cache.log_gs1[5]) == pytest.approx(table.weight(6, 1), rel=1e-12)
 
     def test_shift_identity(self):
         # g_{n-s}(s+1, 1) = g_{n-s}(s, 1) * g_n(1, 0)
@@ -388,7 +388,7 @@ class TestBuildPrimitiveCache:
         g10_n = primitive(table, gfc, n, 1, 0)
         for s in range(1, n):
             lhs = primitive(table, gfc, n - s, s + 1, 1)
-            assert lhs == pytest.approx(cache.gs1_for(s) * g10_n, rel=1e-8)
+            assert lhs == pytest.approx(math.exp(cache.log_gs1[s - 1]) * g10_n, rel=1e-8)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.35, 0.9])
     @pytest.mark.parametrize("theta", [0.05, 1.2, 40.0])
@@ -470,7 +470,51 @@ class TestBuildPrimitiveCache:
         dp_cache = build_primitive_cache(GibbsModel.dp(theta), n)
         py_cache = build_primitive_cache(GibbsModel.py(1e-9, theta), n)
         np.testing.assert_allclose(dp_cache.g11, py_cache.g11, rtol=1e-5)
-        np.testing.assert_allclose(dp_cache.gs1, py_cache.gs1, rtol=1e-5)
+        np.testing.assert_allclose(
+            np.exp(dp_cache.log_gs1), np.exp(py_cache.log_gs1), rtol=1e-5
+        )
+
+
+class TestPrimitivesInterface:
+    """ClosedFormPrimitives and NggRowPrimitives answer the same reads, and
+    each object's depth-n reads agree with its own sequences."""
+
+    READS = ("n", "alpha", "expected_blocks", "g10_n", "g11_n", "log_gs1_at",
+             "g10", "g11", "log_gs1")
+    REMOVED = ("g10_for", "g11_for", "gs1_for", "log_gs1_for", "gs1", "log_joint_reads")
+
+    @pytest.mark.parametrize(
+        "model",
+        [GibbsModel.dp(1.5), GibbsModel.py(0.4, 0.9),
+         GibbsModel.ngg(0.3, 2.0, McConfig(500, 4)), GibbsModel.nig(1.0, McConfig(500, 5))],
+        ids=lambda model: model.variant,
+    )
+    def test_reads_agree(self, model):
+        for n in (1, 2, 12, 60):
+            routes = [depth_primitives(model, n)]
+            if not model.is_closed_form:
+                # from a given table, as the CLI and Geweke build them
+                routes.append(build_primitive_cache(model, n, table=routes[0].table))
+            for primitives in routes:
+                for name in self.READS:
+                    assert hasattr(primitives, name), name
+                for name in self.REMOVED:
+                    assert not hasattr(primitives, name), name
+                assert primitives.n == n
+                assert primitives.alpha == model.stable_index
+                assert primitives.g11.sum() == pytest.approx(
+                    primitives.expected_blocks, rel=1e-12, abs=0.0
+                )
+                if n > 1:
+                    assert primitives.g10[n - 1] == pytest.approx(
+                        primitives.g10_n, rel=1e-12, abs=0.0
+                    )
+                else:
+                    assert math.isnan(primitives.g10_n)
+                assert np.array_equal(
+                    primitives.log_gs1, primitives.log_gs1_at(np.arange(1, n + 1))
+                )
+                assert type(primitives.expected_blocks) is float
 
 
 class TestPersistenceProbability:

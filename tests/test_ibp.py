@@ -168,7 +168,7 @@ class TestSimulateIbp:
         with pytest.raises(ValueError, match="corrupt"):
             simulate_ibp(model, 1.0, 3, seed=0, cache=bad)
         with pytest.raises(ValueError, match="corrupt"):
-            _lockstep_buffet(np.full(50, 1.0), 3, 0.5, bad, np.random.default_rng(0))
+            _lockstep_buffet(np.full(50, 1.0), 3, bad, np.random.default_rng(0))
 
     def test_outputs_pinned(self):
         ngg = GibbsModel.ngg(0.5, 1.0, mc_config=McConfig(10_000, 1))
@@ -189,7 +189,7 @@ class TestSimulateIbp:
         model = GibbsModel.py(0.5, 1.0)
         cache = build_primitive_cache(model, 6)
         gammas = np.repeat([0.5, 3.0], 10_000)
-        z, dishes = _lockstep_buffet(gammas, 6, 0.5, cache, np.random.default_rng(8))
+        z, dishes = _lockstep_buffet(gammas, 6, cache, np.random.default_rng(8))
         assert z.shape == (gammas.size, 6, dishes.max())
         live = np.arange(z.shape[2]) < dishes[:, None]
         assert np.array_equal(z.any(axis=1), live)
@@ -272,6 +272,44 @@ class TestLogJoint:
         with pytest.raises(ValueError):
             log_joint(alloc, model, 1.0, cache=cache)
 
+    @pytest.mark.parametrize(
+        "model",
+        [GibbsModel.dp(1.0), GibbsModel.py(0.5, 1.0),
+         GibbsModel.ngg(0.5, 1.0, McConfig(10_000, 1)), GibbsModel.nig(1.0, McConfig(10_000, 1))],
+        ids=lambda model: model.variant,
+    )
+    def test_returns_float(self, model):
+        alloc = FeatureAllocation(np.array([[1, 1, 0], [1, 0, 1], [0, 0, 1]]), 1.3)
+        cache = build_primitive_cache(model, 3)
+        assert type(log_joint(alloc, model, 1.3, cache=cache)) is float
+        assert type(log_joint(alloc, model, 1.3)) is float
+
+
+class TestModelCacheMismatch:
+    # primitives carry their discount, so a cache built for another alpha
+    # would mix two models; every public reader refuses it
+    READERS = {
+        "simulate_ibp": lambda model, alloc, cache: simulate_ibp(
+            model, 1.0, 5, seed=0, cache=cache
+        ),
+        "log_joint": lambda model, alloc, cache: log_joint(alloc, model, 1.0, cache=cache),
+        "sample_feature_counts": lambda model, alloc, cache: sample_feature_counts(
+            model, 1.0, 5, 10, seed=0, cache=cache
+        ),
+        "expected_features": lambda model, alloc, cache: expected_features(
+            model, 1.0, 5, cache=cache
+        ),
+    }
+
+    @pytest.mark.parametrize("reader", list(READERS))
+    def test_refuses_another_alpha(self, reader):
+        cache = build_primitive_cache(GibbsModel.py(0.3, 1.0), 5)
+        alloc = FeatureAllocation(np.array([[1], [1], [0], [0], [1]]), 1.0)
+        read = self.READERS[reader]
+        with pytest.raises(ValueError, match="alpha"):
+            read(GibbsModel.py(0.7, 1.0), alloc, cache)
+        read(GibbsModel.py(0.3, 1.0), alloc, cache)  # the cache's own model passes
+
 
 class TestSequentialConsistency:
     @pytest.mark.parametrize(
@@ -294,8 +332,7 @@ class TestSequentialConsistency:
             counts = alloc.matrix[: j - 1, :k_prev].sum(axis=0)
             takes = alloc.matrix[j - 1, :k_prev].astype(bool)
             fresh = int(trajectory[j - 1]) - k_prev
-            g10 = caches[j].g10_for(j) if j > 1 else math.nan
-            g11 = caches[j].g11_for(j)
+            g10, g11 = caches[j].g10_n, caches[j].g11_n  # g10_n is nan at j = 1
             step = log_transition(counts, takes, fresh, gamma, alpha, g10, g11)
             assert current - previous == pytest.approx(step, abs=1e-10)
             previous = current
@@ -324,9 +361,8 @@ class TestSequentialConsistency:
             counts = alloc.matrix[: j - 1, :k_prev].sum(axis=0)
             takes = alloc.matrix[j - 1, :k_prev].astype(bool)
             fresh = int(trajectory[j - 1]) - k_prev
-            g10 = cache.g10_for(j) if j > 1 else math.nan
             step = log_transition(
-                counts, takes, fresh, gamma, 0.5, g10, cache.g11_for(j)
+                counts, takes, fresh, gamma, 0.5, cache.g10_n, cache.g11_n
             )
             assert current - previous == pytest.approx(step, abs=slack)
             previous = current

@@ -140,7 +140,7 @@ class TestDishTakePrior:
         # n = 4 and a dish two others already take: (2 - 1/2) / (1 + 3)
         model = GibbsModel.py(0.5, 1.0)
         cache = build_primitive_cache(model, 4)
-        prior_take = (2 - model.alpha) * cache.g10_for(4)
+        prior_take = (2 - model.alpha) * cache.g10_n
         assert prior_take == pytest.approx(0.375, rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -155,7 +155,7 @@ class TestDishTakePrior:
         checked = 0
         for n in (2, 3):
             cache = build_primitive_cache(model, n)
-            g10 = cache.g10_for(n)
+            g10 = cache.g10_n
             for width in (1, 2):
                 for bits in range(2 ** (width * n)):
                     z = np.array(
@@ -204,7 +204,7 @@ class TestZLogPrior:
             cache = state.cache
         # the slice moves score raw Z columns, which come in any order
         counts = alloc.counts[::-1]
-        got = _log_joint_counts(counts, n, gamma, model.stable_index, cache)
+        got = _log_joint_counts(counts, gamma, cache)
         assert got == log_joint(alloc, model, gamma, cache=cache)
 
 
@@ -221,16 +221,13 @@ def assert_same_primitives(got, want):
     # the reads one sweep makes at depth n, bit for bit (g_{n-1}(1,0) from
     # n = 2 on: the Z block reads none at n = 1)
     n = want.n
-    assert got.n == n
+    assert got.n == n and got.alpha == want.alpha
     if n > 1:
-        assert got.g10_for(n) == want.g10_for(n)
-    assert got.g11_for(n) == want.g11_for(n)
+        assert got.g10_n == want.g10_n
+    assert got.g11_n == want.g11_n
     assert got.expected_blocks == want.expected_blocks
     sizes = np.arange(1, n + 1)
-    got_sum, got_log = got.log_joint_reads(n, sizes)
-    want_sum, want_log = want.log_joint_reads(n, sizes)
-    assert got_sum == got.expected_blocks and want_sum == want.expected_blocks
-    assert np.array_equal(got_log, want_log)
+    assert np.array_equal(got.log_gs1_at(sizes), want.log_gs1_at(sizes))
 
 
 def assert_closed_form_reads(primitives, model, n):
@@ -239,17 +236,15 @@ def assert_closed_form_reads(primitives, model, n):
     # table primitives and the table's block law
     alpha, theta = model.stable_index, model.theta
     assert primitives.n == n
-    assert primitives.g11_for(n) == py_primitive_closed(alpha, theta, n - 1, (1, 1))
+    assert primitives.g11_n == py_primitive_closed(alpha, theta, n - 1, (1, 1))
     if n > 1:
-        assert primitives.g10_for(n) == py_primitive_closed(alpha, theta, n - 1, (1, 0))
+        assert primitives.g10_n == py_primitive_closed(alpha, theta, n - 1, (1, 0))
     table = build_weight_table(model, n)
     gfc = build_gfc_table(n, alpha)
     assert primitives.expected_blocks == pytest.approx(
         expected_blocks(model, n, table=table, gfc=gfc), rel=1e-10, abs=0.0
     )
-    sizes = np.arange(1, n + 1)
-    g11_sum, log_gs1 = primitives.log_joint_reads(n, sizes)
-    assert g11_sum == primitives.expected_blocks
+    log_gs1 = primitives.log_gs1_at(np.arange(1, n + 1))
     # atol: the table route's log-sum-exp rounds a log near 0 by ~1e-12
     want = [log_primitive(table, gfc, n - s, s, 1) for s in range(1, n)]
     np.testing.assert_allclose(log_gs1[:-1], want, rtol=1e-10, atol=1e-10)
@@ -278,18 +273,13 @@ class TestClosedFormTrialTerms:
         for n in (1, 2, 100):
             primitives = ClosedFormPrimitives(model, n)
             assert_closed_form_reads(primitives, model, n)
-            # every shallower read is a sequence entry, with the same bits
+            # every sequence entry has the bits of the scalar closed form
             for j in range(2, n + 1):
                 want = py_primitive_closed(alpha, theta, j - 1, (1, 0))
-                assert primitives.g10_for(j) == want == primitives.g10[j - 1]
+                assert primitives.g10[j - 1] == want
             for j in range(1, n + 1):
                 want = py_primitive_closed(alpha, theta, j - 1, (1, 1))
-                assert primitives.g11_for(j) == want == primitives.g11[j - 1]
-            for read in (primitives.g10_for, primitives.g11_for):
-                with pytest.raises(ValueError, match="must lie in"):
-                    read(n + 1)
-            with pytest.raises(ValueError, match="built for n"):
-                primitives.log_joint_reads(n + 1, np.array([1]))
+                assert primitives.g11[j - 1] == want
 
     @pytest.mark.parametrize(
         "model", list(_closed_form_models()), ids=lambda model: model.describe()
@@ -315,7 +305,7 @@ class TestClosedFormTrialTerms:
                 gamma = float(rng.uniform(0.1, 5.0))
                 alloc = _random_allocation(rng, n, gamma)
                 counts = rng.permutation(alloc.counts)
-                got = _log_joint_counts(counts, n, gamma, alpha, trial)
+                got = _log_joint_counts(counts, gamma, trial)
                 want = alloc.dishes * math.log(gamma) - gamma * g11_sum + math.fsum(
                     log_rising_factorial(1.0 - alpha, s - 1) + log_gs1(n, s)
                     for s in counts.tolist()
@@ -367,7 +357,8 @@ class TestClosedFormTrialTerms:
 
             for n in (1, 2, 100):
                 sizes = np.unique([1, (n + 1) // 2, n])
-                g11_sum, log_gs1 = ClosedFormPrimitives(model, n).log_joint_reads(n, sizes)
+                primitives = ClosedFormPrimitives(model, n)
+                g11_sum, log_gs1 = primitives.expected_blocks, primitives.log_gs1_at(sizes)
                 want_sum = mpmath.fsum(mpmath.exp(log_g(m, 1)) for m in range(n))
                 assert g11_sum == pytest.approx(float(want_sum), rel=1e-12)
                 for s, got in zip(sizes.tolist(), log_gs1.tolist()):
@@ -396,27 +387,24 @@ class TestNggRowTrialTerms:
         rel = 1e-12
         if n > 1:
             want = primitive(table, gfc, n - 1, 1, 0)
-            assert reads.g10_for(n) == pytest.approx(want, rel=rel, abs=0.0)
+            assert reads.g10_n == pytest.approx(want, rel=rel, abs=0.0)
             want = primitive(table, gfc, n - 1, 1, 1)
-            assert reads.g11_for(n) == pytest.approx(want, rel=rel, abs=0.0)
+            assert reads.g11_n == pytest.approx(want, rel=rel, abs=0.0)
         else:
-            assert reads.g11_for(1) == pytest.approx(1.0, rel=rel, abs=0.0)
+            assert reads.g11_n == pytest.approx(1.0, rel=rel, abs=0.0)
         assert reads.expected_blocks == pytest.approx(
             expected_blocks(model, n, table=table, gfc=gfc), rel=rel, abs=0.0
         )
         want_log = [log_primitive(table, gfc, n - s, s, 1) for s in range(1, n)]
         want_log.append(table.log_weight(n, 1))
-        g11_sum, got_log = reads.log_joint_reads(n, np.arange(1, n + 1))
-        assert g11_sum == reads.expected_blocks
+        got_log = reads.log_gs1_at(np.arange(1, n + 1))
         # the absolute term bounds the primitives' relative error where a
         # log is near 0 (the series gives log V_{1,1} = -2e-61 at some
         # corners)
         np.testing.assert_allclose(got_log, want_log, rtol=rel, atol=rel)
-        with pytest.raises(ValueError, match="must lie in"):
-            reads.g10_for(n + 1)
         gamma = float(rng.uniform(0.1, 5.0))
         alloc = _random_allocation(rng, n, gamma)
-        got = _log_joint_counts(alloc.counts, n, gamma, model.stable_index, reads)
+        got = _log_joint_counts(alloc.counts, gamma, reads)
         want = alloc.dishes * math.log(gamma) - gamma * reads.expected_blocks + math.fsum(
             log_rising_factorial(1.0 - model.stable_index, s - 1) + want_log[s - 1]
             for s in alloc.counts.tolist()
@@ -445,8 +433,8 @@ class TestNggRowTrialTerms:
     )
     def test_sequences_agree_with_depth_reads(self, model):
         # one object's table sequences and its row-n reads: the sum of g11
-        # is E[B_n] and g10[n-1] is g10_for(n), each to 1e-12; log_gs1 is
-        # the table's log g_{n-s}(s,1); a shallower read is the sequence's
+        # is E[B_n] and g10[n-1] is g10_n, each to 1e-12; log_gs1 is the
+        # table's log g_{n-s}(s,1)
         alpha = model.stable_index
         for n in (2, 12, 100):
             primitives = depth_primitives(replace(model, mc_config=McConfig(500, n)), n)
@@ -455,13 +443,10 @@ class TestNggRowTrialTerms:
                 primitives.expected_blocks, rel=1e-12, abs=0.0
             )
             assert primitives.g10[n - 1] == pytest.approx(
-                primitives.g10_for(n), rel=1e-12, abs=0.0
+                primitives.g10_n, rel=1e-12, abs=0.0
             )
             want = [log_primitive(table, gfc, n - s, s, 1) for s in range(1, n)]
             np.testing.assert_allclose(primitives.log_gs1[:-1], want, rtol=1e-12, atol=0.0)
-            for j in range(2, n):
-                assert primitives.g10_for(j) == primitives.g10[j - 1]
-                assert primitives.g11_for(j) == primitives.g11[j - 1]
             assert alpha == primitives.alpha == table.alpha
 
     @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
@@ -894,7 +879,7 @@ def reference_resample_z(state, y):
     if n < 2 or state.dishes == 0:
         return
     alpha = state.model.stable_index
-    g10 = state.cache.g10_for(n)
+    g10 = state.cache.g10_n
     counts = state.z.sum(axis=0).astype(np.int64)
     resid = y - (state.w * state.z) @ state.a
     inv_two_var = 1.0 / (2.0 * state.sigma_y ** 2)
@@ -1041,8 +1026,8 @@ class TestBlocksAgainstReference:
         y = np.random.default_rng(13).standard_normal((3, 5)) * 50.0
         fast, ref = self.twin_states(z, 4, model=model)
         for state in (fast, ref):
-            state.cache = SimpleNamespace(g10_for=lambda j: 0.5)
-        assert (2 - model.stable_index) * fast.cache.g10_for(3) == 1.0
+            state.cache = SimpleNamespace(g10_n=0.5)
+        assert (2 - model.stable_index) * fast.cache.g10_n == 1.0
         self.run_both(inference._resample_z, reference_resample_z, fast, ref, y)
         assert np.array_equal(fast.z, ref.z)
         assert fast.z.all()
@@ -1050,7 +1035,7 @@ class TestBlocksAgainstReference:
     def test_z_block_keeps_corrupt_prior_error(self):
         model = GibbsModel.dp(1.0)
         fast, _ = self.twin_states(np.ones((3, 2), dtype=np.uint8), 5, model=model)
-        fast.cache = SimpleNamespace(g10_for=lambda j: 0.75)  # (2 - 0) 0.75 > 1
+        fast.cache = SimpleNamespace(g10_n=0.75)  # (2 - 0) 0.75 > 1
         with pytest.raises(ValueError, match="dish-take prior"):
             inference._resample_z(fast, np.zeros((3, 5)))
 
@@ -1071,7 +1056,7 @@ def reference_singleton_move(state, y):
     # the per-row singleton move: each row's residual and own mask rebuilt
     # from the current state
     n = state.n
-    rate = state.gamma * state.cache.g11_for(n)
+    rate = state.gamma * state.cache.g11_n
     inv_two_var = 1.0 / (2.0 * state.sigma_y ** 2)
     p = state.p
     counts = state.z.sum(axis=0)
@@ -1154,7 +1139,7 @@ class TestSingletonMove:
         state = make_state(model, np.ones((1, 1), dtype=np.uint8), gamma=gamma,
                            sigma_y=1e8, seed=6)
         y = np.zeros((1, 2))
-        rate = gamma * state.cache.g11_for(1)
+        rate = gamma * state.cache.g11_n
         assert rate == pytest.approx(2.0, rel=1e-12)
         from gibbsibp.inference import _singleton_move
 

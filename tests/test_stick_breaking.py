@@ -6,6 +6,7 @@ from scipy import integrate, stats
 
 from gibbsibp.gibbs_weights import GibbsModel
 from gibbsibp.ibp import sample_feature_counts
+from gibbsibp.special_functions import positive_stable_density
 from gibbsibp.stick_breaking import (
     TruncatedProcess,
     construct_truncated,
@@ -157,6 +158,28 @@ class TestStructuralDensity:
         for (beta, p), expected in NIG_STRUCTURAL_ORACLE.items():
             value = structural_density(GibbsModel.nig(beta), p)
             assert value == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("alpha, beta", [(0.3, 0.7), (0.8, 5.0)])
+    def test_ngg_matches_nested_quadrature(self, alpha, beta):
+        # the defining form [alpha/Gamma(1-alpha)] p^{-alpha} int t^{-alpha}
+        # e^{beta^alpha - beta t} f_alpha(t(1-p)) dt, an inner quadrature for
+        # the stable density inside an outer one
+        def nested(p):
+            def integrand(t):
+                return (
+                    t ** -alpha
+                    * math.exp(beta ** alpha - beta * t)
+                    * positive_stable_density(alpha, t * (1.0 - p))
+                )
+
+            split = 1.0 / (1.0 - p)
+            head, _ = integrate.quad(integrand, 0.0, split)
+            tail, _ = integrate.quad(integrand, split, np.inf)
+            return alpha / math.gamma(1.0 - alpha) * p ** -alpha * (head + tail)
+
+        model = GibbsModel.ngg(alpha, beta)
+        for p in (0.01, 0.3, 0.9):
+            assert structural_density(model, p) == pytest.approx(nested(p), rel=1e-8)
 
     def test_ngg_half_equals_nig(self):
         ngg = structural_density(GibbsModel.ngg(0.5, 1.0), 0.3)

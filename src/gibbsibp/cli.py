@@ -5,8 +5,8 @@ Every subcommand resolves its flags into a RunConfig, executes
 deterministically under --seed, and writes its artifacts (CSV data, a JSON
 manifest, and a re-runnable key=value config file) into --outdir.
 
-Exit codes: 0 success, 2 usage error (a table past its size limit
-included), 3 numeric failure.
+Exit codes: 0 success, 2 usage error (before any draw: a flag out of range, a
+size limit, or a calibrate target E[B_n] never reaches), 3 numeric failure.
 """
 
 import argparse
@@ -29,6 +29,7 @@ from .gibbs_weights import (
     _calibrate,
     build_primitive_cache,
     build_weight_table,
+    check_calibration_target,
     load_weight_table,
     save_weight_table,
     table_cache_path,
@@ -45,6 +46,7 @@ from .special_functions import TableSizeError
 
 MODEL_CHOICES = ("dp", "py", "ngg", "nig")
 CACHE_DIR_ENV = "GIBBSIBP_CACHE_DIR"
+CALIBRATE_N = 50  # calibrate's --n when none is given
 
 
 @dataclass
@@ -261,6 +263,10 @@ def _validate(config):
             f"--samples must be at least {MIN_MC_SAMPLES} for Monte Carlo weights, "
             f"got {config.samples}"
         )
+    if config.subcommand == "calibrate":
+        n = CALIBRATE_N if config.n is None else config.n
+        mc = McConfig(samples=config.samples, seed=config.seed)
+        check_calibration_target(config.family.upper(), config.target, n, config.alpha, mc)
     if config.subcommand == "fit":
         if config.data is None:
             raise ValueError("fit needs --data")
@@ -351,7 +357,7 @@ def run_stats(config):
 def run_calibrate(config):
     outdir = _prepare_outdir(config)
     family = config.family.upper()
-    n = 50 if config.n is None else config.n
+    n = CALIBRATE_N if config.n is None else config.n
     mc = McConfig(samples=config.samples, seed=config.seed)
     fitted, achieved, mc_error = _calibrate(family, config.target, n, config.alpha, mc)
     report = {

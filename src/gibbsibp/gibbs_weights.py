@@ -23,6 +23,7 @@ from .special_functions import (
     TableSizeError,
     build_gfc_table,
     check_table_depth,
+    gfc_rows,
     log_rising_factorial,
 )
 from .stable_sampling import TiltedStableSpec, sample_tilted_stable
@@ -825,27 +826,28 @@ def persistence_probability(cache, n, s):
 def block_count_distribution(model, n, table=None, gfc=None):
     """Distribution of the number of blocks B_n over k = 1..n.
 
-    Pr{B_n = k} = V_{n,k} alpha^{-k} C(n, k; alpha), row n of the weights
-    times the GFC table's stored row n.  DP keeps its closed-form weights:
-    Pr{B_n = k} = |s(n, k)| theta^k / (theta)_n, with |s(n, k)| the stored
-    row of the alpha = 0 GFC table.  The returned vector is the raw
-    evaluation; a NormalizationError signals that it missed summing to one
-    beyond 1e-8.  Every weight table satisfies the recursion (Monte Carlo
-    tables are filled backward by it), so the tolerance is the same for all
-    of them.
+    Pr{B_n = k} = V_{n,k} alpha^{-k} C(n, k; alpha): row n of the weights
+    times row n of the GFC table, or of gfc_rows when none is given.  DP
+    reads its closed form |s(n, k)| theta^k / (theta)_n, so builds no table
+    and has no depth limit.  The returned vector is the raw evaluation; a
+    NormalizationError signals that it missed summing to one beyond 1e-8.
+    Every weight table satisfies the recursion (Monte Carlo tables are
+    filled backward by it), so the tolerance is the same for all of them.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if gfc is None:
-        gfc = build_gfc_table(n, model.stable_index)
+    if model.variant != "DP" and table is None:
+        table = build_weight_table(model, n)
+    if gfc is not None:
+        log_c = gfc.log_row(n)
+    else:  # row n of the recursion, one row held at a time
+        for log_c in gfc_rows(n, model.stable_index):
+            pass
     if model.variant == "DP":
         theta = model.theta
-        k = np.arange(1, n + 1)
-        log_p = gfc.log_row(n) + k * math.log(theta) - log_rising_factorial(theta, n)
+        log_p = log_c + np.arange(1, n + 1) * math.log(theta) - log_rising_factorial(theta, n)
     else:
-        if table is None:
-            table = build_weight_table(model, n)
-        log_p = table.log_row(n) + gfc.log_row(n)
+        log_p = table.log_row(n) + log_c
     probs = np.exp(log_p)
     defect = abs(float(probs.sum()) - 1.0)
     if defect > BLOCK_LAW_TOL:
@@ -965,7 +967,7 @@ def calibrate(family, target, n, alpha=None, mc_config=None):
 
     Args:
         family: one of "DP", "PY", "NGG", "NIG".
-        target: desired expected block count, inside (1, n).
+        target: desired expected block count (check_calibration_target).
         n: partition size the expectation refers to.
         alpha: discount, required for PY and NGG.
         mc_config: McConfig for the Monte Carlo variants.
@@ -976,16 +978,33 @@ def calibrate(family, target, n, alpha=None, mc_config=None):
     return _calibrate(family, target, n, alpha, mc_config)[0]
 
 
+def check_calibration_target(family, target, n, alpha=None, mc_config=None):
+    """Refuse with ValueError a target outside (floor, n), the range of
+    E[B_n] over the family's free parameter.  The floor is 1 for DP/PY; for
+    NGG/NIG it is the beta -> 0 limit, E[B_n] of PY(alpha, 0), checked after
+    the size limits of the n-deep frozen draws a search would read."""
+    floor = 1.0
+    if family in ("NGG", "NIG"):
+        check_table_depth(n)
+        check_frozen_draws(n, (mc_config or McConfig()).samples)
+        limit = GibbsModel.py(0.5 if family == "NIG" else alpha, 0.0)
+        floor = ClosedFormPrimitives(limit, n).expected_blocks
+    if not floor < target < n:
+        raise ValueError(
+            f"E[B_{n}] of {family} is confined to ({floor:.5g}, {n}); "
+            f"target {target} is unreachable"
+        )
+
+
 def _calibrate(family, target, n, alpha, mc_config):
     # calibrate's search; also returns the E[B_n] reached at the root and,
     # for NGG/NIG, the Monte Carlo error of the block law there (None for
     # DP/PY)
     if family not in VARIANTS:
         raise ValueError(f"family must be one of {VARIANTS}, got {family!r}")
-    if not 1.0 < target < n:
-        raise ValueError(f"E[B_{n}] is confined to (1, {n}); target {target} is unreachable")
     if family in ("PY", "NGG") and alpha is None:
         raise ValueError(f"{family} calibration requires alpha")
+    check_calibration_target(family, target, n, alpha, mc_config)
     if family == "DP":
         base = GibbsModel.dp(1.0)
     elif family == "PY":

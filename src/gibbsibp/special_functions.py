@@ -87,36 +87,39 @@ class GfcTable:
         return self._log[1:n + 1, 1:n + 1]
 
 
-def build_gfc_table(n_max, alpha):
-    """Build the triangular table of log[alpha^{-k} C(n, k; alpha)] by the
-    forward recursion of the generalized Stirling triangle.
-
-    With S(n, k) = alpha^{-k} C(n, k; alpha), the diagonal is S(n, n) = 1
-    and S(j+1, k) = (j - alpha k) S(j, k) + S(j, k-1), swept in log space;
-    both summands are nonnegative for alpha in [0, 1).  At alpha = 0 this
-    is the recursion of the unsigned Stirling numbers of the first kind.
-
-    Args:
-        n_max: largest n to tabulate, a positive integer at most
-            MAX_TABLE_DEPTH.
-        alpha: stability index in [0, 1).
-
-    Returns:
-        GfcTable with entries for 1 <= k <= n <= n_max.
-    """
+def gfc_rows(n_max, alpha):
+    """Rows n = 1..n_max of log S(n, k), k = 1..n, of the generalized
+    Stirling triangle S(n, k) = alpha^{-k} C(n, k; alpha), alpha in [0, 1),
+    one at a time: S(n+1, k) = (n - alpha k) S(n, k) + S(n, k-1) from S(1, 1)
+    = 1, both summands nonnegative (at alpha = 0, the unsigned Stirling
+    numbers of the first kind).  The arguments are checked at the call."""
     if not 0 <= alpha < 1:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     if n_max < 1 or n_max != int(n_max):
         raise ValueError(f"n_max must be a positive integer, got {n_max}")
+
+    def rows():
+        row = np.zeros(1)
+        yield row
+        for n in range(1, int(n_max)):
+            # n - alpha*k > 0 for every k <= n since alpha < 1
+            keep = np.log(n - alpha * np.arange(1, n + 1)) + row
+            row = np.append(np.logaddexp(keep, np.append(-np.inf, row[:-1])), 0.0)
+            yield row
+
+    return rows()
+
+
+def build_gfc_table(n_max, alpha):
+    """GfcTable of the rows of gfc_rows up to n_max (at most
+    MAX_TABLE_DEPTH), stacked into a dense table with log C(0, 0) = 0."""
+    rows = gfc_rows(n_max, alpha)
     check_table_depth(n_max)
     n_max = int(n_max)
     table = np.full((n_max + 1, n_max + 1), -np.inf)
-    np.fill_diagonal(table, 0.0)
-    for n in range(1, n_max):
-        k = np.arange(1, n + 1)
-        # n - alpha*k > 0 for every k <= n since alpha < 1
-        keep = np.log(n - alpha * k) + table[n, 1:n + 1]
-        table[n + 1, 1:n + 1] = np.logaddexp(keep, table[n, 0:n])
+    table[0, 0] = 0.0
+    for n, row in enumerate(rows, start=1):
+        table[n, 1:n + 1] = row
     return GfcTable(n_max, alpha, table)
 
 

@@ -190,8 +190,21 @@ class TestCalibrate:
 
     def test_unreachable_target(self, tmp_path, capsys):
         assert run_cli("calibrate", "--family", "dp", "--target", 80,
-                       "--n", 50, "--outdir", tmp_path) == 3
+                       "--n", 50, "--outdir", tmp_path) == 2
         assert "unreachable" in capsys.readouterr().err
+
+    def test_target_below_ngg_floor(self, tmp_path, capsys, monkeypatch):
+        # E[B_30] of NGG(0.5, beta) falls to that of PY(0.5, 0), 6.1547, as
+        # beta -> 0: a lower target is a usage error, found before any draw
+        def refuse(*args, **kwargs):
+            raise AssertionError("built frozen draws for an unreachable target")
+
+        monkeypatch.setattr(gibbs_weights, "NggWeightSampler", refuse)
+        assert run_cli("calibrate", "--family", "ngg", "--alpha", 0.5, "--target", 5,
+                       "--n", 30, "--samples", 10_000, "--outdir", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and "unreachable" in err and "6.1547" in err
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_reports_mc_error(self, tmp_path):
         assert run_cli("calibrate", "--family", "ngg", "--alpha", 0.75, "--target", 25,

@@ -135,8 +135,9 @@ class TestBuildWeightTable:
         depth = MAX_TABLE_DEPTH + 1
         with pytest.raises(TableSizeError, match="MAX_TABLE_DEPTH"):
             build_weight_table(GibbsModel.py(0.5, 1.0), depth)
-        with pytest.raises(TableSizeError, match="MAX_TABLE_DEPTH"):
-            block_count_distribution(GibbsModel.dp(1.0), depth)
+        # DP's block law streams its Stirling row and builds no table
+        law = block_count_distribution(GibbsModel.dp(1.0), depth)
+        assert law.size == depth and abs(law.sum() - 1.0) < 1e-8
         # the chain's tables come from frozen draws, refused before drawing
         with pytest.raises(TableSizeError, match="MAX_TABLE_DEPTH"):
             NggWeightSampler(0.5, depth, 10, seed=0)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -23,7 +24,6 @@ from gibbsibp.partition import (
     log_eppf,
     sample_block_counts,
     sample_partition,
-    urn_step,
 )
 
 
@@ -70,9 +70,9 @@ class TestPartitionState:
 
 class TestUrnStep:
     def test_first_customer_opens_block(self):
-        table = build_weight_table(GibbsModel.py(0.5, 1.0), 2)
-        rng = np.random.default_rng(0)
-        state = urn_step(PartitionState(), table, 0.5, rng)
+        model = GibbsModel.py(0.5, 1.0)
+        table = build_weight_table(model, 2)
+        state = sample_partition(model, 1, seed=0, table=table)
         assert state.n == 1 and state.block_sizes == (1,)
 
     def test_new_block_probability_py(self):
@@ -80,26 +80,26 @@ class TestUrnStep:
         # with probability V_{2,2}/V_{1,1} = 0.75
         model = GibbsModel.py(0.5, 1.0)
         table = build_weight_table(model, 2)
-        rng = np.random.default_rng(123)
-        start = PartitionState(1, (1,))
-        opened = sum(
-            urn_step(start, table, 0.5, rng).block_count == 2 for _ in range(20_000)
-        )
+        counts = sample_block_counts(model, 2, 20_000, seed=123, table=table)
+        opened = np.count_nonzero(counts == 2)
         se = math.sqrt(0.75 * 0.25 / 20_000)
         assert abs(opened / 20_000 - 0.75) < 4 * se
 
     def test_depth_error(self):
-        table = build_weight_table(GibbsModel.py(0.5, 1.0), 2)
-        with pytest.raises(ValueError):
-            urn_step(PartitionState(2, (2,)), table, 0.5, np.random.default_rng(0))
+        model = GibbsModel.py(0.5, 1.0)
+        table = build_weight_table(model, 2)
+        with pytest.raises(ValueError, match="depth 2"):
+            sample_partition(model, 3, seed=0, table=table)
+        with pytest.raises(ValueError, match="depth 2"):
+            sample_block_counts(model, 3, 10, seed=0, table=table)
 
 
-def perturbed_table(table):
-    # a copy of the table, provenance and rel_se kept, with V_{2,1} scaled
-    # by 1 + 1e-6; for PY(0.5, 1) the step from one customer in one block
-    # then sums to 1 + 2.5e-7
+def perturbed_table(table, n=2, k=1):
+    # a copy of the table, provenance and rel_se kept, with V_{n,k} scaled
+    # by 1 + 1e-6; for PY(0.5, 1) and V_{2,1} the step from one customer in
+    # one block then sums to 1 + 2.5e-7
     log_entries = table._log.copy()
-    log_entries[2, 1] += 1e-6
+    log_entries[n, k] += 1e-6
     return WeightTable(
         table.n_max, table.alpha, log_entries, table.provenance, rel_se=table._rel_se
     )
@@ -110,10 +110,20 @@ def perturbed_py_table(n_max):
 
 
 class TestStepSumCheck:
-    def test_urn_step_refuses_defect(self):
+    def test_partition_refuses_defect(self):
         table = perturbed_py_table(6)
         with pytest.raises(ValueError, match="beyond tolerance"):
-            urn_step(PartitionState(1, (1,)), table, 0.5, np.random.default_rng(0))
+            sample_partition(GibbsModel.py(0.5, 1.0), 6, seed=0, table=table)
+
+    def test_partition_refuses_defect_its_draws_never_visit(self):
+        # V_{6,6} is read only by the step from five singletons, which the
+        # draws of seed 0 never reach; every step up to n is still checked
+        model = GibbsModel.py(0.5, 1.0)
+        table = build_weight_table(model, 6)
+        visited = sample_partition(model, 6, seed=0, table=table).assignments
+        assert visited[:5] != (1, 2, 3, 4, 5)
+        with pytest.raises(ValueError, match="at n=5, b=5, beyond tolerance"):
+            sample_partition(model, 6, seed=0, table=perturbed_table(table, 6, 6))
 
     def test_block_counts_refuse_defect(self):
         table = perturbed_py_table(6)
@@ -131,7 +141,7 @@ class TestStepSumCheck:
         assert table.provenance.kind == "monte-carlo"
         assert table.rel_se_row(2).min() > 1e-4
         with pytest.raises(ValueError, match="beyond tolerance"):
-            urn_step(PartitionState(1, (1,)), table, 0.5, np.random.default_rng(0))
+            sample_partition(model, 6, seed=0, table=table)
         with pytest.raises(ValueError, match="beyond tolerance"):
             sample_block_counts(model, 6, 10, seed=0, table=table)
         with pytest.raises(NormalizationError, match="beyond tolerance"):
@@ -141,14 +151,14 @@ class TestStepSumCheck:
     def test_mc_tables_pass_at_the_betas_calibrate_visits(self, ngg_sampler_075, log_beta):
         # at large beta the NGG last row sits near beta^alpha - beta min R
         # and the corner V_{n,1} near exp(-1e10); the table must still pass
-        # every urn step, corner included, and every block-count law
+        # every urn step, the corner (m = n-1, b = 1) included, and every
+        # block-count law
         n, alpha = 100, 0.75
         beta = math.exp(log_beta)
         table = weight_table_from_sampler(ngg_sampler_075, beta)
         model = GibbsModel.ngg(alpha, beta, mc_config=McConfig(samples=10_000, seed=2))
         sample_block_counts(model, n, 20, seed=0, table=table)
         sample_partition(model, n, seed=0, table=table)
-        urn_step(PartitionState(n - 1, (n - 1,)), table, alpha, np.random.default_rng(0))
         gfc = build_gfc_table(n, alpha)
         for depth in range(1, n + 1):
             block_count_distribution(model, depth, table=table, gfc=gfc)
@@ -184,6 +194,31 @@ class TestSamplePartition:
         model = GibbsModel.ngg(0.5, 1.0, mc_config=McConfig(samples=20_000, seed=1))
         state = sample_partition(model, 15, seed=3)
         assert state.n == 15
+
+    @pytest.mark.parametrize(
+        "model, pins",
+        [
+            (GibbsModel.dp(2.0), ("9a359f90876e50de", "83543458448d703b")),
+            (GibbsModel.py(0.5, 1.0), ("1789032466ae3805", "ba8eda80d41cfb62")),
+            (
+                GibbsModel.ngg(0.5, 1.0, mc_config=McConfig(samples=10_000, seed=1)),
+                ("5d943e31296bce8c", "19502daf12dca284"),
+            ),
+        ],
+        ids=["DP", "PY", "NGG"],
+    )
+    def test_seeded_outputs_pinned(self, model, pins):
+        # sha256 (first 16 hex digits) of the assignments of seeds 0..19 and
+        # of 2000 block counts, recorded from the customer-by-customer urn
+        # that preceded the row-by-row one
+        table = build_weight_table(model, 40)
+        draws = [sample_partition(model, 40, seed, table=table).assignments for seed in range(20)]
+        counts = sample_block_counts(model, 40, 2000, seed=3, table=table)
+        digests = (
+            hashlib.sha256(np.array(draws, dtype=np.int64).tobytes()).hexdigest()[:16],
+            hashlib.sha256(counts.astype(np.int64).tobytes()).hexdigest()[:16],
+        )
+        assert digests == pins
 
 
 class TestSampleBlockCounts:

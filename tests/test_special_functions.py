@@ -12,6 +12,7 @@ from gibbsibp.special_functions import (
     TableSizeError,
     build_gfc_table,
     check_table_depth,
+    gfc_rows,
     log_kanter_a,
     log_kanter_a0,
     log_rising_factorial,
@@ -105,6 +106,16 @@ class TestGfcTable:
         assert table.log_gfc(0, 0) == 0.0
         with pytest.raises(ValueError):
             table.log_gfc(6, 1)
+
+    def test_rows_stream_the_table(self):
+        # the stacked table is its rows, bit for bit; arguments are checked
+        # when the rows are asked for, not on the first one
+        for alpha in (0.0, 0.25, 0.5, 0.75, 0.95):
+            table = build_gfc_table(60, alpha)
+            for n, row in enumerate(gfc_rows(60, alpha), start=1):
+                assert np.array_equal(row, table.log_row(n))
+        with pytest.raises(ValueError, match="alpha"):
+            gfc_rows(5, 1.0)
 
     def test_entries_finite(self):
         table = build_gfc_table(60, 0.3)

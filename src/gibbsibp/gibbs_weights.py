@@ -238,18 +238,30 @@ class WeightTable:
         return self._rel_se[n, 1:n + 1]
 
 
-def _closed_form_log_weights(variant, alpha, theta, n_max):
+def _closed_form_log_numerators(variant, alpha, theta, n_max):
     # PY: V_{n,k} = prod_{l=1}^{k-1}(theta + l alpha) / (theta+1)_{n-1};
-    # DP is the alpha -> 0 limit with numerator theta^{k-1}
-    table = np.full((n_max + 1, n_max + 1), -np.inf)
+    # DP is the alpha -> 0 limit with numerator theta^{k-1}.  Returns the
+    # log numerators for k = 1..n_max; the running sum makes those for
+    # k <= n the same bits at any n_max >= n
     if variant == "DP":
-        log_num = np.arange(n_max) * math.log(theta)
-    else:
-        steps = np.log(theta + alpha * np.arange(1, n_max))
-        log_num = np.concatenate(([0.0], np.cumsum(steps)))
+        return np.arange(n_max) * math.log(theta)
+    steps = np.log(theta + alpha * np.arange(1, n_max))
+    return np.concatenate(([0.0], np.cumsum(steps)))
+
+
+def _closed_form_log_row(variant, alpha, theta, n):
+    # log V_{n,k} for k = 1..n: row n of _closed_form_log_weights, bit for
+    # bit, in O(n) time and memory
+    return _closed_form_log_numerators(variant, alpha, theta, n) - log_rising_factorial(
+        theta + 1.0, n - 1
+    )
+
+
+def _closed_form_log_weights(variant, alpha, theta, n_max):
+    table = np.full((n_max + 1, n_max + 1), -np.inf)
+    log_num = _closed_form_log_numerators(variant, alpha, theta, n_max)
     for n in range(1, n_max + 1):
-        k = np.arange(1, n + 1)
-        table[n, 1:n + 1] = log_num[k - 1] - log_rising_factorial(theta + 1.0, n - 1)
+        table[n, 1:n + 1] = log_num[:n] - log_rising_factorial(theta + 1.0, n - 1)
     return table
 
 
@@ -344,27 +356,24 @@ def _log_prefactor(alpha, n):
     return (k - 1) * math.log(alpha) + special.gammaln(k) - special.gammaln(n)
 
 
-def _shifted_moments(shifted, ratio_min, alpha, beta):
-    """log of the mean of exp(beta^alpha - beta R) and its relative standard
-    error, per row of draws held as R - min R (rows of `shifted`) beside
-    their minima.
+def _exp_row_sums(shifted, beta, power):
+    """Row sums of exp(-beta (R - min R)) ** power, power 1 or 2, over rows
+    of draws held as R - min R (rows of `shifted`): one moment's reduction.
 
-    The largest log term of a row is beta^alpha - beta min R, known in
-    closed form, so each block of rows needs one cache-sized work buffer:
-    the row sums of exp(-beta (R - min R)), then of the same buffer squared
-    in place.  Every summand lies in [0, 1] and the row minimum contributes
-    exactly 1, so neither sum can underflow to zero.  Both are numpy's
-    pairwise row sums, the same for a row whatever block, array or thread
-    it sits in, so the blocks run on every usable core through _run_units,
-    one buffer per thread, and the result does not depend on the number of
-    cores (`taskset` limits them).  Neither sum calls BLAS, whose threaded
-    dot product would split a row across threads, leave a worker spinning
-    on another core after the call, and round differently for each BLAS
-    thread count.
+    Each block of rows needs one cache-sized work buffer, which takes the
+    terms (squared in place for power 2) before its rows are summed.
+    Every summand lies in [0, 1] and the row minimum contributes exactly 1,
+    so no sum can underflow to zero.  The sums are numpy's pairwise row
+    sums, the same for a row whatever block, array or thread it sits in, so
+    the blocks run on every usable core through _run_units, one buffer per
+    thread, and the result does not depend on the number of cores
+    (`taskset` limits them).  No sum calls BLAS, whose threaded dot product
+    would split a row across threads, leave a worker spinning on another
+    core after the call, and round differently for each BLAS thread count.
     """
     rows, samples = shifted.shape
     step = max(1, MOMENT_BLOCK // samples)
-    sum1, sum2 = np.empty(rows), np.empty(rows)
+    sums = np.empty(rows)
 
     def start_worker():
         buffer = np.empty((min(step, rows), samples))
@@ -374,26 +383,56 @@ def _shifted_moments(shifted, ratio_min, alpha, beta):
             last = min(first + step, rows)
             work = np.multiply(shifted[first:last], -beta, out=buffer[:last - first])
             np.exp(work, out=work)
-            work.sum(axis=1, out=sum1[first:last])
-            np.square(work, out=work).sum(axis=1, out=sum2[first:last])
+            if power == 2:
+                np.square(work, out=work)
+            work.sum(axis=1, out=sums[first:last])
 
         return reduce_block
 
     _run_units(-(-rows // step), start_worker)
+    return sums
+
+
+def _log_first_moment(shifted, ratio_min, alpha, beta):
+    """log of the mean of exp(beta^alpha - beta R) per row of draws held as
+    R - min R (rows of `shifted`) beside their minima: one pass of
+    _exp_row_sums.  The largest log term of a row is beta^alpha - beta
+    min R, known in closed form, and is added back after the sum.  A row
+    that is not finite (a row of only inf ratios shifts to nan) raises
+    McDegeneracyError.
+    """
     top = beta ** alpha - beta * ratio_min
-    log_m1 = top + np.log(sum1) - math.log(samples)
-    log_m2 = 2.0 * top + np.log(sum2) - math.log(samples)
+    log_m1 = top + np.log(_exp_row_sums(shifted, beta, 1)) - math.log(shifted.shape[1])
     if not np.all(np.isfinite(log_m1)):
         raise McDegeneracyError(
             f"Monte Carlo weight estimate underflowed at alpha={alpha}, beta={beta}"
         )
+    return log_m1
+
+
+def _relative_se(shifted, ratio_min, alpha, beta, log_m1):
+    """Relative standard error of each row's first moment, log_m1 of
+    _log_first_moment on the same draws: one pass of _exp_row_sums over
+    the squared terms for the second moment."""
+    samples = shifted.shape[1]
+    top = beta ** alpha - beta * ratio_min
+    log_m2 = 2.0 * top + np.log(_exp_row_sums(shifted, beta, 2)) - math.log(samples)
     # var = m2 - m1^2 in log space; Jensen guarantees log_m2 >= 2 log_m1
     gap = log_m2 - 2.0 * log_m1
     rel = np.zeros_like(gap)
     mask = gap > 1e-15
     log_var = log_m2[mask] + np.log1p(-np.exp(-gap[mask]))
     rel[mask] = np.exp(0.5 * log_var - log_m1[mask] - 0.5 * math.log(samples))
-    return log_m1, rel
+    return rel
+
+
+def _shifted_moments(shifted, ratio_min, alpha, beta):
+    """(log first moment, relative standard error) per row of draws held as
+    R - min R beside their minima: _log_first_moment, then _relative_se,
+    as ngg_last_row_mc takes them on each row.  A beta trial on frozen
+    draws takes the first alone (NggWeightSampler.row_primitives)."""
+    log_m1 = _log_first_moment(shifted, ratio_min, alpha, beta)
+    return log_m1, _relative_se(shifted, ratio_min, alpha, beta, log_m1)
 
 
 def ngg_last_row_mc(alpha, beta, n, samples, rng):
@@ -700,9 +739,12 @@ class NggRowPrimitives(_DepthPrimitives):
     to one, sum_k V_{n,k} alpha^{-k} C(n, k; alpha) = V_{1,1}, so row n
     divided by that sum is row n of the triangle normalised to V_{1,1} = 1
     (the one _mc_weight_table fills), which every g_{n-s}(s,z2) reads; and
-    sum_{m<n} g_m(1,1) = E[B_n], the mean of that law, kept as block_law.
-    The g10 and g11 sequences read rows 2..n of `table`, which is filled
-    from the row on first read unless one is given.
+    sum_{m<n} g_m(1,1) = E[B_n], the mean of that law (block_law).  A slice
+    trial reads alpha, expected_blocks and log_gs1_at only, so those are
+    all the constructor computes; block_law, g10_n, g11_n and rel_se are
+    computed on first read.  The g10 and g11 sequences read rows 2..n of
+    `table`, which is filled from the row on first read unless one is
+    given.
 
     Args:
         log_row: log V_{n,k} for k = 1..n up to one additive constant: the
@@ -710,7 +752,8 @@ class NggRowPrimitives(_DepthPrimitives):
         gfc: GfcTable at the model's alpha, depth n or deeper (the
             sampler's own); its block holds log[alpha^{-k} C(m, k; alpha)].
         rel_se: the row's relative standard errors, which the weight table
-            filled from it carries; None for an exact row.
+            filled from it carries, or a function of no arguments returning
+            them, called on the first read of rel_se; None for an exact row.
         draws: the NggWeightSampler the row was read from, whose samples
             and seed the filled table records.
         table: a weight table of depth n or deeper whose row n is log_row,
@@ -721,7 +764,7 @@ class NggRowPrimitives(_DepthPrimitives):
         n = self.n = len(log_row)
         self.alpha = float(gfc.alpha)
         self.log_row = log_row
-        self.rel_se = rel_se
+        self._rel_se = rel_se
         self.draws = draws
         if table is not None:
             self.table = table
@@ -729,15 +772,31 @@ class NggRowPrimitives(_DepthPrimitives):
         shifted = log_row - np.max(log_row)
         law = shifted + gfc.log_row(n)
         top = law.max()
-        mass = np.exp(law - top)
-        total = mass.sum()
-        self.block_law = mass / total
-        self._log_v = shifted - (top + math.log(total))  # V_{1,1} = 1
-        self.expected_blocks = float(np.dot(np.arange(1, n + 1), mass) / total)
-        self.g11_n = float(np.exp(self.log_gs1_at(np.array([1]))[0]))
+        self._mass = np.exp(law - top)
+        self._total = self._mass.sum()
+        self._log_v = shifted - (top + math.log(self._total))  # V_{1,1} = 1
+        self.expected_blocks = float(np.dot(np.arange(1, n + 1), self._mass) / self._total)
+
+    @cached_property
+    def rel_se(self):
+        return self._rel_se() if callable(self._rel_se) else self._rel_se
+
+    @cached_property
+    def block_law(self):
+        return self._mass / self._total
+
+    @cached_property
+    def g11_n(self):
+        return float(np.exp(self.log_gs1_at(np.array([1]))[0]))
+
+    @cached_property
+    def g10_n(self):
         # g_{n-1}(1,0) = sum_{k<n} V_{n,k} alpha^{-k} C(n-1, k; alpha)
-        terms = self._log_v[:-1] + self._log_c[max(n - 2, 0), :n - 1]
-        self.g10_n = float(np.exp(_log_sum_exp_rows(terms[None])[0])) if n > 1 else math.nan
+        n = self.n
+        if n == 1:
+            return math.nan
+        terms = self._log_v[:-1] + self._log_c[n - 2, :n - 1]
+        return float(np.exp(_log_sum_exp_rows(terms[None])[0]))
 
     @cached_property
     def table(self):
@@ -828,26 +887,34 @@ def block_count_distribution(model, n, table=None, gfc=None):
 
     Pr{B_n = k} = V_{n,k} alpha^{-k} C(n, k; alpha): row n of the weights
     times row n of the GFC table, or of gfc_rows when none is given.  DP
-    reads its closed form |s(n, k)| theta^k / (theta)_n, so builds no table
-    and has no depth limit.  The returned vector is the raw evaluation; a
-    NormalizationError signals that it missed summing to one beyond 1e-8.
-    Every weight table satisfies the recursion (Monte Carlo tables are
-    filled backward by it), so the tolerance is the same for all of them.
+    reads its closed form |s(n, k)| theta^k / (theta)_n, and PY, unless a
+    table is given, its closed-form row n alone (the bits of row n of its
+    weight table), so neither builds a table or has a depth limit.  The
+    returned vector is the raw evaluation; a NormalizationError signals
+    that it missed summing to one beyond 1e-8.  Every weight table
+    satisfies the recursion (Monte Carlo tables are filled backward by it),
+    so the tolerance is the same for all of them.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if model.variant != "DP" and table is None:
-        table = build_weight_table(model, n)
+    if model.variant == "DP":
+        log_v = None
+    elif table is not None:
+        log_v = table.log_row(n)
+    elif model.variant == "PY":
+        log_v = _closed_form_log_row("PY", model.alpha, model.theta, n)
+    else:
+        log_v = build_weight_table(model, n).log_row(n)
     if gfc is not None:
         log_c = gfc.log_row(n)
     else:  # row n of the recursion, one row held at a time
         for log_c in gfc_rows(n, model.stable_index):
             pass
-    if model.variant == "DP":
+    if log_v is None:
         theta = model.theta
         log_p = log_c + np.arange(1, n + 1) * math.log(theta) - log_rising_factorial(theta, n)
     else:
-        log_p = table.log_row(n) + log_c
+        log_p = log_v + log_c
     probs = np.exp(log_p)
     defect = abs(float(probs.sum()) - 1.0)
     if defect > BLOCK_LAW_TOL:
@@ -918,17 +985,25 @@ class NggWeightSampler:
         self.gfc = build_gfc_table(n, alpha)
 
     def log_last_row(self, beta):
-        """(log_row, rel_se) for row n at this beta, from the frozen draws."""
-        if beta <= 0:
-            raise ValueError(f"beta must be positive, got {beta}")
-        log_m1, rel = _shifted_moments(self._shifted, self._ratio_min, self.alpha, beta)
-        return self._log_prefactor + log_m1, rel
+        """(log_row, rel_se) for row n at this beta, from the frozen draws:
+        both moment passes."""
+        primitives = self.row_primitives(beta)
+        return primitives.log_row, primitives.rel_se
 
     def row_primitives(self, beta):
-        """NggRowPrimitives of row n at this beta: one moment pass.  They
-        carry these draws, and fill their weight table on first read."""
-        log_row, rel = self.log_last_row(beta)
-        return NggRowPrimitives(log_row, self.gfc, rel, draws=self)
+        """NggRowPrimitives of row n at this beta from one pass over the
+        draws, which sums the first moment only: all a slice trial reads.
+        They carry these draws; their rel_se, the second-moment pass, is
+        computed on first read, with the bits of log_last_row's, and their
+        weight table is filled on first read."""
+        if beta <= 0:
+            raise ValueError(f"beta must be positive, got {beta}")
+        log_m1 = _log_first_moment(self._shifted, self._ratio_min, self.alpha, beta)
+
+        def rel_se():
+            return _relative_se(self._shifted, self._ratio_min, self.alpha, beta, log_m1)
+
+        return NggRowPrimitives(self._log_prefactor + log_m1, self.gfc, rel_se, draws=self)
 
 
 def weight_table_from_sampler(sampler, beta):

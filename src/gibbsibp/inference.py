@@ -436,11 +436,13 @@ def _slice_model_move(state, counts, move, start):
     coordinate's log prior and Jacobian.  Returns the accepted coordinate.
 
     A trial is scored by its depth-n primitives (gibbs_weights
-    .depth_primitives: closed form for DP/PY, one moment pass of the
-    frozen draws for NGG/NIG), a trial at the state's own model by the
-    state's, which are the same function of the model.  The state adopts
-    the model and primitives of the accepted point, the last one
-    slice_sample evaluated, and builds nothing more.  A discount trial
+    .depth_primitives: closed form for DP/PY; for NGG/NIG one pass over the
+    frozen draws that sums the first moment only, with no rel_se and no
+    weight table), a trial at the state's own model by the state's, which
+    are the same function of the model.  The state adopts the model and
+    primitives of the accepted point, the last one slice_sample evaluated,
+    and builds nothing more: their rel_se and table are computed when first
+    read.  A discount trial
     draws at its own alpha from the model's seed, so the state's
     primitives, and with them its draws, are dropped before a trial makes
     new ones: one set is alive at once.

@@ -275,6 +275,29 @@ class TestFitAndGeweke:
                        "--iterations", 0, "--outdir", tmp_path) == 3
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_degenerate_beta_trial_is_numeric_failure(self, tmp_path, capsys, monkeypatch):
+        # the start beta scores fine; the first beta trial's first-moment
+        # pass is not finite, inside a sweep, and the fit exits 3 without
+        # writing its outputs
+        data = self.write_data(tmp_path)
+        row_sums = gibbs_weights._exp_row_sums
+
+        def degenerate_trial(shifted, beta, power):
+            sums = row_sums(shifted, beta, power)
+            if beta != 1.0:
+                sums[0] = np.nan
+            return sums
+
+        monkeypatch.setattr(gibbs_weights, "_exp_row_sums", degenerate_trial)
+        out = tmp_path / "fit"
+        assert run_cli("fit", "--model", "ngg", "--alpha", 0.5, "--beta", 1,
+                       "--update-theta", "--samples", 10_000, "--data", data,
+                       "--iterations", 2, "--outdir", out) == 3
+        assert "numeric failure: Monte Carlo weight estimate underflowed" in (
+            capsys.readouterr().err
+        )
+        assert not (out / "manifest.json").exists()
+
     def test_geweke_emits_z_table(self, tmp_path):
         assert run_cli("geweke", "--model", "dp", "--theta", 1, "--n", 4,
                        "--p", 2, "--rounds", 1500, "--seed", 3,

@@ -571,6 +571,35 @@ class TestBlockCountDistribution:
             probs = block_count_distribution(model, n)
             assert abs(probs.sum() - 1.0) <= 1e-8
 
+    @pytest.mark.parametrize("alpha, theta", [(0.5, 1.0), (0.2, 5.0), (0.9, -0.5)])
+    def test_py_law_reads_row_n_alone(self, alpha, theta, monkeypatch):
+        # PY's row n in closed form has the bits of row n of its weight
+        # table, so the law is unchanged; no table is built for it
+        model = GibbsModel.py(alpha, theta)
+        tables = {n: build_weight_table(model, n) for n in (1, 2, 3, 17, 100, 200)}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the PY law built a weight table")
+
+        monkeypatch.setattr(gibbs_weights, "build_weight_table", refuse)
+        for n, table in tables.items():
+            assert np.array_equal(
+                block_count_distribution(model, n),
+                block_count_distribution(model, n, table=table),
+            )
+
+    def test_py_law_past_table_depth(self):
+        # no depth limit: n = 5000 is beyond MAX_TABLE_DEPTH, and the law's
+        # mean is E[B_n] = sum_{m<n} g_m(1,1) in closed form
+        n = 5000
+        assert n > MAX_TABLE_DEPTH
+        model = GibbsModel.py(0.5, 1.0)
+        probs = block_count_distribution(model, n)
+        assert probs.shape == (n,) and np.all(probs >= 0)
+        assert expected_blocks(model, n) == pytest.approx(
+            depth_primitives(model, n).expected_blocks, rel=1e-9
+        )
+
     def test_mc_normalization_within_tolerance(self):
         model = GibbsModel.ngg(0.5, 1.0, mc_config=McConfig(samples=50_000, seed=11))
         probs = block_count_distribution(model, 30)
@@ -915,6 +944,64 @@ class TestNggWeightSampler:
         sampler = NggWeightSampler(0.5, 6, 10_000, seed=2)
         with pytest.raises(McDegeneracyError):
             sampler.log_last_row(1.0)
+        with pytest.raises(McDegeneracyError):
+            sampler.row_primitives(1.0)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75])
+    def test_lazy_rel_se_has_the_bits_of_both_passes(self, alpha, monkeypatch):
+        # row_primitives sums the first moment alone and computes rel_se on
+        # first read: row, rel_se and filled table equal log_last_row's
+        # (both passes), the table filled from them and the streamed one
+        n, samples, seed, beta = 20, 10_000, 4, 0.8
+        sampler = NggWeightSampler(alpha, n, samples, seed)
+        log_row, rel_se = sampler.log_last_row(beta)
+        passes = []
+        row_sums = gibbs_weights._exp_row_sums
+
+        def counted_sums(shifted, beta, power):
+            passes.append(power)
+            return row_sums(shifted, beta, power)
+
+        monkeypatch.setattr(gibbs_weights, "_exp_row_sums", counted_sums)
+        primitives = sampler.row_primitives(beta)
+        assert passes == [1]
+        assert np.array_equal(primitives.log_row, log_row)
+        assert np.array_equal(primitives.rel_se, rel_se)
+        assert passes == [1, 2]
+        monkeypatch.undo()
+        filled = gibbs_weights._mc_weight_table(
+            alpha, log_row, rel_se, Provenance("monte-carlo", samples, seed)
+        )
+        streamed = build_weight_table(GibbsModel.ngg(alpha, beta, McConfig(samples, seed)), n)
+        for table in (weight_table_from_sampler(sampler, beta), filled, streamed):
+            assert np.array_equal(primitives.table._log, table._log)
+            assert np.array_equal(primitives.table._rel_se, table._rel_se)
+
+    def test_calibrate_root_pinned(self):
+        # the benchmark's NGG case; the search's trials sum the first moment
+        # alone and the root's mc_error reads rel_se: beta, E[B_n] and
+        # mc_error keep their bits
+        mc = McConfig(samples=20_000, seed=1)
+        got = _calibrate("NGG", 25.0, 50, 0.75, mc)
+        want = ("0x1.459540691b730p-1", "0x1.9000000000042p+4", "0x1.1aa9329725bb4p-9")
+        assert tuple(float.hex(x) for x in got) == want
+
+    def test_underflowed_first_moment_is_degenerate(self, monkeypatch):
+        # a slice trial's pass sums the first moment alone and must still
+        # refuse an estimate that is not finite
+        row_sums = gibbs_weights._exp_row_sums
+
+        def row_three_degenerate(shifted, beta, power):
+            sums = row_sums(shifted, beta, power)
+            sums[2] = np.nan
+            return sums
+
+        sampler = NggWeightSampler(0.5, 6, 10_000, seed=2)
+        monkeypatch.setattr(gibbs_weights, "_exp_row_sums", row_three_degenerate)
+        with pytest.raises(McDegeneracyError, match="beta=1.5"):
+            sampler.row_primitives(1.5)
+        with pytest.raises(McDegeneracyError, match="beta=1.5"):
+            depth_primitives(GibbsModel.ngg(0.5, 1.5, McConfig(10_000, 2)), 6)
 
     def test_sampler_tables_pinned(self):
         # content hashes of frozen-draw tables: a change to the draws, their

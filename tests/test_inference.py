@@ -590,22 +590,23 @@ class TestModelMoves:
 
     def test_ngg_beta_move_scores_trials_from_row_n(self, monkeypatch):
         # every evaluated point but the start, which the state's own
-        # primitives score, reads row n once; no point fills a table or
-        # builds a cache, and the state adopts the accepted trial's
-        # primitives, whose table is the one its frozen draws give at beta
+        # primitives score, runs one first-moment pass over the draws; no
+        # point runs a second-moment pass, fills a table or builds a cache,
+        # and the state adopts the accepted trial's primitives, whose table
+        # is the one its frozen draws give at beta
         model = GibbsModel.ngg(0.5, 1.0)
         alloc = self.allocation(GibbsModel.py(0.5, 1.0), seed=5)
         state = make_state(model, alloc.matrix, seed=25, gamma=self.GAMMA, mc_samples=2000)
         start_table = state.table
-        rows, fills, caches, evals = [], [], [], []
-        read_row = gibbs_weights.NggWeightSampler.log_last_row
+        passes, fills, caches, evals = {1: [], 2: []}, [], [], []
+        row_sums = gibbs_weights._exp_row_sums
         fill = gibbs_weights._mc_weight_table
         build = inference.build_primitive_cache
         slice_move = inference.slice_sample
 
-        def counted_row(sampler, beta):
-            rows.append(beta)
-            return read_row(sampler, beta)
+        def counted_sums(shifted, beta, power):
+            passes[power].append(beta)
+            return row_sums(shifted, beta, power)
 
         def counted_fill(*args, **kwargs):
             fills.append(len(evals))
@@ -621,22 +622,25 @@ class TestModelMoves:
                 return log_density(x)
             return slice_move(counted, x0, rng)
 
-        monkeypatch.setattr(gibbs_weights.NggWeightSampler, "log_last_row", counted_row)
+        monkeypatch.setattr(gibbs_weights, "_exp_row_sums", counted_sums)
         monkeypatch.setattr(gibbs_weights, "_mc_weight_table", counted_fill)
         monkeypatch.setattr(inference, "build_primitive_cache", counted_build)
         monkeypatch.setattr(gibbs_weights, "build_primitive_cache", counted_build)
         monkeypatch.setattr(inference, "slice_sample", counted_slice)
         x = inference._slice_model_move(state, alloc.counts, "second", 0.0)
-        assert evals[0] == 0.0 and len(rows) == len(evals) - 1
-        assert 1.0 not in rows
-        assert fills == caches == []
+        assert evals[0] == 0.0 and len(passes[1]) == len(evals) - 1
+        assert passes[1] == [math.exp(e) for e in evals[1:]]
+        assert passes[2] == fills == caches == []
         assert state.model.beta == math.exp(x)
-        # a sweep with every move on builds neither
+        # a sweep with every move on runs no second-moment pass and builds
+        # neither a table nor a cache
         config = ChainConfig(update_alpha=True, update_theta=True, update_scales=True)
         y = np.random.default_rng(9).standard_normal((self.N, 2))
+        scored = len(passes[1])
         for _ in range(3):
             gibbs_sweep(state, y, config)
-        assert fills == caches == []
+        assert len(passes[1]) > scored
+        assert passes[2] == fills == caches == []
         assert state.model.alpha != 0.5  # the discount moved
         monkeypatch.undo()
         primitives = depth_primitives(state.model, state.n, state.cache)

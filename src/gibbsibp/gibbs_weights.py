@@ -249,22 +249,6 @@ def _closed_form_log_numerators(variant, alpha, theta, n_max):
     return np.concatenate(([0.0], np.cumsum(steps)))
 
 
-def _closed_form_log_row(variant, alpha, theta, n):
-    # log V_{n,k} for k = 1..n: row n of _closed_form_log_weights, bit for
-    # bit, in O(n) time and memory
-    return _closed_form_log_numerators(variant, alpha, theta, n) - log_rising_factorial(
-        theta + 1.0, n - 1
-    )
-
-
-def _closed_form_log_weights(variant, alpha, theta, n_max):
-    table = np.full((n_max + 1, n_max + 1), -np.inf)
-    log_num = _closed_form_log_numerators(variant, alpha, theta, n_max)
-    for n in range(1, n_max + 1):
-        table[n, 1:n + 1] = log_num[:n] - log_rising_factorial(theta + 1.0, n - 1)
-    return table
-
-
 def _usable_cores():
     # cores this process may run on
     try:
@@ -516,7 +500,7 @@ def _mc_weight_table(alpha, last_log_row, last_rel_se, provenance):
 def build_weight_table(model, n_max):
     """Construct the weight triangle for a model up to depth n_max.
 
-    DP and PY rows come from the closed-form ratio of rising factorials. The
+    DP and PY stack the closed-form rows of weight_rows. The
     Monte Carlo variants estimate the final row with ngg_last_row_mc and
     fill the rest by the (exact) backward recursion, normalized so that
     V_{1,1} = 1 (see _mc_weight_table).
@@ -533,9 +517,9 @@ def build_weight_table(model, n_max):
     check_table_depth(n_max)
     n_max = int(n_max)
     if model.is_closed_form:
-        log_entries = _closed_form_log_weights(
-            model.variant, model.stable_index, model.theta, n_max
-        )
+        log_entries = np.full((n_max + 1, n_max + 1), -np.inf)
+        for m, row in enumerate(weight_rows(model, n_max), start=1):
+            log_entries[m, 1:m + 1] = row
         return WeightTable(
             n_max, model.stable_index, log_entries, Provenance("closed-form")
         )
@@ -546,6 +530,29 @@ def build_weight_table(model, n_max):
     return _mc_weight_table(
         alpha, last_log, last_rel, Provenance("monte-carlo", mc.samples, mc.seed)
     )
+
+
+def weight_rows(model, n, table=None):
+    """Rows m = 1..n of log V_{m,k}, k = 1..m, one at a time: the twin of
+    gfc_rows, and the one reader of weights for the urn, the EPPF and the
+    block law.  They are the rows of `table` when one is given, which must
+    reach depth n.  Otherwise DP and PY hold one array of closed-form log
+    numerators and subtract log (theta+1)_{m-1} per row: O(n) memory, each
+    row the bits of row m of build_weight_table, and no depth limit.
+    NGG/NIG read the rows of build_weight_table(model, n).  The arguments
+    are checked at the call."""
+    if n < 1 or n != int(n):
+        raise ValueError(f"n must be a positive integer, got {n}")
+    n = int(n)
+    if table is None and model.is_closed_form:
+        theta = model.theta
+        log_num = _closed_form_log_numerators(model.variant, model.stable_index, theta, n)
+        return (log_num[:m] - log_rising_factorial(theta + 1.0, m - 1) for m in range(1, n + 1))
+    if table is None:
+        table = build_weight_table(model, n)
+    elif table.n_max < n:
+        raise ValueError(f"weight table depth {table.n_max} cannot serve n = {n}")
+    return (table.log_row(m) for m in range(1, n + 1))
 
 
 def ngg_weights_smalln(alpha, beta, n_max):
@@ -885,11 +892,10 @@ def persistence_probability(cache, n, s):
 def block_count_distribution(model, n, table=None, gfc=None):
     """Distribution of the number of blocks B_n over k = 1..n.
 
-    Pr{B_n = k} = V_{n,k} alpha^{-k} C(n, k; alpha): row n of the weights
-    times row n of the GFC table, or of gfc_rows when none is given.  DP
-    reads its closed form |s(n, k)| theta^k / (theta)_n, and PY, unless a
-    table is given, its closed-form row n alone (the bits of row n of its
-    weight table), so neither builds a table or has a depth limit.  The
+    Pr{B_n = k} = V_{n,k} alpha^{-k} C(n, k; alpha): the last of
+    weight_rows(model, n, table) times row n of the GFC table, or of
+    gfc_rows when none is given.  So a given table is read for every
+    subclass, and DP and PY build no table and have no depth limit.  The
     returned vector is the raw evaluation; a NormalizationError signals
     that it missed summing to one beyond 1e-8.  Every weight table
     satisfies the recursion (Monte Carlo tables are filled backward by it),
@@ -897,25 +903,14 @@ def block_count_distribution(model, n, table=None, gfc=None):
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if model.variant == "DP":
-        log_v = None
-    elif table is not None:
-        log_v = table.log_row(n)
-    elif model.variant == "PY":
-        log_v = _closed_form_log_row("PY", model.alpha, model.theta, n)
-    else:
-        log_v = build_weight_table(model, n).log_row(n)
+    for log_v in weight_rows(model, n, table):  # one row held at a time
+        pass
     if gfc is not None:
         log_c = gfc.log_row(n)
-    else:  # row n of the recursion, one row held at a time
+    else:
         for log_c in gfc_rows(n, model.stable_index):
             pass
-    if log_v is None:
-        theta = model.theta
-        log_p = log_c + np.arange(1, n + 1) * math.log(theta) - log_rising_factorial(theta, n)
-    else:
-        log_p = log_v + log_c
-    probs = np.exp(log_p)
+    probs = np.exp(log_v + log_c)
     defect = abs(float(probs.sum()) - 1.0)
     if defect > BLOCK_LAW_TOL:
         raise NormalizationError(

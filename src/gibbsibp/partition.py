@@ -1,10 +1,15 @@
 """Gibbs-type random partitions: the urn scheme, whose steps one checked
 generator computes for both samplers (a partition of [n], or block counts
-only), and the exchangeable partition probability function."""
+only), and the exchangeable partition probability function.
+
+All three read the weights through gibbs_weights.weight_rows, one row at a
+time: the rows of a given table, or for DP and PY the closed-form rows in
+O(n) memory with no depth limit, or for NGG/NIG the rows of a table built
+to depth n."""
 
 import numpy as np
 
-from .gibbs_weights import build_weight_table
+from .gibbs_weights import weight_rows
 from .special_functions import log_rising_factorial
 
 STEP_TOL = 1e-10
@@ -43,23 +48,21 @@ class PartitionState:
         return f"PartitionState(n={self.n}, block_sizes={self.block_sizes})"
 
 
-def _urn_steps(table, alpha, n):
-    """The urn's steps toward n customers, one row m = 1..n-1 at a time.
+def _urn_steps(rows, alpha):
+    """The urn's steps along the weight rows m = 1..n of weight_rows, one
+    step from each row m = 1..n-1 and the next.
 
     From m customers in b blocks, customer m+1 joins a block of size N with
     probability (N - alpha) V_{m+1,b}/V_{m,b} and opens a new block with
     probability V_{m+1,b+1}/V_{m,b}.  Row m yields (same, new) over b = 1..m:
     those two ratios, each divided by the step sum (m - alpha b) same + new.
-    Every weight table satisfies the recursion (Monte Carlo tables are
-    filled backward by it), so each sum must be 1 within STEP_TOL, plus
+    Weight rows satisfy the recursion (Monte Carlo tables are filled
+    backward by it), so each sum must be 1 within STEP_TOL, plus
     LOG_ROUNDING per unit of the largest |log V| among its three weights;
-    the first row that misses raises ValueError, as does a shallow table.
+    the first row that misses raises ValueError.
     """
-    if table.n_max < n:
-        raise ValueError(f"weight table depth {table.n_max} cannot serve n = {n}")
-    log_v = table.log_row(1)
-    for m in range(1, n):
-        log_next = table.log_row(m + 1)
+    log_v = next(rows)
+    for m, log_next in enumerate(rows, start=1):
         log_same, log_new = log_next[:m], log_next[1:]
         same, new = np.exp(log_same - log_v), np.exp(log_new - log_v)
         total = (m - alpha * np.arange(1, m + 1)) * same + new
@@ -81,12 +84,10 @@ def sample_partition(model, n, seed, table=None):
     Returns a PartitionState with per-customer assignments recorded."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if table is None:
-        table = build_weight_table(model, n)
     alpha = model.stable_index
     rng = np.random.default_rng(seed)
     sizes, assignments = [1], [1]
-    for same, new in _urn_steps(table, alpha, n):
+    for same, new in _urn_steps(weight_rows(model, n, table), alpha):
         b = len(sizes)
         probs = np.append((np.array(sizes, dtype=float) - alpha) * same[b - 1], new[b - 1])
         choice = int(rng.choice(b + 1, p=probs / probs.sum()))
@@ -106,11 +107,9 @@ def sample_block_counts(model, n, replicates, seed, table=None):
     """
     if n < 1 or replicates < 1:
         raise ValueError("n and replicates must be positive")
-    if table is None:
-        table = build_weight_table(model, n)
     rng = np.random.default_rng(seed)
     blocks = np.ones(int(replicates), dtype=np.int64)
-    for _, new in _urn_steps(table, model.stable_index, n):
+    for _, new in _urn_steps(weight_rows(model, n, table), model.stable_index):
         blocks += rng.random(blocks.size) < new[blocks - 1]
     return blocks
 
@@ -124,10 +123,10 @@ def log_eppf(model, block_sizes, table=None):
     if len(sizes) == 0 or any(s < 1 for s in sizes):
         raise ValueError(f"block sizes must be positive integers, got {block_sizes}")
     n, k = sum(sizes), len(sizes)
-    if table is None:
-        table = build_weight_table(model, n)
+    for log_v in weight_rows(model, n, table):  # one row held at a time
+        pass
     alpha = model.stable_index
-    log_f = table.log_weight(n, k)
+    log_f = log_v[k - 1]
     # summing in sorted order makes permutation invariance exact, not just
     # up to float reassociation
     for s in sorted(sizes):

@@ -36,6 +36,7 @@ from gibbsibp.gibbs_weights import (
     py_primitive_closed,
     save_weight_table,
     table_cache_path,
+    weight_rows,
     weight_table_content_hash,
     weight_table_from_sampler,
 )
@@ -548,6 +549,36 @@ class TestPersistenceProbability:
             persistence_probability(cache, 3, 2)
 
 
+class TestWeightRows:
+    @pytest.mark.parametrize(
+        "model",
+        [
+            GibbsModel.dp(2.0),
+            GibbsModel.py(0.9, -0.5),
+            GibbsModel.ngg(0.5, 1.0, mc_config=McConfig(samples=10_000, seed=5)),
+        ],
+        ids=["DP", "PY", "NGG"],
+    )
+    def test_rows_are_the_table_rows(self, model):
+        # with no table, row m has the bits of row m of build_weight_table
+        # at depth n (at any depth for DP and PY); a given table is read
+        deep = build_weight_table(model, 9)
+        own = deep if model.is_closed_form else build_weight_table(model, 7)
+        for rows, table in ((weight_rows(model, 7), own), (weight_rows(model, 7, deep), deep)):
+            rows = list(rows)
+            assert len(rows) == 7
+            for m, row in enumerate(rows, start=1):
+                assert np.array_equal(row, table.log_row(m))
+
+    def test_arguments_checked_at_the_call(self):
+        model = GibbsModel.py(0.5, 1.0)
+        for n in (0, 2.5):
+            with pytest.raises(ValueError, match="positive integer"):
+                weight_rows(model, n)
+        with pytest.raises(ValueError, match="depth 2 cannot serve n = 3"):
+            weight_rows(model, 3, build_weight_table(model, 2))
+
+
 class TestBlockCountDistribution:
     def test_py_n2_anchor(self):
         probs = block_count_distribution(GibbsModel.py(0.5, 1.0), 2)
@@ -689,7 +720,7 @@ class TestExpectedBlocksAndCalibrate:
         def refuse(*args, **kwargs):
             raise AssertionError("calibrate built a triangle")
 
-        monkeypatch.setattr(gibbs_weights, "_closed_form_log_weights", refuse)
+        monkeypatch.setattr(gibbs_weights, "build_weight_table", refuse)
         monkeypatch.setattr(gibbs_weights, "_mc_weight_table", refuse)
         if family in ("DP", "PY"):
             monkeypatch.setattr(gibbs_weights, "build_gfc_table", refuse)

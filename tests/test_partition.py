@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from gibbsibp import gibbs_weights
 from gibbsibp.gibbs_weights import (
     GibbsModel,
     McConfig,
@@ -25,6 +26,7 @@ from gibbsibp.partition import (
     sample_block_counts,
     sample_partition,
 )
+from gibbsibp.special_functions import MAX_TABLE_DEPTH
 
 
 def compositions(n):
@@ -147,6 +149,20 @@ class TestStepSumCheck:
         with pytest.raises(NormalizationError, match="beyond tolerance"):
             block_count_distribution(model, 2, table=table)
 
+    def test_dp_law_reads_a_given_table(self):
+        # DP's block law reads the table it is given, as every subclass does:
+        # a perturbed table misses the law's tolerance, and another theta's
+        # table gives that theta's law
+        dp1 = GibbsModel.dp(1.0)
+        perturbed = perturbed_table(build_weight_table(dp1, 6), 6, 3)
+        with pytest.raises(NormalizationError, match="beyond tolerance"):
+            block_count_distribution(dp1, 6, table=perturbed)
+        dp5 = GibbsModel.dp(5.0)
+        assert np.array_equal(
+            block_count_distribution(dp1, 6, table=build_weight_table(dp5, 6)),
+            block_count_distribution(dp5, 6),
+        )
+
     @pytest.mark.parametrize("log_beta", [15.0, 20.0, 23.0])
     def test_mc_tables_pass_at_the_betas_calibrate_visits(self, ngg_sampler_075, log_beta):
         # at large beta the NGG last row sits near beta^alpha - beta min R
@@ -219,6 +235,70 @@ class TestSamplePartition:
             hashlib.sha256(counts.astype(np.int64).tobytes()).hexdigest()[:16],
         )
         assert digests == pins
+
+
+class TestStreamedClosedFormRows:
+    # DP and PY read their closed-form weight rows one at a time
+
+    @pytest.mark.parametrize(
+        "model, pins",
+        [
+            (GibbsModel.dp(2.0), ("08a1a5ed863569d0", "16dd2e751d7bd493")),
+            (GibbsModel.py(0.5, 1.0), ("117ec85f5836ee41", "96971960fa2731e3")),
+            (GibbsModel.py(0.9, -0.5), ("2a97df1b6ce5c900", "7c8c724751849873")),
+        ],
+        ids=["DP", "PY", "PY-negative-theta"],
+    )
+    def test_outputs_pinned(self, model, pins):
+        # sha256 (first 16 hex digits) of the depth-300 weight table and of
+        # seeded urn and EPPF outputs at n = 1, 2, 17, 200, recorded from
+        # the samplers that built the dense closed-form table
+        table_digest = hashlib.sha256(build_weight_table(model, 300)._log.tobytes())
+        urn_digest = hashlib.sha256()
+        for n in (1, 2, 17, 200):
+            state = sample_partition(model, n, seed=n)
+            counts = sample_block_counts(model, n, 500, seed=n + 1)
+            for part in (
+                np.array(state.assignments, dtype=np.int64),
+                counts.astype(np.int64),
+                np.array([log_eppf(model, state.block_sizes)]),
+            ):
+                urn_digest.update(part.tobytes())
+        assert (table_digest.hexdigest()[:16], urn_digest.hexdigest()[:16]) == pins
+
+    @pytest.mark.parametrize(
+        "model",
+        [GibbsModel.dp(2.0), GibbsModel.py(0.5, 1.0), GibbsModel.py(0.9, -0.5)],
+        ids=["DP", "PY", "PY-negative-theta"],
+    )
+    def test_no_table_equals_the_built_table(self, model):
+        for n in (1, 2, 17, 200):
+            table = build_weight_table(model, n)
+            streamed = sample_partition(model, n, seed=n)
+            tabled = sample_partition(model, n, seed=n, table=table)
+            assert streamed.assignments == tabled.assignments
+            assert np.array_equal(
+                sample_block_counts(model, n, 500, seed=n + 1),
+                sample_block_counts(model, n, 500, seed=n + 1, table=table),
+            )
+            sizes = streamed.block_sizes
+            assert log_eppf(model, sizes) == log_eppf(model, sizes, table=table)
+
+    @pytest.mark.parametrize(
+        "model", [GibbsModel.dp(2.0), GibbsModel.py(0.5, 1.0)], ids=["DP", "PY"]
+    )
+    def test_past_the_table_limit(self, model, monkeypatch):
+        # no dense table is built, so the depth limit does not bind
+        def refuse(*args, **kwargs):
+            raise AssertionError("a weight table was built")
+
+        monkeypatch.setattr(gibbs_weights, "build_weight_table", refuse)
+        n = MAX_TABLE_DEPTH + 1
+        counts = sample_block_counts(model, n, 50, seed=0)
+        assert counts.shape == (50,) and counts.min() >= 1 and counts.max() <= n
+        state = sample_partition(model, n, seed=0)
+        assert state.n == n
+        assert math.isfinite(log_eppf(model, state.block_sizes))
 
 
 class TestSampleBlockCounts:

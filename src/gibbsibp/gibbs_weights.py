@@ -15,9 +15,11 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
-import mpmath
 import numpy as np
-from scipy import optimize, special
+from scipy import special
+
+# scipy.optimize (_calibrate) and mpmath (ngg_weights_smalln) are imported
+# inside their one caller, so importing the package does not load them
 
 from .special_functions import (
     TableSizeError,
@@ -532,6 +534,22 @@ def build_weight_table(model, n_max):
     )
 
 
+def _row_reader(model, n, table):
+    # weight_rows' checked arguments: (n, read) where read(m) is row m <= n
+    if n < 1 or n != int(n):
+        raise ValueError(f"n must be a positive integer, got {n}")
+    n = int(n)
+    if table is None and model.is_closed_form:
+        theta = model.theta
+        log_num = _closed_form_log_numerators(model.variant, model.stable_index, theta, n)
+        return n, lambda m: log_num[:m] - log_rising_factorial(theta + 1.0, m - 1)
+    if table is None:
+        table = build_weight_table(model, n)
+    elif table.n_max < n:
+        raise ValueError(f"weight table depth {table.n_max} cannot serve n = {n}")
+    return n, table.log_row
+
+
 def weight_rows(model, n, table=None):
     """Rows m = 1..n of log V_{m,k}, k = 1..m, one at a time: the twin of
     gfc_rows, and the one reader of weights for the urn, the EPPF and the
@@ -541,18 +559,15 @@ def weight_rows(model, n, table=None):
     row the bits of row m of build_weight_table, and no depth limit.
     NGG/NIG read the rows of build_weight_table(model, n).  The arguments
     are checked at the call."""
-    if n < 1 or n != int(n):
-        raise ValueError(f"n must be a positive integer, got {n}")
-    n = int(n)
-    if table is None and model.is_closed_form:
-        theta = model.theta
-        log_num = _closed_form_log_numerators(model.variant, model.stable_index, theta, n)
-        return (log_num[:m] - log_rising_factorial(theta + 1.0, m - 1) for m in range(1, n + 1))
-    if table is None:
-        table = build_weight_table(model, n)
-    elif table.n_max < n:
-        raise ValueError(f"weight table depth {table.n_max} cannot serve n = {n}")
-    return (table.log_row(m) for m in range(1, n + 1))
+    n, read = _row_reader(model, n, table)
+    return (read(m) for m in range(1, n + 1))
+
+
+def weight_row(model, n, table=None):
+    """The last of weight_rows(model, n, table), log V_{n,k} for k = 1..n,
+    read without walking rows 1..n-1: the same checks and the same bits."""
+    n, read = _row_reader(model, n, table)
+    return read(n)
 
 
 def ngg_weights_smalln(alpha, beta, n_max):
@@ -573,6 +588,8 @@ def ngg_weights_smalln(alpha, beta, n_max):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
+    import mpmath
+
     table = np.full((n_max + 1, n_max + 1), -np.inf)
     with mpmath.workdps(60):
         a = mpmath.mpf(alpha)
@@ -892,8 +909,8 @@ def persistence_probability(cache, n, s):
 def block_count_distribution(model, n, table=None, gfc=None):
     """Distribution of the number of blocks B_n over k = 1..n.
 
-    Pr{B_n = k} = V_{n,k} alpha^{-k} C(n, k; alpha): the last of
-    weight_rows(model, n, table) times row n of the GFC table, or of
+    Pr{B_n = k} = V_{n,k} alpha^{-k} C(n, k; alpha): the weight row
+    weight_row(model, n, table) times row n of the GFC table, or of
     gfc_rows when none is given.  So a given table is read for every
     subclass, and DP and PY build no table and have no depth limit.  The
     returned vector is the raw evaluation; a NormalizationError signals
@@ -903,8 +920,7 @@ def block_count_distribution(model, n, table=None, gfc=None):
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    for log_v in weight_rows(model, n, table):  # one row held at a time
-        pass
+    log_v = weight_row(model, n, table)
     if gfc is not None:
         log_c = gfc.log_row(n)
     else:
@@ -1075,6 +1091,8 @@ def _calibrate(family, target, n, alpha, mc_config):
     if family in ("PY", "NGG") and alpha is None:
         raise ValueError(f"{family} calibration requires alpha")
     check_calibration_target(family, target, n, alpha, mc_config)
+    from scipy import optimize
+
     if family == "DP":
         base = GibbsModel.dp(1.0)
     elif family == "PY":

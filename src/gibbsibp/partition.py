@@ -3,13 +3,13 @@ generator computes for both samplers (a partition of [n], or block counts
 only), and the exchangeable partition probability function.
 
 All three read the weights through gibbs_weights.weight_rows, one row at a
-time: the rows of a given table, or for DP and PY the closed-form rows in
-O(n) memory with no depth limit, or for NGG/NIG the rows of a table built
-to depth n."""
+time (the EPPF reads only row n, through weight_row): the rows of a given
+table, or for DP and PY the closed-form rows in O(n) memory with no depth
+limit, or for NGG/NIG the rows of a table built to depth n."""
 
 import numpy as np
 
-from .gibbs_weights import weight_rows
+from .gibbs_weights import weight_row, weight_rows
 from .special_functions import log_rising_factorial
 
 STEP_TOL = 1e-10
@@ -123,10 +123,8 @@ def log_eppf(model, block_sizes, table=None):
     if len(sizes) == 0 or any(s < 1 for s in sizes):
         raise ValueError(f"block sizes must be positive integers, got {block_sizes}")
     n, k = sum(sizes), len(sizes)
-    for log_v in weight_rows(model, n, table):  # one row held at a time
-        pass
     alpha = model.stable_index
-    log_f = log_v[k - 1]
+    log_f = weight_row(model, n, table)[k - 1]
     # summing in sorted order makes permutation invariance exact, not just
     # up to float reassociation
     for s in sorted(sizes):

@@ -4,7 +4,10 @@ coefficients, positive stable densities and the tilted stable integral."""
 import math
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import special
+
+# scipy.integrate and scipy.optimize are imported inside the two functions
+# that use them, so importing the package does not load them
 
 # Weight and GFC tables are dense (n+1) x (n+1) float64 arrays: 32 MB each
 # at this depth, 0.8 GB at n = 10^4.
@@ -168,6 +171,8 @@ def positive_stable_density(alpha, t):
         raise ValueError(f"density argument must be positive, got {t}")
     if alpha == 0.5:
         return t ** -1.5 * math.exp(-1.0 / (4.0 * t)) / (2.0 * math.sqrt(math.pi))
+    from scipy import integrate, optimize
+
     scale = t ** (-alpha / (1.0 - alpha))
     log_t_term = -math.log(t) / (1.0 - alpha)
     lo = -math.log(math.pi)
@@ -205,6 +210,8 @@ def tilted_stable_integral(alpha, s):
     r = t^{1/alpha} leaves one adaptive quadrature of a smooth integrand
     bounded by 1: int_0^inf exp(s^alpha - (s + t^{1/alpha})^alpha) dt.
     """
+    from scipy import integrate
+
     scale, log_s = s ** alpha, math.log(s)
 
     def integrand(t):

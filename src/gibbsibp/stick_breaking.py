@@ -14,6 +14,7 @@ import math
 import numpy as np
 from scipy import special
 
+from .gibbs_weights import _run_units
 from .ibp import FeatureAllocation
 from .special_functions import tilted_stable_integral
 
@@ -155,7 +156,13 @@ def sample_truncated_feature_counts(model, gamma, n, rounds, replicates, seed):
 
     An atom with weight p survives n customers with probability
     1 - (1-p)^n independently of everything else, so K_n needs only the
-    per-atom weights; those are drawn in lockstep across replicates.
+    per-atom weights; those are drawn in lockstep across replicates.  The
+    seed's stream draws every round's Poisson atom counts; round i draws its
+    sticks and comparisons from its own child stream, rng.spawn(rounds)[i-1].
+    The rounds run longest first on every usable core (_run_units; numpy's
+    beta draws release the GIL), and each thread adds its rounds' dish
+    counts into its own integer totals, so the result does not depend on
+    the core count.
 
     Returns:
         int array of shape (replicates,).
@@ -164,20 +171,34 @@ def sample_truncated_feature_counts(model, gamma, n, rounds, replicates, seed):
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if rounds < 0:
+        raise ValueError(f"rounds must be >= 0, got {rounds}")
     rng = np.random.default_rng(seed)
-    totals = np.zeros(replicates, dtype=np.int64)
     counts = rng.poisson(gamma, size=(replicates, rounds))
-    for i in range(1, rounds + 1):
-        round_counts = counts[:, i - 1]
-        atoms = int(round_counts.sum())
-        if atoms == 0:
-            continue
-        paths = sample_sticks(model, i, rng, size=atoms)
-        appear = -np.expm1(n * np.log1p(-paths[:, i - 1]))
-        kept = rng.random(atoms) < appear
-        owners = np.repeat(np.arange(replicates), round_counts)
-        totals += np.bincount(owners[kept], minlength=replicates)
-    return totals
+    streams = rng.spawn(rounds)
+    owners = np.arange(replicates)
+    totals = []
+
+    def start_worker():
+        total = np.zeros(replicates, dtype=np.int64)
+        totals.append(total)
+
+        def run_round(unit):
+            i = rounds - unit  # longest first: round i draws paths of i sticks
+            round_counts, round_rng = counts[:, i - 1], streams[i - 1]
+            atoms = int(round_counts.sum())
+            if atoms == 0:
+                return
+            paths = sample_sticks(model, i, round_rng, size=atoms)
+            appear = -np.expm1(n * np.log1p(-paths[:, i - 1]))
+            kept = round_rng.random(atoms) < appear
+            kept_owners = np.repeat(owners, round_counts)[kept]
+            np.add(total, np.bincount(kept_owners, minlength=replicates), out=total)
+
+        return run_round
+
+    _run_units(rounds, start_worker)
+    return np.sum(totals, axis=0)
 
 
 def structural_density(model, p):

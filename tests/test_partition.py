@@ -18,6 +18,8 @@ from gibbsibp.gibbs_weights import (
     block_count_distribution,
     build_gfc_table,
     build_weight_table,
+    weight_row,
+    weight_rows,
     weight_table_from_sampler,
 )
 from gibbsibp.partition import (
@@ -26,7 +28,7 @@ from gibbsibp.partition import (
     sample_block_counts,
     sample_partition,
 )
-from gibbsibp.special_functions import MAX_TABLE_DEPTH
+from gibbsibp.special_functions import MAX_TABLE_DEPTH, gfc_rows, log_rising_factorial
 
 
 def compositions(n):
@@ -299,6 +301,48 @@ class TestStreamedClosedFormRows:
         state = sample_partition(model, n, seed=0)
         assert state.n == n
         assert math.isfinite(log_eppf(model, state.block_sizes))
+
+
+class TestRowNRead:
+    # the EPPF and the block law read row n alone, never rows 1..n-1
+
+    @pytest.mark.parametrize("n", [1, 2, 200, 2000])
+    @pytest.mark.parametrize(
+        "model", [GibbsModel.dp(2.0), GibbsModel.py(0.5, 1.0)], ids=["DP", "PY"]
+    )
+    def test_bits_of_the_walked_row(self, model, n):
+        alpha = model.stable_index
+        sizes = (1,) * (min(n, 4) - 1) + (n - min(n, 4) + 1,)
+        *_, log_c = gfc_rows(n, alpha)
+        table = build_weight_table(model, n)
+        for given in (None, table):
+            *_, walked = weight_rows(model, n, given)
+            assert np.array_equal(weight_row(model, n, given), walked)
+            want = walked[len(sizes) - 1]
+            for s in sorted(sizes):
+                want += log_rising_factorial(1.0 - alpha, s - 1)
+            assert log_eppf(model, sizes, table=given) == want
+            assert np.array_equal(
+                block_count_distribution(model, n, table=given), np.exp(walked + log_c)
+            )
+
+    def test_given_table_read_once(self):
+        model, n = GibbsModel.py(0.5, 1.0), 200
+        table = build_weight_table(model, n)
+        reads, log_row = [], table.log_row
+        table.log_row = lambda m: reads.append(m) or log_row(m)
+        weight_row(model, n, table)
+        log_eppf(model, (150, 50), table=table)
+        block_count_distribution(model, n, table=table)
+        assert reads == [n, n, n]
+
+    def test_arguments_checked_at_the_call(self):
+        model = GibbsModel.py(0.5, 1.0)
+        for n in (0, 2.5):
+            with pytest.raises(ValueError, match="positive integer"):
+                weight_row(model, n)
+        with pytest.raises(ValueError, match="depth 2 cannot serve n = 3"):
+            weight_row(model, 3, build_weight_table(model, 2))
 
 
 class TestSampleBlockCounts:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from gibbsibp import gibbs_weights
 from gibbsibp.gibbs_weights import GibbsModel
 from gibbsibp.ibp import sample_feature_counts
 from gibbsibp.special_functions import positive_stable_density
@@ -139,6 +140,29 @@ class TestCrossConstruction:
         seq_pmf = np.bincount(sequential, minlength=width) / sequential.size
         tv = 0.5 * np.abs(stick_pmf - seq_pmf).sum()
         assert tv < 0.02
+
+
+class TestTruncatedFeatureCounts:
+    @pytest.mark.parametrize("model", [GibbsModel.dp(1.0), GibbsModel.py(0.2, 1.0)])
+    def test_same_draws_on_any_core_count(self, model, monkeypatch):
+        # each round draws from its own child stream and the totals are
+        # integer sums, so the threads' share of the rounds cannot matter,
+        # with more threads than cores too
+        draws = []
+        for cores in (1, 2, 5):
+            monkeypatch.setattr(gibbs_weights, "_usable_cores", lambda: cores)
+            draws.append(sample_truncated_feature_counts(model, 1.0, 20, 12, 5000, seed=3))
+        assert draws[0].dtype == np.int64
+        assert all(np.array_equal(draws[0], other) for other in draws[1:])
+
+    def test_no_rounds_no_dishes(self):
+        counts = sample_truncated_feature_counts(GibbsModel.dp(1.0), 1.0, 20, 0, 7, seed=3)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, np.zeros(7))
+
+    def test_negative_rounds_refused(self):
+        with pytest.raises(ValueError, match="rounds"):
+            sample_truncated_feature_counts(GibbsModel.dp(1.0), 1.0, 20, -1, 7, seed=3)
 
 
 class TestStructuralDensity:

@@ -22,6 +22,7 @@ from .gibbs_weights import (
     McConfig,
     build_primitive_cache,
     depth_primitives,
+    held_draws,
     primitive_cache_content_hash,
     weight_table_content_hash,
 )
@@ -34,6 +35,10 @@ SHRINK_STEPS = 200
 # the autocorrelation sum of a shorter Geweke chain has too few lags to mean much
 GEWEKE_MIN_ROUNDS = 50
 GEWEKE_CHUNK = 2 ** 15  # cells of Y per chunk of marginal-side prior draws
+# a screened log joint's bounds widen by this much relative to the size of
+# the log joint and of its terms: thousands of times the double-precision
+# rounding of its evaluation
+LOG_JOINT_ROUNDING = 1e-9
 
 
 @dataclass(frozen=True)
@@ -194,6 +199,28 @@ def gamma_posterior(k_n, priors, cache):
     return priors.lambda1 + k_n, rate
 
 
+class ScreenedValue:
+    """A log density value known to lie in [lower, upper]; exact() computes
+    it.  A comparison value > level is decided by the bounds where level
+    lies outside them, and by exact() otherwise, so it has the outcome the
+    exact value gives; float(value) is exact()."""
+
+    __slots__ = ("lower", "upper", "exact")
+
+    def __init__(self, lower, upper, exact):
+        self.lower, self.upper, self.exact = lower, upper, exact
+
+    def __gt__(self, level):
+        if self.lower > level:
+            return True
+        if self.upper <= level:
+            return False
+        return self.exact() > level
+
+    def __float__(self):
+        return float(self.exact())
+
+
 def slice_sample(log_density, x0, rng):
     """One univariate slice-sampling update (stepping out, then shrinkage).
 
@@ -204,8 +231,16 @@ def slice_sample(log_density, x0, rng):
     the one it was started on (or not deterministic) and looping on would
     never end.  The point returned is the last one log_density was
     evaluated at.
+
+    log_density returns a float or a ScreenedValue, whose certified bounds
+    decide a comparison with the slice level unless the level lies between
+    them; only then is its exact value computed (Christen & Fox 2005
+    screen with a cheap bound and fall back to the exact value).  Every
+    comparison has the outcome the exact value gives, so the path, the
+    random stream and the point returned do not depend on the screen.  The
+    start point's value is taken exactly, as the level is drawn below it.
     """
-    f0 = log_density(x0)
+    f0 = float(log_density(x0))
     if not np.isfinite(f0):
         raise ValueError(f"slice sampler started outside the support (f({x0}) = {f0})")
     log_level = f0 - rng.exponential()
@@ -425,6 +460,37 @@ def _resample_gamma(state, priors):
     state.gamma = float(state.rng.gamma(shape, 1.0 / rate))
 
 
+def _log_joint_bounds(counts, gamma, summary, beta):
+    """Certified (lower, upper) bounds on _log_joint_counts(counts, gamma,
+    p) for p the primitives that row_primitives(beta) of the summarised
+    draws gives, from the summary alone; None where they are not finite.
+
+    The midpoint row of the summary (DrawSummary.midpoint_row) lies within
+    eps of the exact row in every entry.  Moving each entry by at most eps
+    moves each log g_{n-s}(s,1) by at most 2 eps (a log-sum of row entries
+    less the log-sum that normalises the block law) and E[B_n] by at most
+    E[B_n] e^{2 eps} (e^{2 eps} - 1), read at the midpoint.  So
+    |exact - midpoint log joint| <= gamma E[B_n] e^{2 eps} (e^{2 eps} - 1)
+    + 2 eps K for K dishes, and the bounds add LOG_JOINT_ROUNDING times
+    (1 + |log joint| + |K log gamma| + gamma E[B_n] + K n) for the rounding
+    of both evaluations.  A log joint that is not finite, or eps of 1 or
+    more, too wide to decide anything, gives None.
+    """
+    primitives, eps = summary.midpoint_row(beta)
+    log_p = _log_joint_counts(counts, gamma, primitives)
+    if not (math.isfinite(log_p) and eps < 1.0):
+        return None
+    k_n, expected = len(counts), primitives.expected_blocks
+    base = k_n * abs(math.log(gamma)) if k_n else 0.0
+    size = 1.0 + abs(log_p) + base + gamma * expected + k_n * primitives.n
+    slack = (
+        gamma * expected * math.exp(2.0 * eps) * math.expm1(2.0 * eps)
+        + 2.0 * eps * k_n
+        + LOG_JOINT_ROUNDING * size
+    )
+    return log_p - slack, log_p + slack
+
+
 def _slice_model_move(state, counts, move, start):
     """One slice update of a model coordinate, started at x = start.
 
@@ -439,16 +505,26 @@ def _slice_model_move(state, counts, move, start):
     .depth_primitives: closed form for DP/PY; for NGG/NIG one pass over the
     frozen draws that sums the first moment only, with no rel_se and no
     weight table), a trial at the state's own model by the state's, which
-    are the same function of the model.  The state adopts the model and
-    primitives of the accepted point, the last one slice_sample evaluated,
-    and builds nothing more: their rel_se and table are computed when first
-    read.  A discount trial
-    draws at its own alpha from the model's seed, so the state's
+    are the same function of the model.  An NGG/NIG beta trial whose draws
+    have a DrawSummary (from the second beta move over them on) is first
+    screened: it returns a ScreenedValue bounding its score
+    (_log_joint_bounds), and the pass over the draws runs only where the
+    slice level falls inside the bounds.  The state adopts the model of
+    the accepted point, the last one slice_sample evaluated, with the
+    primitives that pass gives there, run after the move if the screen
+    decided that point; it builds nothing more, as their rel_se and table
+    are computed when first read.  So every decision, and the state's
+    primitives to the bit, are those of an unscreened move.  A discount
+    trial draws at its own alpha from the model's seed, so the state's
     primitives, and with them its draws, are dropped before a trial makes
     new ones: one set is alive at once.
     """
     model = state.model
-    last = None  # the last evaluated point's (model, primitives)
+    last = None  # the last evaluated point's (model, primitives or None if screened)
+    summary = None
+    if move == "second" and not model.is_closed_form:
+        draws = held_draws(model, state.n, state.cache)
+        summary = draws.summary() if draws is not None else None
 
     def trial(x):
         # (model at x, its log prior + Jacobian terms); None off the support
@@ -459,6 +535,16 @@ def _slice_model_move(state, counts, move, start):
             return replace(model, alpha=alpha), (math.log(alpha), math.log1p(-alpha))
         return model.with_second_coordinate(x), (-math.exp(x), x)
 
+    def scored(trial_model, primitives, terms):
+        nonlocal last
+        last = (trial_model, primitives)
+        return _log_joint_counts(counts, state.gamma, primitives) + terms[0] + terms[1]
+
+    def exact(trial_model, terms):
+        return scored(
+            trial_model, depth_primitives(trial_model, state.n, state.cache), terms
+        )
+
     def target(x):
         nonlocal last
         trial_model, terms = trial(x)
@@ -466,22 +552,31 @@ def _slice_model_move(state, counts, move, start):
             return -math.inf
         last = None  # frees the last trial's draws before new ones are made
         if trial_model == state.model and state.cache is not None:
-            last = (trial_model, state.cache)
-        else:
-            if move == "discount":
-                # the state's draws go before the trial's are made; a later
-                # trial at the state's model draws them again
-                state.cache = None
-            last = (trial_model, depth_primitives(trial_model, state.n, state.cache))
-        log_p = _log_joint_counts(counts, state.gamma, last[1])
-        return log_p + terms[0] + terms[1]
+            return scored(trial_model, state.cache, terms)
+        if summary is not None:
+            bounds = _log_joint_bounds(counts, state.gamma, summary, trial_model.beta)
+            if bounds is not None:
+                last = (trial_model, None)
+                # rounding is monotone, so adding the terms keeps the order
+                return ScreenedValue(
+                    bounds[0] + terms[0] + terms[1], bounds[1] + terms[0] + terms[1],
+                    lambda: exact(trial_model, terms),
+                )
+        if move == "discount":
+            # the state's draws go before the trial's are made; a later
+            # trial at the state's model draws them again
+            state.cache = None
+        return exact(trial_model, terms)
 
     if move == "discount":
         target.__name__ = "logit_alpha"
     else:
         target.__name__ = "log_theta_plus_alpha" if model.is_closed_form else "log_beta"
     x = slice_sample(target, start, state.rng)
-    state.model, state.cache = last
+    accepted, primitives = last
+    if primitives is None:  # decided by the screen
+        primitives = depth_primitives(accepted, state.n, state.cache)
+    state.model, state.cache = accepted, primitives
     return x
 
 

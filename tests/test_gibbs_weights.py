@@ -12,7 +12,11 @@ from scipy import special
 from gibbsibp import gibbs_weights
 from gibbsibp.gibbs_weights import (
     MAX_FROZEN_DRAWS,
+    SUMMARY_BINS,
+    SUMMARY_HEAD,
+    SUMMARY_ROUNDING,
     check_frozen_draws,
+    DrawSummary,
     GibbsModel,
     McConfig,
     McDegeneracyError,
@@ -1092,6 +1096,112 @@ class TestNggWeightSampler:
             model, 8, table=weight_table_from_sampler(sampler, 2.0), gfc=gfc
         )
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _overflowing_stable(alpha, spec_rows):
+    # sample_tilted_stable whose draws overflow to inf in the rows of tilt
+    # k alpha named by spec_rows: {k: "some" | "all but one" | "all"}
+    draw = sample_tilted_stable
+
+    def overflowing(spec, rng, size=None):
+        x = draw(spec, rng, size=size)
+        kind = spec_rows.get(round(spec.tilt / alpha))
+        if kind == "some":
+            x[::7] = np.inf
+        elif kind == "all but one":
+            x[1:] = np.inf
+        elif kind == "all":
+            x[:] = np.inf
+        return x
+
+    return overflowing
+
+
+class TestDrawSummary:
+    """The summary's bounds hold the direct pass's log first moment for
+    every row, at every beta, overflowed draws included."""
+
+    BETAS = np.logspace(-3.0, 3.0, 13)
+
+    def assert_bounds_hold(self, sampler):
+        summary = DrawSummary(sampler)
+        assert summary.bounded
+        for beta in self.BETAS:
+            lower, upper = summary.log_first_moment_bounds(beta)
+            direct = gibbs_weights._log_first_moment(
+                sampler._shifted, sampler._ratio_min, sampler.alpha, beta
+            )
+            assert np.all(lower <= direct) and np.all(direct <= upper), beta
+            # the midpoint row lies within eps of the exact row
+            primitives, eps = summary.midpoint_row(beta)
+            exact = sampler.row_primitives(beta).log_row
+            assert np.all(np.abs(exact - primitives.log_row) <= eps), beta
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("n", [1, 2, 30, 100])
+    def test_bounds_contain_direct_pass(self, alpha, n):
+        self.assert_bounds_hold(NggWeightSampler(alpha, n, 10_000, seed=n))
+
+    def test_bounds_hold_with_overflowed_ratios(self, monkeypatch):
+        alpha = 0.5
+        monkeypatch.setattr(
+            gibbs_weights, "sample_tilted_stable",
+            _overflowing_stable(alpha, {1: "some", 2: "all but one", 5: "some"}),
+        )
+        sampler = NggWeightSampler(alpha, 6, 10_000, seed=3)
+        shifted = sampler._shifted
+        assert np.isinf(shifted[0]).sum() > 1000 and np.isinf(shifted[1]).sum() == 9999
+        self.assert_bounds_hold(sampler)
+
+    def test_nan_row_gets_no_summary(self, monkeypatch):
+        # a row of only overflowed ratios shifts to nan: no summary bounds
+        # it, and the direct pass refuses it
+        alpha = 0.5
+        monkeypatch.setattr(
+            gibbs_weights, "sample_tilted_stable", _overflowing_stable(alpha, {3: "all"})
+        )
+        sampler = NggWeightSampler(alpha, 6, 10_000, seed=3)
+        assert np.all(np.isnan(sampler._shifted[2]))
+        assert not DrawSummary(sampler).bounded
+        assert sampler.summary() is None and sampler.summary() is None
+        with pytest.raises(McDegeneracyError):
+            sampler.row_primitives(1.0)
+
+    def test_built_on_second_request(self, monkeypatch):
+        built = []
+
+        class Counted(DrawSummary):
+            def __init__(self, sampler):
+                built.append(sampler)
+                super().__init__(sampler)
+
+        monkeypatch.setattr(gibbs_weights, "DrawSummary", Counted)
+        sampler = NggWeightSampler(0.5, 100, 20_000, seed=1)
+        assert sampler.summary() is None and built == []
+        summary = sampler.summary()
+        assert isinstance(summary, Counted) and built == [sampler]
+        assert sampler.summary() is summary and built == [sampler]
+        held = sum(
+            getattr(summary, name).nbytes
+            for name in ("_head", "_count", "_mean", "_low", "_high", "_low_weight",
+                         "_high_weight")
+        )
+        assert held == 100 * (SUMMARY_HEAD + 6 * SUMMARY_BINS) * 8 <= 2 * 2 ** 20
+
+    def test_few_draws_are_all_head(self):
+        # rows no longer than the head are kept whole: the bounds are the
+        # row's own sum less and plus the rounding margin
+        samples = SUMMARY_HEAD // 2
+        sampler = NggWeightSampler(0.5, 4, samples, seed=2)
+        summary = DrawSummary(sampler)
+        assert summary._head.shape == (4, samples)
+        assert not summary._count.any()
+        for beta in self.BETAS:
+            lower, upper = summary.log_first_moment_bounds(beta)
+            top = beta ** 0.5 - beta * sampler._ratio_min
+            log_sum = upper - top + math.log(samples)
+            size = 1.0 + np.abs(top) + math.log(samples) + log_sum
+            assert np.all(upper - lower <= 2.0 * SUMMARY_ROUNDING * size + 1e-12)
 
 
 class TestSerialization:

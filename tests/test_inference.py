@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import weakref
@@ -13,8 +14,10 @@ from gibbsibp import gibbs_weights, inference
 from gibbsibp.gibbs_weights import (
     SMALLN_MAX,
     ClosedFormPrimitives,
+    DrawSummary,
     GibbsModel,
     McConfig,
+    McDegeneracyError,
     NggRowPrimitives,
     NggWeightSampler,
     build_primitive_cache,
@@ -35,6 +38,7 @@ from gibbsibp.inference import (
     LatentFactorState,
     Priors,
     SampleArchive,
+    ScreenedValue,
     gamma_posterior,
     geweke_check,
     gibbs_sweep,
@@ -1401,6 +1405,202 @@ class TestSweepAndChain:
         archive = run_chain(y, GibbsModel.py(0.5, 1.0), config)
         k_draws = archive.column("dishes")
         assert 2.0 <= k_draws.mean() <= 8.0
+
+
+class TestBetaScreen:
+    """The beta move's screen: certified bounds on the log joint that never
+    decide a slice comparison against the exact value."""
+
+    N, GAMMA = 30, 2.0
+
+    def state(self, seed=41, mc_samples=20_000):
+        alloc = simulate_ibp(GibbsModel.py(0.5, 1.0), self.GAMMA, self.N, seed=seed)
+        assert alloc.dishes >= 3
+        model = GibbsModel.ngg(0.5, 1.0)
+        return alloc.counts, make_state(
+            model, alloc.matrix, seed=seed, gamma=self.GAMMA, mc_samples=mc_samples
+        )
+
+    def test_never_decides_against_exact(self):
+        counts, state = self.state()
+        sampler = state.cache.draws
+        summary = DrawSummary(sampler)
+        rng = np.random.default_rng(3)
+        decided, undecided = 0, 0
+        for i in range(240):
+            beta = math.exp(rng.uniform(-5.0, 5.0))
+            exact = _log_joint_counts(counts, self.GAMMA, sampler.row_primitives(beta))
+            lower, upper = inference._log_joint_bounds(counts, self.GAMMA, summary, beta)
+            assert lower <= exact <= upper, beta
+            # levels far from the exact value and levels within the bounds
+            offset = rng.normal() * (2.0 if i % 2 else 10.0 ** rng.uniform(-8.0, -1.0))
+            level = exact + offset
+            calls = []
+
+            def exact_value():
+                calls.append(beta)
+                return exact
+
+            above = ScreenedValue(lower, upper, exact_value) > level
+            assert above == (exact > level), (beta, offset)
+            if calls:
+                undecided += 1
+            else:
+                decided += 1
+        assert decided >= 120 and undecided >= 10
+
+    def test_slack_covers_every_row_within_eps(self):
+        # the bounds hold for any row within eps of the midpoint, not only
+        # the exact one: steps of -eps/+eps at every split and random signs
+        counts, state = self.state()
+        summary = DrawSummary(state.cache.draws)
+        rng = np.random.default_rng(8)
+        n = self.N
+        steps = [np.where(np.arange(n) < j, -1.0, 1.0) for j in range(n + 1)]
+        signs = steps + [-s for s in steps] + [rng.choice([-1.0, 1.0], n) for _ in range(40)]
+        for beta in np.logspace(-2.0, 2.0, 5):
+            midpoint, eps = summary.midpoint_row(beta)
+            lower, upper = inference._log_joint_bounds(counts, self.GAMMA, summary, beta)
+            for sign in signs:
+                row = NggRowPrimitives(midpoint.log_row + eps * sign, summary._gfc)
+                assert lower <= _log_joint_counts(counts, self.GAMMA, row) <= upper
+
+    def test_bounds_without_dishes_at_zero_mass(self):
+        # K = 0 and gamma = 0: the log joint is -gamma E[B_n] = 0 exactly
+        _, state = self.state()
+        summary = DrawSummary(state.cache.draws)
+        none = np.zeros(0, dtype=np.int64)
+        lower, upper = inference._log_joint_bounds(none, 0.0, summary, 0.7)
+        assert lower <= 0.0 <= upper and upper - lower < 1e-6
+        assert inference._log_joint_bounds(np.array([2, 1]), 0.0, summary, 0.7) is None
+
+    def test_screened_move_passes_and_bits(self, monkeypatch):
+        # from the second beta move over the same draws on, a move runs one
+        # first-moment pass per undecided trial, plus one at the accepted
+        # point when the screen decided it; the path and the state's
+        # primitives are those of the unscreened move to the bit
+        counts, state = self.state()
+        _, twin = self.state()
+        twin.cache.draws.summary = lambda: None  # never screened
+        passes, undecided = [], []
+        row_sums = gibbs_weights._exp_row_sums
+        exceeds = ScreenedValue.__gt__
+
+        def counted_sums(shifted, beta, power):
+            passes.append(power)
+            return row_sums(shifted, beta, power)
+
+        def counted_exceeds(value, level):
+            undecided.append(not (value.lower > level or value.upper <= level))
+            return exceeds(value, level)
+
+        x = twin_x = 0.0
+        moves = 12
+        for move in range(moves):
+            twin_x = inference._slice_model_move(twin, counts, "second", twin_x)
+            monkeypatch.setattr(gibbs_weights, "_exp_row_sums", counted_sums)
+            monkeypatch.setattr(ScreenedValue, "__gt__", counted_exceeds)
+            del passes[:], undecided[:]
+            x = inference._slice_model_move(state, counts, "second", x)
+            monkeypatch.undo()
+            assert x == twin_x and state.model == twin.model
+            assert np.array_equal(state.cache.log_row, twin.cache.log_row)
+            assert state.model.beta == math.exp(x)
+            assert set(passes) <= {1}
+            if move == 0:
+                assert undecided == []  # the first move builds no summary
+            else:
+                assert undecided, "a screened move compares at least once"
+                accepted_screened = 0 if undecided[-1] else 1
+                assert len(passes) == sum(undecided) + accepted_screened
+        assert state.table is not None
+        assert np.array_equal(state.table._log, twin.table._log)
+        assert np.array_equal(state.table._rel_se, twin.table._rel_se)
+
+    def test_nan_row_raises_from_beta_trial(self):
+        # a degenerate row has no summary, so a trial takes the direct pass,
+        # which refuses it
+        counts, state = self.state(mc_samples=2000)
+        sampler = state.cache.draws
+        shifted = sampler._shifted.copy()
+        shifted[4] = np.nan
+        sampler._shifted = shifted
+        assert sampler.summary() is None  # the first request
+        with pytest.raises(McDegeneracyError):
+            inference._slice_model_move(state, counts, "second", 0.0)
+        assert sampler._summary_requests == 2 and sampler.summary() is None
+
+    @pytest.mark.parametrize(
+        "moves, built",
+        [(dict(update_theta=True), 1), (dict(update_alpha=True, update_theta=True), 0)],
+        ids=["beta", "alpha-beta"],
+    )
+    def test_summary_only_over_reused_draws(self, moves, built, monkeypatch):
+        # a chain that moves alpha has new draws for every beta move and
+        # never summarises them; a beta-only chain summarises its one set
+        made = []
+
+        class Counted(DrawSummary):
+            def __init__(self, sampler):
+                made.append(sampler)
+                super().__init__(sampler)
+
+        monkeypatch.setattr(gibbs_weights, "DrawSummary", Counted)
+        y = np.random.default_rng(9).standard_normal((12, 2))
+        config = ChainConfig(seed=4, mc_samples=2000, **moves)
+        state = initial_state(GibbsModel.ngg(0.5, 1.0), y, config)
+        for _ in range(5):
+            gibbs_sweep(state, y, config)
+        assert len(made) == built
+
+
+def _chain_digest(model, n, sweeps, mc_samples, **moves):
+    # sha256 over every sweep's beta (or theta), Z, W, A, gamma and log
+    # joint, and the weight table content hash the chain ends on
+    z = np.zeros((n, 3), dtype=np.uint8)
+    z[: n // 2, 0] = 1
+    z[n // 4:, 1] = 1
+    z[n - 2:, 2] = 1
+    scales = {"sigma_y": 0.3, "sigma_w": 1.0, "sigma_a": 1.0}
+    y = synthesize_data(n, 4, z, scales, seed=31)
+    config = ChainConfig(seed=17, sigma_y=0.3, mc_samples=mc_samples, **moves)
+    state = initial_state(model, y, config)
+    digest = hashlib.sha256()
+    for _ in range(sweeps):
+        gibbs_sweep(state, y, config)
+        counts = state.z.sum(axis=0)
+        log_p = _log_joint_counts(counts, state.gamma, state.cache) + log_likelihood(
+            y, state.z, state.w, state.a, state.sigma_y
+        )
+        for value in (state.model.beta, state.model.stable_index, state.gamma, log_p):
+            digest.update(np.float64(value).tobytes())
+        for array in (state.z, state.w, state.a):
+            digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()[:16], weight_table_content_hash(state.table, state.model)[:16]
+
+
+class TestChainPins:
+    """Seeded NGG/NIG chains with the beta move, pinned sweep by sweep: the
+    beta path, Z, W, A, gamma and the log joint, and the final weight table.
+    The beta-only chains screen their trials from the second sweep on, so
+    a screen that decided one comparison otherwise than the exact value
+    would move their pins; the alpha chain never screens."""
+
+    @pytest.mark.parametrize(
+        "model, n, sweeps, mc_samples, moves, pins",
+        [
+            (GibbsModel.ngg(0.5, 1.0), 30, 60, 10_000, dict(update_theta=True),
+             ("e45b945ffd14858c", "bafd463cf98f94e0")),
+            (GibbsModel.nig(2.0), 30, 60, 10_000, dict(update_theta=True),
+             ("fb2b42463c1f578c", "30f78efc3275cc7f")),
+            (GibbsModel.ngg(0.5, 1.0), 12, 50, 2000,
+             dict(update_alpha=True, update_theta=True),
+             ("7ca98bba18cc61e1", "5e1e0004342b3449")),
+        ],
+        ids=["ngg-beta", "nig-beta", "ngg-alpha-beta"],
+    )
+    def test_chain_pinned(self, model, n, sweeps, mc_samples, moves, pins):
+        assert _chain_digest(model, n, sweeps, mc_samples, **moves) == pins
 
 
 class TestArchive:

@@ -6,7 +6,8 @@ deterministically under --seed, and writes its artifacts (CSV data, a JSON
 manifest, and a re-runnable key=value config file) into --outdir.
 
 Exit codes: 0 success, 2 usage error (before any draw: a flag out of range, a
-size limit, or a calibrate target E[B_n] never reaches), 3 numeric failure.
+size limit, data that is not a finite matrix, or a calibrate target E[B_n]
+never reaches), 3 numeric failure or a run out of memory.
 """
 
 import argparse
@@ -15,6 +16,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -47,6 +49,10 @@ from .special_functions import TableSizeError
 MODEL_CHOICES = ("dp", "py", "ngg", "nig")
 CACHE_DIR_ENV = "GIBBSIBP_CACHE_DIR"
 CALIBRATE_N = 50  # calibrate's --n when none is given
+
+
+class UsageError(ValueError):
+    """A usage error a runner finds only once it reads its input."""
 
 
 @dataclass
@@ -238,6 +244,15 @@ def _validate(config):
         for name in ("lambda1", "lambda2", "sigma_y", "sigma_w", "sigma_a"):
             if not getattr(config, name) > 0:
                 raise ValueError(f"--{name.replace('_', '-')} must be positive")
+        for name in ("sigma_y", "sigma_w", "sigma_a"):
+            # the samplers divide by the variance, so it must be a
+            # positive normal double
+            value = getattr(config, name)
+            if not sys.float_info.min <= value * value <= sys.float_info.max:
+                raise ValueError(
+                    f"--{name.replace('_', '-')} squared must be a positive normal "
+                    f"double (about 2.2e-308 to 1.8e308), got {value}"
+                )
     if config.subcommand == "stats":
         if not config.models:
             raise ValueError("stats needs at least one --model spec")
@@ -396,10 +411,32 @@ def _chain_config(config):
     )
 
 
+def _read_data(path):
+    """The data matrix of a fit: a non-empty 2-D CSV matrix of finite
+    numbers, or a UsageError that names what is wrong (for a non-finite
+    cell, the first one, counting rows and columns from 1)."""
+    with warnings.catch_warnings():
+        # an empty file warns before it is refused below
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            y = np.loadtxt(path, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise UsageError(f"data file {path} is not a CSV matrix of numbers: {exc}") from None
+    if y.size == 0:  # loadtxt's ndmin=2 makes every other file 2-D
+        raise UsageError(f"data file {path} holds no data matrix")
+    bad = np.argwhere(~np.isfinite(y))
+    if bad.size:
+        row, col = bad[0].tolist()
+        raise UsageError(
+            f"data must be finite: row {row + 1}, column {col + 1} of {path} is {y[row, col]}"
+        )
+    return y
+
+
 def run_fit(config):
     outdir = _prepare_outdir(config)
     model = config.build_model()
-    y = np.loadtxt(config.data, delimiter=",", ndmin=2)
+    y = _read_data(config.data)
     archive = run_chain(y, model, _chain_config(config))
     archive.to_csv(outdir / "samples.csv")
     dishes = archive.column("dishes")
@@ -562,14 +599,18 @@ def main(argv=None):
         return 2
     try:
         _RUNNERS[config.subcommand](config)
-    except TableSizeError as exc:
+    except (TableSizeError, UsageError) as exc:
         # the library refuses a table or draw set past its limit before
-        # building any of it
+        # building any of it; fit refuses its data before any draw
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (McDegeneracyError, NormalizationError, ValueError, RuntimeError,
             FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or 'the run needs more memory than is free'}",
+              file=sys.stderr)
         return 3
     return 0
 

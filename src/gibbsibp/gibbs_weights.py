@@ -373,7 +373,10 @@ def _exp_row_sums(shifted, beta, power):
         def reduce_block(block):
             first = block * step
             last = min(first + step, rows)
-            work = np.multiply(shifted[first:last], -beta, out=buffer[:last - first])
+            # a draw past the largest double over beta gives -inf, whose
+            # term exp(-inf) = 0 is the exact limit; errstate is per thread
+            with np.errstate(over="ignore"):
+                work = np.multiply(shifted[first:last], -beta, out=buffer[:last - first])
             np.exp(work, out=work)
             if power == 2:
                 np.square(work, out=work)

@@ -5,7 +5,7 @@ W_{ik} ~ N(0, sigma_W^2), loadings A_{kj} ~ N(0, sigma_{A,j}^2), and Z a
 Gibbs-type feature allocation.  The sampler touches the allocation prior
 only through its primitives at the data size n (read in closed form for
 DP/PY and from row n of the weights for NGG/NIG), so every model variant
-runs through the same sweep: per-element Z updates, a
+runs through the same sweep: per-element Z updates scanned dish by dish, a
 Metropolis-Hastings move on each row's singleton dishes, conjugate W/A
 updates, conjugate gamma and scale updates, and slice moves for the model
 parameters.
@@ -270,81 +270,73 @@ def slice_sample(log_density, x0, rng):
 
 
 def _resample_z(state, y):
-    # Per-element conditional for dishes some other row also takes; row
-    # singletons belong to the singleton move.
-    #
-    # With r the row's residual, a_k row k of A, w = W[i, k],
-    # G = A A^T and c = A r, switching (i, k) on moves r to r - w a_k, so
-    #   ||r_off||^2 - ||r_on||^2 = 2 w c_k + w^2 G_kk   (z_ik = 1, r = r_on)
-    #                            = 2 w c_k - w^2 G_kk   (z_ik = 0, r = r_off)
-    # and a flip on moves c by -w G_k (off: +w G_k).  Rows do not share
-    # residuals, so every row's c comes from one product R A^T.
-    #
-    # The uniforms of a row are drawn in one call: the entries that draw
-    # one are those with s_minus > 0, and a flip of (i, k) changes no
-    # other row's take of any dish, so that set is fixed at row start.
-    # One rng.random(m) gives the stream of m single rng.random() calls.
+    """One Gibbs update of every entry z_ik, scanned dish by dish.
+
+    An entry whose dish no other row takes at its turn (s_minus = 0) is a
+    row singleton, left to the singleton move.  Every other entry takes
+    the dish with probability expit(prior(s_minus) + lik_ik): prior(s) is
+    the log odds of the dish-take prior (s - alpha) g_{n-1}(1,0), and
+    lik_ik = (||r_off||^2 - ||r_on||^2) / (2 sigma_Y^2) for r row i's
+    residual.  With u_ik uniform and t_ik = logit(u_ik) - lik_ik, it takes
+    iff t_ik < prior(s_minus).
+
+    With w = W[i, k], G = A A^T and c = A r,
+      ||r_off||^2 - ||r_on||^2 = 2 w c_k + w^2 G_kk   (z_ik = 1)
+                               = 2 w c_k - w^2 G_kk   (z_ik = 0),
+    and a flip on moves row i's c by -w G_k (off: +w G_k).  So every t is
+    scored at sweep start from one product C = R A^T.  A flip records its
+    step (-w on, +w off), and dish k's scores take the flips of the dishes
+    before it as one product of row k of G with those steps, which is zero
+    for the rows that did not flip.  One rng.random((K, n)) draws a
+    uniform for every entry, in scan order, whether or not the entry uses
+    it.
+
+    prior(s) rises with s, and s_minus of an entry that is not a
+    singleton lies in 1..n-1, so rows that are off with t >= prior(n-1)
+    stay off and rows that are on with t < prior(1) stay on, whatever the
+    rows before them do.  Only the other rows of a dish enter the scalar
+    loop, which carries the dish's count.  The prior's log odds are
+    checked for every s in 1..n-1 before any draw.
+    """
     n, k_dishes = state.z.shape
     if n < 2 or k_dishes == 0:
         return
-    alpha = state.model.stable_index
-    g10 = state.cache.g10_n
-    a = state.a
-    gram = (a @ a.T).tolist()
-    gram_diag = [gram[k][k] for k in range(k_dishes)]
-    c_rows = ((y - (state.w * state.z) @ a) @ a.T).tolist()
-    w_rows = state.w.tolist()
-    z = state.z
-    counts = z.sum(axis=0).tolist()
-    inv_two_var = 1.0 / (2.0 * state.sigma_y ** 2)
-    random = state.rng.random
-    exp, inf = math.exp, math.inf
-    prior_log_odds = [None] * n  # by s_minus: log odds of the dish-take prior
-    dishes = range(k_dishes)
-    for i in range(n):
-        z_row = z[i].tolist()
-        shared = [k for k in dishes if counts[k] - z_row[k] > 0]
-        if not shared:
+    alpha, g10 = state.model.stable_index, state.cache.g10_n
+    # (s - alpha) g10 is linear in s, so its ends bound every s in 1..n-1
+    if not (0.0 <= (1 - alpha) * g10 <= 1.0 and 0.0 <= (n - 1 - alpha) * g10 <= 1.0):
+        raise ValueError("dish-take prior left [0, 1]; the primitives are corrupt")
+    prior_take = (np.arange(1, n) - alpha) * g10
+    a, wt, zt = state.a, state.w.T, state.z.T
+    gram = a @ a.T
+    u = state.rng.random((k_dishes, n))
+    with np.errstate(divide="ignore"):
+        prior = np.log(prior_take) - np.log1p(-prior_take)
+        t = np.log(u) - np.log1p(-u)
+    prior = [math.nan, *prior.tolist()]  # indexed by s_minus
+    # lik = q (c_k +- w G_kk / 2) with q = 2 w / (2 sigma_Y^2); row k of c
+    # holds every row's c_k
+    q = wt * (1.0 / state.sigma_y ** 2)
+    half_self = wt * (0.5 * gram.diagonal())[:, None]
+    c = a @ (y - (state.w * state.z) @ a).T
+    t -= q * (c + np.where(zt, half_self, -half_self))
+    # an off row can take only if t < prior(n-1), an on row can drop only if
+    # t >= prior(1): the live rows are those with (t < reach) != z
+    reach = np.where(zt, prior[1], prior[n - 1])
+    counts = state.z.sum(axis=0).tolist()
+    steps = np.zeros((k_dishes, n))  # a flip of (i, k) moves row i's c by steps[k, i] G_k
+    for k in range(k_dishes):
+        t_k = t[k] - q[k] * (gram[k, :k] @ steps[:k]) if k else t[0]
+        rows = np.flatnonzero((t_k < reach[k]) != zt[k])
+        if not rows.size:
             continue
-        c = c_rows[i]
-        w_row = w_rows[i]
-        flipped = False
-        for u, k in zip(random(len(shared)).tolist(), shared):
-            on = z_row[k]
-            s_minus = counts[k] - on
-            log_prior = prior_log_odds[s_minus]
-            if log_prior is None:
-                prior_take = (s_minus - alpha) * g10
-                if not 0.0 <= prior_take <= 1.0:
-                    raise ValueError(
-                        "dish-take prior left [0, 1]; the primitives are corrupt"
-                    )
-                log_prior = (
-                    math.log(prior_take) - math.log1p(-prior_take)
-                    if prior_take < 1.0 else inf
-                )
-                prior_log_odds[s_minus] = log_prior
-            w = w_row[k]
-            if log_prior == inf:
-                log_odds = inf
-            elif on:
-                log_odds = log_prior + (2.0 * w * c[k] + w * w * gram_diag[k]) * inv_two_var
-            else:
-                log_odds = log_prior + (2.0 * w * c[k] - w * w * gram_diag[k]) * inv_two_var
-            # scipy.special.expit bit for bit (log_odds = +-inf too); exp
-            # overflows only below -709.78, where expit is 0
-            try:
-                take = u < 1.0 / (1.0 + exp(-log_odds))
-            except OverflowError:
-                take = False
-            if take != on:
-                counts[k] += 1 if take else -1
-                z_row[k] = int(take)
-                step = -w if take else w
-                c = [c_j + step * g_j for c_j, g_j in zip(c, gram[k])]
-                flipped = True
-        if flipped:
-            z[i] = z_row
+        count = counts[k]
+        w_k = wt[k]
+        for i, t_ik, on in zip(rows.tolist(), t_k[rows].tolist(), zt[k, rows].tolist()):
+            s_minus = count - on
+            if s_minus and (t_ik < prior[s_minus]) != on:
+                count += 1 - 2 * on
+                zt[k, i] = 1 - on
+                steps[k, i] = w_k[i] if on else -w_k[i]
 
 
 def _singleton_move(state, y):
@@ -355,39 +347,36 @@ def _singleton_move(state, y):
     the prior and proposal cancel, leaving the likelihood ratio of the
     row's residual with and without the swap.
 
-    The residual matrix R = Y - (W o Z) A is formed once: a swap in row i
-    touches no other row's residual or singletons (its old and new dishes
-    are row i's alone), so R and the set of rows owning a singleton, found
-    in one pass, stay valid for the rows after i.  The own mask of a row
-    that draws is recomputed from the counts, since accepts shift column
-    indices.  Rows draw in order, so the random stream is the one the
-    per-row form used.
+    All n counts are drawn first, in one call, so only the rows that
+    propose (those owning a singleton or drawing k_new > 0) enter the
+    loop, in row order; each then draws its proposal, its uniform and, on
+    accept, the fresh weights of the other rows.  Each row's residual
+    R = Y - (W o Z) A, its squared norm and its residual without its own
+    singletons are formed once for all rows: a swap in row i touches no
+    other row's residual or singletons (its old and new dishes are row
+    i's alone), so they stay valid for the rows after i.  The singleton
+    mask follows the accepts, which shift column indices.
     """
     n = state.n
     rate = state.gamma * state.cache.g11_n
     inv_two_var = 1.0 / (2.0 * state.sigma_y ** 2)
     p = state.p
     rng = state.rng
-    counts = state.z.sum(axis=0)
-    owners = state.z[:, counts == 1].any(axis=1).tolist()
+    k_new_rows = rng.poisson(rate, size=n)
+    single = state.z.sum(axis=0) == 1
+    owned = state.z[:, single]
+    proposing = owned.any(axis=1) | (k_new_rows > 0)
     resid = y - (state.w * state.z) @ state.a
-    poisson = rng.poisson
-    for i in range(n):
-        k_new = int(poisson(rate))
-        if not owners[i] and k_new == 0:
-            continue
+    sq_resid = (resid * resid).sum(axis=1)
+    bare = resid + (state.w[:, single] * owned) @ state.a[single]  # without own singletons
+    for i, k_new in zip(np.flatnonzero(proposing).tolist(), k_new_rows[proposing].tolist()):
         w_new = rng.normal(0.0, state.sigma_w, size=k_new)
         a_new = rng.standard_normal((k_new, p)) * state.sigma_a
-        own = (counts == 1) & (state.z[i] == 1)
-        row_resid = resid[i]
-        without_own = row_resid + (state.w[i][own] @ state.a[own])
-        proposed = without_own - (w_new @ a_new if k_new else 0.0)
-        log_ratio = (
-            float(row_resid @ row_resid) - float(proposed @ proposed)
-        ) * inv_two_var
+        proposed = bare[i] - w_new @ a_new
+        log_ratio = (sq_resid[i] - float(proposed @ proposed)) * inv_two_var
         if math.log(rng.random()) >= log_ratio:
             continue
-        keep = ~own
+        keep = ~(single & (state.z[i] == 1))
         fresh_z = np.zeros((n, k_new), dtype=np.uint8)
         fresh_z[i] = 1
         fresh_w = rng.normal(0.0, state.sigma_w, size=(n, k_new))
@@ -397,14 +386,25 @@ def _singleton_move(state, y):
         )
         state.w = np.concatenate([state.w[:, keep], fresh_w], axis=1)
         state.a = np.concatenate([state.a[keep], a_new], axis=0)
-        counts = np.concatenate([counts[keep], np.ones(k_new, dtype=counts.dtype)])
+        single = np.concatenate([single[keep], np.ones(k_new, dtype=bool)])
 
 
 def _resample_w(state, y):
-    # Row i draws K standard normals, as the per-row form did: the first
-    # #inactive (times sigma_W) are its inactive weights from the prior,
-    # the rest the noise of its active weights.  Rows with the same number
-    # of active dishes share one stacked factorisation.
+    """Draw every row's weights from their conditional, in one stacked pass.
+
+    Row i draws K standard normals, as the per-row form did: the first
+    #inactive (times sigma_W) are its inactive weights from the prior, the
+    rest the noise of its active weights, each in ascending column order.
+    The active weights of every row come from one stacked Cholesky
+    factorisation of size m, the largest active count: row i's slots are
+    its last m columns in that order.  A row with fewer active dishes
+    fills its first slots with inactive columns whose loadings are masked
+    to zero.  Such a slot is decoupled from the others, with precision
+    1/sigma_W^2 and no data term, so its draw is the prior draw sigma_W
+    times its normal.  One solve P^-1 (b + L d) gives the conditional mean
+    P^-1 b plus the noise L^-T d of the per-row form, so every weight is
+    that of a per-row factorisation to within rounding.
+    """
     n, k = state.z.shape
     if k == 0:
         return
@@ -412,24 +412,18 @@ def _resample_w(state, y):
     draws = state.rng.standard_normal((n, k))
     # per row: inactive columns first, then active ones, each ascending
     order = np.argsort(state.z, axis=1, kind="stable")
-    spread = np.empty_like(draws)
-    np.put_along_axis(spread, order, draws, axis=1)
-    inactive = state.z == 0
-    state.w[inactive] = spread[inactive] * state.sigma_w
     sizes = state.z.sum(axis=1)
-    for m in np.unique(sizes[sizes > 0]).tolist():
-        rows = np.nonzero(sizes == m)[0]
-        active = order[rows, k - m:]
-        a_act = state.a[active]
-        precision = (
-            a_act @ a_act.swapaxes(1, 2) / var_y + np.eye(m) / state.sigma_w ** 2
-        )
+    m = int(sizes.max())
+    draws[:, :k - m] *= state.sigma_w
+    if m:
+        live = np.arange(m) >= (m - sizes)[:, None]
+        a_slots = state.a[order[:, k - m:]] * live[..., None]
+        precision = a_slots @ a_slots.swapaxes(1, 2) / var_y + np.eye(m) / state.sigma_w ** 2
+        # P^-1 (b + L d) for P = L L^T has mean P^-1 b and covariance P^-1
         chol = np.linalg.cholesky(precision)
-        mean = np.linalg.solve(precision, a_act @ y[rows, :, None] / var_y)
-        noise = np.linalg.solve(
-            chol.swapaxes(1, 2), spread[rows[:, None], active][..., None]
-        )
-        state.w[rows[:, None], active] = (mean + noise)[..., 0]
+        rhs = a_slots @ y[..., None] / var_y + chol @ draws[:, k - m:, None]
+        draws[:, k - m:] = np.linalg.solve(precision, rhs)[..., 0]
+    np.put_along_axis(state.w, order, draws, axis=1)
 
 
 def _resample_a(state, y):

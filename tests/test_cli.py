@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from gibbsibp import gibbs_weights
+from gibbsibp import cli, gibbs_weights, inference
 from gibbsibp.cli import CACHE_DIR_ENV, RunConfig, main, read_config_file
 from gibbsibp.gibbs_weights import MAX_FROZEN_DRAWS
 from gibbsibp.inference import synthesize_data
@@ -268,12 +268,14 @@ class TestFitAndGeweke:
                        "--outdir", tmp_path) == 2
         assert "not found" in capsys.readouterr().err
 
-    def test_divergent_fit_is_numeric_failure(self, tmp_path, capsys):
-        bad = tmp_path / "bad.csv"
-        np.savetxt(bad, np.full((4, 2), np.nan), delimiter=",")
-        assert run_cli("fit", "--model", "dp", "--theta", 1, "--data", bad,
+    def test_divergent_fit_is_numeric_failure(self, tmp_path, capsys, monkeypatch):
+        # finite data whose log joint comes out NaN (data that is not
+        # finite is refused before the run: TestRefusedRuns)
+        data = self.write_data(tmp_path)
+        monkeypatch.setattr(inference, "log_likelihood", lambda *args: math.nan)
+        assert run_cli("fit", "--model", "dp", "--theta", 1, "--data", data,
                        "--iterations", 0, "--outdir", tmp_path) == 3
-        assert "numeric failure" in capsys.readouterr().err
+        assert "numeric failure: log joint diverged" in capsys.readouterr().err
 
     def test_degenerate_beta_trial_is_numeric_failure(self, tmp_path, capsys, monkeypatch):
         # the start beta scores fine; the first beta trial's first-moment
@@ -308,6 +310,57 @@ class TestFitAndGeweke:
         assert {"dishes", "gamma", "data_sq_mean"} <= names
         for row in rows[1:]:
             assert math.isfinite(float(row[1]))
+
+
+class TestRefusedRuns:
+    """A fit refused before its run, or failed during it, says so in one
+    line of stderr, with no traceback, and exits with its stated code."""
+
+    @pytest.mark.parametrize(
+        "case, code, message",
+        [
+            ("tiny-sigma-y", 2, "usage error: --sigma-y squared must be a positive normal"),
+            ("huge-sigma-a", 2, "usage error: --sigma-a squared must be a positive normal"),
+            ("nan-data", 2, "usage error: data must be finite: row 2, column 4 of"),
+            ("empty-data", 2, "holds no data matrix"),
+            ("ragged-data", 2, "is not a CSV matrix of numbers"),
+            ("memory", 3, "out of memory: Unable to allocate 7.28 TiB"),
+            ("bare-memory", 3, "out of memory: the run needs more memory than is free"),
+        ],
+        ids=["tiny-sigma-y", "huge-sigma-a", "nan-data", "empty-data", "ragged-data",
+             "memory", "bare-memory"],
+    )
+    def test_one_line_and_exit_code(self, case, code, message, tmp_path, capsys,
+                                    monkeypatch):
+        y = np.random.default_rng(2).standard_normal((30, 5))
+        data = tmp_path / "data.csv"
+        argv = ["fit", "--model", "dp", "--theta", 1, "--data", data,
+                "--iterations", 2, "--outdir", tmp_path / "fit"]
+        if case == "tiny-sigma-y":
+            argv += ["--sigma-y", 1e-200]  # its square underflows to 0
+        elif case == "huge-sigma-a":
+            argv += ["--sigma-a", 1e200]  # its square overflows to inf
+        elif case == "nan-data":
+            y[1, 3] = y[4, 0] = y[7, 2] = np.nan
+        elif case in ("memory", "bare-memory"):
+            error = MemoryError("Unable to allocate 7.28 TiB for an array")
+            if case == "bare-memory":
+                error = MemoryError()
+
+            def exhausted(config):
+                raise error
+
+            monkeypatch.setitem(cli._RUNNERS, "fit", exhausted)
+        np.savetxt(data, y, delimiter=",")
+        if case == "empty-data":
+            data.write_text("")
+        elif case == "ragged-data":
+            data.write_text("1,2\n3\n")
+        assert run_cli(*argv) == code
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "fit" / "manifest.json").exists()
 
 
 class TestConfigFile:

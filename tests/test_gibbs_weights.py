@@ -1088,6 +1088,14 @@ class TestNggWeightSampler:
         with pytest.raises(TableSizeError, match="frozen draws"):
             check_frozen_draws(n, samples + 1)
 
+    def test_row_sums_past_largest_double_warn_nothing(self):
+        # 1e308 times beta 10 passes the largest double: the term is
+        # exp(-inf) = 0, the exact limit, and no RuntimeWarning (an error
+        # under this suite's filter) reaches the caller
+        for power in (1, 2):
+            sums = gibbs_weights._exp_row_sums(np.array([[0.0, 1e308, 2.0]]), 10.0, power)
+            assert sums.tolist() == [1.0 + math.exp(-20.0 * power)]
+
     def test_block_distribution_normalized(self):
         sampler = NggWeightSampler(0.5, 8, 20_000, seed=8)
         gfc = build_gfc_table(8, 0.5)

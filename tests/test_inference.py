@@ -882,7 +882,8 @@ class TestConjugateBlocks:
 
 
 def reference_resample_z(state, y):
-    # the per-element Z block written on p-vectors, one uniform per entry
+    # the per-entry Z block written on p-vectors, dish by dish, one uniform
+    # per entry whether or not the entry uses it
     n = state.n
     if n < 2 or state.dishes == 0:
         return
@@ -891,9 +892,9 @@ def reference_resample_z(state, y):
     counts = state.z.sum(axis=0).astype(np.int64)
     resid = y - (state.w * state.z) @ state.a
     inv_two_var = 1.0 / (2.0 * state.sigma_y ** 2)
-    for i in range(n):
-        row_resid = resid[i]
-        for k in range(state.dishes):
+    for k in range(state.dishes):
+        for i in range(n):
+            u = state.rng.random()
             s_minus = counts[k] - state.z[i, k]
             if s_minus == 0:
                 continue
@@ -902,22 +903,21 @@ def reference_resample_z(state, y):
                 raise ValueError("dish-take prior left [0, 1]; the primitives are corrupt")
             shift = state.w[i, k] * state.a[k]
             if state.z[i, k]:
-                r_on = row_resid
-                r_off = row_resid + shift
+                r_on = resid[i]
+                r_off = resid[i] + shift
             else:
-                r_off = row_resid
-                r_on = row_resid - shift
+                r_off = resid[i]
+                r_on = resid[i] - shift
             log_odds = (
                 math.log(prior_take)
                 - math.log1p(-prior_take)
                 + (float(r_off @ r_off) - float(r_on @ r_on)) * inv_two_var
             ) if prior_take < 1.0 else math.inf
-            take = state.rng.random() < special.expit(log_odds)
+            take = u < special.expit(log_odds)
             if take != bool(state.z[i, k]):
                 counts[k] += 1 if take else -1
                 state.z[i, k] = take
-            row_resid = r_on if take else r_off
-        resid[i] = row_resid
+            resid[i] = r_on if take else r_off
 
 
 def reference_resample_w(state, y):
@@ -1047,6 +1047,40 @@ class TestBlocksAgainstReference:
         with pytest.raises(ValueError, match="dish-take prior"):
             inference._resample_z(fast, np.zeros((3, 5)))
 
+    def test_z_block_draws_live_entry_from_full_conditional(self):
+        # every entry but (3, 0) is pinned by its likelihood: a flip would
+        # cost it more than 50 nats.  Row 3's data sits 0.55 of the way
+        # from its off to its on value along w_30 a_0, so (3, 0) has an
+        # O(1) likelihood term, and each Z block draws it afresh from
+        # expit(prior(s_minus) + lik) given the pinned rest, with
+        # s_minus = 3 (rows 0-2 take dish 0 before its turn).
+        model = GibbsModel.py(0.5, 1.0)
+        z = np.array([[1, 0], [1, 1], [1, 0], [0, 1], [0, 1]], dtype=np.uint8)
+        state = make_state(model, z, seed=21, p=6, sigma_y=0.5)
+        state.w = np.where(state.w < 0, -3.0, 3.0)
+        state.w[3, 0] = 0.6
+        y = (state.w * z) @ state.a
+        y[3] += 0.55 * state.w[3, 0] * state.a[0]
+        resid = y - (state.w * z) @ state.a
+        inv_two_var = 1.0 / (2.0 * 0.5 ** 2)
+        shift = state.w[:, :, None] * state.a[None]  # (i, k): w_ik a_k
+        on_resid = np.where(z[..., None] == 1, resid[:, None], resid[:, None] - shift)
+        off_resid = on_resid + shift
+        lik = ((off_resid ** 2).sum(-1) - (on_resid ** 2).sum(-1)) * inv_two_var
+        pinned = np.ones_like(z, dtype=bool)
+        pinned[3, 0] = False
+        assert np.all(np.abs(lik[pinned]) > 50.0)
+        prior_take = (3 - 0.5) * state.cache.g10_n
+        exact = special.expit(special.logit(prior_take) + lik[3, 0])
+        assert 0.2 < exact < 0.8
+        takes = 0
+        reps = 4000
+        for _ in range(reps):
+            inference._resample_z(state, y)
+            assert np.array_equal(state.z[pinned], z[pinned])
+            takes += int(state.z[3, 0])
+        assert stats.binomtest(takes, reps, exact).pvalue > 1e-3
+
     def test_w_block_matches(self):
         for seed, (z, y) in enumerate(self.cases()):
             fast, ref = self.twin_states(z, seed)
@@ -1061,16 +1095,16 @@ class TestBlocksAgainstReference:
 
 
 def reference_singleton_move(state, y):
-    # the per-row singleton move: each row's residual and own mask rebuilt
-    # from the current state
+    # the per-row singleton move after every row's count is drawn: each
+    # row's residual and own mask rebuilt from the current state
     n = state.n
     rate = state.gamma * state.cache.g11_n
     inv_two_var = 1.0 / (2.0 * state.sigma_y ** 2)
     p = state.p
     counts = state.z.sum(axis=0)
-    for i in range(n):
+    k_new_rows = [int(state.rng.poisson(rate)) for _ in range(n)]
+    for i, k_new in enumerate(k_new_rows):
         own = (counts == 1) & (state.z[i] == 1)
-        k_new = int(state.rng.poisson(rate))
         if not own.any() and k_new == 0:
             continue
         w_new = state.rng.normal(0.0, state.sigma_w, size=k_new)
@@ -1584,18 +1618,19 @@ class TestChainPins:
     beta path, Z, W, A, gamma and the log joint, and the final weight table.
     The beta-only chains screen their trials from the second sweep on, so
     a screen that decided one comparison otherwise than the exact value
-    would move their pins; the alpha chain never screens."""
+    would move their pins; the alpha chain never screens.  The pins were
+    taken from a copy of the sampler with the screen switched off."""
 
     @pytest.mark.parametrize(
         "model, n, sweeps, mc_samples, moves, pins",
         [
             (GibbsModel.ngg(0.5, 1.0), 30, 60, 10_000, dict(update_theta=True),
-             ("e45b945ffd14858c", "bafd463cf98f94e0")),
+             ("8a36db85e5712dd3", "d16dba624ce6cfee")),
             (GibbsModel.nig(2.0), 30, 60, 10_000, dict(update_theta=True),
-             ("fb2b42463c1f578c", "30f78efc3275cc7f")),
+             ("343e6e2381f43842", "5a08e7b1379d9c5e")),
             (GibbsModel.ngg(0.5, 1.0), 12, 50, 2000,
              dict(update_alpha=True, update_theta=True),
-             ("7ca98bba18cc61e1", "5e1e0004342b3449")),
+             ("77ebae35a519c09e", "67baa2eb7cf2234a")),
         ],
         ids=["ngg-beta", "nig-beta", "ngg-alpha-beta"],
     )

@@ -730,23 +730,59 @@ def _frozen(array):
     return array
 
 
+def closed_form_g11_lower(theta, n):
+    """The terms of closed_form_g11 that do not depend on alpha:
+    (log Gamma(theta+1), log Gamma(theta+m+1) for m < n)."""
+    return special.gammaln(theta + 1.0), special.gammaln(theta + np.arange(n) + 1.0)
+
+
+def closed_form_g11(alpha, theta, n, lower=None):
+    """The closed-form terms of a DP/PY model at depth n: (log
+    Gamma(theta+alpha), upper, g11) with upper[m] = log Gamma(theta+1) +
+    log Gamma(theta+alpha+m) for m <= n and g11[m] = g_m(1,1) for m < n, in
+    py_primitive_closed's order of operations (which rounds differently from
+    closed_form_log_gs1 at s = 1).  lower is closed_form_g11_lower(theta,
+    n), computed here unless given.  ClosedFormPrimitives holds the terms;
+    inference's slice moves compute them for a trial with no primitives
+    object."""
+    log_top, lower = closed_form_g11_lower(theta, n) if lower is None else lower
+    log_bottom = special.gammaln(theta + alpha)
+    upper = log_top + special.gammaln(theta + alpha + np.arange(n + 1))
+    return log_bottom, upper, np.exp(upper[:n] - lower - log_bottom)
+
+
+def closed_form_gs1_lower(theta, n, sizes):
+    """The term of closed_form_log_gs1 that does not depend on alpha:
+    log Gamma(theta+r+s) at r = n - s for an int array of sizes s."""
+    return special.gammaln(theta + (n - sizes) + sizes)
+
+
+def closed_form_log_gs1(theta, n, terms, sizes, lower=None):
+    """log g_{n-s}(s,1) at an int array of sizes s in [1, n], from the
+    closed_form_g11 terms of the same model and n: upper[n - s] reads log
+    Gamma(theta+1) + log Gamma(theta+alpha+n-s).  lower is
+    closed_form_gs1_lower(theta, n, sizes), computed here unless given."""
+    if lower is None:
+        lower = closed_form_gs1_lower(theta, n, sizes)
+    return terms[1][n - sizes] - terms[0] - lower
+
+
 class ClosedFormPrimitives(_DepthPrimitives):
     """A DP/PY model's primitives at depth n in closed form.  With r = n - s,
     g_r(s,1) = Gamma(theta+1) Gamma(theta+alpha+r) / [Gamma(theta+alpha)
-    Gamma(theta+r+s)]; g11[m] = g_m(1,1) for m < n is the s = 1 case in
-    py_primitive_closed's order of operations, which rounds differently,
-    and g10[m] = g_m(1,0) = 1/(theta+m)."""
+    Gamma(theta+r+s)]; g11[m] = g_m(1,1) for m < n is the s = 1 case, and
+    g10[m] = g_m(1,0) = 1/(theta+m).  closed_form_g11 and
+    closed_form_log_gs1 do the arithmetic; `terms`, the closed_form_g11 of
+    the model at depth n where the caller has them, are taken as they are
+    (and g11 frozen in place)."""
 
-    def __init__(self, model, n):
+    def __init__(self, model, n, terms=None):
         self.n = n = int(n)
         self.alpha, self._theta = alpha, theta = model.stable_index, model.theta
-        self._log_top = special.gammaln(theta + 1.0)
-        self._log_bottom = special.gammaln(theta + alpha)
-        m = np.arange(n)
-        log_g11 = self._log_top + special.gammaln(theta + alpha + m)
-        self.g11 = _frozen(
-            np.exp(log_g11 - special.gammaln(theta + m + 1.0) - self._log_bottom)
-        )
+        if terms is None:
+            terms = closed_form_g11(alpha, theta, n)
+        self._terms = terms
+        self.g11 = _frozen(terms[2])
         self.expected_blocks = float(self.g11.sum())
         self.g10_n = 1.0 / (theta + (n - 1)) if n > 1 else math.nan
         self.g11_n = float(self.g11[-1])
@@ -758,9 +794,7 @@ class ClosedFormPrimitives(_DepthPrimitives):
         )
 
     def log_gs1_at(self, sizes):
-        r = self.n - sizes
-        log_gs1 = self._log_top + special.gammaln(self._theta + self.alpha + r)
-        return log_gs1 - self._log_bottom - special.gammaln(self._theta + r + sizes)
+        return closed_form_log_gs1(self._theta, self.n, self._terms, sizes)
 
 
 class NggRowPrimitives(_DepthPrimitives):

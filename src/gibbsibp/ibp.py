@@ -218,27 +218,52 @@ def log_joint(allocation, model, gamma, cache=None):
     return _log_joint_counts(allocation.counts, gamma, cache)
 
 
+class _SizeHistogram:
+    """Dish counts S_{n,k} and gamma as log_joint reads them: K_n log gamma
+    (base; -inf for dishes at gamma = 0) and the histogram of sizes.
+    Dishes of one size add the same term, so the sum runs over the sizes
+    that occur (sizes, ascending) times how many dishes have each
+    (multiplicity): permutation invariance is exact, and log g_{n-s}(s,1)
+    is read at those sizes only."""
+
+    __slots__ = ("gamma", "base", "sizes", "multiplicity")
+
+    def __init__(self, counts, gamma):
+        k_n = len(counts)
+        self.gamma = gamma
+        if k_n == 0:
+            self.base = 0.0
+        elif gamma == 0.0:
+            self.base = -math.inf
+        else:
+            self.base = k_n * math.log(gamma)
+        histogram = np.bincount(np.asarray(counts, dtype=np.int64))
+        self.sizes = histogram.nonzero()[0]
+        self.multiplicity = histogram[self.sizes]
+
+    def log_rising(self, alpha):
+        # log (1 - alpha)_{s-1} at the sizes, exactly 0 at s = 1
+        return special.gammaln((1.0 - alpha) + (self.sizes - 1)) - special.gammaln(1.0 - alpha)
+
+    def log_joint(self, expected_blocks, log_terms):
+        """The log joint from E[B_n] and each size's log (1 - alpha)_{s-1}
+        + log g_{n-s}(s,1); -inf where base is."""
+        if self.base == -math.inf:
+            return -math.inf
+        return (
+            self.base - self.gamma * expected_blocks
+            + float(self.multiplicity @ log_terms)
+        )
+
+
 def _log_joint_counts(counts, gamma, primitives):
-    # log_joint from the dish counts S_{n,k} alone, without argument checks;
-    # alpha and every g come from the depth-n primitives.  Dishes of one size
-    # add the same term, so the sum runs over the histogram of sizes:
-    # permutation invariance is exact, and log g_{n-s}(s,1) is read at the
-    # sizes that occur only.
-    k_n = len(counts)
-    if k_n == 0:
-        base = 0.0
-    elif gamma == 0.0:
+    # log_joint from the dish counts alone, without argument checks; alpha
+    # and every g come from the depth-n primitives
+    dishes = _SizeHistogram(counts, gamma)
+    if dishes.base == -math.inf:
         return -math.inf
-    else:
-        base = k_n * math.log(gamma)
-    histogram = np.bincount(np.asarray(counts, dtype=np.int64))
-    sizes = histogram.nonzero()[0]
-    multiplicity = histogram[sizes]
-    alpha = primitives.alpha
-    # log (1 - alpha)_{s-1}, exactly 0 at s = 1
-    log_rising = special.gammaln((1.0 - alpha) + (sizes - 1)) - special.gammaln(1.0 - alpha)
-    log_terms = log_rising + primitives.log_gs1_at(sizes)
-    return base - gamma * primitives.expected_blocks + float(multiplicity @ log_terms)
+    log_terms = dishes.log_rising(primitives.alpha) + primitives.log_gs1_at(dishes.sizes)
+    return dishes.log_joint(primitives.expected_blocks, log_terms)
 
 
 def log_transition(counts, takes, fresh, gamma, alpha, g10, g11):

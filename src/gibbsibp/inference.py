@@ -19,14 +19,25 @@ import numpy as np
 from scipy import special
 
 from .gibbs_weights import (
+    ClosedFormPrimitives,
     McConfig,
     build_primitive_cache,
+    closed_form_g11,
+    closed_form_g11_lower,
+    closed_form_gs1_lower,
+    closed_form_log_gs1,
     depth_primitives,
     held_draws,
     primitive_cache_content_hash,
     weight_table_content_hash,
 )
-from .ibp import FeatureAllocation, _lockstep_buffet, _log_joint_counts, simulate_ibp
+from .ibp import (
+    FeatureAllocation,
+    _SizeHistogram,
+    _lockstep_buffet,
+    _log_joint_counts,
+    simulate_ibp,
+)
 
 _LOG_2PI = math.log(2.0 * math.pi)
 SLICE_WIDTH = 1.0
@@ -35,6 +46,7 @@ SHRINK_STEPS = 200
 # the autocorrelation sum of a shorter Geweke chain has too few lags to mean much
 GEWEKE_MIN_ROUNDS = 50
 GEWEKE_CHUNK = 2 ** 15  # cells of Y per chunk of marginal-side prior draws
+GEWEKE_CHAIN_CHUNK = 2 ** 12  # cells of Y per chunk of chain-side rounds
 # a screened log joint's bounds widen by this much relative to the size of
 # the log joint and of its terms: thousands of times the double-precision
 # rounding of its evaluation
@@ -427,8 +439,16 @@ def _resample_w(state, y):
 
 
 def _resample_a(state, y):
-    # column j draws K standard normals; all p columns share one stacked
-    # factorisation
+    """Draw every column of the loadings from its conditional, in one
+    stacked pass.
+
+    Column j draws K standard normals d.  Its precision P = X^T X /
+    sigma_Y^2 + I / sigma_{A,j}^2 (X = W o Z) is factored P = L L^T, and
+    one stacked solve P^-1 (b + L d), b = X^T y_j / sigma_Y^2, gives the
+    conditional mean P^-1 b plus the noise P^-1 L d = L^-T d, as
+    _resample_w does.  The Cholesky factor stays: an eigendecomposition of
+    X^T X, shared by every column, would start BLAS threads at K >= 31.
+    """
     k = state.dishes
     if k == 0:
         return
@@ -440,13 +460,13 @@ def _resample_a(state, y):
     # the last bit; squaring each scale as a float keeps the draws bit-equal
     # to the one-column-at-a-time form
     var_a = np.array([scale ** 2 for scale in state.sigma_a.tolist()])
-    precision = xtx + np.eye(k) / var_a[:, None, None]
+    # X^T X / sigma_Y^2 + I / sigma_{A,j}^2 per column: add to the diagonal
+    # only, as a stride-(k + 1) view of each flattened K x K block
+    precision = np.repeat(xtx[None], state.p, axis=0)
+    precision.reshape(state.p, k * k)[:, ::k + 1] += (1.0 / var_a)[:, None]
     chol = np.linalg.cholesky(precision)
-    mean = np.linalg.solve(precision, xty.T[..., None])
-    noise = np.linalg.solve(
-        chol.swapaxes(1, 2), state.rng.standard_normal((state.p, k))[..., None]
-    )
-    state.a[...] = (mean + noise)[..., 0].T
+    rhs = xty.T[..., None] + chol @ state.rng.standard_normal((state.p, k))[..., None]
+    state.a[...] = np.linalg.solve(precision, rhs)[..., 0].T
 
 
 def _resample_gamma(state, priors):
@@ -492,31 +512,128 @@ def _slice_model_move(state, counts, move, start):
     theta > -alpha as part of the support.  move "second" runs on
     x = log(theta + alpha) for DP/PY and x = log beta for NGG/NIG, either
     ~ Exp(1).  The target is the log joint of the dish counts
-    (ibp._log_joint_counts) under the trial model's primitives plus the
-    coordinate's log prior and Jacobian.  Returns the accepted coordinate.
+    (ibp._log_joint_counts) under the trial model's depth-n primitives
+    (gibbs_weights.depth_primitives) plus the coordinate's log prior and
+    Jacobian; a trial at the state's own model is scored by the state's
+    primitives, which are the same function of the model.  The state
+    adopts the model of the accepted point, the last one slice_sample
+    evaluated, with its primitives.  Returns the accepted coordinate.
 
-    A trial is scored by its depth-n primitives (gibbs_weights
-    .depth_primitives: closed form for DP/PY; for NGG/NIG one pass over the
-    frozen draws that sums the first moment only, with no rel_se and no
-    weight table), a trial at the state's own model by the state's, which
-    are the same function of the model.  An NGG/NIG beta trial whose draws
-    have a DrawSummary (from the second beta move over them on) is first
-    screened: it returns a ScreenedValue bounding its score
-    (_log_joint_bounds), and the pass over the draws runs only where the
-    slice level falls inside the bounds.  The state adopts the model of
-    the accepted point, the last one slice_sample evaluated, with the
-    primitives that pass gives there, run after the move if the screen
-    decided that point; it builds nothing more, as their rel_se and table
-    are computed when first read.  So every decision, and the state's
-    primitives to the bit, are those of an unscreened move.  A discount
-    trial draws at its own alpha from the model's seed, so the state's
-    primitives, and with them its draws, are dropped before a trial makes
-    new ones: one set is alive at once.
+    DP/PY trials are scored straight from (alpha, theta)
+    (_closed_form_target); NGG/NIG trials by the row primitives of the
+    frozen draws (_row_target).
+    """
+    if move == "discount":
+        name = "logit_alpha"
+    else:
+        name = "log_theta_plus_alpha" if state.model.is_closed_form else "log_beta"
+    build = _closed_form_target if state.model.is_closed_form else _row_target
+    target, accepted = build(state, counts, move)
+    target.__name__ = name
+    x = slice_sample(target, start, state.rng)
+    state.model, state.cache = accepted()
+    return x
+
+
+def _closed_form_log_joint(dishes, log_rising, alpha, theta, n, lower=(None, None)):
+    """_log_joint_counts(counts, gamma, ClosedFormPrimitives(model, n)) to
+    the bit for the DP/PY model at (alpha, theta), with no primitives
+    object; dishes = _SizeHistogram(counts, gamma) and log_rising =
+    dishes.log_rising(alpha).  lower holds the closed_form_g11_lower and
+    closed_form_gs1_lower of (theta, n, dishes.sizes), each computed here
+    unless given.  Returns the value with the closed_form_g11 terms, which
+    ClosedFormPrimitives(model, n, terms) takes."""
+    terms = closed_form_g11(alpha, theta, n, lower[0])
+    log_gs1 = closed_form_log_gs1(theta, n, terms, dishes.sizes, lower[1])
+    return dishes.log_joint(float(terms[2].sum()), log_rising + log_gs1), terms
+
+
+def _closed_form_target(state, counts, move):
+    """(target, accepted) of a DP/PY slice move, with no per-trial objects.
+
+    The size histogram and K log gamma (ibp._SizeHistogram) are built once
+    per move, log (1 - alpha)_{s-1} once per theta move, and the
+    closed-form terms that do not depend on alpha once per discount move.
+    A trial computes the other closed-form terms at its (alpha, theta)
+    (gibbs_weights.closed_form_g11 and closed_form_log_gs1, the arithmetic
+    of ClosedFormPrimitives), so its score is _log_joint_counts(counts,
+    gamma, ClosedFormPrimitives(model, n)) to the bit, and the slice
+    decisions and the random stream are those of building both per trial.
+    accepted() builds the model and primitives of the accepted point only,
+    from that trial's terms, or keeps the state's where it is the state's
+    own model.  A theta trial at which theta + alpha rounds to 0 or below
+    lies off the support and scores -inf.
+    """
+    model, n = state.model, state.n
+    dishes = _SizeHistogram(counts, state.gamma)
+    own = (model.stable_index, model.theta)
+    if move == "discount":
+        lower = (
+            closed_form_g11_lower(model.theta, n),
+            closed_form_gs1_lower(model.theta, n, dishes.sizes),
+        )
+    else:
+        lower = (None, None)
+        theta_rising = dishes.log_rising(model.stable_index)
+    last = None  # the last scored (alpha, theta, terms), terms None for the state's own
+
+    def target(x):
+        nonlocal last
+        if move == "discount":
+            alpha, theta = float(special.expit(x)), model.theta
+            if not 0.0 < alpha < 1.0 or (model.variant == "PY" and theta <= -alpha):
+                return -math.inf
+            log_rising = dishes.log_rising(alpha)
+            prior = (math.log(alpha), math.log1p(-alpha))
+        else:
+            alpha, theta = model.stable_index, math.exp(x) - model.stable_index
+            if theta <= -alpha:
+                return -math.inf
+            log_rising = theta_rising
+            prior = (-math.exp(x), x)
+        if (alpha, theta) == own and state.cache is not None:
+            terms = None
+            log_terms = log_rising + state.cache.log_gs1_at(dishes.sizes)
+            value = dishes.log_joint(state.cache.expected_blocks, log_terms)
+        else:
+            value, terms = _closed_form_log_joint(dishes, log_rising, alpha, theta, n, lower)
+        last = (alpha, theta, terms)
+        return value + prior[0] + prior[1]
+
+    def accepted():
+        alpha, theta, terms = last
+        if terms is None:
+            return model, state.cache
+        if move == "discount":
+            trial_model = replace(model, alpha=alpha)
+        else:
+            trial_model = replace(model, theta=theta)
+        return trial_model, ClosedFormPrimitives(trial_model, n, terms)
+
+    return target, accepted
+
+
+def _row_target(state, counts, move):
+    """(target, accepted) of an NGG/NIG slice move.
+
+    A trial is scored by its depth-n primitives: one pass over the frozen
+    draws that sums the first moment only, with no rel_se and no weight
+    table.  A beta trial whose draws have a DrawSummary (from the second
+    beta move over them on) is first screened: it returns a ScreenedValue
+    bounding its score (_log_joint_bounds), and the pass over the draws
+    runs only where the slice level falls inside the bounds.  accepted()
+    gives the primitives that pass gives at the accepted point, run then
+    if the screen decided that point; it builds nothing more, as their
+    rel_se and table are computed when first read.  So every decision,
+    and the state's primitives to the bit, are those of an unscreened
+    move.  A discount trial draws at its own alpha from the model's seed,
+    so the state's primitives, and with them its draws, are dropped before
+    a trial makes new ones: one set is alive at once.
     """
     model = state.model
     last = None  # the last evaluated point's (model, primitives or None if screened)
     summary = None
-    if move == "second" and not model.is_closed_form:
+    if move == "second":
         draws = held_draws(model, state.n, state.cache)
         summary = draws.summary() if draws is not None else None
 
@@ -524,7 +641,7 @@ def _slice_model_move(state, counts, move, start):
         # (model at x, its log prior + Jacobian terms); None off the support
         if move == "discount":
             alpha = float(special.expit(x))
-            if not 0.0 < alpha < 1.0 or (model.variant == "PY" and model.theta <= -alpha):
+            if not 0.0 < alpha < 1.0:
                 return None, None
             return replace(model, alpha=alpha), (math.log(alpha), math.log1p(-alpha))
         return model.with_second_coordinate(x), (-math.exp(x), x)
@@ -562,16 +679,13 @@ def _slice_model_move(state, counts, move, start):
             state.cache = None
         return exact(trial_model, terms)
 
-    if move == "discount":
-        target.__name__ = "logit_alpha"
-    else:
-        target.__name__ = "log_theta_plus_alpha" if model.is_closed_form else "log_beta"
-    x = slice_sample(target, start, state.rng)
-    accepted, primitives = last
-    if primitives is None:  # decided by the screen
-        primitives = depth_primitives(accepted, state.n, state.cache)
-    state.model, state.cache = accepted, primitives
-    return x
+    def accepted():
+        trial_model, primitives = last
+        if primitives is None:  # decided by the screen
+            primitives = depth_primitives(trial_model, state.n, state.cache)
+        return trial_model, primitives
+
+    return target, accepted
 
 
 def _update_model_params(state, config):
@@ -758,12 +872,29 @@ def _geweke_statistics(dishes, z, wz, a, gamma, y):
     )
 
 
-def _state_statistics(state, y):
-    # _geweke_statistics of one chain state, as its single replicate
+def _chain_round(state, y):
+    # what _chain_statistics reads of one chain round: (Z, W o Z, A, gamma,
+    # Y), copied, as the next sweep updates Z, W and A in place
+    return state.z.copy(), state.w * state.z, state.a.copy(), state.gamma, y
+
+
+def _chain_statistics(rounds):
+    """_geweke_statistics of a list of _chain_round records, stacked with
+    their dish columns zero-padded to the largest dish count among them."""
+    reps, k = len(rounds), max(z.shape[1] for z, *_ in rounds)
+    (n, p) = rounds[0][4].shape
+    z = np.zeros((reps, n, k), dtype=np.uint8)
+    wz = np.zeros((reps, n, k))
+    a = np.zeros((reps, k, p))
+    for r, (z_r, wz_r, a_r, _, _) in enumerate(rounds):
+        dishes = z_r.shape[1]
+        z[r, :, :dishes] = z_r
+        wz[r, :, :dishes] = wz_r
+        a[r, :dishes] = a_r
     return _geweke_statistics(
-        np.array([state.dishes]), state.z[None], (state.w * state.z)[None],
-        state.a[None], np.array([state.gamma]), y[None],
-    )[0]
+        np.array([z_r.shape[1] for z_r, *_ in rounds]), z, wz, a,
+        np.array([record[3] for record in rounds]), np.stack([record[4] for record in rounds]),
+    )
 
 
 GEWEKE_STATISTIC_NAMES = (
@@ -854,7 +985,8 @@ def geweke_check(model, n, p, config, rounds=100_000, seed=0):
     Matching joints means every statistic's two means agree; the chain
     side's standard errors come from its autocorrelations
     (_autocorrelation_se).  The marginal side draws its prior states in
-    lockstep chunks.  Both read build_primitive_cache(model, n), whose
+    lockstep chunks, and the chain side's statistics are taken in chunks
+    of as many rounds (_chain_statistics).  Both read build_primitive_cache(model, n), whose
     NGG/NIG table (of their mc_config's draws) has no frozen-draw limit.
 
     Known fault: with config.update_scales, sigma_y^2 ~ IG(1, 1) has no
@@ -876,10 +1008,15 @@ def geweke_check(model, n, p, config, rounds=100_000, seed=0):
     state.cache = cache
     y = _emit_data(state, rng)
     successive = np.empty_like(marginal)
+    step = max(1, GEWEKE_CHAIN_CHUNK // (n * p))
+    held = []
     for r in range(rounds):
         gibbs_sweep(state, y, config)
         y = _emit_data(state, rng)
-        successive[r] = _state_statistics(state, y)
+        held.append(_chain_round(state, y))
+        if len(held) == step or r == rounds - 1:
+            successive[r + 1 - len(held):r + 1] = _chain_statistics(held)
+            held.clear()
 
     scores = {}
     for idx, name in enumerate(GEWEKE_STATISTIC_NAMES):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from gibbsibp import gibbs_weights, inference
+from gibbsibp import gibbs_weights, ibp, inference
 from gibbsibp.gibbs_weights import (
     SMALLN_MAX,
     ClosedFormPrimitives,
@@ -31,7 +31,13 @@ from gibbsibp.gibbs_weights import (
     weight_table_content_hash,
     weight_table_from_sampler,
 )
-from gibbsibp.ibp import FeatureAllocation, _log_joint_counts, log_joint, simulate_ibp
+from gibbsibp.ibp import (
+    FeatureAllocation,
+    _log_joint_counts,
+    _SizeHistogram,
+    log_joint,
+    simulate_ibp,
+)
 from gibbsibp.inference import (
     GEWEKE_MIN_ROUNDS,
     ChainConfig,
@@ -694,7 +700,9 @@ class TestModelMoves:
         ids=["discount", "theta", "beta"],
     )
     def test_stuck_move_names_its_coordinate(self, model, move, name, monkeypatch):
-        # finite only at the start point: shrinkage must give up by name
+        # finite only at the start point: shrinkage must give up by name.
+        # Every subclass's log joint ends in _SizeHistogram.log_joint, which
+        # _log_joint_counts and the closed-form trials share
         alloc = self.allocation(GibbsModel.py(0.4, 1.0), seed=3)
         state = make_state(model, alloc.matrix, gamma=self.GAMMA, mc_samples=2000)
         calls = []
@@ -703,7 +711,7 @@ class TestModelMoves:
             calls.append(args)
             return 0.0 if len(calls) == 1 else -math.inf
 
-        monkeypatch.setattr(inference, "_log_joint_counts", point_mass)
+        monkeypatch.setattr(ibp._SizeHistogram, "log_joint", point_mass)
         with pytest.raises(RuntimeError, match=name):
             inference._slice_model_move(state, alloc.counts, move, 0.0)
 
@@ -743,6 +751,146 @@ class TestClosedFormMoves:
             # the accepted primitives are the closed forms at the model
             assert_closed_form_reads(state.cache, state.model, state.n)
         assert state.model != start
+
+
+def reference_slice_model_move(state, counts, move, start):
+    """A DP/PY slice move as it was written before trials were scored with
+    no objects: every trial builds its GibbsModel and ClosedFormPrimitives
+    and scores them with _log_joint_counts."""
+    model = state.model
+    last = None
+
+    def target(x):
+        nonlocal last
+        if move == "discount":
+            alpha = float(special.expit(x))
+            if not 0.0 < alpha < 1.0 or (model.variant == "PY" and model.theta <= -alpha):
+                return -math.inf
+            trial, terms = replace(model, alpha=alpha), (math.log(alpha), math.log1p(-alpha))
+        else:
+            trial, terms = model.with_second_coordinate(x), (-math.exp(x), x)
+        if trial == state.model and state.cache is not None:
+            primitives = state.cache
+        else:
+            primitives = depth_primitives(trial, state.n, state.cache)
+        last = (trial, primitives)
+        return _log_joint_counts(counts, state.gamma, primitives) + terms[0] + terms[1]
+
+    x = slice_sample(target, start, state.rng)
+    state.model, state.cache = last
+    return x
+
+
+class TestClosedFormScorer:
+    """The DP/PY slice trials' scorer against _log_joint_counts and the
+    per-trial move it replaces."""
+
+    def test_matches_log_joint_counts_to_the_bit(self):
+        rng = np.random.default_rng(11)
+        for case in range(3000):
+            n = int(rng.integers(1, 301))
+            k = int(rng.integers(0, 31))
+            counts = rng.integers(1, n + 1, size=k)
+            if case % 2:
+                alpha = float(rng.uniform(0.01, 0.99))
+                # theta in (-alpha, 20]; a third of the cases log-uniform in
+                # theta + alpha, down to 1e-12
+                if case % 3:
+                    gap = (20.0 + alpha) * (1.0 - rng.random())
+                else:
+                    gap = 10.0 ** rng.uniform(-12.0, math.log10(20.0 + alpha))
+                model = GibbsModel.py(alpha, -alpha + gap)
+            else:
+                model = GibbsModel.dp(20.0 * (1.0 - rng.random()))
+            gamma = 0.0 if case % 10 == 3 else float(rng.exponential(3.0))
+            dishes = _SizeHistogram(counts, gamma)
+            alpha = model.stable_index
+            got, terms = inference._closed_form_log_joint(
+                dishes, dishes.log_rising(alpha), alpha, model.theta, n
+            )
+            want = _log_joint_counts(counts, gamma, ClosedFormPrimitives(model, n))
+            assert got == want, (case, n, k, model, gamma)
+            # with the alpha-free terms given, as a discount move gives them
+            lower = (
+                gibbs_weights.closed_form_g11_lower(model.theta, n),
+                gibbs_weights.closed_form_gs1_lower(model.theta, n, dishes.sizes),
+            )
+            assert inference._closed_form_log_joint(
+                dishes, dishes.log_rising(alpha), alpha, model.theta, n, lower
+            )[0] == want
+            if k and gamma == 0.0:
+                assert got == -math.inf
+            else:
+                assert math.isfinite(got)
+            assert_same_primitives(
+                ClosedFormPrimitives(model, n, terms), ClosedFormPrimitives(model, n)
+            )
+
+    @pytest.mark.parametrize(
+        "model, move",
+        [
+            (GibbsModel.dp(1.0), "second"),
+            (GibbsModel.py(0.4, 0.7), "second"),
+            (GibbsModel.py(0.4, 0.7), "discount"),
+            (GibbsModel.py(0.6, -0.5), "discount"),
+        ],
+        ids=["DP-theta", "PY-theta", "PY-discount", "PY-discount-near-support"],
+    )
+    def test_move_matches_per_trial_reference(self, model, move):
+        for seed in range(4):
+            alloc = simulate_ibp(model, 2.0, 40, seed=seed)
+            state = make_state(model, alloc.matrix, seed=50 + seed, gamma=2.0)
+            twin = make_state(model, alloc.matrix, seed=50 + seed, gamma=2.0)
+            counts = alloc.counts
+            x = math.log(model.theta + model.stable_index)
+            if move == "discount":
+                x = float(special.logit(model.alpha))
+            twin_x = x
+            for _ in range(25):
+                x = inference._slice_model_move(state, counts, move, x)
+                twin_x = reference_slice_model_move(twin, counts, move, twin_x)
+                assert x == twin_x
+                assert state.model == twin.model
+                assert state.rng.bit_generator.state == twin.rng.bit_generator.state
+                assert_same_primitives(state.cache, twin.cache)
+            assert state.model != model
+
+    @pytest.mark.parametrize(
+        "model, move",
+        [
+            (GibbsModel.dp(1.0), "second"),
+            (GibbsModel.py(0.4, 0.7), "second"),
+            (GibbsModel.py(0.4, 0.7), "discount"),
+        ],
+        ids=["DP-theta", "PY-theta", "PY-discount"],
+    )
+    def test_move_builds_at_most_one_primitives(self, model, move, monkeypatch):
+        alloc = simulate_ibp(model, 1.3, 30, seed=7)
+        state = make_state(model, alloc.matrix, seed=32, gamma=1.3)
+        builds, models = [], []
+        build, check = ClosedFormPrimitives.__init__, GibbsModel.__post_init__
+
+        def counted_build(self, *args, **kwargs):
+            builds.append(args)
+            build(self, *args, **kwargs)
+
+        def counted_model(self):
+            models.append(self)
+            check(self)
+
+        monkeypatch.setattr(ClosedFormPrimitives, "__init__", counted_build)
+        monkeypatch.setattr(GibbsModel, "__post_init__", counted_model)
+        x = math.log(model.theta + model.stable_index)
+        if move == "discount":
+            x = float(special.logit(model.alpha))
+        for _ in range(20):
+            builds.clear()
+            models.clear()
+            cache = state.cache
+            x = inference._slice_model_move(state, alloc.counts, move, x)
+            assert len(builds) <= 1 and len(models) <= 1
+            # the state's own primitives stay where the move stays put
+            assert (state.cache is cache) == (not builds)
 
 
 class TestGammaUpdate:
@@ -1625,12 +1773,12 @@ class TestChainPins:
         "model, n, sweeps, mc_samples, moves, pins",
         [
             (GibbsModel.ngg(0.5, 1.0), 30, 60, 10_000, dict(update_theta=True),
-             ("8a36db85e5712dd3", "d16dba624ce6cfee")),
+             ("7baf0d1a15ad2f13", "d16dba624ce6cfee")),
             (GibbsModel.nig(2.0), 30, 60, 10_000, dict(update_theta=True),
-             ("343e6e2381f43842", "5a08e7b1379d9c5e")),
+             ("f8ceb223d1dab330", "5a08e7b1379d9c5e")),
             (GibbsModel.ngg(0.5, 1.0), 12, 50, 2000,
              dict(update_alpha=True, update_theta=True),
-             ("77ebae35a519c09e", "67baa2eb7cf2234a")),
+             ("3522dce836e4eb3c", "67baa2eb7cf2234a")),
         ],
         ids=["ngg-beta", "nig-beta", "ngg-alpha-beta"],
     )
@@ -1705,10 +1853,11 @@ class TestGeweke:
             model, n, p, config, rounds, np.random.default_rng(1), cache
         )
         rng = np.random.default_rng(2)
-        single = np.empty_like(batch)
+        held = []
         for r in range(rounds):
             state = inference._prior_state(model, n, p, config, rng, cache=cache)
-            single[r] = inference._state_statistics(state, inference._emit_data(state, rng))
+            held.append(inference._chain_round(state, inference._emit_data(state, rng)))
+        single = inference._chain_statistics(held)
         for idx, name in enumerate(inference.GEWEKE_STATISTIC_NAMES):
             p_value = stats.ks_2samp(batch[:, idx], single[:, idx]).pvalue
             assert p_value > 1e-4, f"{name}: KS p = {p_value}"

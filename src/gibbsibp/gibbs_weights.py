@@ -1388,11 +1388,12 @@ def table_cache_path(model, n_max, directory):
 
 
 def save_weight_table(table, model, path):
-    """Serialize a table (with provenance) to a versioned JSON cache file."""
+    """Serialize a table (with provenance) to a versioned JSON cache file.
+    json.dumps encodes in one call to the C encoder, about twice as fast as
+    json.dump's chunks, with the same bytes."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(_table_payload(table, model), fh)
+    path.write_text(json.dumps(_table_payload(table, model)))
     return path
 
 

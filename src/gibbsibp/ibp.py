@@ -14,7 +14,14 @@ import numpy as np
 from scipy import special
 
 from .gibbs_weights import ALPHA_TOL, build_primitive_cache
-from .special_functions import tilted_stable_integral
+from .special_functions import TableSizeError, tilted_stable_integral
+
+# simulate_ibp holds its n x K_n allocation several times over (the
+# buffet's matrix and masks, the allocation's copy) as one byte per cell
+MAX_BUFFET_CELLS = 10 ** 8
+# K_n is Poisson: the refusal reads E[K_n] plus this many standard
+# deviations (and as many dishes), past which a draw lands about once in 10^9
+BUFFET_TAIL_SDS = 6.0
 
 
 class FeatureAllocation:
@@ -31,7 +38,11 @@ class FeatureAllocation:
     """
 
     def __init__(self, matrix, gamma):
-        matrix = np.array(matrix, dtype=np.uint8, order="C")  # a copy: the caller's stays writable
+        # a copy: the caller's stays writable
+        self._adopt(np.array(matrix, dtype=np.uint8, order="C"), gamma, check_order=True)
+
+    def _adopt(self, matrix, gamma, check_order):
+        """Check an owned C-order uint8 matrix, and gamma, and keep both."""
         if matrix.ndim != 2:
             raise ValueError(f"matrix must be 2-D, got shape {matrix.shape}")
         if matrix.size and matrix.max() > 1:
@@ -42,8 +53,7 @@ class FeatureAllocation:
             counts = matrix.sum(axis=0)
             if counts.min() < 1:
                 raise ValueError("every dish needs at least one taker")
-            first = matrix.argmax(axis=0)
-            if np.any(np.diff(first) < 0):
+            if check_order and np.any(np.diff(matrix.argmax(axis=0)) < 0):
                 raise ValueError("columns must be ordered by first appearance")
         matrix.flags.writeable = False
         self.matrix = matrix
@@ -64,12 +74,19 @@ class FeatureAllocation:
 
     @classmethod
     def from_matrix(cls, matrix, gamma):
-        """Build an allocation from a matrix in arbitrary column order."""
+        """Build an allocation from a matrix in arbitrary column order.
+
+        Sorting the columns by first appearance makes a fresh array in that
+        order, which is kept with no second copy and no order check; every
+        other check of the constructor applies."""
         matrix = np.asarray(matrix, dtype=np.uint8)
-        if matrix.ndim == 2 and matrix.size:
-            # an empty dish has argmax 0 and sorts first; __init__ rejects it
-            matrix = matrix[:, np.argsort(matrix.argmax(axis=0), kind="stable")]
-        return cls(matrix, gamma)
+        if matrix.ndim != 2 or not matrix.size:
+            return cls(matrix, gamma)
+        # an empty dish has argmax 0 and sorts first; _adopt rejects it
+        order = np.argsort(matrix.argmax(axis=0), kind="stable")
+        allocation = cls.__new__(cls)
+        allocation._adopt(np.ascontiguousarray(matrix[:, order]), gamma, check_order=False)
+        return allocation
 
 
 def _primitives(model, n, cache):
@@ -97,6 +114,10 @@ def simulate_ibp(model, gamma, n, seed, cache=None):
     Returns:
         FeatureAllocation with dishes in order of appearance (ties within a
         customer kept in draw order).
+
+    Raises TableSizeError, before the buffet runs, where n times the
+    Poisson tail bound E[K_n] + BUFFET_TAIL_SDS (sqrt(E[K_n]) + 1) on the
+    dishes passes MAX_BUFFET_CELLS.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
@@ -105,6 +126,13 @@ def simulate_ibp(model, gamma, n, seed, cache=None):
     cache = _primitives(model, n, cache)
     if cache.n < n:
         raise ValueError(f"cache depth {cache.n} cannot serve n = {n}")
+    expected = gamma * float(cache.g11[:n].sum())
+    if n * (expected + BUFFET_TAIL_SDS * (math.sqrt(expected) + 1.0)) > MAX_BUFFET_CELLS:
+        raise TableSizeError(
+            f"n = {n} customers with E[K_n] = {expected:.4g} expected dishes would "
+            f"fill about {n * expected:.3g} cells; a buffet is limited to "
+            f"MAX_BUFFET_CELLS = {MAX_BUFFET_CELLS} cells, tail margin included"
+        )
     z, _ = _lockstep_buffet(np.array([float(gamma)]), n, cache, np.random.default_rng(seed))
     return FeatureAllocation(z[0], gamma)
 
@@ -223,8 +251,9 @@ class _SizeHistogram:
     (base; -inf for dishes at gamma = 0) and the histogram of sizes.
     Dishes of one size add the same term, so the sum runs over the sizes
     that occur (sizes, ascending) times how many dishes have each
-    (multiplicity): permutation invariance is exact, and log g_{n-s}(s,1)
-    is read at those sizes only."""
+    (multiplicity, a float array, so the sum is a float dot product with
+    no cast per call): permutation invariance is exact, and log
+    g_{n-s}(s,1) is read at those sizes only."""
 
     __slots__ = ("gamma", "base", "sizes", "multiplicity")
 
@@ -239,7 +268,7 @@ class _SizeHistogram:
             self.base = k_n * math.log(gamma)
         histogram = np.bincount(np.asarray(counts, dtype=np.int64))
         self.sizes = histogram.nonzero()[0]
-        self.multiplicity = histogram[self.sizes]
+        self.multiplicity = histogram[self.sizes].astype(float)
 
     def log_rising(self, alpha):
         # log (1 - alpha)_{s-1} at the sizes, exactly 0 at s = 1
@@ -255,15 +284,18 @@ class _SizeHistogram:
             + float(self.multiplicity @ log_terms)
         )
 
+    def score(self, primitives):
+        """The log joint under depth-n primitives, which supply alpha and
+        every g."""
+        if self.base == -math.inf:
+            return -math.inf
+        log_terms = self.log_rising(primitives.alpha) + primitives.log_gs1_at(self.sizes)
+        return self.log_joint(primitives.expected_blocks, log_terms)
+
 
 def _log_joint_counts(counts, gamma, primitives):
-    # log_joint from the dish counts alone, without argument checks; alpha
-    # and every g come from the depth-n primitives
-    dishes = _SizeHistogram(counts, gamma)
-    if dishes.base == -math.inf:
-        return -math.inf
-    log_terms = dishes.log_rising(primitives.alpha) + primitives.log_gs1_at(dishes.sizes)
-    return dishes.log_joint(primitives.expected_blocks, log_terms)
+    # log_joint from the dish counts alone, without argument checks
+    return _SizeHistogram(counts, gamma).score(primitives)
 
 
 def log_transition(counts, takes, fresh, gamma, alpha, g10, g11):

@@ -12,6 +12,7 @@ parameters.
 """
 
 import csv
+import functools
 import math
 from dataclasses import asdict, dataclass, field, replace
 
@@ -307,24 +308,24 @@ def _resample_z(state, y):
     singleton lies in 1..n-1, so rows that are off with t >= prior(n-1)
     stay off and rows that are on with t < prior(1) stay on, whatever the
     rows before them do.  Only the other rows of a dish enter the scalar
-    loop, which carries the dish's count.  The prior's log odds are
-    checked for every s in 1..n-1 before any draw.
+    loop, which carries the dish's count.
+
+    The per-dish work follows the flips: until a row flips, no score
+    moves, so the dishes before the first flip skip the product with G
+    (subtracting q * 0 leaves t as it was).  The prior's log odds depend
+    on (n, alpha, g_{n-1}(1,0)) alone and are computed, and checked for
+    every s in 1..n-1, once per such triple (_take_log_odds), before any
+    draw.
     """
     n, k_dishes = state.z.shape
     if n < 2 or k_dishes == 0:
         return
-    alpha, g10 = state.model.stable_index, state.cache.g10_n
-    # (s - alpha) g10 is linear in s, so its ends bound every s in 1..n-1
-    if not (0.0 <= (1 - alpha) * g10 <= 1.0 and 0.0 <= (n - 1 - alpha) * g10 <= 1.0):
-        raise ValueError("dish-take prior left [0, 1]; the primitives are corrupt")
-    prior_take = (np.arange(1, n) - alpha) * g10
+    prior = _take_log_odds(n, state.model.stable_index, state.cache.g10_n)
     a, wt, zt = state.a, state.w.T, state.z.T
     gram = a @ a.T
     u = state.rng.random((k_dishes, n))
     with np.errstate(divide="ignore"):
-        prior = np.log(prior_take) - np.log1p(-prior_take)
         t = np.log(u) - np.log1p(-u)
-    prior = [math.nan, *prior.tolist()]  # indexed by s_minus
     # lik = q (c_k +- w G_kk / 2) with q = 2 w / (2 sigma_Y^2); row k of c
     # holds every row's c_k
     q = wt * (1.0 / state.sigma_y ** 2)
@@ -336,9 +337,10 @@ def _resample_z(state, y):
     reach = np.where(zt, prior[1], prior[n - 1])
     counts = state.z.sum(axis=0).tolist()
     steps = np.zeros((k_dishes, n))  # a flip of (i, k) moves row i's c by steps[k, i] G_k
+    flipped = False
     for k in range(k_dishes):
-        t_k = t[k] - q[k] * (gram[k, :k] @ steps[:k]) if k else t[0]
-        rows = np.flatnonzero((t_k < reach[k]) != zt[k])
+        t_k = t[k] - q[k] * (gram[k, :k] @ steps[:k]) if flipped else t[k]
+        rows = ((t_k < reach[k]) != zt[k]).nonzero()[0]
         if not rows.size:
             continue
         count = counts[k]
@@ -349,6 +351,21 @@ def _resample_z(state, y):
                 count += 1 - 2 * on
                 zt[k, i] = 1 - on
                 steps[k, i] = w_k[i] if on else -w_k[i]
+                flipped = True
+
+
+@functools.lru_cache(maxsize=4)
+def _take_log_odds(n, alpha, g10):
+    """The Z block's prior log odds log(p / (1 - p)) of the dish-take prior
+    p = (s - alpha) g10, as a tuple indexed by s = 0..n-1 (nan at s = 0).
+    Raises ValueError unless p lies in [0, 1] for every s in 1..n-1."""
+    # (s - alpha) g10 is linear in s, so its ends bound every s in 1..n-1
+    if not (0.0 <= (1 - alpha) * g10 <= 1.0 and 0.0 <= (n - 1 - alpha) * g10 <= 1.0):
+        raise ValueError("dish-take prior left [0, 1]; the primitives are corrupt")
+    prior_take = (np.arange(1, n) - alpha) * g10
+    with np.errstate(divide="ignore"):
+        prior = np.log(prior_take) - np.log1p(-prior_take)
+    return (math.nan, *prior.tolist())
 
 
 def _singleton_move(state, y):
@@ -359,46 +376,52 @@ def _singleton_move(state, y):
     the prior and proposal cancel, leaving the likelihood ratio of the
     row's residual with and without the swap.
 
-    All n counts are drawn first, in one call, so only the rows that
-    propose (those owning a singleton or drawing k_new > 0) enter the
-    loop, in row order; each then draws its proposal, its uniform and, on
-    accept, the fresh weights of the other rows.  Each row's residual
-    R = Y - (W o Z) A, its squared norm and its residual without its own
-    singletons are formed once for all rows: a swap in row i touches no
-    other row's residual or singletons (its old and new dishes are row
-    i's alone), so they stay valid for the rows after i.  The singleton
-    mask follows the accepts, which shift column indices.
+    A swap in row i touches no other row's residual or singletons (its old
+    and new dishes are row i's alone), so every proposal is scored from
+    the residuals at the start of the move, in one pass over the rows that
+    propose (those owning a singleton or drawing k_new > 0).  The draws
+    come in this order: the n counts; the weights of every proposal, row
+    after row, in one normal call; their loadings in one standard_normal
+    call; one uniform per proposing row; and, if a row accepts, the other
+    rows' weights of the accepted dishes in one normal((n, born)) call.
+    Z, W and A are then rebuilt once: the accepting rows' singletons go,
+    and their fresh dishes are appended in row order.
     """
-    n = state.n
-    rate = state.gamma * state.cache.g11_n
-    inv_two_var = 1.0 / (2.0 * state.sigma_y ** 2)
-    p = state.p
+    n, p = state.n, state.p
     rng = state.rng
-    k_new_rows = rng.poisson(rate, size=n)
+    k_new_rows = rng.poisson(state.gamma * state.cache.g11_n, size=n)
     single = state.z.sum(axis=0) == 1
     owned = state.z[:, single]
-    proposing = owned.any(axis=1) | (k_new_rows > 0)
-    resid = y - (state.w * state.z) @ state.a
-    sq_resid = (resid * resid).sum(axis=1)
-    bare = resid + (state.w[:, single] * owned) @ state.a[single]  # without own singletons
-    for i, k_new in zip(np.flatnonzero(proposing).tolist(), k_new_rows[proposing].tolist()):
-        w_new = rng.normal(0.0, state.sigma_w, size=k_new)
-        a_new = rng.standard_normal((k_new, p)) * state.sigma_a
-        proposed = bare[i] - w_new @ a_new
-        log_ratio = (sq_resid[i] - float(proposed @ proposed)) * inv_two_var
-        if math.log(rng.random()) >= log_ratio:
-            continue
-        keep = ~(single & (state.z[i] == 1))
-        fresh_z = np.zeros((n, k_new), dtype=np.uint8)
-        fresh_z[i] = 1
-        fresh_w = rng.normal(0.0, state.sigma_w, size=(n, k_new))
-        fresh_w[i] = w_new
-        state.z = np.ascontiguousarray(
-            np.concatenate([state.z[:, keep], fresh_z], axis=1)
-        )
-        state.w = np.concatenate([state.w[:, keep], fresh_w], axis=1)
-        state.a = np.concatenate([state.a[keep], a_new], axis=0)
-        single = np.concatenate([single[keep], np.ones(k_new, dtype=bool)])
+    rows = (owned.any(axis=1) | (k_new_rows > 0)).nonzero()[0]
+    if not rows.size:
+        return
+    k_new = k_new_rows[rows]
+    w_new = rng.normal(0.0, state.sigma_w, size=int(k_new.sum()))
+    a_new = rng.standard_normal((w_new.size, p)) * state.sigma_a
+    log_u = np.log(rng.random(rows.size))
+    # proposal r's sum of w a over its fresh dishes is row r of spread @ a_new
+    owner = np.repeat(np.arange(rows.size), k_new)
+    spread = np.zeros((rows.size, w_new.size))
+    spread[owner, np.arange(w_new.size)] = w_new
+    w, z = state.w[rows], state.z[rows]
+    resid = y[rows] - (w * z) @ state.a
+    proposed = resid + (w[:, single] * owned[rows]) @ state.a[single] - spread @ a_new
+    log_ratio = (
+        (resid * resid).sum(axis=1) - (proposed * proposed).sum(axis=1)
+    ) * (1.0 / (2.0 * state.sigma_y ** 2))
+    accept = log_u < log_ratio
+    if not accept.any():
+        return
+    keep = ~(single & state.z[rows[accept]].any(axis=0))
+    born = accept[owner]
+    cols, born_rows = np.arange(int(born.sum())), rows[owner[born]]
+    fresh_z = np.zeros((n, cols.size), dtype=np.uint8)
+    fresh_z[born_rows, cols] = 1
+    fresh_w = rng.normal(0.0, state.sigma_w, size=(n, cols.size))
+    fresh_w[born_rows, cols] = w_new[born]
+    state.z = np.concatenate([state.z[:, keep], fresh_z], axis=1)
+    state.w = np.concatenate([state.w[:, keep], fresh_w], axis=1)
+    state.a = np.concatenate([state.a[keep], a_new[born]], axis=0)
 
 
 def _resample_w(state, y):
@@ -435,7 +458,7 @@ def _resample_w(state, y):
         chol = np.linalg.cholesky(precision)
         rhs = a_slots @ y[..., None] / var_y + chol @ draws[:, k - m:, None]
         draws[:, k - m:] = np.linalg.solve(precision, rhs)[..., 0]
-    np.put_along_axis(state.w, order, draws, axis=1)
+    state.w[np.arange(n)[:, None], order] = draws
 
 
 def _resample_a(state, y):
@@ -505,7 +528,7 @@ def _log_joint_bounds(counts, gamma, summary, beta):
     return log_p - slack, log_p + slack
 
 
-def _slice_model_move(state, counts, move, start):
+def _slice_model_move(state, counts, move, start, dishes=None):
     """One slice update of a model coordinate, started at x = start.
 
     move "discount" runs on x = logit alpha, alpha ~ U(0, 1), with PY's
@@ -521,14 +544,20 @@ def _slice_model_move(state, counts, move, start):
 
     DP/PY trials are scored straight from (alpha, theta)
     (_closed_form_target); NGG/NIG trials by the row primitives of the
-    frozen draws (_row_target).
+    frozen draws (_row_target).  Both read the counts through dishes, their
+    ibp._SizeHistogram with state.gamma, built here unless given: the two
+    moves of a sweep see the same counts and share one.
     """
     if move == "discount":
         name = "logit_alpha"
     else:
         name = "log_theta_plus_alpha" if state.model.is_closed_form else "log_beta"
-    build = _closed_form_target if state.model.is_closed_form else _row_target
-    target, accepted = build(state, counts, move)
+    if dishes is None:
+        dishes = _SizeHistogram(counts, state.gamma)
+    if state.model.is_closed_form:
+        target, accepted = _closed_form_target(state, dishes, move)
+    else:
+        target, accepted = _row_target(state, counts, dishes, move)
     target.__name__ = name
     x = slice_sample(target, start, state.rng)
     state.model, state.cache = accepted()
@@ -548,12 +577,13 @@ def _closed_form_log_joint(dishes, log_rising, alpha, theta, n, lower=(None, Non
     return dishes.log_joint(float(terms[2].sum()), log_rising + log_gs1), terms
 
 
-def _closed_form_target(state, counts, move):
+def _closed_form_target(state, dishes, move):
     """(target, accepted) of a DP/PY slice move, with no per-trial objects.
 
-    The size histogram and K log gamma (ibp._SizeHistogram) are built once
-    per move, log (1 - alpha)_{s-1} once per theta move, and the
-    closed-form terms that do not depend on alpha once per discount move.
+    The trials read the size histogram and K log gamma of the counts
+    (dishes, an ibp._SizeHistogram), log (1 - alpha)_{s-1} computed once
+    per theta move, and the closed-form terms that do not depend on alpha,
+    computed once per discount move.
     A trial computes the other closed-form terms at its (alpha, theta)
     (gibbs_weights.closed_form_g11 and closed_form_log_gs1, the arithmetic
     of ClosedFormPrimitives), so its score is _log_joint_counts(counts,
@@ -565,7 +595,6 @@ def _closed_form_target(state, counts, move):
     lies off the support and scores -inf.
     """
     model, n = state.model, state.n
-    dishes = _SizeHistogram(counts, state.gamma)
     own = (model.stable_index, model.theta)
     if move == "discount":
         lower = (
@@ -613,8 +642,9 @@ def _closed_form_target(state, counts, move):
     return target, accepted
 
 
-def _row_target(state, counts, move):
-    """(target, accepted) of an NGG/NIG slice move.
+def _row_target(state, counts, dishes, move):
+    """(target, accepted) of an NGG/NIG slice move on the dish counts and
+    their size histogram (dishes).
 
     A trial is scored by its depth-n primitives: one pass over the frozen
     draws that sums the first moment only, with no rel_se and no weight
@@ -649,7 +679,7 @@ def _row_target(state, counts, move):
     def scored(trial_model, primitives, terms):
         nonlocal last
         last = (trial_model, primitives)
-        return _log_joint_counts(counts, state.gamma, primitives) + terms[0] + terms[1]
+        return dishes.score(primitives) + terms[0] + terms[1]
 
     def exact(trial_model, terms):
         return scored(
@@ -697,12 +727,13 @@ def _update_model_params(state, config):
     beta) names one weight table: an exact MCMC for the IBP they define.
     """
     counts = state.z.sum(axis=0).astype(np.int64)
+    dishes = _SizeHistogram(counts, state.gamma)
     if config.update_alpha and state.model.variant in ("PY", "NGG"):
         _slice_model_move(
-            state, counts, "discount", float(special.logit(state.model.alpha))
+            state, counts, "discount", float(special.logit(state.model.alpha)), dishes
         )
     if config.update_theta:
-        _slice_model_move(state, counts, "second", state.model.second_coordinate)
+        _slice_model_move(state, counts, "second", state.model.second_coordinate, dishes)
 
 
 def _update_scales(state, y):

@@ -48,15 +48,33 @@ def sample_sticks(model, count, rng, size=None):
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    rows = 1 if size is None else int(size)
-    fractions = np.empty((rows, count))
-    for j in range(1, count + 1):
-        a, b = _stick_beta_params(model, j)
-        fractions[:, j - 1] = rng.beta(a, b, size=rows)
+    fractions = _stick_fractions(model, count, rng, 1 if size is None else int(size))
     remaining = np.cumprod(1.0 - fractions, axis=1)
     sticks = fractions.copy()
     sticks[:, 1:] *= remaining[:, :-1]
     return sticks[0] if size is None else sticks
+
+
+def _stick_fractions(model, count, rng, rows):
+    # the beta fractions W_1..W_count of `rows` paths, drawn stick by stick
+    fractions = np.empty((rows, count))
+    for j in range(1, count + 1):
+        a, b = _stick_beta_params(model, j)
+        fractions[:, j - 1] = rng.beta(a, b, size=rows)
+    return fractions
+
+
+def _last_sticks(model, count, rng, rows):
+    """P_count of `rows` paths, as sample_sticks(model, count, rng, rows)
+    gives it in its last column, to the bit: W_count times the cumulative
+    product of (1 - W_j) up to j = count - 1, with no other stick formed."""
+    fractions = _stick_fractions(model, count, rng, rows)
+    last = fractions[:, -1]
+    if count > 1:
+        remaining = 1.0 - fractions[:, :-1]
+        np.multiply.accumulate(remaining, axis=1, out=remaining)
+        last = last * remaining[:, -1]
+    return last
 
 
 def _stick_means(model):
@@ -189,8 +207,8 @@ def sample_truncated_feature_counts(model, gamma, n, rounds, replicates, seed):
             atoms = int(round_counts.sum())
             if atoms == 0:
                 return
-            paths = sample_sticks(model, i, round_rng, size=atoms)
-            appear = -np.expm1(n * np.log1p(-paths[:, i - 1]))
+            last = _last_sticks(model, i, round_rng, atoms)
+            appear = -np.expm1(n * np.log1p(-last))
             kept = round_rng.random(atoms) < appear
             kept_owners = np.repeat(owners, round_counts)[kept]
             np.add(total, np.bincount(kept_owners, minlength=replicates), out=total)

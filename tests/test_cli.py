@@ -27,6 +27,18 @@ def read_csv(path):
 
 
 class TestSimulate:
+    def test_refuses_oversized_buffet(self, tmp_path, capsys):
+        # E[K_1000] is about 6e7 dishes at gamma 10^6: refused as a usage
+        # error before the buffet allocates anything
+        out = tmp_path / "big"
+        assert run_cli("simulate", "--model", "py", "--alpha", 0.5, "--theta", 1,
+                       "--gamma", 1e6, "--n", 1000, "--outdir", out) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("usage error: n = 1000 customers with E[K_n] = ")
+        assert "MAX_BUFFET_CELLS" in err[0]
+        assert not (out / "allocation.csv").exists()
+
     def test_mean_dish_count(self, tmp_path):
         # DP(1), n = 3: E[K_3] = 1 + 1/2 + 1/3
         total = 0

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import sys
@@ -1223,6 +1224,20 @@ class TestSerialization:
         for n in range(1, 9):
             np.testing.assert_array_equal(loaded.log_row(n), table.log_row(n))
             np.testing.assert_array_equal(loaded.rel_se_row(n), table.rel_se_row(n))
+
+    @pytest.mark.parametrize(
+        "model",
+        [GibbsModel.ngg(0.5, 1.0, mc_config=McConfig(samples=20_000, seed=1)),
+         GibbsModel.py(0.5, 1.0)],
+        ids=["ngg", "py"],
+    )
+    def test_file_bytes_are_json_dump(self, model, tmp_path):
+        # the one-call encoder writes what json.dump's chunked one writes
+        table = build_weight_table(model, 12)
+        path = save_weight_table(table, model, tmp_path / "t.json")
+        chunked = io.StringIO()
+        json.dump(gibbs_weights._table_payload(table, model), chunked)
+        assert path.read_bytes() == chunked.getvalue().encode()
 
     def test_content_hash_distinguishes(self):
         m1 = GibbsModel.py(0.5, 1.0)

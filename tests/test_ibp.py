@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from gibbsibp import ibp
 from gibbsibp.gibbs_weights import (
     GibbsModel,
     McConfig,
@@ -27,6 +28,7 @@ from gibbsibp.ibp import (
     sample_feature_counts,
     simulate_ibp,
 )
+from gibbsibp.special_functions import TableSizeError
 
 # mpmath quadrature (40 dps) of e^{b^a}/Gamma(a) int_b^inf (u-b)^{a-1} e^{-u^a} du,
 # the Laplace-transform form of the dish-growth constant; the route reproduces
@@ -160,6 +162,24 @@ class TestSimulateIbp:
         target = 1.0 + 0.5 + 1.0 / 3.0
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - target) < 3 * se
+
+    def test_refuses_past_cell_limit(self, monkeypatch):
+        # the bound n (E[K_n] + 6 (sqrt(E[K_n]) + 1)) is checked before the
+        # buffet; small sizes under a lowered limit stand in for large ones
+        model, gamma, n = GibbsModel.dp(1.0), 2.0, 10
+        expected = expected_features(model, gamma, n)
+        bound = n * (expected + ibp.BUFFET_TAIL_SDS * (math.sqrt(expected) + 1.0))
+        monkeypatch.setattr(ibp, "MAX_BUFFET_CELLS", math.ceil(bound))
+        assert simulate_ibp(model, gamma, n, seed=0).n == n
+        monkeypatch.setattr(ibp, "MAX_BUFFET_CELLS", math.floor(bound))
+        with pytest.raises(TableSizeError, match=rf"n = {n} customers with E\[K_n\] = "):
+            simulate_ibp(model, gamma, n, seed=0)
+
+    def test_refuses_huge_mass_at_the_default_limit(self):
+        # E[K_1000] = 10^6 E[B_1000], about 6e7 dishes: 6e10 cells refused
+        # before any of them is allocated
+        with pytest.raises(TableSizeError, match="MAX_BUFFET_CELLS = 100000000"):
+            simulate_ibp(GibbsModel.py(0.5, 1.0), 1e6, 1000, seed=0)
 
     def test_corrupt_primitives_rejected(self):
         model = GibbsModel.py(0.5, 1.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from gibbsibp import gibbs_weights
+from gibbsibp import gibbs_weights, stick_breaking
 from gibbsibp.gibbs_weights import GibbsModel
 from gibbsibp.ibp import sample_feature_counts
 from gibbsibp.special_functions import positive_stable_density
@@ -154,6 +154,17 @@ class TestTruncatedFeatureCounts:
             draws.append(sample_truncated_feature_counts(model, 1.0, 20, 12, 5000, seed=3))
         assert draws[0].dtype == np.int64
         assert all(np.array_equal(draws[0], other) for other in draws[1:])
+
+    @pytest.mark.parametrize("model", [GibbsModel.dp(1.0), GibbsModel.py(0.3, 0.5)])
+    def test_last_stick_is_sample_sticks_last_column(self, model):
+        # round i reads only P_i: the same draws and the same products, to
+        # the bit, as the last column of every stick of the paths
+        for count in (1, 2, 9, 40):
+            full_rng, last_rng = np.random.default_rng(count), np.random.default_rng(count)
+            full = sample_sticks(model, count, full_rng, size=300)
+            last = stick_breaking._last_sticks(model, count, last_rng, 300)
+            assert np.array_equal(full[:, -1], last), count
+            assert full_rng.bit_generator.state == last_rng.bit_generator.state
 
     def test_no_rounds_no_dishes(self):
         counts = sample_truncated_feature_counts(GibbsModel.dp(1.0), 1.0, 20, 0, 7, seed=3)

@@ -291,6 +291,11 @@ def _validate(config):
             raise ValueError("--iterations and --burn-in must be >= 0")
         if config.thin < 1:
             raise ValueError("--thin must be a positive integer")
+        if config.update_alpha and models[0].variant not in ("PY", "NGG"):
+            raise ValueError(
+                f"--update-alpha needs a free discount (py or ngg); "
+                f"{models[0].describe()} fixes alpha = {models[0].stable_index:g}"
+            )
     if config.subcommand == "geweke":
         if config.p is None or config.p < 1:
             raise ValueError("--p must be a positive integer")

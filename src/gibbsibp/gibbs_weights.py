@@ -145,11 +145,16 @@ class GibbsModel:
             return math.log(self.theta + self.stable_index)
         return math.log(self.beta)
 
+    def second_at(self, x):
+        """The second parameter at second coordinate x: theta = e^x - alpha
+        for DP/PY, beta = e^x for NGG/NIG."""
+        return math.exp(x) - self.stable_index if self.is_closed_form else math.exp(x)
+
     def with_second_coordinate(self, x):
         """This model with its second coordinate at x."""
         if self.is_closed_form:
-            return replace(self, theta=math.exp(x) - self.stable_index)
-        return replace(self, beta=math.exp(x))
+            return replace(self, theta=self.second_at(x))
+        return replace(self, beta=self.second_at(x))
 
     def describe(self):
         if self.variant == "DP":

@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 from scipy import special
 
+from . import gibbs_weights
 from .gibbs_weights import (
     ClosedFormPrimitives,
     McConfig,
@@ -39,6 +40,7 @@ from .ibp import (
     _log_joint_counts,
     simulate_ibp,
 )
+from .special_functions import TableSizeError
 
 _LOG_2PI = math.log(2.0 * math.pi)
 SLICE_WIDTH = 1.0
@@ -52,6 +54,7 @@ GEWEKE_CHAIN_CHUNK = 2 ** 12  # cells of Y per chunk of chain-side rounds
 # the log joint and of its terms: thousands of times the double-precision
 # rounding of its evaluation
 LOG_JOINT_ROUNDING = 1e-9
+MAX_SWEEP_CELLS = 2 ** 27  # doubles in a sweep's largest stacked array: 1 GiB
 
 
 @dataclass(frozen=True)
@@ -69,8 +72,10 @@ class ChainConfig:
     """Sweep counts, initial scales, and which blocks to update.
 
     update_theta covers the second model parameter: theta for DP/PY, beta
-    for NGG/NIG.  An NGG/NIG chain freezes mc_samples draws per row from the
-    chain seed and keeps them for its whole run.
+    for NGG/NIG; update_alpha the discount, free in PY and NGG only.  An
+    NGG/NIG chain draws mc_samples frozen draws per row from the chain
+    seed at its alpha: a beta move reuses them, and an alpha trial draws
+    its own at its alpha from the same seed.
     """
 
     iterations: int = 1000
@@ -216,12 +221,18 @@ class ScreenedValue:
     """A log density value known to lie in [lower, upper]; exact() computes
     it.  A comparison value > level is decided by the bounds where level
     lies outside them, and by exact() otherwise, so it has the outcome the
-    exact value gives; float(value) is exact()."""
+    exact value gives; float(value) is exact().  value + shift, for a
+    float shift, adds it to both bounds and to exact(): rounding is
+    monotone, so the shifted bounds hold the shifted exact value."""
 
     __slots__ = ("lower", "upper", "exact")
 
     def __init__(self, lower, upper, exact):
         self.lower, self.upper, self.exact = lower, upper, exact
+
+    def __add__(self, shift):
+        exact = self.exact
+        return ScreenedValue(self.lower + shift, self.upper + shift, lambda: exact() + shift)
 
     def __gt__(self, level):
         if self.lower > level:
@@ -497,10 +508,11 @@ def _resample_gamma(state, priors):
     state.gamma = float(state.rng.gamma(shape, 1.0 / rate))
 
 
-def _log_joint_bounds(counts, gamma, summary, beta):
-    """Certified (lower, upper) bounds on _log_joint_counts(counts, gamma,
-    p) for p the primitives that row_primitives(beta) of the summarised
-    draws gives, from the summary alone; None where they are not finite.
+def _log_joint_bounds(dishes, summary, beta):
+    """Certified (lower, upper) bounds on dishes.score(p), the log joint of
+    the counts whose ibp._SizeHistogram is dishes, for p the primitives
+    that row_primitives(beta) of the summarised draws gives, from the
+    summary alone; None where they are not finite.
 
     The midpoint row of the summary (DrawSummary.midpoint_row) lies within
     eps of the exact row in every entry.  Moving each entry by at most eps
@@ -514,12 +526,12 @@ def _log_joint_bounds(counts, gamma, summary, beta):
     more, too wide to decide anything, gives None.
     """
     primitives, eps = summary.midpoint_row(beta)
-    log_p = _log_joint_counts(counts, gamma, primitives)
+    log_p = dishes.score(primitives)
     if not (math.isfinite(log_p) and eps < 1.0):
         return None
-    k_n, expected = len(counts), primitives.expected_blocks
-    base = k_n * abs(math.log(gamma)) if k_n else 0.0
-    size = 1.0 + abs(log_p) + base + gamma * expected + k_n * primitives.n
+    gamma, expected = dishes.gamma, primitives.expected_blocks
+    k_n = float(dishes.multiplicity.sum())
+    size = 1.0 + abs(log_p) + abs(dishes.base) + gamma * expected + k_n * primitives.n
     slack = (
         gamma * expected * math.exp(2.0 * eps) * math.expm1(2.0 * eps)
         + 2.0 * eps * k_n
@@ -529,38 +541,58 @@ def _log_joint_bounds(counts, gamma, summary, beta):
 
 
 def _slice_model_move(state, counts, move, start, dishes=None):
-    """One slice update of a model coordinate, started at x = start.
-
-    move "discount" runs on x = logit alpha, alpha ~ U(0, 1), with PY's
-    theta > -alpha as part of the support.  move "second" runs on
-    x = log(theta + alpha) for DP/PY and x = log beta for NGG/NIG, either
-    ~ Exp(1).  The target is the log joint of the dish counts
-    (ibp._log_joint_counts) under the trial model's depth-n primitives
-    (gibbs_weights.depth_primitives) plus the coordinate's log prior and
-    Jacobian; a trial at the state's own model is scored by the state's
-    primitives, which are the same function of the model.  The state
-    adopts the model of the accepted point, the last one slice_sample
-    evaluated, with its primitives.  Returns the accepted coordinate.
-
-    DP/PY trials are scored straight from (alpha, theta)
-    (_closed_form_target); NGG/NIG trials by the row primitives of the
-    frozen draws (_row_target).  Both read the counts through dishes, their
-    ibp._SizeHistogram with state.gamma, built here unless given: the two
-    moves of a sweep see the same counts and share one.
+    """One slice update of a model coordinate from x = start; returns the
+    accepted x.  move "discount" runs on x = logit alpha, alpha ~ U(0, 1);
+    move "second" on x = log(theta + alpha) (DP/PY) or log beta (NGG/NIG),
+    either ~ Exp(1).  A point off the support 0 < alpha < 1, theta > -alpha,
+    beta > 0 (as where a parameter rounds onto its bound) scores -inf.  The
+    target is the log joint of the counts (ibp._log_joint_counts) under the
+    trial's depth-n primitives plus the log prior and Jacobian; the state's
+    own point is scored by the state's primitives.  The state adopts the
+    accepted point, the last one slice_sample evaluated, and only its model
+    is built.  The subclasses differ in their scorer's (score, adopt) only:
+    score(alpha, second) gives a trial's log joint (a float or a
+    ScreenedValue) and what adopt(model, held) makes its primitives from;
+    DP/PY score in closed form (_closed_form_scorer), NGG/NIG from frozen
+    draws (_row_scorer).  dishes, the counts' ibp._SizeHistogram with
+    state.gamma, is built unless given: a sweep's two moves share one.
     """
-    if move == "discount":
-        name = "logit_alpha"
-    else:
-        name = "log_theta_plus_alpha" if state.model.is_closed_form else "log_beta"
+    model, closed = state.model, state.model.is_closed_form
+    own = (model.stable_index, model.theta if closed else model.beta)
     if dishes is None:
         dishes = _SizeHistogram(counts, state.gamma)
-    if state.model.is_closed_form:
-        target, accepted = _closed_form_target(state, dishes, move)
-    else:
-        target, accepted = _row_target(state, counts, dishes, move)
-    target.__name__ = name
+    scorer = _closed_form_scorer if closed else _row_scorer
+    score, adopt = scorer(state, dishes, move)
+    last = None  # (alpha, held) of the last trial; None at the state's own point
+
+    def target(x):
+        nonlocal last
+        if move == "discount":
+            alpha, second = float(special.expit(x)), own[1]
+            if not 0.0 < alpha < 1.0:
+                return -math.inf
+            terms = (math.log(alpha), math.log1p(-alpha))
+        else:
+            alpha, second = own[0], model.second_at(x)
+            terms = (-math.exp(x), x)
+        if second <= (-alpha if closed else 0.0):
+            return -math.inf
+        last = None  # frees the last trial's draws before new ones are made
+        if (alpha, second) == own and state.cache is not None:
+            value = dishes.score(state.cache)
+        else:
+            value, held = score(alpha, second)
+            last = (alpha, held)
+        return value + terms[0] + terms[1]
+
+    second_name = "log_theta_plus_alpha" if closed else "log_beta"
+    target.__name__ = "logit_alpha" if move == "discount" else second_name
     x = slice_sample(target, start, state.rng)
-    state.model, state.cache = accepted()
+    if last is not None:
+        alpha, held = last
+        trial = (model.with_second_coordinate(x) if move == "second"
+                 else replace(model, alpha=alpha))
+        state.model, state.cache = trial, adopt(trial, held)
     return x
 
 
@@ -577,158 +609,67 @@ def _closed_form_log_joint(dishes, log_rising, alpha, theta, n, lower=(None, Non
     return dishes.log_joint(float(terms[2].sum()), log_rising + log_gs1), terms
 
 
-def _closed_form_target(state, dishes, move):
-    """(target, accepted) of a DP/PY slice move, with no per-trial objects.
-
-    The trials read the size histogram and K log gamma of the counts
-    (dishes, an ibp._SizeHistogram), log (1 - alpha)_{s-1} computed once
-    per theta move, and the closed-form terms that do not depend on alpha,
-    computed once per discount move.
-    A trial computes the other closed-form terms at its (alpha, theta)
-    (gibbs_weights.closed_form_g11 and closed_form_log_gs1, the arithmetic
-    of ClosedFormPrimitives), so its score is _log_joint_counts(counts,
-    gamma, ClosedFormPrimitives(model, n)) to the bit, and the slice
-    decisions and the random stream are those of building both per trial.
-    accepted() builds the model and primitives of the accepted point only,
-    from that trial's terms, or keeps the state's where it is the state's
-    own model.  A theta trial at which theta + alpha rounds to 0 or below
-    lies off the support and scores -inf.
-    """
+def _closed_form_scorer(state, dishes, move):
+    """(score, adopt) of a DP/PY slice move, with no per-trial objects: a
+    trial's score is _closed_form_log_joint, with log (1 - alpha)_{s-1}
+    computed once per theta move and the terms free of alpha once per
+    discount move, and adopt builds ClosedFormPrimitives from its terms."""
     model, n = state.model, state.n
-    own = (model.stable_index, model.theta)
+    lower, rising = (None, None), None
     if move == "discount":
-        lower = (
-            closed_form_g11_lower(model.theta, n),
-            closed_form_gs1_lower(model.theta, n, dishes.sizes),
-        )
+        theta = model.theta
+        lower = (closed_form_g11_lower(theta, n), closed_form_gs1_lower(theta, n, dishes.sizes))
     else:
-        lower = (None, None)
-        theta_rising = dishes.log_rising(model.stable_index)
-    last = None  # the last scored (alpha, theta, terms), terms None for the state's own
+        rising = dishes.log_rising(model.stable_index)
 
-    def target(x):
-        nonlocal last
+    def score(alpha, theta):
+        log_rising = dishes.log_rising(alpha) if rising is None else rising
+        return _closed_form_log_joint(dishes, log_rising, alpha, theta, n, lower)
+
+    return score, lambda trial, terms: ClosedFormPrimitives(trial, n, terms)
+
+
+def _row_scorer(state, dishes, move):
+    """(score, adopt) of an NGG/NIG slice move.  A trial's primitives come
+    from one pass over frozen draws that sums the first moment only; score
+    gives them as a function of no arguments that runs the pass on its
+    first call, and adopt calls it.  A beta trial reads the state's draws,
+    and once they have a DrawSummary (from the second beta move over them
+    on) its score is a ScreenedValue (_log_joint_bounds), which runs the
+    pass only where the slice level falls inside its bounds.  A discount
+    trial draws at its own alpha from the model's seed, so the state's
+    draws go before a trial makes new ones: one set is alive at once."""
+    n, mc = state.n, state.model.mc_config
+    draws = held_draws(state.model, n, state.cache) if move == "second" else None
+    summary = draws.summary() if draws is not None else None
+
+    def score(alpha, beta):
+        @functools.cache
+        def primitives():
+            sampler = draws
+            if sampler is None:
+                sampler = gibbs_weights.NggWeightSampler(alpha, n, mc.samples, mc.seed)
+            return sampler.row_primitives(beta)
+
+        bounds = _log_joint_bounds(dishes, summary, beta) if summary is not None else None
+        if bounds is not None:
+            return ScreenedValue(*bounds, lambda: dishes.score(primitives())), primitives
         if move == "discount":
-            alpha, theta = float(special.expit(x)), model.theta
-            if not 0.0 < alpha < 1.0 or (model.variant == "PY" and theta <= -alpha):
-                return -math.inf
-            log_rising = dishes.log_rising(alpha)
-            prior = (math.log(alpha), math.log1p(-alpha))
-        else:
-            alpha, theta = model.stable_index, math.exp(x) - model.stable_index
-            if theta <= -alpha:
-                return -math.inf
-            log_rising = theta_rising
-            prior = (-math.exp(x), x)
-        if (alpha, theta) == own and state.cache is not None:
-            terms = None
-            log_terms = log_rising + state.cache.log_gs1_at(dishes.sizes)
-            value = dishes.log_joint(state.cache.expected_blocks, log_terms)
-        else:
-            value, terms = _closed_form_log_joint(dishes, log_rising, alpha, theta, n, lower)
-        last = (alpha, theta, terms)
-        return value + prior[0] + prior[1]
+            state.cache = None  # a later trial at the state's model draws again
+        return dishes.score(primitives()), primitives
 
-    def accepted():
-        alpha, theta, terms = last
-        if terms is None:
-            return model, state.cache
-        if move == "discount":
-            trial_model = replace(model, alpha=alpha)
-        else:
-            trial_model = replace(model, theta=theta)
-        return trial_model, ClosedFormPrimitives(trial_model, n, terms)
-
-    return target, accepted
-
-
-def _row_target(state, counts, dishes, move):
-    """(target, accepted) of an NGG/NIG slice move on the dish counts and
-    their size histogram (dishes).
-
-    A trial is scored by its depth-n primitives: one pass over the frozen
-    draws that sums the first moment only, with no rel_se and no weight
-    table.  A beta trial whose draws have a DrawSummary (from the second
-    beta move over them on) is first screened: it returns a ScreenedValue
-    bounding its score (_log_joint_bounds), and the pass over the draws
-    runs only where the slice level falls inside the bounds.  accepted()
-    gives the primitives that pass gives at the accepted point, run then
-    if the screen decided that point; it builds nothing more, as their
-    rel_se and table are computed when first read.  So every decision,
-    and the state's primitives to the bit, are those of an unscreened
-    move.  A discount trial draws at its own alpha from the model's seed,
-    so the state's primitives, and with them its draws, are dropped before
-    a trial makes new ones: one set is alive at once.
-    """
-    model = state.model
-    last = None  # the last evaluated point's (model, primitives or None if screened)
-    summary = None
-    if move == "second":
-        draws = held_draws(model, state.n, state.cache)
-        summary = draws.summary() if draws is not None else None
-
-    def trial(x):
-        # (model at x, its log prior + Jacobian terms); None off the support
-        if move == "discount":
-            alpha = float(special.expit(x))
-            if not 0.0 < alpha < 1.0:
-                return None, None
-            return replace(model, alpha=alpha), (math.log(alpha), math.log1p(-alpha))
-        return model.with_second_coordinate(x), (-math.exp(x), x)
-
-    def scored(trial_model, primitives, terms):
-        nonlocal last
-        last = (trial_model, primitives)
-        return dishes.score(primitives) + terms[0] + terms[1]
-
-    def exact(trial_model, terms):
-        return scored(
-            trial_model, depth_primitives(trial_model, state.n, state.cache), terms
-        )
-
-    def target(x):
-        nonlocal last
-        trial_model, terms = trial(x)
-        if trial_model is None:
-            return -math.inf
-        last = None  # frees the last trial's draws before new ones are made
-        if trial_model == state.model and state.cache is not None:
-            return scored(trial_model, state.cache, terms)
-        if summary is not None:
-            bounds = _log_joint_bounds(counts, state.gamma, summary, trial_model.beta)
-            if bounds is not None:
-                last = (trial_model, None)
-                # rounding is monotone, so adding the terms keeps the order
-                return ScreenedValue(
-                    bounds[0] + terms[0] + terms[1], bounds[1] + terms[0] + terms[1],
-                    lambda: exact(trial_model, terms),
-                )
-        if move == "discount":
-            # the state's draws go before the trial's are made; a later
-            # trial at the state's model draws them again
-            state.cache = None
-        return exact(trial_model, terms)
-
-    def accepted():
-        trial_model, primitives = last
-        if primitives is None:  # decided by the screen
-            primitives = depth_primitives(trial_model, state.n, state.cache)
-        return trial_model, primitives
-
-    return target, accepted
+    return score, lambda trial, primitives: primitives()
 
 
 def _update_model_params(state, config):
-    """Slice moves on the model parameters, one target for every subclass.
-
-    The discount move (update_alpha, PY and NGG), then the second
-    parameter move (update_theta: theta for DP/PY, beta for NGG/NIG).  An
-    NGG/NIG chain keeps the frozen draws of its mc_config, so each (alpha,
-    beta) names one weight table: an exact MCMC for the IBP they define.
-    """
+    """Slice moves on the model parameters, one target for every subclass:
+    the discount move (update_alpha; initial_state refuses it for DP and
+    NIG), then the second parameter move (update_theta: theta for DP/PY,
+    beta for NGG/NIG).  Each NGG/NIG (alpha, beta) names one weight table,
+    from the frozen draws of its mc_config: an exact MCMC for its IBP."""
     counts = state.z.sum(axis=0).astype(np.int64)
     dishes = _SizeHistogram(counts, state.gamma)
-    if config.update_alpha and state.model.variant in ("PY", "NGG"):
+    if config.update_alpha:
         _slice_model_move(
             state, counts, "discount", float(special.logit(state.model.alpha)), dishes
         )
@@ -769,7 +710,11 @@ def gibbs_sweep(state, y, config):
 
 def initial_state(model, y, config, z_init=None):
     """Prior-flavored starting point for a chain on data y; an NGG/NIG
-    chain's model takes mc_config McConfig(config.mc_samples, config.seed)."""
+    chain's model takes mc_config McConfig(config.mc_samples, config.seed).
+    Refuses update_alpha where the discount is fixed (DP, NIG), and a start
+    Z past MAX_SWEEP_CELLS (_check_sweep_size) before W and A are drawn."""
+    if config.update_alpha and model.variant not in ("PY", "NGG"):
+        raise ValueError(f"update_alpha needs a free discount (PY, NGG), not {model.describe()}")
     y = np.asarray(y, dtype=float)
     n, p = y.shape
     rng = np.random.default_rng(config.seed)
@@ -791,11 +736,25 @@ def initial_state(model, y, config, z_init=None):
         ).matrix
     else:
         z = np.asarray(getattr(z_init, "matrix", z_init), dtype=np.uint8)
+    _check_sweep_size(z, p)
     k = z.shape[1]
     w = rng.normal(0.0, config.sigma_w, size=(n, k))
     a = rng.standard_normal((k, p)) * sigma_a
     state._set_factors(z, w, a)
     return state
+
+
+def _check_sweep_size(z, p):
+    """Refuse with TableSizeError a start Z whose sweep would stack more than
+    MAX_SWEEP_CELLS doubles in one array: the A block's p K x K precisions,
+    or the W block's n m x m ones for m the largest row total."""
+    (n, k), m = z.shape, int(z.sum(axis=1).max(initial=0))
+    if max(p * k * k, n * m * m) > MAX_SWEEP_CELLS:
+        raise TableSizeError(
+            f"a start with K = {k} dishes, p = {p} columns and m = {m} dishes in its "
+            f"fullest row needs {max(p * k * k, n * m * m)} doubles in one sweep array "
+            f"(p K^2 or n m^2); the limit is MAX_SWEEP_CELLS = {MAX_SWEEP_CELLS}"
+        )
 
 
 def _record(state, y, iteration):

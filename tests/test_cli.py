@@ -338,9 +338,15 @@ class TestRefusedRuns:
             ("ragged-data", 2, "is not a CSV matrix of numbers"),
             ("memory", 3, "out of memory: Unable to allocate 7.28 TiB"),
             ("bare-memory", 3, "out of memory: the run needs more memory than is free"),
+            ("dp-update-alpha", 2, "usage error: --update-alpha needs a free discount "
+             "(py or ngg); DP(theta=1) fixes alpha = 0"),
+            ("nig-update-alpha", 2, "usage error: --update-alpha needs a free discount "
+             "(py or ngg); NIG(beta=1) fixes alpha = 0.5"),
+            ("oversized-start", 2, "usage error: a start with K = "),
         ],
         ids=["tiny-sigma-y", "huge-sigma-a", "nan-data", "empty-data", "ragged-data",
-             "memory", "bare-memory"],
+             "memory", "bare-memory", "dp-update-alpha", "nig-update-alpha",
+             "oversized-start"],
     )
     def test_one_line_and_exit_code(self, case, code, message, tmp_path, capsys,
                                     monkeypatch):
@@ -363,6 +369,16 @@ class TestRefusedRuns:
                 raise error
 
             monkeypatch.setitem(cli._RUNNERS, "fit", exhausted)
+        elif case == "dp-update-alpha":
+            argv += ["--update-alpha"]
+        elif case == "nig-update-alpha":
+            argv[2:5] = ["nig", "--beta", 1]
+            argv += ["--update-alpha"]
+        elif case == "oversized-start":
+            # the prior start draws ~1e5 dishes (a few MB of Z), and the
+            # first sweep would need their K x K Gram: refused before W and A
+            argv[2:5] = ["py", "--alpha", 0.5, "--theta", 1]
+            argv += ["--gamma", 1e4, "--fix-gamma"]
         np.savetxt(data, y, delimiter=",")
         if case == "empty-data":
             data.write_text("")

@@ -55,7 +55,7 @@ from gibbsibp.inference import (
     slice_sample,
     synthesize_data,
 )
-from gibbsibp.special_functions import build_gfc_table, log_rising_factorial
+from gibbsibp.special_functions import TableSizeError, build_gfc_table, log_rising_factorial
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -715,6 +715,49 @@ class TestModelMoves:
         monkeypatch.setattr(ibp._SizeHistogram, "log_joint", point_mass)
         with pytest.raises(RuntimeError, match=name):
             inference._slice_model_move(state, alloc.counts, move, 0.0)
+
+
+    @pytest.mark.parametrize(
+        "model, move, points",
+        [
+            (GibbsModel.dp(1.0), "second", (-800.0,)),
+            # theta + alpha rounds to 0 at x = -50, theta to -alpha at -800
+            (GibbsModel.py(0.4, 1.0), "second", (-50.0, -800.0)),
+            # alpha rounds to 0 at x = -800 and to 1 at x = 800
+            (GibbsModel.py(0.4, 1.0), "discount", (-800.0, 800.0)),
+            # alpha = 0.3 leaves theta = -0.5 below -alpha
+            (GibbsModel.py(0.6, -0.5), "discount", (float(special.logit(0.3)),)),
+            (GibbsModel.ngg(0.5, 1.0), "second", (-800.0,)),
+            (GibbsModel.ngg(0.5, 1.0), "discount", (-800.0, 800.0)),
+            (GibbsModel.nig(1.0), "second", (-800.0,)),
+        ],
+        ids=["dp-theta", "py-theta", "py-discount", "py-discount-theta-bound",
+             "ngg-beta", "ngg-discount", "nig-beta"],
+    )
+    def test_support_edges_score_minus_inf(self, model, move, points, monkeypatch):
+        # the move's own target at points whose parameters round onto a
+        # bound of the support: -inf, with no error; the state adopts the
+        # start point, evaluated last
+        alloc = self.allocation(GibbsModel.py(0.4, 1.0), seed=3)
+        state = make_state(model, alloc.matrix, gamma=self.GAMMA, mc_samples=2000)
+        start = state.model
+        values = []
+
+        def probe(log_density, x0, rng):
+            values.extend(log_density(x) for x in points)
+            assert math.isfinite(float(log_density(x0)))
+            return x0
+
+        monkeypatch.setattr(inference, "slice_sample", probe)
+        x0 = model.second_coordinate
+        if move == "discount":
+            x0 = float(special.logit(model.alpha))
+        inference._slice_model_move(state, alloc.counts, move, x0)
+        assert values == [-math.inf] * len(points)
+        if move == "discount":
+            assert state.model == replace(start, alpha=float(special.expit(x0)))
+        else:
+            assert state.model == start.with_second_coordinate(x0)
 
 
 class TestClosedFormMoves:
@@ -1603,6 +1646,31 @@ class TestSweepAndChain:
         )
         assert np.array_equal(state.z, z0)
 
+    @pytest.mark.parametrize("model", [GibbsModel.dp(1.0), GibbsModel.nig(1.0)], ids=["dp", "nig"])
+    def test_initial_state_refuses_fixed_discount_move(self, model):
+        y = np.zeros((4, 2))
+        with pytest.raises(ValueError, match="update_alpha needs a free discount"):
+            initial_state(model, y, ChainConfig(update_alpha=True))
+
+    @pytest.mark.parametrize(
+        "n, p, k, limit_part",
+        # at the limit, then one past it: p K^2 (one full row holds every
+        # dish), then n m^2 (every row holds all m = K dishes)
+        [(2, 2, 2 ** 13, None), (2, 2, 2 ** 13 + 1, "K = 8193"),
+         (2 ** 11, 1, 2 ** 8, None), (2 ** 11 + 1, 1, 2 ** 8, "m = 256")],
+        ids=["a-block-at-limit", "a-block-past", "w-block-at-limit", "w-block-past"],
+    )
+    def test_initial_state_bounds_sweep_arrays(self, n, p, k, limit_part):
+        # Z is at most 2 MB; nothing of the sweep's size is allocated
+        assert inference.MAX_SWEEP_CELLS == 2 ** 27
+        y = np.zeros((n, p))
+        z0 = np.ones((n, k), dtype=np.uint8)
+        if limit_part is None:
+            assert initial_state(GibbsModel.dp(1.0), y, ChainConfig(), z_init=z0).dishes == k
+            return
+        with pytest.raises(TableSizeError, match=limit_part):
+            initial_state(GibbsModel.dp(1.0), y, ChainConfig(), z_init=z0)
+
     def test_recovers_planted_features(self):
         # small end-to-end fit: posterior K concentrates near the truth.  A
         # chain started from a prior draw sheds dishes for a few hundred
@@ -1641,12 +1709,13 @@ class TestBetaScreen:
         counts, state = self.state()
         sampler = state.cache.draws
         summary = DrawSummary(sampler)
+        dishes = _SizeHistogram(counts, self.GAMMA)
         rng = np.random.default_rng(3)
         decided, undecided = 0, 0
         for i in range(240):
             beta = math.exp(rng.uniform(-5.0, 5.0))
             exact = _log_joint_counts(counts, self.GAMMA, sampler.row_primitives(beta))
-            lower, upper = inference._log_joint_bounds(counts, self.GAMMA, summary, beta)
+            lower, upper = inference._log_joint_bounds(dishes, summary, beta)
             assert lower <= exact <= upper, beta
             # levels far from the exact value and levels within the bounds
             offset = rng.normal() * (2.0 if i % 2 else 10.0 ** rng.uniform(-8.0, -1.0))
@@ -1663,6 +1732,14 @@ class TestBetaScreen:
                 undecided += 1
             else:
                 decided += 1
+            # shifted as a slice move shifts it, by a log prior and a
+            # Jacobian term: the shifted exact value decides
+            shifts = (-math.exp(rng.normal()), rng.normal())
+            shifted = ScreenedValue(lower, upper, exact_value) + shifts[0] + shifts[1]
+            shifted_level = level + shifts[0] + shifts[1]
+            want = exact + shifts[0] + shifts[1]
+            assert (shifted > shifted_level) == (want > shifted_level), (beta, offset)
+            assert float(shifted) == want
         assert decided >= 120 and undecided >= 10
 
     def test_slack_covers_every_row_within_eps(self):
@@ -1676,7 +1753,9 @@ class TestBetaScreen:
         signs = steps + [-s for s in steps] + [rng.choice([-1.0, 1.0], n) for _ in range(40)]
         for beta in np.logspace(-2.0, 2.0, 5):
             midpoint, eps = summary.midpoint_row(beta)
-            lower, upper = inference._log_joint_bounds(counts, self.GAMMA, summary, beta)
+            lower, upper = inference._log_joint_bounds(
+                _SizeHistogram(counts, self.GAMMA), summary, beta
+            )
             for sign in signs:
                 row = NggRowPrimitives(midpoint.log_row + eps * sign, summary._gfc)
                 assert lower <= _log_joint_counts(counts, self.GAMMA, row) <= upper
@@ -1686,9 +1765,10 @@ class TestBetaScreen:
         _, state = self.state()
         summary = DrawSummary(state.cache.draws)
         none = np.zeros(0, dtype=np.int64)
-        lower, upper = inference._log_joint_bounds(none, 0.0, summary, 0.7)
+        lower, upper = inference._log_joint_bounds(_SizeHistogram(none, 0.0), summary, 0.7)
         assert lower <= 0.0 <= upper and upper - lower < 1e-6
-        assert inference._log_joint_bounds(np.array([2, 1]), 0.0, summary, 0.7) is None
+        dishes = _SizeHistogram(np.array([2, 1]), 0.0)
+        assert inference._log_joint_bounds(dishes, summary, 0.7) is None
 
     def test_screened_move_passes_and_bits(self, monkeypatch):
         # from the second beta move over the same draws on, a move runs one

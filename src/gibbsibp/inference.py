@@ -24,10 +24,8 @@ from .gibbs_weights import (
     ClosedFormPrimitives,
     McConfig,
     build_primitive_cache,
-    closed_form_g11,
-    closed_form_g11_lower,
-    closed_form_gs1_lower,
-    closed_form_log_gs1,
+    closed_form_log_falling,
+    closed_form_log_g11,
     depth_primitives,
     held_draws,
     primitive_cache_content_hash,
@@ -574,6 +572,8 @@ def _slice_model_move(state, counts, move, start, dishes=None):
             terms = (math.log(alpha), math.log1p(-alpha))
         else:
             alpha, second = own[0], model.second_at(x)
+            if second == math.inf:
+                return -math.inf
             terms = (-math.exp(x), x)
         if second <= (-alpha if closed else 0.0):
             return -math.inf
@@ -596,37 +596,32 @@ def _slice_model_move(state, counts, move, start, dishes=None):
     return x
 
 
-def _closed_form_log_joint(dishes, log_rising, alpha, theta, n, lower=(None, None)):
+def _closed_form_log_joint(dishes, log_rising, log_falling, alpha, theta, n):
     """_log_joint_counts(counts, gamma, ClosedFormPrimitives(model, n)) to
     the bit for the DP/PY model at (alpha, theta), with no primitives
-    object; dishes = _SizeHistogram(counts, gamma) and log_rising =
-    dishes.log_rising(alpha).  lower holds the closed_form_g11_lower and
-    closed_form_gs1_lower of (theta, n, dishes.sizes), each computed here
-    unless given.  Returns the value with the closed_form_g11 terms, which
-    ClosedFormPrimitives(model, n, terms) takes."""
-    terms = closed_form_g11(alpha, theta, n, lower[0])
-    log_gs1 = closed_form_log_gs1(theta, n, terms, dishes.sizes, lower[1])
-    return dishes.log_joint(float(terms[2].sum()), log_rising + log_gs1), terms
+    object, from dishes = _SizeHistogram(counts, gamma), its
+    log_rising(alpha) and closed_form_log_falling(theta, n, dishes.sizes).
+    Returns it with the closed_form_log_g11 that ClosedFormPrimitives takes."""
+    log_g11 = closed_form_log_g11(alpha, theta, n)
+    log_gs1 = log_g11[n - dishes.sizes] - log_falling
+    return dishes.log_joint(float(np.exp(log_g11).sum()), log_rising + log_gs1), log_g11
 
 
 def _closed_form_scorer(state, dishes, move):
     """(score, adopt) of a DP/PY slice move, with no per-trial objects: a
     trial's score is _closed_form_log_joint, with log (1 - alpha)_{s-1}
-    computed once per theta move and the terms free of alpha once per
-    discount move, and adopt builds ClosedFormPrimitives from its terms."""
-    model, n = state.model, state.n
-    lower, rising = (None, None), None
-    if move == "discount":
-        theta = model.theta
-        lower = (closed_form_g11_lower(theta, n), closed_form_gs1_lower(theta, n, dishes.sizes))
-    else:
-        rising = dishes.log_rising(model.stable_index)
+    computed once per theta move and the alpha-free log_falling once per
+    discount move, and adopt builds ClosedFormPrimitives from its log g11."""
+    model, n, sizes = state.model, state.n, dishes.sizes
+    rising = dishes.log_rising(model.stable_index) if move == "second" else None
+    falling = closed_form_log_falling(model.theta, n, sizes) if move == "discount" else None
 
     def score(alpha, theta):
         log_rising = dishes.log_rising(alpha) if rising is None else rising
-        return _closed_form_log_joint(dishes, log_rising, alpha, theta, n, lower)
+        log_falling = closed_form_log_falling(theta, n, sizes) if falling is None else falling
+        return _closed_form_log_joint(dishes, log_rising, log_falling, alpha, theta, n)
 
-    return score, lambda trial, terms: ClosedFormPrimitives(trial, n, terms)
+    return score, lambda trial, log_g11: ClosedFormPrimitives(trial, n, log_g11)
 
 
 def _row_scorer(state, dishes, move):

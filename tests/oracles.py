@@ -1,5 +1,7 @@
 """Exact oracles the tests compare the library against."""
 
+import math
+
 import mpmath
 
 BRUTEFORCE_MAX_N = 15
@@ -57,3 +59,34 @@ def log_scaled_gfc_mp(n_max, alpha, dps=50):
             row.append(mpmath.mpf(1))
             logs.append([float(mpmath.log(value)) for value in row])
         return logs
+
+
+def _closed_form_dps(theta, dps):
+    # the log Gamma terms of size theta log theta cancel to a log of order
+    # one, so they need log10 theta more digits than the result
+    return dps + max(0, math.ceil(math.log10(abs(theta)))) if theta else dps
+
+
+def py_g11_mp(alpha, theta, n, dps=40):
+    """g_m(1,1) = prod_{j<m} (theta+alpha+j) / (theta+1+j) for m < n of the
+    PY model (alpha = 0: DP), as floats of the dps-digit running product,
+    and their sum E[B_n] rounded once."""
+    with mpmath.workdps(_closed_form_dps(theta, dps)):
+        a, t = mpmath.mpf(alpha), mpmath.mpf(theta)
+        g, g11 = mpmath.mpf(1), []
+        for m in range(n):
+            g11.append(g)
+            g *= (t + a + m) / (t + 1 + m)
+        return [float(value) for value in g11], float(mpmath.fsum(g11))
+
+
+def py_log_gs1_mp(alpha, theta, n, s, dps=40):
+    """log g_{n-s}(s,1) = log[Gamma(theta+1) Gamma(theta+alpha+n-s) /
+    (Gamma(theta+alpha) Gamma(theta+n))] of the PY model (alpha = 0: DP)
+    in dps digits plus log10 theta."""
+    with mpmath.workdps(_closed_form_dps(theta, dps)):
+        a, t = mpmath.mpf(alpha), mpmath.mpf(theta)
+        return float(
+            mpmath.loggamma(t + 1) + mpmath.loggamma(t + a + n - s)
+            - mpmath.loggamma(t + a) - mpmath.loggamma(t + n)
+        )

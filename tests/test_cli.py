@@ -312,6 +312,26 @@ class TestFitAndGeweke:
         )
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "extra",
+        [("--theta", 1e308), ("--theta", 1e300, "--update-theta")],
+        ids=["theta-1e308", "theta-1e300-update-theta"],
+    )
+    def test_fit_at_huge_theta(self, extra, tmp_path, capsys):
+        # the closed forms keep their digits at any theta, and a theta
+        # trial whose e^x overflows scores -inf
+        data = tmp_path / "data.csv"
+        np.savetxt(data, np.random.default_rng(2).standard_normal((30, 5)), delimiter=",")
+        out = tmp_path / "fit"
+        assert run_cli("fit", "--model", "dp", *extra, "--data", data,
+                       "--iterations", 50, "--seed", 1, "--outdir", out) == 0
+        assert capsys.readouterr().err == ""
+        rows = read_csv(out / "samples.csv")
+        header = rows[0]
+        for row in rows[1:]:
+            for name in ("gamma", "Theta", "log_joint"):
+                assert math.isfinite(float(row[header.index(name)])), name
+
     def test_geweke_emits_z_table(self, tmp_path):
         assert run_cli("geweke", "--model", "dp", "--theta", 1, "--n", 4,
                        "--p", 2, "--rounds", 1500, "--seed", 3,
@@ -439,6 +459,28 @@ class TestUsageErrors:
     def test_invalid_parameter_value(self):
         assert run_cli("simulate", "--model", "py", "--alpha", 1.5,
                        "--theta", 1, "--n", 3) == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("stats", "--model", "dp:theta=nan", "--n-max", 10), "theta must be finite, got nan"),
+            (("simulate", "--model", "dp", "--theta", math.nan, "--n", 10),
+             "theta must be finite, got nan"),
+            (("simulate", "--model", "py", "--alpha", 0.5, "--theta", math.inf, "--n", 10),
+             "theta must be finite, got inf"),
+            (("simulate", "--model", "ngg", "--alpha", math.nan, "--beta", 1, "--n", 10),
+             "alpha must be finite, got nan"),
+            (("simulate", "--model", "nig", "--beta", math.inf, "--n", 10),
+             "beta must be finite, got inf"),
+        ],
+        ids=["stats-dp-nan", "simulate-dp-nan", "simulate-py-inf", "simulate-ngg-nan",
+             "simulate-nig-inf"],
+    )
+    def test_non_finite_parameter(self, argv, message, tmp_path, capsys):
+        # refused before the run, in one line with no warning
+        assert run_cli(*argv, "--outdir", tmp_path) == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not (tmp_path / "manifest.json").exists()
 
     @pytest.mark.parametrize(
         "argv",

@@ -46,6 +46,7 @@ from gibbsibp.gibbs_weights import (
     weight_table_from_sampler,
 )
 from gibbsibp.special_functions import MAX_TABLE_DEPTH, TableSizeError, build_gfc_table
+from oracles import py_g11_mp, py_log_gs1_mp
 from gibbsibp.stable_sampling import TiltedStableSpec, sample_tilted_stable
 
 # Frozen oracle values for NGG weights: mpmath quadrature (30 dps) of
@@ -103,6 +104,21 @@ class TestGibbsModel:
             GibbsModel.nig(-1.0)
         with pytest.raises(ValueError):
             GibbsModel(variant="XX", theta=1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_refuses_non_finite_parameters(self, value):
+        # nan passes every comparison-based bound, and inf passes theta > 0
+        cases = [
+            ("theta", lambda: GibbsModel.dp(value)),
+            ("theta", lambda: GibbsModel.py(0.5, value)),
+            ("alpha", lambda: GibbsModel.py(value, 1.0)),
+            ("alpha", lambda: GibbsModel.ngg(value, 1.0)),
+            ("beta", lambda: GibbsModel.ngg(0.5, value)),
+            ("beta", lambda: GibbsModel.nig(value)),
+        ]
+        for name, build in cases:
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                build()
 
     def test_py_theta_above_negative_alpha(self):
         model = GibbsModel.py(0.5, -0.4)
@@ -400,13 +416,18 @@ class TestBuildPrimitiveCache:
     @pytest.mark.parametrize("alpha", [0.0, 0.35, 0.9])
     @pytest.mark.parametrize("theta", [0.05, 1.2, 40.0])
     def test_closed_form_cache_equals_scalar_closed_forms(self, alpha, theta):
+        # against 40-digit mpmath, and the gammaln scalar forms within 1e-12
         model = GibbsModel.dp(theta) if alpha == 0.0 else GibbsModel.py(alpha, theta)
         for n in (1, 2, 13, 200):
             cache = build_primitive_cache(model, n)
-            g11 = [py_primitive_closed(alpha, theta, j - 1, (1, 1)) for j in range(1, n + 1)]
+            g11, _ = py_g11_mp(alpha, theta, n)
+            scalar = [py_primitive_closed(alpha, theta, j - 1, (1, 1)) for j in range(1, n + 1)]
+            np.testing.assert_allclose(cache.g11, g11, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(cache.g11, scalar, rtol=1e-12, atol=0.0)
             # log g_r(s, 1) = log[Gamma(theta+1) Gamma(theta+alpha+r) /
             #                     (Gamma(theta+alpha) Gamma(theta+r+s))], r = n - s
-            log_gs1 = [
+            log_gs1 = [py_log_gs1_mp(alpha, theta, n, s) for s in range(1, n + 1)]
+            scalar = [
                 float(
                     special.gammaln(theta + 1.0)
                     + special.gammaln(theta + alpha + (n - s))
@@ -415,8 +436,9 @@ class TestBuildPrimitiveCache:
                 )
                 for s in range(1, n + 1)
             ]
-            assert np.array_equal(cache.g11, g11)
-            assert np.array_equal(cache.log_gs1, log_gs1)
+            scale = np.maximum(1.0, np.abs(log_gs1))
+            assert np.all(np.abs(cache.log_gs1 - log_gs1) <= 1e-13 * scale)
+            assert np.all(np.abs(cache.log_gs1 - scalar) <= 1e-12 * scale)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 0.9])
     def test_mc_cache_matches_scalar_primitives(self, alpha):
@@ -655,6 +677,24 @@ class TestExpectedBlocksAndCalibrate:
     def test_expected_blocks_at_one(self):
         for model in (GibbsModel.dp(1.0), GibbsModel.py(0.5, 1.0)):
             assert expected_blocks(model, 1) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "model", [GibbsModel.dp(2.0), GibbsModel.py(0.5, 1.0), GibbsModel.py(0.9, -0.5)],
+        ids=lambda model: model.describe(),
+    )
+    def test_closed_forms_read_their_primitives(self, model, monkeypatch):
+        # with no table, DP/PY read E[B_n] = sum_{m<n} g_m(1,1) from their
+        # primitives and walk no GFC rows; a given table's law is read
+        for n in (1, 7, 200):
+            table = build_weight_table(model, n)
+            law_mean = expected_blocks(model, n, table=table)
+            with monkeypatch.context() as patch:
+                patch.setattr(gibbs_weights, "gfc_rows", None)
+                got = expected_blocks(model, n)
+            assert got == depth_primitives(model, n).expected_blocks
+            assert got == pytest.approx(law_mean, rel=1e-12)
+        with pytest.raises(ValueError, match="positive integer"):
+            expected_blocks(model, 2.5)
 
     def test_dp_harmonic_sum(self):
         assert expected_blocks(GibbsModel.dp(1.0), 3) == pytest.approx(

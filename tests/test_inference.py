@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -56,6 +57,7 @@ from gibbsibp.inference import (
     synthesize_data,
 )
 from gibbsibp.special_functions import TableSizeError, build_gfc_table, log_rising_factorial
+from oracles import py_g11_mp, py_log_gs1_mp
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -242,12 +244,19 @@ def assert_same_primitives(got, want):
 
 
 def assert_closed_form_reads(primitives, model, n):
-    # depth-n reads of DP/PY primitives against the scalar closed forms
-    # (bit for bit: the same expressions in the same order), the generic
-    # table primitives and the table's block law
+    # depth-n reads of DP/PY primitives against 40-digit mpmath, the scalar
+    # closed forms (g_{n-1}(1,0) bit for bit: the same expression; the
+    # gammaln g_{n-1}(1,1) within 1e-12 below theta = 1e3, where it is
+    # itself 1.1e-12 off mpmath), the generic table primitives and the
+    # table's block law
     alpha, theta = model.stable_index, model.theta
     assert primitives.n == n
-    assert primitives.g11_n == py_primitive_closed(alpha, theta, n - 1, (1, 1))
+    g11, _ = py_g11_mp(alpha, theta, n)
+    assert primitives.g11_n == pytest.approx(g11[-1], rel=1e-13, abs=0.0)
+    if theta < 1e3:
+        assert primitives.g11_n == pytest.approx(
+            py_primitive_closed(alpha, theta, n - 1, (1, 1)), rel=1e-12, abs=0.0
+        )
     if n > 1:
         assert primitives.g10_n == py_primitive_closed(alpha, theta, n - 1, (1, 0))
     table = build_weight_table(model, n)
@@ -284,13 +293,18 @@ class TestClosedFormTrialTerms:
         for n in (1, 2, 100):
             primitives = ClosedFormPrimitives(model, n)
             assert_closed_form_reads(primitives, model, n)
-            # every sequence entry has the bits of the scalar closed form
+            # every g10 entry has the bits of the scalar closed form; every
+            # g11 entry is within 1e-13 of mpmath, and below theta = 1e3
+            # within 1e-12 of the gammaln scalar form
             for j in range(2, n + 1):
                 want = py_primitive_closed(alpha, theta, j - 1, (1, 0))
                 assert primitives.g10[j - 1] == want
-            for j in range(1, n + 1):
-                want = py_primitive_closed(alpha, theta, j - 1, (1, 1))
-                assert primitives.g11[j - 1] == want
+            g11, g11_sum = py_g11_mp(alpha, theta, n)
+            np.testing.assert_allclose(primitives.g11, g11, rtol=1e-13, atol=0.0)
+            if theta < 1e3:
+                scalar = [py_primitive_closed(alpha, theta, m, (1, 1)) for m in range(n)]
+                np.testing.assert_allclose(primitives.g11, scalar, rtol=1e-12, atol=0.0)
+            assert primitives.expected_blocks == pytest.approx(g11_sum, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize(
         "model", list(_closed_form_models()), ids=lambda model: model.describe()
@@ -298,20 +312,15 @@ class TestClosedFormTrialTerms:
     def test_trial_log_joint_matches_dish_by_dish_sum(self, model):
         # against K log gamma - gamma sum_{m<n} g_m(1,1) + sum over dishes of
         # log (1 - alpha)_{S-1} + log g_{n-S}(S,1), the primitives written
-        # out from the gamma functions one dish at a time
+        # out from the gamma functions in mpmath one dish at a time (in
+        # doubles, log Gamma(theta+1) alone rounds by 1e-12 at theta = 1e3)
         alpha, theta = model.stable_index, model.theta
         rng = np.random.default_rng(17)
-
-        def log_gs1(n, s):
-            r = n - s
-            return (
-                special.gammaln(theta + 1.0) + special.gammaln(theta + alpha + r)
-                - special.gammaln(theta + alpha) - special.gammaln(theta + r + s)
-            )
+        log_gs1 = functools.cache(functools.partial(py_log_gs1_mp, alpha, theta))
 
         for n in (1, 2, 100, 1000):
             trial = ClosedFormPrimitives(model, n)
-            g11_sum = math.fsum(py_primitive_closed(alpha, theta, m, (1, 1)) for m in range(n))
+            _, g11_sum = py_g11_mp(alpha, theta, n)
             for _ in range(3):
                 gamma = float(rng.uniform(0.1, 5.0))
                 alloc = _random_allocation(rng, n, gamma)
@@ -351,11 +360,43 @@ class TestClosedFormTrialTerms:
                 assert got == pytest.approx(float(want), rel=1e-11), n
 
     @pytest.mark.parametrize(
+        "model",
+        [GibbsModel.dp(1e8), GibbsModel.dp(1e12), GibbsModel.dp(1e15),
+         GibbsModel.dp(1e300), GibbsModel.py(0.5, 1e12)],
+        ids=lambda model: model.describe(),
+    )
+    def test_large_theta_reads_keep_their_digits(self, model):
+        # E[B_n] and log g_{n-s}(s,1) at large theta, where log Gamma terms
+        # of size theta log theta would cancel: DP against sum_m
+        # theta/(theta+m) and log theta - sum_{i<s} log(theta+n-s+i), PY
+        # against mpmath with 40 + log10 theta digits
+        alpha, theta = model.stable_index, model.theta
+        for n in (2, 30, 1000):
+            primitives = ClosedFormPrimitives(model, n)
+            sizes = np.unique([1, 2, n // 2, n])
+            got = primitives.log_gs1_at(sizes)
+            if model.variant == "DP":
+                with mpmath.workdps(40):
+                    t = mpmath.mpf(theta)
+                    want_sum = float(mpmath.fsum(t / (t + m) for m in range(n)))
+                    want = [
+                        float(mpmath.log(t) - mpmath.fsum(
+                            mpmath.log(t + n - s + i) for i in range(s)))
+                        for s in sizes.tolist()
+                    ]
+            else:
+                _, want_sum = py_g11_mp(alpha, theta, n)
+                want = [py_log_gs1_mp(alpha, theta, n, s) for s in sizes.tolist()]
+            assert primitives.expected_blocks == pytest.approx(want_sum, rel=1e-13, abs=0.0), n
+            for s, value, target in zip(sizes.tolist(), got.tolist(), want):
+                assert abs(value - target) <= 1e-12 * max(1.0, abs(target)), (n, s)
+
+    @pytest.mark.parametrize(
         "alpha, theta", [(1e-6, 1e3), (1e-6, -0.999e-6), (0.5, 1.0), (0.999, 1e3)]
     )
     def test_reads_match_extended_precision(self, alpha, theta):
-        # the g_m(1,1) sum is a gammaln sum, not the telescoped closed form,
-        # which loses ~4e-4 relative at alpha = 1e-6, theta = 1e3
+        # the g_m(1,1) sum is a running sum of step logs, not the telescoped
+        # closed form, which loses ~4e-4 relative at alpha = 1e-6, theta = 1e3
         model = GibbsModel.py(alpha, theta)
         with mpmath.workdps(40):
             a, t = mpmath.mpf(alpha), mpmath.mpf(theta)
@@ -720,24 +761,26 @@ class TestModelMoves:
     @pytest.mark.parametrize(
         "model, move, points",
         [
-            (GibbsModel.dp(1.0), "second", (-800.0,)),
+            # theta overflows at x = 800
+            (GibbsModel.dp(1.0), "second", (-800.0, 800.0)),
             # theta + alpha rounds to 0 at x = -50, theta to -alpha at -800
-            (GibbsModel.py(0.4, 1.0), "second", (-50.0, -800.0)),
+            (GibbsModel.py(0.4, 1.0), "second", (-50.0, -800.0, 800.0)),
             # alpha rounds to 0 at x = -800 and to 1 at x = 800
             (GibbsModel.py(0.4, 1.0), "discount", (-800.0, 800.0)),
             # alpha = 0.3 leaves theta = -0.5 below -alpha
             (GibbsModel.py(0.6, -0.5), "discount", (float(special.logit(0.3)),)),
-            (GibbsModel.ngg(0.5, 1.0), "second", (-800.0,)),
+            # beta underflows to 0 at x = -800 and overflows at 800
+            (GibbsModel.ngg(0.5, 1.0), "second", (-800.0, 800.0)),
             (GibbsModel.ngg(0.5, 1.0), "discount", (-800.0, 800.0)),
-            (GibbsModel.nig(1.0), "second", (-800.0,)),
+            (GibbsModel.nig(1.0), "second", (-800.0, 800.0)),
         ],
         ids=["dp-theta", "py-theta", "py-discount", "py-discount-theta-bound",
              "ngg-beta", "ngg-discount", "nig-beta"],
     )
     def test_support_edges_score_minus_inf(self, model, move, points, monkeypatch):
         # the move's own target at points whose parameters round onto a
-        # bound of the support: -inf, with no error; the state adopts the
-        # start point, evaluated last
+        # bound of the support or overflow: -inf, with no error; the state
+        # adopts the start point, evaluated last
         alloc = self.allocation(GibbsModel.py(0.4, 1.0), seed=3)
         state = make_state(model, alloc.matrix, gamma=self.GAMMA, mc_samples=2000)
         start = state.model
@@ -849,25 +892,19 @@ class TestClosedFormScorer:
             gamma = 0.0 if case % 10 == 3 else float(rng.exponential(3.0))
             dishes = _SizeHistogram(counts, gamma)
             alpha = model.stable_index
-            got, terms = inference._closed_form_log_joint(
-                dishes, dishes.log_rising(alpha), alpha, model.theta, n
+            got, log_g11 = inference._closed_form_log_joint(
+                dishes, dishes.log_rising(alpha),
+                gibbs_weights.closed_form_log_falling(model.theta, n, dishes.sizes),
+                alpha, model.theta, n,
             )
             want = _log_joint_counts(counts, gamma, ClosedFormPrimitives(model, n))
             assert got == want, (case, n, k, model, gamma)
-            # with the alpha-free terms given, as a discount move gives them
-            lower = (
-                gibbs_weights.closed_form_g11_lower(model.theta, n),
-                gibbs_weights.closed_form_gs1_lower(model.theta, n, dishes.sizes),
-            )
-            assert inference._closed_form_log_joint(
-                dishes, dishes.log_rising(alpha), alpha, model.theta, n, lower
-            )[0] == want
             if k and gamma == 0.0:
                 assert got == -math.inf
             else:
                 assert math.isfinite(got)
             assert_same_primitives(
-                ClosedFormPrimitives(model, n, terms), ClosedFormPrimitives(model, n)
+                ClosedFormPrimitives(model, n, log_g11), ClosedFormPrimitives(model, n)
             )
 
     @pytest.mark.parametrize(

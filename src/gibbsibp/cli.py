@@ -291,6 +291,11 @@ def _validate(config):
             raise ValueError("--iterations and --burn-in must be >= 0")
         if config.thin < 1:
             raise ValueError("--thin must be a positive integer")
+        if config.iterations >= 1 and config.iterations - config.burn_in < config.thin:
+            raise ValueError(
+                f"--iterations {config.iterations} with --burn-in {config.burn_in} and "
+                f"--thin {config.thin} keeps no sweep"
+            )
         if config.update_alpha and models[0].variant not in ("PY", "NGG"):
             raise ValueError(
                 f"--update-alpha needs a free discount (py or ngg); "
@@ -559,7 +564,7 @@ def build_parser():
     p.add_argument("--fix-gamma", dest="fix_gamma", action="store_true",
                    help="hold gamma at its initial value")
     p.add_argument("--update-scales", dest="update_scales", action="store_true",
-                   help="slice-sample the scale parameters")
+                   help="draw the scale parameters from their inverse-gamma conditionals")
     p.add_argument("--update-theta", dest="update_theta", action="store_true",
                    help="slice-sample theta (dp/py) or beta (ngg/nig)")
     p.add_argument("--update-alpha", dest="update_alpha", action="store_true",

@@ -39,14 +39,13 @@ ALPHA_TOL = 1e-12  # largest gap between two alphas taken as one discount
 # calibrate refuses an NGG/NIG root whose block law has a mean relative
 # standard error sum_k P(B_n = k) rel_se_{n,k} this large
 CALIBRATE_MC_ERROR_MAX = 0.5
-MAX_FROZEN_DRAWS = 2 ** 27  # NggWeightSampler's n x samples doubles: 1 GiB
-MOMENT_BLOCK = 2 ** 17  # doubles per _shifted_moments work buffer (1 MiB)
-SUMMARY_HEAD = 1024  # smallest draws per row a DrawSummary keeps as they are
-SUMMARY_BINS = 128  # equal-count bins a DrawSummary keeps of a row's other draws
-# a DrawSummary's bounds widen by this much relative to the magnitudes they
-# are computed from: thousands of times the double-precision rounding of
-# their own sums and of the direct moment pass
-SUMMARY_ROUNDING = 1e-9
+MAX_FROZEN_DRAWS = 2 ** 27  # doubles an NggWeightSampler holds: 1 GiB
+# a Monte Carlo row's segments (_Segments): sorted draws per segment, the
+# highest power each keeps and the largest beta x half-width read by powers;
+# their remainder bound e^{2 tau} tau^{M+1} / (M+1)! is 6.1e-17 < 2^-53
+SEGMENT = 1000
+SEGMENT_POWERS = 18
+SEGMENT_REACH = 1.0
 
 
 class McDegeneracyError(RuntimeError):
@@ -342,7 +341,7 @@ def _fill_shifted_ratio_rows(alpha, n, samples, rng, fill):
         # default, so it is set here.  Overflow: a ratio past the largest
         # double is inf, and its term exp(-beta inf) = 0 is the exact limit.
         # Invalid: a row of only inf ratios shifts to nan, which the moment
-        # pass refuses with McDegeneracyError.
+        # read refuses with McDegeneracyError.
         with np.errstate(over="ignore", invalid="ignore"):
             # X is drawn before Y
             ratios = sample_tilted_stable(spec, row_rng, size=samples) / np.maximum(
@@ -361,56 +360,120 @@ def _log_prefactor(alpha, n):
     return (k - 1) * math.log(alpha) + special.gammaln(k) - special.gammaln(n)
 
 
-def _exp_row_sums(shifted, beta, power):
-    """Row sums of exp(-beta (R - min R)) ** power, power 1 or 2, over rows
-    of draws held as R - min R (rows of `shifted`): one moment's reduction.
+class _Segments:
+    """Rows of draws S = R - min R in a beta-free form that sums exp(-beta S)
+    per row at any beta (exp_sums): the one read of a Monte Carlo row.
 
-    Each block of rows needs one cache-sized work buffer, which takes the
-    terms (squared in place for power 2) before its rows are summed.
-    Every summand lies in [0, 1] and the row minimum contributes exactly 1,
-    so no sum can underflow to zero.  The sums are numpy's pairwise row
-    sums, the same for a row whatever block, array or thread it sits in, so
-    the blocks run on every usable core through _run_units, one buffer per
-    thread, and the result does not depend on the number of cores
-    (`taskset` limits them).  No sum calls BLAS, whose threaded dot product
-    would split a row across threads, leave a worker spinning on another
-    core after the call, and round differently for each BLAS thread count.
+    set_row sorts a row and cuts it into segments of SEGMENT consecutive
+    draws, the last padded with inf.  Each segment keeps its draws, its
+    centre c and half-width h over its draws that are not +inf, and the
+    power sums sum_s u^m / m! of u = (s - c) / h in [-1, 1] for m = 0..M
+    (M = SEGMENT_POWERS; u = 0 where h = 0), which cannot overflow.  An inf
+    draw (an overflowed ratio) adds exp(-beta inf) = 0 and is left out of
+    them; a nan row (one of only inf ratios) gives nan sums.  Held for
+    `rows` rows of `samples` draws: rows ceil(samples / SEGMENT) (SEGMENT
+    + M + 3) doubles (_footprint).
     """
-    rows, samples = shifted.shape
-    step = max(1, MOMENT_BLOCK // samples)
-    sums = np.empty(rows)
 
-    def start_worker():
-        buffer = np.empty((min(step, rows), samples))
+    def __init__(self, rows, samples):
+        self.samples = samples
+        segments = -(-samples // SEGMENT)
+        self.draws = np.full((rows, segments, SEGMENT), np.inf)
+        self.centre = np.empty((rows, segments))
+        self.half = np.empty((rows, segments))
+        self.powers = np.empty((SEGMENT_POWERS + 1, rows, segments))
 
-        def reduce_block(block):
-            first = block * step
-            last = min(first + step, rows)
-            # a draw past the largest double over beta gives -inf, whose
-            # term exp(-inf) = 0 is the exact limit; errstate is per thread
-            with np.errstate(over="ignore"):
-                work = np.multiply(shifted[first:last], -beta, out=buffer[:last - first])
-            np.exp(work, out=work)
-            if power == 2:
-                np.square(work, out=work)
-            work.sum(axis=1, out=sums[first:last])
+    def set_row(self, i, shifted):
+        """Build row i from its draws shifted (R - min R, any order)."""
+        samples = self.samples
+        draws = self.draws[i]
+        flat = draws.reshape(-1)
+        flat[:samples] = shifted
+        flat[:samples].sort()  # inf after every finite draw, nan last
+        if np.isnan(flat[samples - 1]):
+            self.centre[i] = self.half[i] = self.powers[:, i] = np.nan
+            return
+        finite = int(np.searchsorted(flat, np.inf))
+        count = np.clip(finite - SEGMENT * np.arange(len(draws)), 0, SEGMENT)
+        occupied = count > 0
+        low = np.where(occupied, draws[:, 0], 0.0)
+        high = np.where(occupied, draws[np.arange(len(draws)), count - 1], 0.0)
+        half = 0.5 * (high - low)
+        centre = self.centre[i] = low + half
+        self.half[i] = half
+        u = draws - centre[:, None]
+        u /= np.where(half > 0.0, half, 1.0)[:, None]
+        u.reshape(-1)[finite:] = 0.0
+        powers = self.powers[:, i]
+        powers[0] = count
+        powers[1] = u.sum(axis=1)
+        term = u * u
+        for m in range(2, SEGMENT_POWERS + 1):
+            powers[m] = term.sum(axis=1) / math.factorial(m)
+            term *= u
 
-        return reduce_block
+    def exp_sums(self, beta):
+        """sum exp(-beta s) over each row's draws s.
 
-    _run_units(-(-rows // step), start_worker)
-    return sums
+        A segment with t = beta h <= tau (SEGMENT_REACH) is read as
+        exp(-beta c) sum_{m<=M} (-t)^m sum_s u^m / m!, by Horner's rule.
+        Each term exp(-t u) misses its Taylor tail, at most e^tau
+        tau^{M+1} / (M+1)!, and is at least e^-tau, so the segment's sum
+        is off by at most e^{2 tau} tau^{M+1} / (M+1)! of itself: 6.1e-17
+        at tau 1 and M 18, under the 2^-53 rounding of a double.  Every
+        other segment sums its exps directly.
+        Each segment's sum, and each row's sum of its segments, does not
+        depend on the other rows, so a row held alone and one held with
+        others give the same bits.  The row minimum's term is exactly 1,
+        so no finite sum is below 1.
+        """
+        # beta h, beta c or beta s past the largest double is inf, whose term
+        # exp(-inf) = 0 is the exact limit
+        with np.errstate(over="ignore"):
+            t = beta * self.half
+            narrow = t <= SEGMENT_REACH  # false for nan
+            # Horner over every segment, at t clipped to tau so that no
+            # wide segment overflows; a wide one's value is replaced below
+            x = -np.minimum(t, SEGMENT_REACH)
+            poly = self.powers[-1] * x
+            for coefficient in self.powers[-2:0:-1]:
+                poly += coefficient
+                poly *= x
+            poly += self.powers[0]
+            sums = np.exp(-beta * self.centre)
+            sums *= poly
+            # every term of a segment whose least draw has beta s >= 746
+            # is exp(-beta s) = 0, so only the others are summed
+            low = self.draws[..., 0]
+            dead = beta * low >= 746.0
+            sums[~narrow] = 0.0
+            wide = np.flatnonzero(~(narrow | dead))
+            draws, flat = self.draws.reshape(-1, SEGMENT), sums.reshape(-1)
+            # about 2^14 terms (128 KiB) at a time, which malloc serves from
+            # memory it holds, with no fresh pages to fault in
+            step = max(1, 2 ** 14 // SEGMENT)
+            for first in range(0, wide.size, step):
+                chunk = wide[first:first + step]
+                terms = draws[chunk]
+                np.multiply(terms, -beta, out=terms)
+                flat[chunk] = np.exp(terms, out=terms).sum(axis=1)
+        return sums.sum(axis=-1)
 
 
-def _log_first_moment(shifted, ratio_min, alpha, beta):
+def _footprint(rows, samples):
+    # doubles a _Segments of rows x samples draws holds
+    return rows * -(-samples // SEGMENT) * (SEGMENT + SEGMENT_POWERS + 3)
+
+
+def _log_first_moment(segments, ratio_min, alpha, beta):
     """log of the mean of exp(beta^alpha - beta R) per row of draws held as
-    R - min R (rows of `shifted`) beside their minima: one pass of
-    _exp_row_sums.  The largest log term of a row is beta^alpha - beta
-    min R, known in closed form, and is added back after the sum.  A row
-    that is not finite (a row of only inf ratios shifts to nan) raises
-    McDegeneracyError.
+    _Segments of R - min R beside their minima.  The largest log term of
+    a row is beta^alpha - beta min R, known in closed form, and is added
+    back after the sum.  A row that is not finite (a row of only inf
+    ratios shifts to nan) raises McDegeneracyError.
     """
     top = beta ** alpha - beta * ratio_min
-    log_m1 = top + np.log(_exp_row_sums(shifted, beta, 1)) - math.log(shifted.shape[1])
+    log_m1 = top + np.log(segments.exp_sums(beta)) - math.log(segments.samples)
     if not np.all(np.isfinite(log_m1)):
         raise McDegeneracyError(
             f"Monte Carlo weight estimate underflowed at alpha={alpha}, beta={beta}"
@@ -418,13 +481,13 @@ def _log_first_moment(shifted, ratio_min, alpha, beta):
     return log_m1
 
 
-def _relative_se(shifted, ratio_min, alpha, beta, log_m1):
+def _relative_se(segments, ratio_min, alpha, beta, log_m1):
     """Relative standard error of each row's first moment, log_m1 of
-    _log_first_moment on the same draws: one pass of _exp_row_sums over
-    the squared terms for the second moment."""
-    samples = shifted.shape[1]
+    _log_first_moment on the same draws: the second moment is the sum at
+    2 beta."""
+    samples = segments.samples
     top = beta ** alpha - beta * ratio_min
-    log_m2 = 2.0 * top + np.log(_exp_row_sums(shifted, beta, 2)) - math.log(samples)
+    log_m2 = 2.0 * top + np.log(segments.exp_sums(2.0 * beta)) - math.log(samples)
     # var = m2 - m1^2 in log space; Jensen guarantees log_m2 >= 2 log_m1
     gap = log_m2 - 2.0 * log_m1
     rel = np.zeros_like(gap)
@@ -434,13 +497,13 @@ def _relative_se(shifted, ratio_min, alpha, beta, log_m1):
     return rel
 
 
-def _shifted_moments(shifted, ratio_min, alpha, beta):
-    """(log first moment, relative standard error) per row of draws held as
-    R - min R beside their minima: _log_first_moment, then _relative_se,
-    as ngg_last_row_mc takes them on each row.  A beta trial on frozen
-    draws takes the first alone (NggWeightSampler.row_primitives)."""
-    log_m1 = _log_first_moment(shifted, ratio_min, alpha, beta)
-    return log_m1, _relative_se(shifted, ratio_min, alpha, beta, log_m1)
+def _shifted_moments(segments, ratio_min, alpha, beta):
+    """(log first moment, relative standard error) per row of _Segments
+    beside their minima: _log_first_moment, then _relative_se, as
+    ngg_last_row_mc takes them on each row.  A beta trial on frozen draws
+    takes the first alone (NggWeightSampler.row_primitives)."""
+    log_m1 = _log_first_moment(segments, ratio_min, alpha, beta)
+    return log_m1, _relative_se(segments, ratio_min, alpha, beta, log_m1)
 
 
 def ngg_last_row_mc(alpha, beta, n, samples, rng):
@@ -449,11 +512,12 @@ def ngg_last_row_mc(alpha, beta, n, samples, rng):
     Uses V_{n,k} = [alpha^{k-1} Gamma(k) / Gamma(n)] E[exp(beta^alpha - beta X/Y)]
     with X polynomially tilted stable (tilt k alpha) and Y ~ Beta(k alpha,
     n - k alpha), for every 1 <= k <= n.  The rows run on every usable
-    core (`taskset` limits them), and each thread draws and reduces one row
-    k at a time, so memory holds a few rows of `samples` doubles per usable
-    core whatever n is; the reduction is the one NggWeightSampler applies
-    to its frozen draws, and for the same seed both give the same row,
-    whatever the number of cores.
+    core (`taskset` limits them), and each thread draws one row k at a
+    time, builds its _Segments, reads both moments from them and drops
+    them, so memory holds a few rows of `samples` doubles per usable core
+    whatever n is; the read is the one NggWeightSampler applies to its
+    frozen draws, and for the same seed both give the same row, whatever
+    the number of cores.
 
     Args:
         alpha: stability index in (0, 1).
@@ -477,14 +541,17 @@ def ngg_last_row_mc(alpha, beta, n, samples, rng):
         raise ValueError(f"need at least {MIN_MC_SAMPLES} samples, got {samples}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    samples = int(samples)
     log_m1, rel_se = np.empty(n), np.empty(n)
 
     def reduce_row(k, shifted, ratio_min):
+        segments = _Segments(1, samples)
+        segments.set_row(0, shifted)
         log_m1[k - 1:k], rel_se[k - 1:k] = _shifted_moments(
-            shifted[None, :], ratio_min, alpha, beta
+            segments, ratio_min, alpha, beta
         )
 
-    _fill_shifted_ratio_rows(alpha, n, int(samples), rng, reduce_row)
+    _fill_shifted_ratio_rows(alpha, n, samples, rng, reduce_row)
     return _log_prefactor(alpha, n) + log_m1, rel_se
 
 
@@ -780,7 +847,7 @@ class ClosedFormPrimitives(_DepthPrimitives):
     where the caller has it, is taken as it is (and frozen in place)."""
 
     def __init__(self, model, n, log_g11=None):
-        self.n = n = int(n)
+        self.n = n = _positive_int(n)
         self.alpha, self._theta = alpha, theta = model.stable_index, model.theta
         if log_g11 is None:
             log_g11 = closed_form_log_g11(alpha, theta, n)
@@ -917,8 +984,7 @@ def build_primitive_cache(model, n, table=None, gfc=None):
     same primitives (the first a reference that loses digits at large
     theta).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _positive_int(n)
     if model.is_closed_form:
         return ClosedFormPrimitives(model, n)
     if table is None:
@@ -988,130 +1054,21 @@ def expected_blocks(model, n, table=None, gfc=None):
     PY with no table read their primitives' sum_{m<n} g_m(1,1) instead, in
     O(n) (the law's mean differs from it in its last bits)."""
     if table is None and model.is_closed_form:
-        return ClosedFormPrimitives(model, _positive_int(n)).expected_blocks
+        return ClosedFormPrimitives(model, n).expected_blocks
     probs = block_count_distribution(model, n, table=table, gfc=gfc)
     return float(np.dot(np.arange(1, n + 1), probs))
 
 
 def check_frozen_draws(n, samples):
-    """Refuse more than MAX_FROZEN_DRAWS frozen draws with TableSizeError."""
-    if n * samples > MAX_FROZEN_DRAWS:
+    """Refuse frozen draws whose sampler would hold more than
+    MAX_FROZEN_DRAWS doubles, segment sums included, with TableSizeError."""
+    held = _footprint(n, samples)
+    if held > MAX_FROZEN_DRAWS:
         raise TableSizeError(
-            f"{n} rows x {samples} samples of frozen draws need {8 * n * samples} "
-            f"bytes; they are limited to MAX_FROZEN_DRAWS = {MAX_FROZEN_DRAWS} draws"
+            f"{n} rows x {samples} samples of frozen draws need {8 * held} bytes "
+            f"with their segment sums; they are limited to MAX_FROZEN_DRAWS = "
+            f"{MAX_FROZEN_DRAWS} doubles"
         )
-
-
-class DrawSummary:
-    """A beta-free summary of a sampler's frozen draws that bounds every
-    row's log first moment, and with it row n of the weights, at any beta
-    without a pass over the draws.
-
-    Each row of shifted draws S = R - min R is sorted on its own, one row
-    per unit of _run_units, so no sorted copy of the whole array is held.
-    Its SUMMARY_HEAD smallest draws are kept as they are; its other finite
-    draws fall into SUMMARY_BINS equal-count bins, each kept as its count,
-    mean, min and max; an inf draw (an overflowed ratio) adds exp(-beta
-    inf) = 0 and is dropped.  At beta the head terms exp(-beta S) are
-    summed as they are.  exp(-beta s) is convex in s, so a bin's sum lies
-    between count exp(-beta mean) (Jensen) and the chord bound count
-    [(max - mean) exp(-beta min) + (mean - min) exp(-beta max)] / (max -
-    min) (Edmundson-Madansky).  The row minimum is a head draw whose term
-    is exactly 1, so neither bound of a sum falls below 1.  Held for n rows
-    of `samples` draws: n (SUMMARY_HEAD + 6 SUMMARY_BINS) doubles, 1.4 MB
-    at n = 100.
-
-    bounded is False when a row holds a nan (all its ratios overflowed),
-    which no summary can bound.
-    """
-
-    def __init__(self, sampler):
-        shifted = sampler._shifted
-        rows, samples = shifted.shape
-        self.alpha = sampler.alpha
-        self.samples = samples
-        self._ratio_min = sampler._ratio_min
-        self._log_prefactor = sampler._log_prefactor
-        self._gfc = sampler.gfc
-        head = min(SUMMARY_HEAD, samples)
-        self._head = np.full((rows, head), np.inf)
-        # per bin: count and mean (Jensen), min and max with their chord
-        # weights (Edmundson-Madansky); an empty bin adds zero to both
-        self._count, self._mean, self._low, self._high, self._low_weight, self._high_weight = (
-            np.zeros((rows, SUMMARY_BINS)) for _ in range(6)
-        )
-        nan_rows = []
-
-        def summarize(k):
-            row = np.sort(shifted[k])  # inf sorts after every finite draw, nan last
-            if np.isnan(row[-1]):
-                nan_rows.append(k)
-                return
-            finite = int(np.searchsorted(row, np.inf))
-            kept = min(head, finite)
-            self._head[k, :kept] = row[:kept]
-            rest = row[kept:finite]
-            if rest.size == 0:
-                return
-            edges = np.arange(SUMMARY_BINS + 1) * rest.size // SUMMARY_BINS
-            count = np.diff(edges)
-            used = count > 0
-            first, last, count = edges[:-1][used], edges[1:][used] - 1, count[used]
-            bins = slice(0, count.size)
-            low, high = rest[first], rest[last]
-            # the mean of draws in [low, high] lies there; a rounded (or,
-            # past the largest double, overflowed) one is put back.  numpy
-            # keeps errstate per thread, so it is set here
-            with np.errstate(over="ignore"):
-                mean = np.clip(np.add.reduceat(rest, first) / count, low, high)
-            spread = high - low
-            flat = spread == 0.0
-            low_share = np.where(flat, 1.0, (high - mean) / np.where(flat, 1.0, spread))
-            self._count[k, bins], self._mean[k, bins] = count, mean
-            self._low[k, bins], self._high[k, bins] = low, high
-            self._low_weight[k, bins] = count * low_share
-            self._high_weight[k, bins] = count * (1.0 - low_share)
-
-        _run_units(rows, lambda: summarize)
-        self.bounded = not nan_rows
-
-    def log_first_moment_bounds(self, beta):
-        """(lower, upper) per row around the log first moment that
-        _log_first_moment computes from the draws at beta: top + log sum -
-        log samples with top = beta^alpha - beta min R, each bound widened
-        by SUMMARY_ROUNDING times (1 + |top| + log samples + log sum) for
-        the rounding of both computations."""
-        # -beta S past the largest double is -inf, whose term 0 is the exact
-        # limit, as in the direct pass.  At n = 100 this is ~140 000 terms,
-        # which in a sweep ran faster on one thread than split over two
-        with np.errstate(over="ignore"):
-            head = np.multiply(self._head, -beta)
-            head = np.exp(head, out=head).sum(axis=1)
-            jensen = (self._count * np.exp(-beta * self._mean)).sum(axis=1)
-            chord = (
-                self._low_weight * np.exp(-beta * self._low)
-                + self._high_weight * np.exp(-beta * self._high)
-            ).sum(axis=1)
-        log_lower, log_upper = np.log(head + jensen), np.log(head + chord)
-        top = beta ** self.alpha - beta * self._ratio_min
-        log_samples = math.log(self.samples)
-        margin = SUMMARY_ROUNDING * (1.0 + np.abs(top) + log_samples + log_upper)
-        base = top - log_samples
-        return base + log_lower - margin, base + log_upper + margin
-
-    def midpoint_row(self, beta):
-        """(primitives, eps): the NggRowPrimitives of the midpoint of the
-        bounds on row n of the log weights at beta, and a bound eps on the
-        distance of every entry of the exact row (the one row_primitives
-        computes) from its midpoint.  eps is the largest half-width, plus
-        SUMMARY_ROUNDING times the magnitudes of the prefactor and of the
-        row, for the rounding of the prefactor's sum and of the shift by
-        the row maximum that NggRowPrimitives takes."""
-        lower, upper = self.log_first_moment_bounds(beta)
-        log_row = self._log_prefactor + 0.5 * (lower + upper)
-        size = 1.0 + np.abs(self._log_prefactor).max() + 2.0 * np.abs(log_row).max()
-        eps = float(0.5 * (upper - lower).max() + SUMMARY_ROUNDING * size)
-        return NggRowPrimitives(log_row, self._gfc), eps
 
 
 class NggWeightSampler:
@@ -1119,24 +1076,18 @@ class NggWeightSampler:
 
     The stable and beta-distributed draws behind the last-row estimator do
     not involve beta, so freezing the ratios R = X/Y once per block count
-    makes every subsequent beta evaluation a cheap deterministic reduction
+    makes every subsequent beta evaluation a cheap deterministic read
     (used by calibration and by hyperparameter moves during inference).
     The draws are those of ngg_last_row_mc for the same seed, and each row k
-    is stored shifted, R - min_k R, beside its minimum, which is the form
-    the shared reduction reads.  The rows are drawn, and each beta's
-    reduction runs in blocks of rows, on every usable core (`taskset`
-    limits them); draws and tables do not depend on the number of cores.
+    is stored shifted, R - min_k R, as the _Segments that the shared read
+    takes, beside its minimum.  The rows are drawn and cut into segments
+    on every usable core (`taskset` limits them); a beta read runs on one
+    thread, and draws and tables do not depend on the number of cores.
     gfc, the depth-n GFC table at alpha, is beta-free too and built once;
     every row read (row_primitives) reads its stored block
-    log[alpha^{-k} C(m, k; alpha)] for m, k = 1..n.  The draws
-    take 8 n samples bytes; past MAX_FROZEN_DRAWS draws the sampler raises
-    TableSizeError before allocating or drawing any.
-
-    summary() gives the DrawSummary of the draws, which bounds row n at any
-    beta without a pass over them: the beta slice move decides most trials
-    from it (inference._slice_model_move).  It is built on the second
-    request, row by row, so draws that serve a single beta move, as those
-    of a chain that moves alpha do, never pay for it.
+    log[alpha^{-k} C(m, k; alpha)] for m, k = 1..n.  The segments hold a
+    little over 8 n samples bytes; past MAX_FROZEN_DRAWS doubles the
+    sampler raises TableSizeError before allocating or drawing any.
     """
 
     def __init__(self, alpha, n, samples, seed):
@@ -1150,52 +1101,41 @@ class NggWeightSampler:
         self.n = int(n)
         self.samples = int(samples)
         self.seed = int(seed)
-        self._shifted = np.empty((n, self.samples))
+        self._segments = _Segments(n, self.samples)
         self._ratio_min = np.empty(n)
 
         def store_row(k, shifted, ratio_min):
-            self._shifted[k - 1], self._ratio_min[k - 1] = shifted, ratio_min
+            self._segments.set_row(k - 1, shifted)
+            self._ratio_min[k - 1] = ratio_min
 
         _fill_shifted_ratio_rows(
             alpha, n, self.samples, np.random.default_rng(seed), store_row
         )
-        self._shifted.flags.writeable = False
         self._ratio_min.flags.writeable = False
         self._log_prefactor = _log_prefactor(alpha, n)
         self.gfc = build_gfc_table(n, alpha)
-        self._summary = None
-        self._summary_requests = 0
 
     def log_last_row(self, beta):
         """(log_row, rel_se) for row n at this beta, from the frozen draws:
-        both moment passes."""
+        both moment reads."""
         primitives = self.row_primitives(beta)
         return primitives.log_row, primitives.rel_se
 
     def row_primitives(self, beta):
-        """NggRowPrimitives of row n at this beta from one pass over the
+        """NggRowPrimitives of row n at this beta from one read of the
         draws, which sums the first moment only: all a slice trial reads.
-        They carry these draws; their rel_se, the second-moment pass, is
+        They carry these draws; their rel_se, the second-moment read, is
         computed on first read, with the bits of log_last_row's, and their
         weight table is filled on first read."""
         if beta <= 0:
             raise ValueError(f"beta must be positive, got {beta}")
-        log_m1 = _log_first_moment(self._shifted, self._ratio_min, self.alpha, beta)
+        segments, ratio_min = self._segments, self._ratio_min
+        log_m1 = _log_first_moment(segments, ratio_min, self.alpha, beta)
 
         def rel_se():
-            return _relative_se(self._shifted, self._ratio_min, self.alpha, beta, log_m1)
+            return _relative_se(segments, ratio_min, self.alpha, beta, log_m1)
 
         return NggRowPrimitives(self._log_prefactor + log_m1, self.gfc, rel_se, draws=self)
-
-    def summary(self):
-        """The DrawSummary of these draws, or None: on the first request,
-        and for draws with a nan row, which no summary can bound.  The
-        second request builds it; later ones return it."""
-        self._summary_requests += 1
-        if self._summary_requests == 2:
-            summary = DrawSummary(self)
-            self._summary = summary if summary.bounded else None
-        return self._summary
 
 
 def weight_table_from_sampler(sampler, beta):
@@ -1219,6 +1159,7 @@ def depth_primitives(model, n, held=None):
     for NGG/NIG, the NggRowPrimitives at its beta of the frozen draws its
     mc_config names at its alpha and n, reusing the draws of the primitives
     `held` when they are those."""
+    n = _positive_int(n)
     if model.is_closed_form:
         return ClosedFormPrimitives(model, n)
     sampler = held_draws(model, n, held)

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import special
 
 from .gibbs_weights import ALPHA_TOL, build_primitive_cache
-from .special_functions import TableSizeError, tilted_stable_integral
+from .special_functions import TableSizeError, log_gamma_ratio, tilted_stable_integral
 
 # simulate_ibp holds its n x K_n allocation several times over (the
 # buffet's matrix and masks, the allocation's copy) as one byte per cell
@@ -382,10 +382,7 @@ def powerlaw_constant(model):
     alpha = model.stable_index
     if model.variant == "PY":
         theta = model.theta
-        return float(
-            np.exp(special.gammaln(theta + 1.0) - special.gammaln(theta + alpha))
-            / alpha
-        )
+        return math.exp(log_gamma_ratio(theta, alpha)) / alpha
     beta = model.beta
     if model.variant == "NIG":
         root = math.sqrt(beta)

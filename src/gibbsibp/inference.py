@@ -48,10 +48,6 @@ SHRINK_STEPS = 200
 GEWEKE_MIN_ROUNDS = 50
 GEWEKE_CHUNK = 2 ** 15  # cells of Y per chunk of marginal-side prior draws
 GEWEKE_CHAIN_CHUNK = 2 ** 12  # cells of Y per chunk of chain-side rounds
-# a screened log joint's bounds widen by this much relative to the size of
-# the log joint and of its terms: thousands of times the double-precision
-# rounding of its evaluation
-LOG_JOINT_ROUNDING = 1e-9
 MAX_SWEEP_CELLS = 2 ** 27  # doubles in a sweep's largest stacked array: 1 GiB
 
 
@@ -215,34 +211,6 @@ def gamma_posterior(k_n, priors, cache):
     return priors.lambda1 + k_n, rate
 
 
-class ScreenedValue:
-    """A log density value known to lie in [lower, upper]; exact() computes
-    it.  A comparison value > level is decided by the bounds where level
-    lies outside them, and by exact() otherwise, so it has the outcome the
-    exact value gives; float(value) is exact().  value + shift, for a
-    float shift, adds it to both bounds and to exact(): rounding is
-    monotone, so the shifted bounds hold the shifted exact value."""
-
-    __slots__ = ("lower", "upper", "exact")
-
-    def __init__(self, lower, upper, exact):
-        self.lower, self.upper, self.exact = lower, upper, exact
-
-    def __add__(self, shift):
-        exact = self.exact
-        return ScreenedValue(self.lower + shift, self.upper + shift, lambda: exact() + shift)
-
-    def __gt__(self, level):
-        if self.lower > level:
-            return True
-        if self.upper <= level:
-            return False
-        return self.exact() > level
-
-    def __float__(self):
-        return float(self.exact())
-
-
 def slice_sample(log_density, x0, rng):
     """One univariate slice-sampling update (stepping out, then shrinkage).
 
@@ -253,16 +221,8 @@ def slice_sample(log_density, x0, rng):
     the one it was started on (or not deterministic) and looping on would
     never end.  The point returned is the last one log_density was
     evaluated at.
-
-    log_density returns a float or a ScreenedValue, whose certified bounds
-    decide a comparison with the slice level unless the level lies between
-    them; only then is its exact value computed (Christen & Fox 2005
-    screen with a cheap bound and fall back to the exact value).  Every
-    comparison has the outcome the exact value gives, so the path, the
-    random stream and the point returned do not depend on the screen.  The
-    start point's value is taken exactly, as the level is drawn below it.
     """
-    f0 = float(log_density(x0))
+    f0 = log_density(x0)
     if not np.isfinite(f0):
         raise ValueError(f"slice sampler started outside the support (f({x0}) = {f0})")
     log_level = f0 - rng.exponential()
@@ -506,38 +466,6 @@ def _resample_gamma(state, priors):
     state.gamma = float(state.rng.gamma(shape, 1.0 / rate))
 
 
-def _log_joint_bounds(dishes, summary, beta):
-    """Certified (lower, upper) bounds on dishes.score(p), the log joint of
-    the counts whose ibp._SizeHistogram is dishes, for p the primitives
-    that row_primitives(beta) of the summarised draws gives, from the
-    summary alone; None where they are not finite.
-
-    The midpoint row of the summary (DrawSummary.midpoint_row) lies within
-    eps of the exact row in every entry.  Moving each entry by at most eps
-    moves each log g_{n-s}(s,1) by at most 2 eps (a log-sum of row entries
-    less the log-sum that normalises the block law) and E[B_n] by at most
-    E[B_n] e^{2 eps} (e^{2 eps} - 1), read at the midpoint.  So
-    |exact - midpoint log joint| <= gamma E[B_n] e^{2 eps} (e^{2 eps} - 1)
-    + 2 eps K for K dishes, and the bounds add LOG_JOINT_ROUNDING times
-    (1 + |log joint| + |K log gamma| + gamma E[B_n] + K n) for the rounding
-    of both evaluations.  A log joint that is not finite, or eps of 1 or
-    more, too wide to decide anything, gives None.
-    """
-    primitives, eps = summary.midpoint_row(beta)
-    log_p = dishes.score(primitives)
-    if not (math.isfinite(log_p) and eps < 1.0):
-        return None
-    gamma, expected = dishes.gamma, primitives.expected_blocks
-    k_n = float(dishes.multiplicity.sum())
-    size = 1.0 + abs(log_p) + abs(dishes.base) + gamma * expected + k_n * primitives.n
-    slack = (
-        gamma * expected * math.exp(2.0 * eps) * math.expm1(2.0 * eps)
-        + 2.0 * eps * k_n
-        + LOG_JOINT_ROUNDING * size
-    )
-    return log_p - slack, log_p + slack
-
-
 def _slice_model_move(state, counts, move, start, dishes=None):
     """One slice update of a model coordinate from x = start; returns the
     accepted x.  move "discount" runs on x = logit alpha, alpha ~ U(0, 1);
@@ -549,8 +477,8 @@ def _slice_model_move(state, counts, move, start, dishes=None):
     own point is scored by the state's primitives.  The state adopts the
     accepted point, the last one slice_sample evaluated, and only its model
     is built.  The subclasses differ in their scorer's (score, adopt) only:
-    score(alpha, second) gives a trial's log joint (a float or a
-    ScreenedValue) and what adopt(model, held) makes its primitives from;
+    score(alpha, second) gives a trial's log joint and what adopt(model,
+    held) makes its primitives from;
     DP/PY score in closed form (_closed_form_scorer), NGG/NIG from frozen
     draws (_row_scorer).  dishes, the counts' ibp._SizeHistogram with
     state.gamma, is built unless given: a sweep's two moves share one.
@@ -626,34 +554,22 @@ def _closed_form_scorer(state, dishes, move):
 
 def _row_scorer(state, dishes, move):
     """(score, adopt) of an NGG/NIG slice move.  A trial's primitives come
-    from one pass over frozen draws that sums the first moment only; score
-    gives them as a function of no arguments that runs the pass on its
-    first call, and adopt calls it.  A beta trial reads the state's draws,
-    and once they have a DrawSummary (from the second beta move over them
-    on) its score is a ScreenedValue (_log_joint_bounds), which runs the
-    pass only where the slice level falls inside its bounds.  A discount
-    trial draws at its own alpha from the model's seed, so the state's
-    draws go before a trial makes new ones: one set is alive at once."""
+    from one read of frozen draws that sums the first moment only, and
+    adopt takes them as they are.  A beta trial reads the state's draws.
+    A discount trial draws at its own alpha from the model's seed, so the
+    state's draws go before a trial makes new ones: one set is alive at
+    once."""
     n, mc = state.n, state.model.mc_config
     draws = held_draws(state.model, n, state.cache) if move == "second" else None
-    summary = draws.summary() if draws is not None else None
 
     def score(alpha, beta):
-        @functools.cache
-        def primitives():
-            sampler = draws
-            if sampler is None:
-                sampler = gibbs_weights.NggWeightSampler(alpha, n, mc.samples, mc.seed)
-            return sampler.row_primitives(beta)
-
-        bounds = _log_joint_bounds(dishes, summary, beta) if summary is not None else None
-        if bounds is not None:
-            return ScreenedValue(*bounds, lambda: dishes.score(primitives())), primitives
         if move == "discount":
             state.cache = None  # a later trial at the state's model draws again
-        return dishes.score(primitives()), primitives
+        sampler = draws or gibbs_weights.NggWeightSampler(alpha, n, mc.samples, mc.seed)
+        primitives = sampler.row_primitives(beta)
+        return dishes.score(primitives), primitives
 
-    return score, lambda trial, primitives: primitives()
+    return score, lambda trial, primitives: primitives
 
 
 def _update_model_params(state, config):

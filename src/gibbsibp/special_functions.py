@@ -47,6 +47,17 @@ def log_rising_factorial(a, n):
     return float(special.gammaln(a + n) - special.gammaln(a))
 
 
+def log_gamma_ratio(theta, alpha):
+    """log Gamma(theta+1) - log Gamma(theta+alpha) for alpha in [0, 1) and
+    theta > -alpha: log (theta+alpha)_{1-alpha} by scipy's poch, which
+    keeps its digits where the gammaln difference, of size theta log theta,
+    loses them.  Past theta 1e17 it is (1-alpha) log theta + alpha
+    (1-alpha) / (2 theta), whose next term is O(theta^-2)."""
+    if theta > 1e17:
+        return (1.0 - alpha) * math.log(theta) + alpha * (1.0 - alpha) / (2.0 * theta)
+    return math.log(special.poch(theta + alpha, 1.0 - alpha))
+
+
 class GfcTable:
     """Triangular array of log[alpha^{-k} C(n, k; alpha)], 1 <= k <= n <= n_max.
 

@@ -16,7 +16,7 @@ from scipy import special
 
 from .gibbs_weights import _run_units
 from .ibp import FeatureAllocation
-from .special_functions import tilted_stable_integral
+from .special_functions import log_gamma_ratio, tilted_stable_integral
 
 DEFAULT_RESIDUAL_MASS = 1e-3
 
@@ -234,11 +234,7 @@ def structural_density(model, p):
     alpha = model.stable_index
     if model.variant in ("DP", "PY"):
         theta = model.theta
-        log_norm = (
-            special.gammaln(theta + 1.0)
-            - special.gammaln(1.0 - alpha)
-            - special.gammaln(theta + alpha)
-        )
+        log_norm = log_gamma_ratio(theta, alpha) - special.gammaln(1.0 - alpha)
         return float(
             np.exp(log_norm + (-alpha) * math.log(p) + (theta + alpha - 1.0) * math.log1p(-p))
         )
@@ -270,11 +266,7 @@ def superposition_intensity(model, depth, p):
         raise ValueError("p must lie in (0, 1)")
     alpha = model.stable_index
     theta = model.theta
-    log_norm = (
-        special.gammaln(theta + 1.0)
-        - special.gammaln(1.0 - alpha)
-        - special.gammaln(theta + alpha)
-    )
+    log_norm = log_gamma_ratio(theta, alpha) - special.gammaln(1.0 - alpha)
     value = np.exp(
         log_norm - alpha * np.log(p) + (theta + alpha + depth - 1.0) * np.log1p(-p)
     )

@@ -291,18 +291,18 @@ class TestFitAndGeweke:
 
     def test_degenerate_beta_trial_is_numeric_failure(self, tmp_path, capsys, monkeypatch):
         # the start beta scores fine; the first beta trial's first-moment
-        # pass is not finite, inside a sweep, and the fit exits 3 without
+        # read is not finite, inside a sweep, and the fit exits 3 without
         # writing its outputs
         data = self.write_data(tmp_path)
-        row_sums = gibbs_weights._exp_row_sums
+        exp_sums = gibbs_weights._Segments.exp_sums
 
-        def degenerate_trial(shifted, beta, power):
-            sums = row_sums(shifted, beta, power)
-            if beta != 1.0:
+        def degenerate_trial(segments, beta):
+            sums = exp_sums(segments, beta)
+            if beta not in (1.0, 2.0):
                 sums[0] = np.nan
             return sums
 
-        monkeypatch.setattr(gibbs_weights, "_exp_row_sums", degenerate_trial)
+        monkeypatch.setattr(gibbs_weights._Segments, "exp_sums", degenerate_trial)
         out = tmp_path / "fit"
         assert run_cli("fit", "--model", "ngg", "--alpha", 0.5, "--beta", 1,
                        "--update-theta", "--samples", 10_000, "--data", data,
@@ -545,6 +545,26 @@ class TestUsageErrors:
         assert run_cli(*argv, *extra, "--outdir", tmp_path) == 2
         assert "usage error" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "iterations, burn_in, thin, code",
+        [(10, 20, 1, 2), (10, 10, 1, 2), (10, 8, 3, 2), (10, 7, 3, 0), (0, 20, 1, 0)],
+    )
+    def test_fit_that_keeps_no_sweep(self, iterations, burn_in, thin, code, tmp_path, capsys):
+        # a burn-in and thinning that keep no sweep are a usage error;
+        # --iterations 0 archives the start
+        data = tmp_path / "data.csv"
+        np.savetxt(data, np.zeros((3, 2)), delimiter=",")
+        out = tmp_path / "fit"
+        assert run_cli("fit", "--model", "dp", "--theta", 1, "--data", data,
+                       "--iterations", iterations, "--burn-in", burn_in, "--thin", thin,
+                       "--outdir", out) == code
+        if code == 2:
+            assert "keeps no sweep" in capsys.readouterr().err
+            assert not (out / "manifest.json").exists()
+        else:
+            rows = (out / "samples.csv").read_text().strip().split("\n")
+            assert len(rows) == 2  # the header and one kept sweep
 
     @pytest.mark.parametrize(
         "argv",

@@ -13,11 +13,9 @@ from scipy import special
 from gibbsibp import gibbs_weights
 from gibbsibp.gibbs_weights import (
     MAX_FROZEN_DRAWS,
-    SUMMARY_BINS,
-    SUMMARY_HEAD,
-    SUMMARY_ROUNDING,
+    ClosedFormPrimitives,
+    SEGMENT,
     check_frozen_draws,
-    DrawSummary,
     GibbsModel,
     McConfig,
     McDegeneracyError,
@@ -605,6 +603,20 @@ class TestWeightRows:
         with pytest.raises(ValueError, match="depth 2 cannot serve n = 3"):
             weight_rows(model, 3, build_weight_table(model, 2))
 
+    @pytest.mark.parametrize(
+        "model", [GibbsModel.dp(1.0), GibbsModel.py(0.5, 1.0), GibbsModel.ngg(0.5, 1.0)],
+        ids=["dp", "py", "ngg"],
+    )
+    def test_primitives_refuse_non_integer_n(self, model):
+        for n in (0, 2.5):
+            with pytest.raises(ValueError, match="positive integer"):
+                build_primitive_cache(model, n)
+            with pytest.raises(ValueError, match="positive integer"):
+                depth_primitives(model, n)
+            if model.is_closed_form:
+                with pytest.raises(ValueError, match="positive integer"):
+                    ClosedFormPrimitives(model, n)
+
 
 class TestBlockCountDistribution:
     def test_py_n2_anchor(self):
@@ -862,16 +874,6 @@ class TestNggWeightSampler:
         # both forms take m2 - m1^2 by cancellation, so compare absolutely
         np.testing.assert_allclose(got_rel, rel, rtol=0.0, atol=1e-9)
 
-    @pytest.mark.parametrize("block", [1, 25_000, 3 * 10_000, 2 ** 20])
-    def test_moments_do_not_depend_on_block_size(self, block, monkeypatch):
-        # one, two, three or all seven rows per work buffer: the same bits
-        sampler = NggWeightSampler(0.5, 7, 10_000, seed=6)
-        want = sampler.log_last_row(0.9)
-        monkeypatch.setattr(gibbs_weights, "MOMENT_BLOCK", block)
-        got = sampler.log_last_row(0.9)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
-
     def test_beta_sweep_is_deterministic(self):
         sampler = NggWeightSampler(0.4, 6, 20_000, seed=8)
         r1, _ = sampler.log_last_row(0.7)
@@ -892,19 +894,19 @@ class TestNggWeightSampler:
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75])
     def test_draws_do_not_depend_on_worker_count(self, alpha, monkeypatch):
-        # one row per moment block, so the moment pass is split across
-        # threads as the row fill is
+        # the rows and their segments are built on every worker thread
         n, samples, seed, beta = 9, 10_000, 5, 0.8
         model = GibbsModel.ngg(alpha, beta, McConfig(samples, seed))
-        monkeypatch.setattr(gibbs_weights, "MOMENT_BLOCK", samples)
 
         def outputs(workers):
             monkeypatch.setattr(gibbs_weights, "_usable_cores", lambda: workers)
             sampler = NggWeightSampler(alpha, n, samples, seed)
             streamed = build_weight_table(model, n)
             frozen = weight_table_from_sampler(sampler, beta)
+            segments = sampler._segments
             return [
-                sampler._shifted, sampler._ratio_min, *sampler.log_last_row(beta),
+                segments.draws, segments.centre, segments.half, segments.powers,
+                sampler._ratio_min, *sampler.log_last_row(beta),
                 *ngg_last_row_mc(alpha, beta, n, samples, np.random.default_rng(seed)),
                 streamed._log, streamed._rel_se, frozen._log, frozen._rel_se,
             ]
@@ -914,7 +916,7 @@ class TestNggWeightSampler:
             for got, want in zip(outputs(workers), one):
                 assert np.array_equal(got, want)
         # the streamed and frozen estimators still give the same table
-        assert np.array_equal(one[6], one[8]) and np.array_equal(one[7], one[9])
+        assert np.array_equal(one[9], one[11]) and np.array_equal(one[10], one[12])
 
     def test_worker_exception_reaches_caller(self, monkeypatch):
         # a degenerate row on a worker thread raises McDegeneracyError in
@@ -933,29 +935,16 @@ class TestNggWeightSampler:
             ngg_last_row_mc(0.5, 1.0, 6, 10_000, np.random.default_rng(2))
         assert raised.type is McDegeneracyError
 
-    def test_moment_block_exception_reaches_caller(self, monkeypatch):
-        # the first moment block a worker thread reads raises; the caller's
-        # own block waits for it, so the failure is on a worker, and the
-        # caller still ends with that exception and no thread left running
-        monkeypatch.setattr(gibbs_weights, "_usable_cores", lambda: 2)
-        monkeypatch.setattr(gibbs_weights, "MOMENT_BLOCK", 10_000)
+    def test_beta_read_runs_on_one_thread(self, monkeypatch):
+        # the rows are drawn on every core; a beta read starts no thread
         sampler = NggWeightSampler(0.5, 6, 10_000, seed=2)
-        worker_read = threading.Event()
 
-        class FailOnWorker(np.ndarray):
-            def __getitem__(self, key):
-                if threading.current_thread() is threading.main_thread():
-                    assert worker_read.wait(timeout=30)
-                else:
-                    worker_read.set()
-                    raise McDegeneracyError("block on a worker underflowed")
-                return super().__getitem__(key)
+        def refuse(*args):
+            raise AssertionError("a beta read ran units on threads")
 
-        shifted = sampler._shifted.view(FailOnWorker)
+        monkeypatch.setattr(gibbs_weights, "_run_units", refuse)
         threads = threading.active_count()
-        with pytest.raises(McDegeneracyError, match="on a worker") as raised:
-            gibbs_weights._shifted_moments(shifted, sampler._ratio_min, 0.5, 1.0)
-        assert raised.type is McDegeneracyError
+        sampler.log_last_row(1.0)
         assert threading.active_count() == threads
 
     def test_every_unit_runs_once(self, monkeypatch):
@@ -998,7 +987,7 @@ class TestNggWeightSampler:
         # at a small alpha some X/Y pass the largest double (and at 0.003
         # some X do); those draws are inf and add exp(-beta inf) = 0
         sampler = NggWeightSampler(alpha, 30, 10_000, seed=2)
-        assert np.isinf(sampler._shifted).any()
+        assert np.isinf(sampler._segments.draws).any()
         table = weight_table_from_sampler(sampler, 1.0)
         for m in range(1, 31):
             assert np.all(np.isfinite(table.log_row(m)))
@@ -1025,25 +1014,26 @@ class TestNggWeightSampler:
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75])
     def test_lazy_rel_se_has_the_bits_of_both_passes(self, alpha, monkeypatch):
-        # row_primitives sums the first moment alone and computes rel_se on
-        # first read: row, rel_se and filled table equal log_last_row's
-        # (both passes), the table filled from them and the streamed one
+        # row_primitives sums the first moment alone (the read at beta) and
+        # computes rel_se (the read at 2 beta) on first read: row, rel_se
+        # and filled table equal log_last_row's (both reads), the table
+        # filled from them and the streamed one
         n, samples, seed, beta = 20, 10_000, 4, 0.8
         sampler = NggWeightSampler(alpha, n, samples, seed)
         log_row, rel_se = sampler.log_last_row(beta)
         passes = []
-        row_sums = gibbs_weights._exp_row_sums
+        exp_sums = gibbs_weights._Segments.exp_sums
 
-        def counted_sums(shifted, beta, power):
-            passes.append(power)
-            return row_sums(shifted, beta, power)
+        def counted_sums(segments, at):
+            passes.append(at)
+            return exp_sums(segments, at)
 
-        monkeypatch.setattr(gibbs_weights, "_exp_row_sums", counted_sums)
+        monkeypatch.setattr(gibbs_weights._Segments, "exp_sums", counted_sums)
         primitives = sampler.row_primitives(beta)
-        assert passes == [1]
+        assert passes == [beta]
         assert np.array_equal(primitives.log_row, log_row)
         assert np.array_equal(primitives.rel_se, rel_se)
-        assert passes == [1, 2]
+        assert passes == [beta, 2.0 * beta]
         monkeypatch.undo()
         filled = gibbs_weights._mc_weight_table(
             alpha, log_row, rel_se, Provenance("monte-carlo", samples, seed)
@@ -1059,21 +1049,21 @@ class TestNggWeightSampler:
         # mc_error keep their bits
         mc = McConfig(samples=20_000, seed=1)
         got = _calibrate("NGG", 25.0, 50, 0.75, mc)
-        want = ("0x1.459540691b730p-1", "0x1.9000000000042p+4", "0x1.1aa9329725bb4p-9")
+        want = ("0x1.459540691b730p-1", "0x1.9000000000042p+4", "0x1.1aa9329725be2p-9")
         assert tuple(float.hex(x) for x in got) == want
 
     def test_underflowed_first_moment_is_degenerate(self, monkeypatch):
         # a slice trial's pass sums the first moment alone and must still
         # refuse an estimate that is not finite
-        row_sums = gibbs_weights._exp_row_sums
+        exp_sums = gibbs_weights._Segments.exp_sums
 
-        def row_three_degenerate(shifted, beta, power):
-            sums = row_sums(shifted, beta, power)
+        def row_three_degenerate(segments, beta):
+            sums = exp_sums(segments, beta)
             sums[2] = np.nan
             return sums
 
         sampler = NggWeightSampler(0.5, 6, 10_000, seed=2)
-        monkeypatch.setattr(gibbs_weights, "_exp_row_sums", row_three_degenerate)
+        monkeypatch.setattr(gibbs_weights._Segments, "exp_sums", row_three_degenerate)
         with pytest.raises(McDegeneracyError, match="beta=1.5"):
             sampler.row_primitives(1.5)
         with pytest.raises(McDegeneracyError, match="beta=1.5"):
@@ -1081,12 +1071,12 @@ class TestNggWeightSampler:
 
     def test_sampler_tables_pinned(self):
         # content hashes of frozen-draw tables: a change to the draws, their
-        # streams or the moment reduction moves them
+        # streams or the moment read moves them
         mc = McConfig(10_000, 3)
         pins = {
-            GibbsModel.ngg(0.5, 1.0, mc): "d4c611b79e6be89e",
-            GibbsModel.ngg(0.75, 0.6, mc): "48bfbd21b575f07d",
-            GibbsModel.nig(1.0, mc): "2d69ac6077400a9e",
+            GibbsModel.ngg(0.5, 1.0, mc): "19c08522920a31ee",
+            GibbsModel.ngg(0.75, 0.6, mc): "5a0837f956f36108",
+            GibbsModel.nig(1.0, mc): "b1e56477f5b10888",
         }
         for model, digest in pins.items():
             sampler = NggWeightSampler(model.stable_index, 30, mc.samples, mc.seed)
@@ -1119,23 +1109,35 @@ class TestNggWeightSampler:
             NggWeightSampler(0.5, n, samples, seed=0)
         message = str(raised.value)
         assert f"{n} rows" in message and f"{samples} samples" in message
-        assert f"{8 * n * samples} bytes" in message
+        held = gibbs_weights._footprint(n, samples)
+        assert held > n * samples and f"{8 * held} bytes" in message
 
     def test_frozen_draw_limit_is_inclusive(self):
+        # the limit counts every double the sampler holds: its padded
+        # segments of draws and their centres, half-widths and power sums
         n = 2 ** 7
-        samples = MAX_FROZEN_DRAWS // n
-        assert n * samples == MAX_FROZEN_DRAWS
+        per_segment = gibbs_weights._footprint(1, SEGMENT)
+        segments = MAX_FROZEN_DRAWS // (n * per_segment)
+        samples = segments * SEGMENT
+        assert gibbs_weights._footprint(n, samples) <= MAX_FROZEN_DRAWS
         check_frozen_draws(n, samples)
         with pytest.raises(TableSizeError, match="frozen draws"):
             check_frozen_draws(n, samples + 1)
+        sampler = NggWeightSampler(0.5, 3, 2500, seed=0)
+        segments = sampler._segments
+        held = sum(a.size for a in (segments.draws, segments.centre, segments.half,
+                                    segments.powers))
+        assert held == gibbs_weights._footprint(3, 2500)
 
     def test_row_sums_past_largest_double_warn_nothing(self):
         # 1e308 times beta 10 passes the largest double: the term is
         # exp(-inf) = 0, the exact limit, and no RuntimeWarning (an error
         # under this suite's filter) reaches the caller
-        for power in (1, 2):
-            sums = gibbs_weights._exp_row_sums(np.array([[0.0, 1e308, 2.0]]), 10.0, power)
-            assert sums.tolist() == [1.0 + math.exp(-20.0 * power)]
+        segments = gibbs_weights._Segments(1, 3)
+        segments.set_row(0, np.array([0.0, 1e308, 2.0]))
+        for beta in (10.0, 20.0):
+            sums = segments.exp_sums(beta)
+            assert sums.tolist() == [1.0 + math.exp(-2.0 * beta)]
 
     def test_block_distribution_normalized(self):
         sampler = NggWeightSampler(0.5, 8, 20_000, seed=8)
@@ -1166,91 +1168,88 @@ def _overflowing_stable(alpha, spec_rows):
     return overflowing
 
 
-class TestDrawSummary:
-    """The summary's bounds hold the direct pass's log first moment for
-    every row, at every beta, overflowed draws included."""
+class TestSegmentedRead:
+    """The segments' read of sum exp(-beta s) per row, against a math.fsum
+    of the same terms, for every beta and edge case."""
 
-    BETAS = np.logspace(-3.0, 3.0, 13)
+    BETAS = [1e-8, 1e-3, 1.0, 1e3, 1e8, 1e300]
 
-    def assert_bounds_hold(self, sampler):
-        summary = DrawSummary(sampler)
-        assert summary.bounded
+    @staticmethod
+    def reference(row, beta):
+        # beta s past the largest double is inf, whose term is exactly 0
+        with np.errstate(over="ignore"):
+            return math.fsum(np.exp(-beta * np.asarray(row)).tolist())
+
+    def assert_reads(self, segments, rows):
         for beta in self.BETAS:
-            lower, upper = summary.log_first_moment_bounds(beta)
-            direct = gibbs_weights._log_first_moment(
-                sampler._shifted, sampler._ratio_min, sampler.alpha, beta
-            )
-            assert np.all(lower <= direct) and np.all(direct <= upper), beta
-            # the midpoint row lies within eps of the exact row
-            primitives, eps = summary.midpoint_row(beta)
-            exact = sampler.row_primitives(beta).log_row
-            assert np.all(np.abs(exact - primitives.log_row) <= eps), beta
+            got = segments.exp_sums(beta)
+            for k, row in enumerate(rows):
+                want = self.reference(row, beta)
+                assert abs(got[k] - want) <= 1e-14 * want, (beta, k)
 
-    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
-    @pytest.mark.parametrize("n", [1, 2, 30, 100])
-    def test_bounds_contain_direct_pass(self, alpha, n):
-        self.assert_bounds_hold(NggWeightSampler(alpha, n, 10_000, seed=n))
+    @pytest.mark.parametrize(
+        "model",
+        [GibbsModel.ngg(0.05, 1.0), GibbsModel.ngg(0.5, 1.0), GibbsModel.ngg(0.95, 1.0),
+         GibbsModel.nig(1.0)],
+        ids=["ngg-0.05", "ngg-0.5", "ngg-0.95", "nig"],
+    )
+    @pytest.mark.parametrize("samples", [2000, 2500, SEGMENT - 1, 10_001])
+    def test_matches_fsum(self, model, samples):
+        sampler = NggWeightSampler(model.stable_index, 12, samples, seed=samples)
+        segments = sampler._segments
+        rows = segments.draws.reshape(12, -1)
+        # padding past the draws is inf, and each row holds its own draws
+        assert np.all(np.isposinf(rows[:, samples:]))
+        self.assert_reads(segments, rows)
 
-    def test_bounds_hold_with_overflowed_ratios(self, monkeypatch):
+    def test_inf_draws_add_exactly_zero(self):
+        segments = gibbs_weights._Segments(3, 2 * SEGMENT + 7)
+        rng = np.random.default_rng(5)
+        rows = rng.exponential(3.0, size=(3, 2 * SEGMENT + 7))
+        rows[0, ::5] = np.inf
+        rows[1, 1:] = np.inf
+        rows[2, SEGMENT:] = np.inf  # whole segments of inf
+        rows[:, 0] = 0.0
+        for k, row in enumerate(rows):
+            segments.set_row(k, row)
+        self.assert_reads(segments, rows)
+        for beta in self.BETAS:
+            assert segments.exp_sums(beta)[1] == 1.0
+
+    def test_overflowed_ratios_read_as_fsum(self, monkeypatch):
         alpha = 0.5
         monkeypatch.setattr(
             gibbs_weights, "sample_tilted_stable",
             _overflowing_stable(alpha, {1: "some", 2: "all but one", 5: "some"}),
         )
         sampler = NggWeightSampler(alpha, 6, 10_000, seed=3)
-        shifted = sampler._shifted
-        assert np.isinf(shifted[0]).sum() > 1000 and np.isinf(shifted[1]).sum() == 9999
-        self.assert_bounds_hold(sampler)
+        rows = sampler._segments.draws.reshape(6, -1)
+        assert np.isinf(rows[0]).sum() > 1000 and np.isinf(rows[1]).sum() == 9999
+        self.assert_reads(sampler._segments, rows)
 
-    def test_nan_row_gets_no_summary(self, monkeypatch):
-        # a row of only overflowed ratios shifts to nan: no summary bounds
-        # it, and the direct pass refuses it
-        alpha = 0.5
-        monkeypatch.setattr(
-            gibbs_weights, "sample_tilted_stable", _overflowing_stable(alpha, {3: "all"})
-        )
-        sampler = NggWeightSampler(alpha, 6, 10_000, seed=3)
-        assert np.all(np.isnan(sampler._shifted[2]))
-        assert not DrawSummary(sampler).bounded
-        assert sampler.summary() is None and sampler.summary() is None
-        with pytest.raises(McDegeneracyError):
-            sampler.row_primitives(1.0)
-
-    def test_built_on_second_request(self, monkeypatch):
-        built = []
-
-        class Counted(DrawSummary):
-            def __init__(self, sampler):
-                built.append(sampler)
-                super().__init__(sampler)
-
-        monkeypatch.setattr(gibbs_weights, "DrawSummary", Counted)
-        sampler = NggWeightSampler(0.5, 100, 20_000, seed=1)
-        assert sampler.summary() is None and built == []
-        summary = sampler.summary()
-        assert isinstance(summary, Counted) and built == [sampler]
-        assert sampler.summary() is summary and built == [sampler]
-        held = sum(
-            getattr(summary, name).nbytes
-            for name in ("_head", "_count", "_mean", "_low", "_high", "_low_weight",
-                         "_high_weight")
-        )
-        assert held == 100 * (SUMMARY_HEAD + 6 * SUMMARY_BINS) * 8 <= 2 * 2 ** 20
-
-    def test_few_draws_are_all_head(self):
-        # rows no longer than the head are kept whole: the bounds are the
-        # row's own sum less and plus the rounding margin
-        samples = SUMMARY_HEAD // 2
-        sampler = NggWeightSampler(0.5, 4, samples, seed=2)
-        summary = DrawSummary(sampler)
-        assert summary._head.shape == (4, samples)
-        assert not summary._count.any()
+    def test_nan_row_is_degenerate(self, monkeypatch):
+        # a row of only overflowed ratios shifts to nan: its sum is nan at
+        # every beta, which the moment read refuses, with no warning
+        segments = gibbs_weights._Segments(2, 1500)
+        segments.set_row(0, np.full(1500, np.nan))
+        segments.set_row(1, np.zeros(1500))
         for beta in self.BETAS:
-            lower, upper = summary.log_first_moment_bounds(beta)
-            top = beta ** 0.5 - beta * sampler._ratio_min
-            log_sum = upper - top + math.log(samples)
-            size = 1.0 + np.abs(top) + math.log(samples) + log_sum
-            assert np.all(upper - lower <= 2.0 * SUMMARY_ROUNDING * size + 1e-12)
+            got = segments.exp_sums(beta)
+            assert math.isnan(got[0]) and got[1] == 1500.0
+        with pytest.raises(McDegeneracyError):
+            gibbs_weights._log_first_moment(segments, np.zeros(2), 0.5, 1.0)
+
+    def test_equal_draws(self):
+        # h = 0: a segment of equal draws reads count exp(-beta c) exactly
+        segments = gibbs_weights._Segments(2, 3 * SEGMENT)
+        segments.set_row(0, np.zeros(3 * SEGMENT))
+        row = np.full(3 * SEGMENT, 4.0)
+        row[0] = 0.0
+        segments.set_row(1, row)
+        assert np.all(segments.half[0] == 0.0)
+        self.assert_reads(segments, [np.zeros(3 * SEGMENT), row])
+        for beta in self.BETAS:
+            assert segments.exp_sums(beta)[0] == 3 * SEGMENT
 
 
 class TestSerialization:

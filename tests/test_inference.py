@@ -16,7 +16,6 @@ from gibbsibp import gibbs_weights, ibp, inference
 from gibbsibp.gibbs_weights import (
     SMALLN_MAX,
     ClosedFormPrimitives,
-    DrawSummary,
     GibbsModel,
     McConfig,
     McDegeneracyError,
@@ -46,7 +45,6 @@ from gibbsibp.inference import (
     LatentFactorState,
     Priors,
     SampleArchive,
-    ScreenedValue,
     gamma_posterior,
     geweke_check,
     gibbs_sweep,
@@ -642,8 +640,8 @@ class TestModelMoves:
 
     def test_ngg_beta_move_scores_trials_from_row_n(self, monkeypatch):
         # every evaluated point but the start, which the state's own
-        # primitives score, runs one first-moment pass over the draws; no
-        # point runs a second-moment pass, fills a table or builds a cache,
+        # primitives score, runs one first-moment read of the draws; no
+        # point runs a second-moment read, fills a table or builds a cache,
         # and the state adopts the accepted trial's primitives, whose table
         # is the one its frozen draws give at beta
         model = GibbsModel.ngg(0.5, 1.0)
@@ -651,14 +649,19 @@ class TestModelMoves:
         state = make_state(model, alloc.matrix, seed=25, gamma=self.GAMMA, mc_samples=2000)
         start_table = state.table
         passes, fills, caches, evals = {1: [], 2: []}, [], [], []
-        row_sums = gibbs_weights._exp_row_sums
+        exp_sums = gibbs_weights._Segments.exp_sums
+        relative_se = gibbs_weights._relative_se
         fill = gibbs_weights._mc_weight_table
         build = inference.build_primitive_cache
         slice_move = inference.slice_sample
 
-        def counted_sums(shifted, beta, power):
-            passes[power].append(beta)
-            return row_sums(shifted, beta, power)
+        def counted_sums(segments, beta):
+            passes[1].append(beta)
+            return exp_sums(segments, beta)
+
+        def counted_relative_se(segments, ratio_min, alpha, beta, log_m1):
+            passes[2].append(beta)
+            return relative_se(segments, ratio_min, alpha, beta, log_m1)
 
         def counted_fill(*args, **kwargs):
             fills.append(len(evals))
@@ -674,7 +677,8 @@ class TestModelMoves:
                 return log_density(x)
             return slice_move(counted, x0, rng)
 
-        monkeypatch.setattr(gibbs_weights, "_exp_row_sums", counted_sums)
+        monkeypatch.setattr(gibbs_weights._Segments, "exp_sums", counted_sums)
+        monkeypatch.setattr(gibbs_weights, "_relative_se", counted_relative_se)
         monkeypatch.setattr(gibbs_weights, "_mc_weight_table", counted_fill)
         monkeypatch.setattr(inference, "build_primitive_cache", counted_build)
         monkeypatch.setattr(gibbs_weights, "build_primitive_cache", counted_build)
@@ -1728,163 +1732,19 @@ class TestSweepAndChain:
         assert 2.0 <= k_draws.mean() <= 8.0
 
 
-class TestBetaScreen:
-    """The beta move's screen: certified bounds on the log joint that never
-    decide a slice comparison against the exact value."""
-
+class TestBetaTrialRefusals:
     N, GAMMA = 30, 2.0
 
-    def state(self, seed=41, mc_samples=20_000):
-        alloc = simulate_ibp(GibbsModel.py(0.5, 1.0), self.GAMMA, self.N, seed=seed)
-        assert alloc.dishes >= 3
-        model = GibbsModel.ngg(0.5, 1.0)
-        return alloc.counts, make_state(
-            model, alloc.matrix, seed=seed, gamma=self.GAMMA, mc_samples=mc_samples
-        )
-
-    def test_never_decides_against_exact(self):
-        counts, state = self.state()
-        sampler = state.cache.draws
-        summary = DrawSummary(sampler)
-        dishes = _SizeHistogram(counts, self.GAMMA)
-        rng = np.random.default_rng(3)
-        decided, undecided = 0, 0
-        for i in range(240):
-            beta = math.exp(rng.uniform(-5.0, 5.0))
-            exact = _log_joint_counts(counts, self.GAMMA, sampler.row_primitives(beta))
-            lower, upper = inference._log_joint_bounds(dishes, summary, beta)
-            assert lower <= exact <= upper, beta
-            # levels far from the exact value and levels within the bounds
-            offset = rng.normal() * (2.0 if i % 2 else 10.0 ** rng.uniform(-8.0, -1.0))
-            level = exact + offset
-            calls = []
-
-            def exact_value():
-                calls.append(beta)
-                return exact
-
-            above = ScreenedValue(lower, upper, exact_value) > level
-            assert above == (exact > level), (beta, offset)
-            if calls:
-                undecided += 1
-            else:
-                decided += 1
-            # shifted as a slice move shifts it, by a log prior and a
-            # Jacobian term: the shifted exact value decides
-            shifts = (-math.exp(rng.normal()), rng.normal())
-            shifted = ScreenedValue(lower, upper, exact_value) + shifts[0] + shifts[1]
-            shifted_level = level + shifts[0] + shifts[1]
-            want = exact + shifts[0] + shifts[1]
-            assert (shifted > shifted_level) == (want > shifted_level), (beta, offset)
-            assert float(shifted) == want
-        assert decided >= 120 and undecided >= 10
-
-    def test_slack_covers_every_row_within_eps(self):
-        # the bounds hold for any row within eps of the midpoint, not only
-        # the exact one: steps of -eps/+eps at every split and random signs
-        counts, state = self.state()
-        summary = DrawSummary(state.cache.draws)
-        rng = np.random.default_rng(8)
-        n = self.N
-        steps = [np.where(np.arange(n) < j, -1.0, 1.0) for j in range(n + 1)]
-        signs = steps + [-s for s in steps] + [rng.choice([-1.0, 1.0], n) for _ in range(40)]
-        for beta in np.logspace(-2.0, 2.0, 5):
-            midpoint, eps = summary.midpoint_row(beta)
-            lower, upper = inference._log_joint_bounds(
-                _SizeHistogram(counts, self.GAMMA), summary, beta
-            )
-            for sign in signs:
-                row = NggRowPrimitives(midpoint.log_row + eps * sign, summary._gfc)
-                assert lower <= _log_joint_counts(counts, self.GAMMA, row) <= upper
-
-    def test_bounds_without_dishes_at_zero_mass(self):
-        # K = 0 and gamma = 0: the log joint is -gamma E[B_n] = 0 exactly
-        _, state = self.state()
-        summary = DrawSummary(state.cache.draws)
-        none = np.zeros(0, dtype=np.int64)
-        lower, upper = inference._log_joint_bounds(_SizeHistogram(none, 0.0), summary, 0.7)
-        assert lower <= 0.0 <= upper and upper - lower < 1e-6
-        dishes = _SizeHistogram(np.array([2, 1]), 0.0)
-        assert inference._log_joint_bounds(dishes, summary, 0.7) is None
-
-    def test_screened_move_passes_and_bits(self, monkeypatch):
-        # from the second beta move over the same draws on, a move runs one
-        # first-moment pass per undecided trial, plus one at the accepted
-        # point when the screen decided it; the path and the state's
-        # primitives are those of the unscreened move to the bit
-        counts, state = self.state()
-        _, twin = self.state()
-        twin.cache.draws.summary = lambda: None  # never screened
-        passes, undecided = [], []
-        row_sums = gibbs_weights._exp_row_sums
-        exceeds = ScreenedValue.__gt__
-
-        def counted_sums(shifted, beta, power):
-            passes.append(power)
-            return row_sums(shifted, beta, power)
-
-        def counted_exceeds(value, level):
-            undecided.append(not (value.lower > level or value.upper <= level))
-            return exceeds(value, level)
-
-        x = twin_x = 0.0
-        moves = 12
-        for move in range(moves):
-            twin_x = inference._slice_model_move(twin, counts, "second", twin_x)
-            monkeypatch.setattr(gibbs_weights, "_exp_row_sums", counted_sums)
-            monkeypatch.setattr(ScreenedValue, "__gt__", counted_exceeds)
-            del passes[:], undecided[:]
-            x = inference._slice_model_move(state, counts, "second", x)
-            monkeypatch.undo()
-            assert x == twin_x and state.model == twin.model
-            assert np.array_equal(state.cache.log_row, twin.cache.log_row)
-            assert state.model.beta == math.exp(x)
-            assert set(passes) <= {1}
-            if move == 0:
-                assert undecided == []  # the first move builds no summary
-            else:
-                assert undecided, "a screened move compares at least once"
-                accepted_screened = 0 if undecided[-1] else 1
-                assert len(passes) == sum(undecided) + accepted_screened
-        assert state.table is not None
-        assert np.array_equal(state.table._log, twin.table._log)
-        assert np.array_equal(state.table._rel_se, twin.table._rel_se)
-
     def test_nan_row_raises_from_beta_trial(self):
-        # a degenerate row has no summary, so a trial takes the direct pass,
-        # which refuses it
-        counts, state = self.state(mc_samples=2000)
-        sampler = state.cache.draws
-        shifted = sampler._shifted.copy()
-        shifted[4] = np.nan
-        sampler._shifted = shifted
-        assert sampler.summary() is None  # the first request
+        # a degenerate row's first moment is nan at every beta, which the
+        # beta trial's read refuses
+        alloc = simulate_ibp(GibbsModel.py(0.5, 1.0), self.GAMMA, self.N, seed=41)
+        state = make_state(
+            GibbsModel.ngg(0.5, 1.0), alloc.matrix, seed=41, gamma=self.GAMMA, mc_samples=2000
+        )
+        state.cache.draws._segments.set_row(4, np.full(2000, np.nan))
         with pytest.raises(McDegeneracyError):
-            inference._slice_model_move(state, counts, "second", 0.0)
-        assert sampler._summary_requests == 2 and sampler.summary() is None
-
-    @pytest.mark.parametrize(
-        "moves, built",
-        [(dict(update_theta=True), 1), (dict(update_alpha=True, update_theta=True), 0)],
-        ids=["beta", "alpha-beta"],
-    )
-    def test_summary_only_over_reused_draws(self, moves, built, monkeypatch):
-        # a chain that moves alpha has new draws for every beta move and
-        # never summarises them; a beta-only chain summarises its one set
-        made = []
-
-        class Counted(DrawSummary):
-            def __init__(self, sampler):
-                made.append(sampler)
-                super().__init__(sampler)
-
-        monkeypatch.setattr(gibbs_weights, "DrawSummary", Counted)
-        y = np.random.default_rng(9).standard_normal((12, 2))
-        config = ChainConfig(seed=4, mc_samples=2000, **moves)
-        state = initial_state(GibbsModel.ngg(0.5, 1.0), y, config)
-        for _ in range(5):
-            gibbs_sweep(state, y, config)
-        assert len(made) == built
+            inference._slice_model_move(state, alloc.counts, "second", 0.0)
 
 
 def _chain_digest(model, n, sweeps, mc_samples, **moves):
@@ -1914,22 +1774,18 @@ def _chain_digest(model, n, sweeps, mc_samples, **moves):
 
 class TestChainPins:
     """Seeded NGG/NIG chains with the beta move, pinned sweep by sweep: the
-    beta path, Z, W, A, gamma and the log joint, and the final weight table.
-    The beta-only chains screen their trials from the second sweep on, so
-    a screen that decided one comparison otherwise than the exact value
-    would move their pins; the alpha chain never screens.  The pins were
-    taken from a copy of the sampler with the screen switched off."""
+    beta path, Z, W, A, gamma and the log joint, and the final weight table."""
 
     @pytest.mark.parametrize(
         "model, n, sweeps, mc_samples, moves, pins",
         [
             (GibbsModel.ngg(0.5, 1.0), 30, 60, 10_000, dict(update_theta=True),
-             ("3277f8409142b719", "f17ec0521c19fa74")),
+             ("f7387e3e8a79bf69", "c8b264c800b993d6")),
             (GibbsModel.nig(2.0), 30, 60, 10_000, dict(update_theta=True),
-             ("b351c1d73e4cfeb4", "60c6d3ec2fd7e0a8")),
+             ("32c300d17e170b0d", "2057c8401024ea1c")),
             (GibbsModel.ngg(0.5, 1.0), 12, 50, 2000,
              dict(update_alpha=True, update_theta=True),
-             ("0cc7e4274f68df96", "03192026740ee75e")),
+             ("6187463029919ca4", "03192026740ee75e")),
         ],
         ids=["ngg-beta", "nig-beta", "ngg-alpha-beta"],
     )

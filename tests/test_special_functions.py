@@ -1,11 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+from gibbsibp.gibbs_weights import GibbsModel
+from gibbsibp.ibp import powerlaw_constant
 from gibbsibp.special_functions import (
     MAX_TABLE_DEPTH,
     GfcTable,
@@ -14,10 +17,12 @@ from gibbsibp.special_functions import (
     check_table_depth,
     gfc_rows,
     log_kanter_a,
+    log_gamma_ratio,
     log_kanter_a0,
     log_rising_factorial,
     positive_stable_density,
 )
+from gibbsibp.stick_breaking import structural_density, superposition_intensity
 from oracles import gfc_bruteforce, log_scaled_gfc_mp, unsigned_stirling_first
 
 # Frozen oracle values for f_alpha(t): mpmath quadrature (30 dps) of the
@@ -237,3 +242,45 @@ class TestPositiveStableDensity:
             for lo, hi in [(0.0, 1.0), (1.0, 100.0), (100.0, np.inf)]
         )
         assert total == pytest.approx(1.0, abs=1e-4)
+
+
+class TestLogGammaRatio:
+    """log Gamma(theta+1) - log Gamma(theta+alpha) and its three readers
+    against mpmath at large theta, where a gammaln difference loses its
+    digits (powerlaw_constant(PY(0.5, 1e15)) read 72% off that way)."""
+
+    THETAS = [1e3, 1e8, 1e12, 1e15, 1e100]
+
+    @staticmethod
+    def mp_ratio(theta, alpha):
+        # enough digits to hold log Gamma(theta+1), of size theta log theta
+        with mpmath.workdps(int(math.log10(theta)) + 40):
+            t, a = mpmath.mpf(theta), mpmath.mpf(alpha)
+            return mpmath.loggamma(t + 1) - mpmath.loggamma(t + a)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.9])
+    def test_ratio(self, alpha):
+        for theta in self.THETAS:
+            want = self.mp_ratio(theta, alpha)
+            # poch reads about 1e-13 off at theta 1e3 and to the double past it
+            assert abs(log_gamma_ratio(theta, alpha) - want) <= 1e-12 * max(1, abs(want)), theta
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.9])
+    def test_readers(self, alpha):
+        for theta in self.THETAS:
+            model = GibbsModel.py(alpha, theta)
+            ratio = self.mp_ratio(theta, alpha)
+            # 1 - p must hold its digits too
+            with mpmath.workdps(int(math.log10(theta)) + 40):
+                want = mpmath.exp(ratio) / alpha
+                assert abs(powerlaw_constant(model) - want) <= 1e-12 * want, theta
+                # p near 1/theta, where the density and intensity live
+                p = 1.0 / theta
+                a, t, q = mpmath.mpf(alpha), mpmath.mpf(theta), mpmath.mpf(p)
+                norm = mpmath.exp(ratio) / mpmath.gamma(1 - a) * q ** -a
+                density = norm * (1 - q) ** (t + a - 1)
+                intensity = norm * (1 - q) ** (t + a + 2)
+                got = structural_density(model, p)
+                assert abs(got - density) <= 1e-12 * density, theta
+                got = superposition_intensity(model, 3, p)
+                assert abs(got - intensity) <= 1e-12 * intensity, theta

@@ -370,10 +370,13 @@ class _Segments:
     power sums sum_s u^m / m! of u = (s - c) / h in [-1, 1] for m = 0..M
     (M = SEGMENT_POWERS; u = 0 where h = 0), which cannot overflow.  An inf
     draw (an overflowed ratio) adds exp(-beta inf) = 0 and is left out of
-    them; a nan row (one of only inf ratios) gives nan sums.  Held for
-    `rows` rows of `samples` draws: rows ceil(samples / SEGMENT) (SEGMENT
-    + M + 3) doubles (_footprint).
+    them; a nan row (one of only inf ratios) gives nan sums.
     """
+
+    @staticmethod
+    def footprint(rows, samples):
+        """Doubles held for `rows` rows of `samples` draws."""
+        return rows * -(-samples // SEGMENT) * (SEGMENT + SEGMENT_POWERS + 3)
 
     def __init__(self, rows, samples):
         self.samples = samples
@@ -458,11 +461,6 @@ class _Segments:
                 np.multiply(terms, -beta, out=terms)
                 flat[chunk] = np.exp(terms, out=terms).sum(axis=1)
         return sums.sum(axis=-1)
-
-
-def _footprint(rows, samples):
-    # doubles a _Segments of rows x samples draws holds
-    return rows * -(-samples // SEGMENT) * (SEGMENT + SEGMENT_POWERS + 3)
 
 
 def _log_first_moment(segments, ratio_min, alpha, beta):
@@ -1062,7 +1060,7 @@ def expected_blocks(model, n, table=None, gfc=None):
 def check_frozen_draws(n, samples):
     """Refuse frozen draws whose sampler would hold more than
     MAX_FROZEN_DRAWS doubles, segment sums included, with TableSizeError."""
-    held = _footprint(n, samples)
+    held = _Segments.footprint(n, samples)
     if held > MAX_FROZEN_DRAWS:
         raise TableSizeError(
             f"{n} rows x {samples} samples of frozen draws need {8 * held} bytes "

@@ -1109,17 +1109,16 @@ class TestNggWeightSampler:
             NggWeightSampler(0.5, n, samples, seed=0)
         message = str(raised.value)
         assert f"{n} rows" in message and f"{samples} samples" in message
-        held = gibbs_weights._footprint(n, samples)
+        held = gibbs_weights._Segments.footprint(n, samples)
         assert held > n * samples and f"{8 * held} bytes" in message
 
     def test_frozen_draw_limit_is_inclusive(self):
         # the limit counts every double the sampler holds: its padded
         # segments of draws and their centres, half-widths and power sums
         n = 2 ** 7
-        per_segment = gibbs_weights._footprint(1, SEGMENT)
-        segments = MAX_FROZEN_DRAWS // (n * per_segment)
-        samples = segments * SEGMENT
-        assert gibbs_weights._footprint(n, samples) <= MAX_FROZEN_DRAWS
+        per_segment = gibbs_weights._Segments.footprint(1, SEGMENT)
+        samples = MAX_FROZEN_DRAWS // (n * per_segment) * SEGMENT
+        assert gibbs_weights._Segments.footprint(n, samples) <= MAX_FROZEN_DRAWS
         check_frozen_draws(n, samples)
         with pytest.raises(TableSizeError, match="frozen draws"):
             check_frozen_draws(n, samples + 1)
@@ -1127,7 +1126,7 @@ class TestNggWeightSampler:
         segments = sampler._segments
         held = sum(a.size for a in (segments.draws, segments.centre, segments.half,
                                     segments.powers))
-        assert held == gibbs_weights._footprint(3, 2500)
+        assert held == gibbs_weights._Segments.footprint(3, 2500)
 
     def test_row_sums_past_largest_double_warn_nothing(self):
         # 1e308 times beta 10 passes the largest double: the term is
